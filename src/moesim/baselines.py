@@ -13,7 +13,7 @@ value and it contributes zero reward to later steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,6 +86,11 @@ class ModelValueFunctions:
     approximation; control variates need not be exact to keep the doubly
     robust estimators unbiased).  When the task has a known terminal
     region, rollouts stop there.
+
+    `q` is an exact memo keyed on (float64 bytes of x, a, remaining): the
+    model and policy are deterministic, so DR and WDR share one set of
+    rollouts, and `v` reuses the `q` of the logged action.  One instance
+    serves one repetition.
     """
 
     model: DynamicsModel
@@ -93,16 +98,25 @@ class ModelValueFunctions:
     horizon: int
     gamma: float
     is_terminal: Callable[[StateVec], bool] | None = None
+    _q_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def q(self, x: StateVec, a: int, remaining: int) -> float:
         """Discounted model return of taking `a` now, then following the
         policy for remaining - 1 more steps."""
+        x = np.asarray(x, dtype=np.float64)
+        key = (x.tobytes(), a, remaining)
+        value = self._q_memo.get(key)
+        if value is None:
+            value = self._q_memo[key] = self._rollout(x, a, remaining)
+        return value
+
+    def _rollout(self, x: np.ndarray, a: int, remaining: int) -> float:
         if remaining <= 0:
             return 0.0
-        if self.is_terminal is not None and self.is_terminal(np.asarray(x)):
+        if self.is_terminal is not None and self.is_terminal(x):
             return 0.0
         total = 0.0
-        state = np.asarray(x, dtype=np.float64)
+        state = x
         action = a
         for k in range(remaining):
             state_next, r = self.model.predict(state, action)

@@ -418,7 +418,8 @@ class Policy:
         p = np.asarray(self.probs_fn(x), dtype=np.float64)
         if p.shape != (self.n_actions,):
             raise ValueError("policy returned a wrongly-shaped probability vector")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+        # written so that NaN fails both comparisons
+        if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-9):
             raise ValueError("policy probabilities must be nonnegative and sum to 1")
         return p
 

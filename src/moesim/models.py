@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ActionId, Dataset, Metric, StateVec
+from .core import ActionId, Dataset, Metric, StateVec, Transition
 
 PARAMETRIC = "parametric"
 NONPARAMETRIC = "nonparametric"
@@ -36,16 +36,25 @@ class DynamicsModel:
 
 class NonparametricModel(DynamicsModel):
     """Nearest-neighbor expert: returns the recorded (x_next, r) of the
-    same-action transition whose start state is closest to the query."""
+    same-action transition whose start state is closest to the query.
+
+    The nearest transition is memoized per (float64 bytes of x, action);
+    each prediction still returns a fresh copy of its next state.
+    """
 
     kind = NONPARAMETRIC
 
     def __init__(self, dataset: Dataset, metric: Metric):
         self.dataset = dataset
         self.metric = metric
+        self._nearest: dict[tuple[bytes, ActionId], Transition | None] = {}
 
     def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
-        tr = self.dataset.nearest(x, a, self.metric)
+        x = np.asarray(x, dtype=np.float64)
+        key = (x.tobytes(), a)
+        if key not in self._nearest:
+            self._nearest[key] = self.dataset.nearest(x, a, self.metric)
+        tr = self._nearest[key]
         if tr is None:
             raise NoSupportError(f"no support: dataset has no transitions for action {a}")
         return tr.x_next.copy(), float(tr.r)

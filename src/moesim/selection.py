@@ -85,6 +85,12 @@ class SelectionContext:
 
     Immutable once built; caches the global Lipschitz ratios and the
     parametric model's per-transition residuals.
+
+    `estimate` is an exact memo keyed on (expert, float64 bytes of x,
+    action): every input it reads is fixed for the context's lifetime, and
+    simulated states repeat exactly because the nonparametric expert copies
+    logged outcomes.  A context lives for one repetition, so the memo never
+    crosses repetitions.
     """
 
     def __init__(
@@ -118,6 +124,7 @@ class SelectionContext:
         self.use_true_errors = use_true_errors
         self._global_lips = global_lips
         self._residuals = residuals
+        self._estimates: dict[tuple[str, bytes, ActionId], ErrorEstimate] = {}
 
     def model(self, kind: str) -> DynamicsModel:
         return self.nonparametric if kind == NONPARAMETRIC else self.parametric
@@ -149,6 +156,14 @@ class SelectionContext:
     def estimate(self, kind: str, x: StateVec, a: ActionId) -> ErrorEstimate:
         """Local error estimate for one expert at (x, a), honoring oracle
         mode.  Unusable experts report an unsupported (infinite) estimate."""
+        x = np.asarray(x, dtype=np.float64)
+        key = (kind, x.tobytes(), a)
+        est = self._estimates.get(key)
+        if est is None:
+            est = self._estimates[key] = self._compute_estimate(kind, x, a)
+        return est
+
+    def _compute_estimate(self, kind: str, x: StateVec, a: ActionId) -> ErrorEstimate:
         if not self.usable(kind, a):
             return ErrorEstimate.unsupported()
         if self.use_true_errors:
@@ -399,22 +414,6 @@ def mcts_select(
     candidates = [
         c for c in root.children if c.visits > 0 and c.best_value > -math.inf
     ]
-    if trace is not None:
-        trace.append(_trace_record(root, run, candidates))
-    if not candidates:
-        return greedy_select(ctx, x, a)
-    best = max(
-        enumerate(candidates),
-        key=lambda ic: (
-            ic[1].best_value,
-            1 if ic[1].model_choice == NONPARAMETRIC else 0,
-            -ic[0],
-        ),
-    )[1]
-    return best.model_choice
-
-
-def _trace_record(root: PlanNode, run: _MctsRun, candidates: list[PlanNode]) -> dict:
     chosen = None
     if candidates:
         chosen = max(
@@ -425,6 +424,12 @@ def _trace_record(root: PlanNode, run: _MctsRun, candidates: list[PlanNode]) -> 
                 -ic[0],
             ),
         )[1].model_choice
+    if trace is not None:
+        trace.append(_trace_record(root, run, chosen))
+    return chosen if chosen is not None else greedy_select(ctx, x, a)
+
+
+def _trace_record(root: PlanNode, run: _MctsRun, chosen: str | None) -> dict:
     return {
         "state": [float(v) for v in root.state],
         "action": int(root.action),

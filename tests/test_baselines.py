@@ -11,8 +11,9 @@ from moesim.baselines import (
     is_estimate,
 )
 from moesim.core import Dataset, Metric, Policy, Trajectory, Transition, trajectory_return
+from moesim.envs import AcrobotConfig, acrobot_heuristic_policy, make_acrobot, make_eps_greedy
 from moesim.envs.base import generate_trajectories, rollout_with_probs
-from moesim.models import FunctionModel
+from moesim.models import FunctionModel, ParametricFitConfig, fit_parametric
 
 
 from helpers import DeterministicMDP, eps_greedy_of
@@ -194,6 +195,44 @@ class TestDoublyRobust:
         full = is_estimate(inp, "DR", value_model=vm)
         sub = ISInput(inp.trajectories[:2], inp.behavior_probs[:2], inp.eval_probs[:2], 1.0)
         assert is_estimate(sub, "DR", value_model=vm) == pytest.approx(full, abs=1e-12)
+
+
+class TestValueFunctionMemo:
+    """`ModelValueFunctions.q` memoizes per (state bytes, action, remaining);
+    q, v, DR and WDR must equal those of a fresh instance (empty memo)."""
+
+    def test_acrobot_q_v_and_dr_equal_a_fresh_instance(self):
+        horizon = 30
+        env = make_acrobot(AcrobotConfig(horizon=horizon))
+        eval_policy = make_eps_greedy(acrobot_heuristic_policy(), 0.1)
+        behavior = make_eps_greedy(acrobot_heuristic_policy(), 0.3)
+        trajs, probs = generate_trajectories(env, behavior, 3, seed=2)
+        model = fit_parametric(
+            Dataset.from_trajectories(trajs, env.n_actions),
+            ParametricFitConfig(ridge_lambda=1e-3),
+        )
+
+        def fresh():
+            return ModelValueFunctions(
+                model, eval_policy, horizon, 0.99, is_terminal=env.is_terminal
+            )
+
+        vm = fresh()
+        steps = [(t, tr) for traj in trajs for t, tr in enumerate(traj.transitions)]
+        for t, tr in steps + steps[::-1]:
+            remaining = horizon - t
+            assert vm.q(tr.x, tr.a, remaining) == fresh().q(tr.x, tr.a, remaining)
+            assert vm.q(tr.x.copy(), tr.a, remaining) == fresh().q(tr.x, tr.a, remaining)
+            assert vm.v(tr.x, remaining) == fresh().v(tr.x, remaining)
+            for a in range(env.n_actions):
+                assert vm.q(tr.x, a, remaining - 1) == fresh().q(tr.x, a, remaining - 1)
+
+        inp = ISInput.build(trajs, probs, eval_policy, 0.99)
+        shared = fresh()
+        for variant in ("DR", "WDR", "DR"):
+            assert is_estimate(inp, variant, value_model=shared) == is_estimate(
+                inp, variant, value_model=fresh()
+            )
 
 
 class TestCSVInput:

@@ -332,3 +332,17 @@ class TestPolicy:
         negative = Policy(2, lambda x: np.array([-0.1, 1.1]))
         with pytest.raises(ValueError):
             negative.probs(np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "vector",
+        [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, np.inf, 1.0],
+         [np.nan, np.nan, np.nan]],
+    )
+    def test_non_finite_distribution_rejected(self, vector):
+        # NaN compares false with everything, so a check written as
+        # "reject if p < 0 or |sum - 1| > tol" would let it through
+        pol = Policy(3, lambda x: np.array(vector))
+        with pytest.raises(ValueError):
+            pol.probs(np.zeros(1))
+        with pytest.raises(ValueError):
+            pol.sample(np.zeros(1), np.random.default_rng(0))

@@ -137,6 +137,21 @@ class TestNonparametric:
             pred, r = model.predict(x, a)
             assert (tuple(pred), r) in observed
 
+    def test_mutating_a_prediction_leaves_later_ones_unchanged(self):
+        ds = line_dataset()
+        m = Metric.euclidean(1)
+        model = NonparametricModel(ds, m)
+        x = np.array([3.2])
+        first, r = model.predict(x, 0)
+        expected = first.copy()
+        first[:] = -99.0
+        for query in (x, x.copy(), np.array([3.2])):
+            again, r_again = model.predict(query, 0)
+            assert np.array_equal(again, expected) and r_again == r
+            again[:] = -98.0
+        assert np.array_equal(ds.nearest(x, 0, m).x_next, expected)
+        assert np.array_equal(NonparametricModel(ds, m).predict(x, 0)[0], expected)
+
     def test_no_support_raises(self):
         ds = line_dataset(n_actions=3)
         model = NonparametricModel(ds, Metric.euclidean(1))

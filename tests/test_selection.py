@@ -8,9 +8,20 @@ import pytest
 
 from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import make_planning_toy, planning_toy_policies, planning_toy_parametric_model
+from moesim.envs import Windy2DConfig, make_eps_greedy, make_windy2d
 from moesim.envs.base import generate_trajectories
 from moesim.envs.planning_toy import BEHAVIOR_STARTS, EVAL_START
-from moesim.errors import BoundParams, ErrorEstimate, return_error_bound
+from moesim.envs.windy import windy_eval_policy, windy_no_wind_model
+from moesim.errors import (
+    BoundParams,
+    ErrorEstimate,
+    choose_radius,
+    global_lipschitz,
+    np_error_estimate,
+    p_error_estimate,
+    parametric_residuals,
+    return_error_bound,
+)
 from moesim.models import (
     NONPARAMETRIC,
     PARAMETRIC,
@@ -319,6 +330,72 @@ class TestMctsOnPlanningToy:
         assert len(rec["children"]) == 2
         for child in rec["children"]:
             assert child["visits"] > 0
+
+
+class TestEstimateMemo:
+    """`SelectionContext.estimate` memoizes per (expert, state bytes,
+    action).  Every answer must equal a fresh context's (empty memo) and the
+    direct estimate, whatever was asked before it."""
+
+    @staticmethod
+    def _windy(use_true_errors=False):
+        cfg = Windy2DConfig()
+        env = make_windy2d(cfg)
+        behavior = make_eps_greedy(windy_eval_policy(cfg), 0.3)
+        trajs, _ = generate_trajectories(env, behavior, 12, seed=3)
+        ds = Dataset.from_trajectories(trajs, env.n_actions)
+        m = Metric.euclidean(2)
+        model = windy_no_wind_model(cfg)
+        residuals = parametric_residuals(ds, model, m)
+        lips = global_lipschitz(ds, m)
+        radius = choose_radius(ds, model, m, residuals=residuals, lipschitz=lips)
+
+        def build():
+            return SelectionContext(
+                model, NonparametricModel(ds, m), ds, m, radius,
+                BoundParams(lips.l_t, lips.l_r, 1.0), windy_eval_policy(cfg),
+                true_step=env.step, is_terminal=env.is_terminal,
+                use_true_errors=use_true_errors, global_lips=lips,
+                residuals=residuals,
+            )
+
+        def direct(kind, x, a):
+            if use_true_errors:
+                true_next, true_r = env.step(x, a)
+                pred_next, pred_r = build().model(kind).predict(x, a)
+                return ErrorEstimate(m.distance(true_next, pred_next), abs(true_r - pred_r))
+            if kind == NONPARAMETRIC:
+                return np_error_estimate(ds, x, a, radius, m, fallback=lips)
+            return p_error_estimate(ds, model, x, a, radius, m, residuals=residuals)
+
+        return ds, build, direct
+
+    @staticmethod
+    def _queries(ds, rng):
+        """Random states, integer-lattice states, and logged starts, each
+        asked again later as a new array object (and, on the lattice, as an
+        int-dtype copy)."""
+        states = [rng.uniform([-1.0, -1.0], [13.0, 15.0]) for _ in range(25)]
+        lattice = [rng.integers(0, 13, size=2).astype(np.float64) for _ in range(10)]
+        logged = [ds.transitions[int(i)].x for i in rng.choice(len(ds), 25, replace=False)]
+        first = [(x, x) for x in states + lattice + logged]
+        again = [(x.copy(), x) for x in states + logged]
+        again += [(x.astype(np.int64), x) for x in lattice]
+        queries = first + again + first
+        order = rng.permutation(len(queries))
+        return [queries[i] for i in order]
+
+    @pytest.mark.parametrize("use_true_errors", [False, True])
+    def test_memo_equals_fresh_context_and_direct_estimate(self, use_true_errors):
+        ds, build, direct = self._windy(use_true_errors)
+        ctx = build()
+        rng = np.random.default_rng(17)
+        for query, x in self._queries(ds, rng):
+            for a in range(ds.n_actions):
+                for kind in (NONPARAMETRIC, PARAMETRIC):
+                    got = ctx.estimate(kind, query, a)
+                    assert got == build().estimate(kind, x, a)
+                    assert got == direct(kind, x, a)
 
 
 class TestSelectorConfigValidation:
