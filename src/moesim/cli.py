@@ -20,16 +20,14 @@ import json
 import sys
 from pathlib import Path
 
-from .core import read_dataset_csv, write_dataset_csv, Dataset
-from .envs.base import behavior_prob_table, generate_trajectories
+from .core import read_dataset_csv, write_dataset_csv
+from .envs.base import behavior_prob_table
 from .experiments import (
     ConfigError,
-    build_behavior_policy,
     build_env,
-    build_eval_policy,
     build_parametric,
-    derive_seed,
     emit_error_maps,
+    generate_batch,
     run_experiment,
     validate_config,
 )
@@ -55,21 +53,14 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     cfg = validate_config(_load_config(args.config))
     if args.seed is not None:
         cfg["seed"] = args.seed
-    env, handle = build_env(cfg["env"])
-    eval_policy = build_eval_policy(cfg, env, handle)
-    behavior = build_behavior_policy(cfg, env, handle, eval_policy)
-    from .envs.planning_toy import BEHAVIOR_STARTS
-
-    starts = BEHAVIOR_STARTS if cfg["env"]["kind"] == "planning_toy" else None
-    trajectories, probs = generate_trajectories(
-        env, behavior, cfg["n_behavior_trajectories"],
-        seed=derive_seed(cfg["seed"], 0, 0), starts=starts,
-    )
-    ds = Dataset.from_trajectories(trajectories, env.n_actions)
+    batch = generate_batch(cfg, 0)
+    ds = batch.dataset
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "dataset.csv"
-    write_dataset_csv(csv_path, ds, behavior_probs=behavior_prob_table(trajectories, probs))
+    write_dataset_csv(
+        csv_path, ds, behavior_probs=behavior_prob_table(batch.trajectories, batch.probs)
+    )
     print(f"wrote {csv_path} ({len(ds)} transitions, {len(ds.initial_states)} trajectories)")
 
 
@@ -159,7 +150,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> None:
         payload = reproduce_table1(seed=seed, jobs=args.jobs)
         print(f"pattern fraction: {payload['pattern_fraction']:.2f}")
     elif args.which == "table2":
-        payload = reproduce_table2(seed=seed, jobs=args.jobs)
+        payload = reproduce_table2(seed=seed)
         print(f"horizon: {payload['horizon']} (exact match: {payload['exact_match_horizon']})")
         for variant, errs in payload["errors"].items():
             print(f"  {variant}: " + ", ".join(f"{k}={v:.4g}" for k, v in errs.items()))
@@ -182,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
 
     p_gen = sub.add_parser("generate", help="generate behavior data")
     common(p_gen)
@@ -195,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="run a full experiment")
     common(p_eval)
+    p_eval.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
     p_eval.add_argument("--mcts-trace", action="store_true",
                         help="log per-decision planner statistics")
     p_eval.add_argument("--rollout-log", action="store_true",
@@ -216,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="run a canned study")
     p_rep.add_argument("which", choices=["table1", "table2", "consistency"])
     common(p_rep, config_required=False)
+    p_rep.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
     p_rep.set_defaults(fn=_cmd_reproduce)
     return parser
 

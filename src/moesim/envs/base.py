@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import ActionId, Dataset, Policy, StateVec, Trajectory, Transition
+from ..core import ActionId, Policy, StateVec, Trajectory, Transition
 
 
 @dataclass(frozen=True)

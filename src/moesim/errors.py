@@ -101,71 +101,43 @@ def estimate_lipschitz(
     return LipschitzEstimates(best_t, best_r, used)
 
 
-_EXACT_PAIR_LIMIT = 3000  # below this, pair distances use exact differences
-
-
-def _sq_dists_exact(A: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Exact squared distances between rows lo:hi and all rows of A,
-    accumulated per dimension to avoid (block, n, d) temporaries."""
-    out = np.zeros((hi - lo, len(A)))
-    for k in range(A.shape[1]):
-        diff = A[lo:hi, k][:, None] - A[None, :, k]
-        out += diff * diff
-    return out
-
-
-def _sq_dists_gram(A: np.ndarray, sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Squared distances via ||a||^2 + ||b||^2 - 2ab (BLAS path)."""
-    out = sq[lo:hi, None] + sq[None, :] - 2.0 * (A[lo:hi] @ A.T)
-    np.maximum(out, 0.0, out=out)
-    return out
+_BLOCK = 64  # rows per block of the pair scan; small blocks stay in cache
 
 
 def _pairwise_max_ratios(
-    X: np.ndarray, Y: np.ndarray, R: np.ndarray, metric: Metric, block: int = 2048
+    X: np.ndarray, Y: np.ndarray, R: np.ndarray, metric: Metric
 ) -> tuple[float, float, int]:
-    """Chunked all-pairs max ratios for one action's stacked arrays.
+    """Exact max ratios over all pairs i < j with distinct starts, for one
+    action's stacked arrays.
 
-    Small inputs use exact per-dimension differences; large ones switch to
-    the gram-matrix identity, whose rounding can misreport near-duplicate
-    starts as epsilon apart, so pairs below a scale-relative floor are
-    treated as zero-distance and skipped.
+    Row block lo:hi is compared only with columns j >= lo, from exact
+    per-dimension differences.  Pairs with i >= j or coincident starts get
+    an infinite squared start distance, so their ratios are 0 and they are
+    not counted.
     """
     n = len(X)
-    w = metric.weights
-    Xw = X * w
-    Yw = Y * w
+    Xw = X * metric.weights
+    Yw = Y * metric.weights
     best_t = 0.0
     best_r = 0.0
     used = 0
-    cols = np.arange(n)[None, :]
-    exact = n <= _EXACT_PAIR_LIMIT
-    if exact:
-        floor = _RATIO_EPS
-        x_sq = y_sq = None
-    else:
-        x_sq = np.einsum("ij,ij->i", Xw, Xw)
-        y_sq = np.einsum("ij,ij->i", Yw, Yw)
-        floor = 1e-12 * max(float(x_sq.max(initial=0.0)), 1.0)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        if exact:
-            dx2 = _sq_dists_exact(Xw, lo, hi)
-        else:
-            dx2 = _sq_dists_gram(Xw, x_sq, lo, hi)
-        # keep strictly-upper-triangle pairs (global index i < j), nonzero dx
-        mask = (np.arange(lo, hi)[:, None] < cols) & (dx2 > floor)
-        if not mask.any():
-            continue
-        used += int(mask.sum())
-        dx2m = dx2[mask]
-        if exact:
-            dy2 = _sq_dists_exact(Yw, lo, hi)
-        else:
-            dy2 = _sq_dists_gram(Yw, y_sq, lo, hi)
-        best_t = max(best_t, float(np.sqrt((dy2[mask] / dx2m).max())))
-        dr = np.abs(R[lo:hi, None] - R[None, :])
-        best_r = max(best_r, float((dr[mask] / np.sqrt(dx2m)).max()))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        dx2, dy2 = np.zeros((2, hi - lo, n - lo))
+        tmp = np.empty_like(dx2)
+        for out, A in ((dx2, Xw), (dy2, Yw)):
+            for k in range(A.shape[1]):
+                np.subtract(A[lo:hi, k, None], A[None, lo:, k], out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                out += tmp
+        dx2[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = np.inf
+        dx2[dx2 == 0.0] = np.inf
+        used += int(np.count_nonzero(dx2 != np.inf))
+        best_t = max(best_t, float(np.sqrt(np.divide(dy2, dx2, out=dy2).max())))
+        np.subtract(R[lo:hi, None], R[None, lo:], out=tmp)
+        np.abs(tmp, out=tmp)
+        np.divide(tmp, np.sqrt(dx2, out=dx2), out=tmp)
+        best_r = max(best_r, float(tmp.max()))
     return best_t, best_r, used
 
 
@@ -196,14 +168,14 @@ def np_error_estimate(
     a: ActionId,
     c: float,
     metric: Metric,
-    fallback: LipschitzEstimates | None = None,
+    fallback: LipschitzEstimates,
 ) -> ErrorEstimate:
     """Nonparametric error estimate at (x, a) with neighborhood radius c.
 
     eps = (local Lipschitz ratio) * (distance to the nearest same-action
     start).  The local ratios come from transition pairs starting within c
-    of x; with fewer than two such neighbors the global estimates are used
-    (computed on the fly when `fallback` is not supplied).
+    of x; with fewer than two such neighbors the global estimates in
+    `fallback` are used.
     """
     if c < 0:
         raise ValueError("radius must be nonnegative")
@@ -212,13 +184,11 @@ def np_error_estimate(
         return ErrorEstimate.unsupported()
     d_star = float(dists[0])
     X, Y, R = ds.action_arrays(a)
-    lips: LipschitzEstimates | None = None
+    lips = fallback
     if len(rows) >= 2:
         bt, br, n = _pairwise_max_ratios(X[rows], Y[rows], R[rows], metric)
         if n > 0:
             lips = LipschitzEstimates(bt, br, n)
-    if lips is None:
-        lips = fallback if fallback is not None else global_lipschitz(ds, metric)
     return ErrorEstimate(lips.l_t * d_star, lips.l_r * d_star)
 
 
@@ -242,38 +212,28 @@ def parametric_residuals(
 
 def p_error_estimate(
     ds: Dataset,
-    model: DynamicsModel,
     x: StateVec,
     a: ActionId,
     c: float,
     metric: Metric,
-    residuals: tuple[np.ndarray, np.ndarray] | None = None,
+    residuals: tuple[np.ndarray, np.ndarray],
 ) -> ErrorEstimate:
     """Parametric error estimate: the worst residual the model makes on the
     same-action transitions starting within c of x.
 
-    `residuals` may carry precomputed per-transition residuals (as returned
-    by parametric_residuals) to avoid re-predicting on every query.
+    `residuals` are the model's per-transition residuals, as returned by
+    parametric_residuals.
     """
     if c < 0:
         raise ValueError("radius must be nonnegative")
     idx, _ = ds.neighbor_indices(x, a, c, metric)
     if len(idx) == 0:
         return ErrorEstimate.unsupported()
-    if residuals is not None:
-        et = float(residuals[0][idx].max())
-        er = float(residuals[1][idx].max())
-    else:
-        et = 0.0
-        er = 0.0
-        for i in idx:
-            tr = ds.transitions[int(i)]
-            xp, rp = model.predict(tr.x, tr.a)
-            et = max(et, metric.distance(xp, tr.x_next))
-            er = max(er, abs(rp - tr.r))
+    et = float(residuals[0][idx].max())
+    er = float(residuals[1][idx].max())
     if not (np.isfinite(et) and np.isfinite(er)):
         return ErrorEstimate.unsupported()
-    return ErrorEstimate(float(et), float(er))
+    return ErrorEstimate(et, er)
 
 
 def choose_radius(

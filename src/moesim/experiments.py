@@ -23,7 +23,7 @@ from jsonschema import Draft7Validator
 
 from . import __version__
 from .baselines import ISInput, ModelValueFunctions, is_estimate
-from .core import Dataset, Metric, Policy, trajectory_return
+from .core import Dataset, Metric, Policy, Trajectory
 from .envs import (
     AcrobotConfig,
     ODESpec,
@@ -38,8 +38,8 @@ from .envs import (
     planning_toy_parametric_model,
     planning_toy_policies,
 )
-from .envs.base import Environment, behavior_prob_table, generate_trajectories
-from .envs.planning_toy import BEHAVIOR_STARTS, EVAL_START
+from .envs.base import Environment, generate_trajectories
+from .envs.planning_toy import BEHAVIOR_STARTS
 from .envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
 from .errors import BoundParams, choose_radius, global_lipschitz, parametric_residuals
 from .errors import InsufficientPairsError, LipschitzEstimates
@@ -47,6 +47,7 @@ from .models import (
     NONPARAMETRIC,
     PARAMETRIC,
     NonparametricModel,
+    NoSupportError,
     ParametricFitConfig,
     fit_parametric,
 )
@@ -323,17 +324,89 @@ def build_parametric(cfg: dict, dataset: Dataset, handle):
     return fit_parametric(dataset, fit_cfg)
 
 
-def _selector_config(cfg: dict, mode: str, use_true: bool, seed: int) -> SelectorConfig:
-    sel = {**_SELECTOR_DEFAULTS, **cfg.get("selector", {})}
+def _selector_config(cfg: dict, mode: str, seed: int) -> SelectorConfig:
+    sel = {**_SELECTOR_DEFAULTS, **cfg["selector"]}
     return SelectorConfig(
         mode=mode,
-        alpha_r=sel["alpha_r"],
         mcts_budget=sel["mcts_budget"],
         horizon=sel["horizon"],
-        use_true_errors=use_true,
         seed=seed,
         delta_coeff=sel["delta_coeff"],
     )
+
+
+# ---------------------------------------------------------------------------
+# From config to SelectionContext
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Batch:
+    """The data stage of one repetition: the environment, the evaluation
+    policy, the behavior rollouts with their logged action probabilities,
+    and the datasets built from them."""
+
+    env: Environment
+    handle: object
+    eval_policy: Policy
+    trajectories: list[Trajectory]
+    probs: list[np.ndarray]
+    dataset: Dataset  # every logged transition; the parametric expert fits on it
+    visible: Dataset  # after env.height_filter; what the nonparametric expert reads
+
+
+def generate_batch(cfg: dict, rep: int) -> Batch:
+    """Roll out the behavior policy of a validated config for repetition
+    `rep` and build its datasets."""
+    env, handle = build_env(cfg["env"])
+    eval_policy = build_eval_policy(cfg, env, handle)
+    behavior = build_behavior_policy(cfg, env, handle, eval_policy)
+    starts = BEHAVIOR_STARTS if cfg["env"]["kind"] == "planning_toy" else None
+    trajectories, probs = generate_trajectories(
+        env, behavior, cfg["n_behavior_trajectories"],
+        seed=derive_seed(cfg["seed"], rep, 0), starts=starts,
+    )
+    dataset = Dataset.from_trajectories(trajectories, env.n_actions)
+    height = cfg["env"].get("height_filter")
+    visible = dataset if height is None else filter_dataset_by_height(dataset, height)
+    return Batch(env, handle, eval_policy, trajectories, probs, dataset, visible)
+
+
+def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
+    """The data stage of a validated config's repetition `rep`, and the
+    selection context over it: both experts, the parametric residuals, the
+    global Lipschitz ratios, the radius C = mean residual / l_t, and the
+    bound constants (the config's `bound` entries override the estimated
+    ratios).  The context estimates errors; `ctx.oracle()` shares its scans
+    for the oracle estimators."""
+    batch = generate_batch(cfg, rep)
+    env, ds = batch.env, batch.visible
+    metric = (
+        Metric(np.array(cfg["metric_weights"]))
+        if cfg["metric_weights"]
+        else Metric.euclidean(env.dim)
+    )
+    parametric = build_parametric(cfg, batch.dataset, batch.handle)
+    residuals = parametric_residuals(ds, parametric, metric)
+    try:
+        lips = global_lipschitz(ds, metric)
+    except InsufficientPairsError:
+        lips = LipschitzEstimates(0.0, 0.0, 0)
+    radius = choose_radius(ds, parametric, metric, residuals=residuals, lipschitz=lips)
+    override = cfg["bound"]
+    bound = BoundParams(
+        l_t=lips.l_t if override.get("l_t") is None else override["l_t"],
+        l_r=lips.l_r if override.get("l_r") is None else override["l_r"],
+        gamma=cfg["sim"]["gamma"],
+    )
+    ctx = SelectionContext(
+        parametric, NonparametricModel(ds, metric), ds, metric, radius, bound,
+        batch.eval_policy,
+        alpha_r=cfg["selector"].get("alpha_r", _SELECTOR_DEFAULTS["alpha_r"]),
+        true_step=env.step, is_terminal=env.is_terminal,
+        global_lips=lips, residuals=residuals,
+    )
+    return batch, ctx
 
 
 # ---------------------------------------------------------------------------
@@ -344,62 +417,16 @@ def _selector_config(cfg: dict, mode: str, use_true: bool, seed: int) -> Selecto
 def run_repetition(cfg: dict, rep: int) -> dict:
     """Generate data, fit models, run every requested estimator once.
 
-    Pure function of (config, repetition index): all randomness flows from
-    seeds derived off the master seed and `rep`, so repetitions can run in
-    any order.
+    Pure function of (validated config, repetition index): all randomness
+    flows from seeds derived off the master seed and `rep`, so repetitions
+    can run in any order.
     """
-    env, handle = build_env(cfg["env"])
-    eval_policy = build_eval_policy(cfg, env, handle)
-    behavior = build_behavior_policy(cfg, env, handle, eval_policy)
+    batch, ctx_est = build_context(cfg, rep)
+    env, eval_policy, metric = batch.env, batch.eval_policy, ctx_est.metric
     sim_cfg = cfg["sim"]
     gamma = sim_cfg["gamma"]
     horizon = sim_cfg["horizon"]
-
-    starts = None
-    if cfg["env"]["kind"] == "planning_toy":
-        starts = BEHAVIOR_STARTS
-    trajectories, probs = generate_trajectories(
-        env, behavior, cfg["n_behavior_trajectories"],
-        seed=derive_seed(cfg["seed"], rep, 0), starts=starts,
-    )
-    dataset = Dataset.from_trajectories(trajectories, env.n_actions)
-    if cfg["env"].get("height_filter") is not None:
-        fit_dataset = dataset
-        dataset = filter_dataset_by_height(dataset, cfg["env"]["height_filter"])
-    else:
-        fit_dataset = dataset
-
-    metric = (
-        Metric(np.array(cfg["metric_weights"]))
-        if cfg["metric_weights"]
-        else Metric.euclidean(env.dim)
-    )
-    parametric = build_parametric(cfg, fit_dataset, handle)
-    nonparametric = NonparametricModel(dataset, metric)
-
-    residuals = parametric_residuals(dataset, parametric, metric)
-    try:
-        lips = global_lipschitz(dataset, metric)
-    except InsufficientPairsError:
-        lips = LipschitzEstimates(0.0, 0.0, 0)
-    radius = choose_radius(dataset, parametric, metric, residuals=residuals, lipschitz=lips)
-    bound_cfg = cfg.get("bound", {})
-    bound = BoundParams(
-        l_t=bound_cfg.get("l_t") if bound_cfg.get("l_t") is not None else lips.l_t,
-        l_r=bound_cfg.get("l_r") if bound_cfg.get("l_r") is not None else lips.l_r,
-        gamma=gamma,
-    )
-
-    def make_ctx(use_true: bool) -> SelectionContext:
-        return SelectionContext(
-            parametric, nonparametric, dataset, metric, radius, bound, eval_policy,
-            alpha_r=cfg.get("selector", {}).get("alpha_r", 0.0),
-            true_step=env.step, is_terminal=env.is_terminal,
-            use_true_errors=use_true, global_lips=lips, residuals=residuals,
-        )
-
-    ctx_est = make_ctx(False)
-    ctx_true = make_ctx(True) if any(
+    ctx_true = ctx_est.oracle() if any(
         name.endswith("_true") for name in cfg["estimators"]
     ) else None
 
@@ -413,15 +440,14 @@ def run_repetition(cfg: dict, rep: int) -> dict:
         else None
     )
 
-    record: dict = {"rep": rep, "v_true": v_true, "radius": radius, "estimates": {}}
+    record: dict = {"rep": rep, "v_true": v_true, "radius": ctx_est.radius, "estimates": {}}
     for name in cfg["estimators"]:
         if name in IS_ESTIMATORS:
             continue
         forced = {"p": PARAMETRIC, "np": NONPARAMETRIC}.get(name)
         mode = "mcts" if name.startswith("mcts") else "greedy"
-        use_true = name.endswith("_true")
-        ctx = ctx_true if use_true else ctx_est
-        sel = _selector_config(cfg, mode, use_true, derive_seed(cfg["seed"], rep, 2))
+        ctx = ctx_true if name.endswith("_true") else ctx_est
+        sel = _selector_config(cfg, mode, derive_seed(cfg["seed"], rep, 2))
         trace = [] if (cfg["mcts_trace"] and mode == "mcts") else None
         estimate = simulate_value(
             ctx,
@@ -453,12 +479,13 @@ def run_repetition(cfg: dict, rep: int) -> dict:
     requested_is = [name for name in cfg["estimators"] if name in IS_ESTIMATORS]
     if requested_is:
         is_input = ISInput.build(
-            trajectories, probs, eval_policy, gamma,
+            batch.trajectories, batch.probs, eval_policy, gamma,
         )
         value_model = None
         if any(name in ("DR", "WDR") for name in requested_is):
             value_model = ModelValueFunctions(
-                parametric, eval_policy, horizon, gamma, is_terminal=env.is_terminal
+                ctx_est.parametric, eval_policy, horizon, gamma,
+                is_terminal=env.is_terminal,
             )
         for name in requested_is:
             record["estimates"][name] = {
@@ -570,37 +597,13 @@ MAP_HEADER = (
 def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     """For every grid point and action on a 2-D domain: true and estimated
     one-step errors of both experts, the greedy selection, and whether it
-    matched the truly-better expert.  Writes the CSV and returns the rows."""
+    matched the truly-better expert.  Actions neither expert can simulate
+    are left out.  Writes the CSV and returns the rows."""
     cfg = validate_config(cfg)
-    env, handle = build_env(cfg["env"])
-    if env.dim != 2:
+    if build_env(cfg["env"])[0].dim != 2:
         raise ConfigError("env.kind: error maps need a 2-D environment")
-    eval_policy = build_eval_policy(cfg, env, handle)
-    behavior = build_behavior_policy(cfg, env, handle, eval_policy)
-    starts = BEHAVIOR_STARTS if cfg["env"]["kind"] == "planning_toy" else None
-    trajectories, _ = generate_trajectories(
-        env, behavior, cfg["n_behavior_trajectories"],
-        seed=derive_seed(cfg["seed"], 0, 0), starts=starts,
-    )
-    dataset = Dataset.from_trajectories(trajectories, env.n_actions)
-    metric = (
-        Metric(np.array(cfg["metric_weights"]))
-        if cfg["metric_weights"]
-        else Metric.euclidean(env.dim)
-    )
-    parametric = build_parametric(cfg, dataset, handle)
-    nonparametric = NonparametricModel(dataset, metric)
-    residuals = parametric_residuals(dataset, parametric, metric)
-    try:
-        lips = global_lipschitz(dataset, metric)
-    except InsufficientPairsError:
-        lips = LipschitzEstimates(0.0, 0.0, 0)
-    radius = choose_radius(dataset, parametric, metric, residuals=residuals, lipschitz=lips)
-    ctx = SelectionContext(
-        parametric, nonparametric, dataset, metric, radius,
-        BoundParams(lips.l_t, lips.l_r, cfg["sim"]["gamma"]), eval_policy,
-        is_terminal=env.is_terminal, global_lips=lips, residuals=residuals,
-    )
+    batch, ctx = build_context(cfg, 0)
+    env = batch.env
 
     (x_lo, x_hi) = grid["x_range"]
     (y_lo, y_hi) = grid["y_range"]
@@ -610,7 +613,8 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
         for x1 in np.linspace(y_lo, y_hi, n):
             x = np.array([x0, x1])
             for a in range(env.n_actions):
-                rows.append(_map_row(ctx, env, x, a))
+                if ctx.available_models(a):
+                    rows.append(_map_row(ctx, env, x, a))
     with Path(out_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MAP_HEADER.split(","))
@@ -626,15 +630,20 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     return rows
 
 
+def _true_error(ctx: SelectionContext, kind: str, x: np.ndarray, a: int, true_next) -> float:
+    """Actual one-step state error of one expert; inf where it has no
+    prediction for action a."""
+    try:
+        pred_next, _ = ctx.model(kind).predict(x, a)
+    except NoSupportError:
+        return math.inf
+    return ctx.metric.distance(true_next, pred_next)
+
+
 def _map_row(ctx: SelectionContext, env, x: np.ndarray, a: int) -> dict:
     true_next, _ = env.step(x, a)
-    try:
-        np_next, _ = ctx.nonparametric.predict(x, a)
-        true_np = ctx.metric.distance(true_next, np_next)
-    except Exception:
-        true_np = math.inf
-    p_next, _ = ctx.parametric.predict(x, a)
-    true_p = ctx.metric.distance(true_next, p_next)
+    true_np = _true_error(ctx, NONPARAMETRIC, x, a, true_next)
+    true_p = _true_error(ctx, PARAMETRIC, x, a, true_next)
     est_np = ctx.estimate(NONPARAMETRIC, x, a)
     est_p = ctx.estimate(PARAMETRIC, x, a)
     selected = greedy_select(ctx, x, a)

@@ -95,7 +95,6 @@ class ParametricFitConfig:
     ridge_lambda: float = 0.0
     mlp_hidden: int = 64
     mlp_layers: int = 1
-    mlp_activation: str = "tanh"
     mlp_epochs: int = 2000
     mlp_learning_rate: float = 0.05
     seed: int = 0
@@ -109,8 +108,6 @@ class ParametricFitConfig:
             raise ValueError("mlp_hidden must be >= 1 and mlp_layers 1 or 2")
         if self.mlp_learning_rate <= 0:
             raise ValueError("mlp_learning_rate must be positive")
-        if self.mlp_activation != "tanh":
-            raise ValueError("only tanh activation is supported")
 
 
 class RidgePerActionModel(DynamicsModel):
@@ -172,16 +169,21 @@ class RidgePerActionModel(DynamicsModel):
 def _ridge_solve(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     """Solve min_W ||A W - Y||^2 + lam ||W[:-1]||^2 for A = [X, 1].
 
-    lam = 0 falls back to the minimum-norm least-squares solution, which
-    interpolates exactly when the system is underdetermined.
+    The intercept is unpenalized, so the slopes are solved on centred X and
+    Y and the intercept is mean(Y) - mean(X) @ slopes.  A constant target
+    column then gets zero slopes and is predicted exactly.  lam = 0 falls
+    back to the minimum-norm least-squares slopes, which interpolate exactly
+    when the system is underdetermined.
     """
-    A = np.column_stack([X, np.ones(len(X))])
+    x_mean = X.mean(axis=0)
+    y_mean = Y.mean(axis=0)
+    Xc = X - x_mean
+    Yc = Y - y_mean
     if lam == 0.0:
-        W, *_ = np.linalg.lstsq(A, Y, rcond=None)
-        return W
-    penalty = lam * np.eye(A.shape[1])
-    penalty[-1, -1] = 0.0  # intercept unpenalized
-    return np.linalg.solve(A.T @ A + penalty, A.T @ Y)
+        W, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
+    else:
+        W = np.linalg.solve(Xc.T @ Xc + lam * np.eye(X.shape[1]), Xc.T @ Yc)
+    return np.vstack([W, y_mean - x_mean @ W])
 
 
 # ---------------------------------------------------------------------------

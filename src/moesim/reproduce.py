@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
-    aggregate,
     derive_seed,
     run_experiment,
     run_repetition,
@@ -168,8 +167,7 @@ def search_table2_horizon(
     return {"match": match, "scanned": {str(h): v for h, v in scanned.items()}}
 
 
-def reproduce_table2(seed: int = 0, jobs: int = 1, budget: int = 256,
-                     search: bool = True) -> dict:
+def reproduce_table2(seed: int = 0, budget: int = 256, search: bool = True) -> dict:
     """Errors of all four estimators on both reward-model variants, at the
     horizon recovered by the search (or the pinned default when the search
     finds no exact reproduction)."""

@@ -31,7 +31,6 @@ from .models import (
     PARAMETRIC,
     DynamicsModel,
     NonparametricModel,
-    NoSupportError,
 )
 
 
@@ -43,33 +42,25 @@ class ModelUnusableError(RuntimeError):
 class SelectorConfig:
     """Knobs for the per-step model choice.
 
-    mode:            "greedy" or "mcts"
-    alpha_r:         weight of the reward-error term in the greedy
-                     comparison (0 = transition error only)
-    mcts_budget:     rollouts per decision
-    horizon:         planning depth cap; None plans to the remaining
-                     simulation horizon
-    use_true_errors: oracle mode -- score each expert by its actual one-step
-                     error against the true environment
-    delta_coeff:     which Lipschitz constant multiplies the rolled-forward
-                     state error inside the bound increment: "reward" (the
-                     reward-function constant, matching the return bound) or
-                     "transition"
+    mode:        "greedy" or "mcts"
+    mcts_budget: rollouts per decision
+    horizon:     planning depth cap; None plans to the remaining
+                 simulation horizon
+    delta_coeff: which Lipschitz constant multiplies the rolled-forward
+                 state error inside the bound increment: "reward" (the
+                 reward-function constant, matching the return bound) or
+                 "transition"
     """
 
     mode: str = "greedy"
-    alpha_r: float = 0.0
     mcts_budget: int = 128
     horizon: int | None = None
-    use_true_errors: bool = False
     seed: int = 0
     delta_coeff: str = "reward"
 
     def __post_init__(self) -> None:
         if self.mode not in ("greedy", "mcts"):
             raise ValueError(f"unknown selection mode {self.mode!r}")
-        if self.alpha_r < 0:
-            raise ValueError("alpha_r must be nonnegative")
         if self.mcts_budget < 1:
             raise ValueError("mcts_budget must be >= 1")
         if self.horizon is not None and self.horizon < 1:
@@ -81,7 +72,9 @@ class SelectorConfig:
 class SelectionContext:
     """Everything one model choice needs: both experts, the batch data and
     metric, the shared neighborhood radius, bound constants, the evaluation
-    policy, and (for oracle mode) the true step function.
+    policy, the weight `alpha_r` of the reward-error term in the greedy
+    comparison (0 = transition error only), and (for oracle mode, which
+    scores each expert by its actual one-step error) the true step function.
 
     Immutable once built; caches the global Lipschitz ratios and the
     parametric model's per-transition residuals.
@@ -111,6 +104,8 @@ class SelectionContext:
     ):
         if use_true_errors and true_step is None:
             raise ValueError("oracle error mode needs the true step function")
+        if alpha_r < 0:
+            raise ValueError("alpha_r must be nonnegative")
         self.parametric = parametric
         self.nonparametric = nonparametric
         self.dataset = dataset
@@ -125,6 +120,18 @@ class SelectionContext:
         self._global_lips = global_lips
         self._residuals = residuals
         self._estimates: dict[tuple[str, bytes, ActionId], ErrorEstimate] = {}
+
+    def oracle(self) -> "SelectionContext":
+        """This context in oracle mode: the same experts, data, radius,
+        bound and cached scans, scoring each expert by its actual one-step
+        error.  Its estimate memo starts empty."""
+        return SelectionContext(
+            self.parametric, self.nonparametric, self.dataset, self.metric,
+            self.radius, self.bound, self.policy, alpha_r=self.alpha_r,
+            true_step=self.true_step, is_terminal=self.is_terminal,
+            use_true_errors=True, global_lips=self._global_lips,
+            residuals=self._residuals,
+        )
 
     def model(self, kind: str) -> DynamicsModel:
         return self.nonparametric if kind == NONPARAMETRIC else self.parametric
@@ -178,7 +185,7 @@ class SelectionContext:
                 fallback=self._fallback_lipschitz(),
             )
         return p_error_estimate(
-            self.dataset, self.parametric, x, a, self.radius, self.metric,
+            self.dataset, x, a, self.radius, self.metric,
             residuals=self._parametric_residuals(),
         )
 

@@ -9,9 +9,7 @@ parametric/nonparametric estimators).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +17,6 @@ import numpy as np
 from .core import Metric, Policy, StateVec, Trajectory, Transition, trajectory_return
 from .models import NONPARAMETRIC, PARAMETRIC, NoSupportError
 from .selection import (
-    ModelUnusableError,
     SelectionContext,
     SelectorConfig,
     greedy_select,
@@ -156,13 +153,6 @@ def simulate_value(
         trajectories=trajectories,
         rollout_records=records,
     )
-
-
-def write_rollout_jsonl(estimate: ValueEstimate, path: str | Path) -> None:
-    """One JSON line per rollout: seed, return, steps, goal flag."""
-    with Path(path).open("w") as fh:
-        for rec in estimate.rollout_records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def trajectory_error(sim: Trajectory, truth: Trajectory, metric: Metric) -> float:

@@ -31,20 +31,25 @@ def tr(x, a, r, y, tid=0, t=0):
 
 
 def brute_force_ratios(transitions, metric):
-    """Independent double loop over all same-action pairs."""
+    """Independent reference over all same-action pairs: each transition
+    against every later one of its action, one transition at a time."""
+    X = np.array([t.x for t in transitions])
+    Y = np.array([t.x_next for t in transitions])
+    A = np.array([t.a for t in transitions])
+    R = np.array([t.r for t in transitions])
     best_t = 0.0
     best_r = 0.0
     used = 0
-    for i, a in enumerate(transitions):
-        for b in transitions[i + 1 :]:
-            if a.a != b.a:
-                continue
-            d = metric.distance(a.x, b.x)
-            if d == 0.0:
-                continue
-            used += 1
-            best_t = max(best_t, metric.distance(a.x_next, b.x_next) / d)
-            best_r = max(best_r, abs(a.r - b.r) / d)
+    w = metric.weights
+    for i in range(len(transitions)):
+        later = i + 1 + np.flatnonzero(A[i + 1 :] == A[i])
+        d = np.sqrt((((X[later] - X[i]) * w) ** 2).sum(axis=1))
+        keep = later[d > 0.0]
+        d = d[d > 0.0]
+        used += len(keep)
+        dy = np.sqrt((((Y[keep] - Y[i]) * w) ** 2).sum(axis=1))
+        best_t = max(best_t, (dy / d).max(initial=0.0))
+        best_r = max(best_r, (np.abs(R[keep] - R[i]) / d).max(initial=0.0))
     return best_t, best_r, used
 
 
@@ -89,8 +94,8 @@ class TestLipschitzEstimation:
         assert got.l_r == pytest.approx(br, rel=1e-9)
         assert got.n_pairs == used
 
-    def test_large_input_gram_path_matches_brute_force(self):
-        # above the exact-path limit the gram identity kicks in
+    def test_large_input_matches_brute_force(self):
+        # more rows than one block of the pair scan
         rng = np.random.default_rng(23)
         n = 3500
         X = rng.uniform(-5, 5, size=(n, 2))
@@ -98,9 +103,32 @@ class TestLipschitzEstimation:
             tr(X[i], 0, float(X[i, 0]), X[i] * 1.5 + 0.2, 0, i) for i in range(n)
         ]
         ds = Dataset(transitions, [transitions[0].x], 2, 1)
-        got = global_lipschitz(ds, Metric.euclidean(2))
+        m = Metric.euclidean(2)
+        got = global_lipschitz(ds, m)
         # the map is linear with factor 1.5, so the true max ratio is exact
         assert got.l_t == pytest.approx(1.5, rel=1e-6)
+        bt, br, used = brute_force_ratios(transitions, m)
+        assert got.l_t == pytest.approx(bt, rel=1e-9)
+        assert got.l_r == pytest.approx(br, rel=1e-9)
+        assert got.n_pairs == used
+
+    def test_near_duplicate_starts_set_the_ratio(self):
+        # the closest pairs are the ones that can set the maximum: a pair
+        # 1e-6 apart whose next states differ by 1, among 3100 rows
+        rng = np.random.default_rng(29)
+        n = 3100
+        X = rng.uniform(0, 10, size=(n, 2))
+        Y = X * 1.5 + 0.2
+        X[-1] = X[0] + [1e-6, 0.0]
+        Y[-1] = Y[0] + [1.0, 0.0]
+        transitions = [tr(X[i], 0, float(X[i, 0]), Y[i], 0, i) for i in range(n)]
+        ds = Dataset(transitions, [transitions[0].x], 2, 1)
+        m = Metric.euclidean(2)
+        got = global_lipschitz(ds, m)
+        pair = m.distance(Y[0], Y[-1]) / m.distance(X[0], X[-1])
+        assert pair > 1e5
+        assert got.l_t == pytest.approx(pair, rel=1e-9)
+        assert got.n_pairs == brute_force_ratios(transitions, m)[2]
 
     def test_linear_map_never_exceeds_operator_norm(self):
         rng = np.random.default_rng(31)
@@ -127,20 +155,21 @@ class TestNonparametricErrorEstimate:
         transitions = [tr([float(i)], 0, 3.0 * i, [2.0 * i], t=i) for i in range(8)]
         return Dataset(transitions, [transitions[0].x], 1, 1)
 
+    def _estimate(self, ds, x, c):
+        m = Metric.euclidean(1)
+        return np_error_estimate(ds, np.array([x]), 0, c, m, global_lipschitz(ds, m))
+
     def test_zero_at_observed_start(self):
-        ds = self._dataset()
-        est = np_error_estimate(ds, np.array([3.0]), 0, 2.5, Metric.euclidean(1))
+        est = self._estimate(self._dataset(), 3.0, 2.5)
         assert est.supported and est.eps_t == 0.0 and est.eps_r == 0.0
 
     def test_product_of_ratio_and_distance(self):
-        ds = self._dataset()
-        est = np_error_estimate(ds, np.array([3.5]), 0, 2.0, Metric.euclidean(1))
+        est = self._estimate(self._dataset(), 3.5, 2.0)
         assert est.eps_t == pytest.approx(2.0 * 0.5)
         assert est.eps_r == pytest.approx(3.0 * 0.5)
 
     def test_unsupported_when_radius_excludes_everything(self):
-        ds = self._dataset()
-        est = np_error_estimate(ds, np.array([100.0]), 0, 1.0, Metric.euclidean(1))
+        est = self._estimate(self._dataset(), 100.0, 1.0)
         assert not est.supported
         assert np.isinf(est.eps_t)
 
@@ -150,7 +179,7 @@ class TestNonparametricErrorEstimate:
         ds = Dataset(transitions, [transitions[0].x], 1, 1)
         m = Metric.euclidean(1)
         fallback = global_lipschitz(ds, m)  # l_t = 4, l_r = 0.5
-        est = np_error_estimate(ds, np.array([0.5]), 0, 1.0, m, fallback=fallback)
+        est = np_error_estimate(ds, np.array([0.5]), 0, 1.0, m, fallback)
         assert est.eps_t == pytest.approx(4.0 * 0.5)
         assert est.eps_r == pytest.approx(0.5 * 0.5)
 
@@ -177,14 +206,18 @@ class TestParametricErrorEstimate:
         transitions = [tr([float(i)], 0, 1.0, [i + 1.0], t=i) for i in range(6)]
         ds = Dataset(transitions, [transitions[0].x], 1, 1)
         exact = FunctionModel(lambda x, a: x + 1.0, lambda x, a: 1.0)
-        est = p_error_estimate(ds, exact, np.array([2.2]), 0, 3.0, Metric.euclidean(1))
+        m = Metric.euclidean(1)
+        res = parametric_residuals(ds, exact, m)
+        est = p_error_estimate(ds, np.array([2.2]), 0, 3.0, m, res)
         assert est.eps_t == 0.0 and est.eps_r == 0.0
 
     def test_single_neighbor_residual(self):
         transitions = [tr([0.0], 0, 1.0, [1.3], t=0)]
         ds = Dataset(transitions, [transitions[0].x], 1, 1)
         model = FunctionModel(lambda x, a: x + 1.0, lambda x, a: 1.0)
-        est = p_error_estimate(ds, model, np.array([0.1]), 0, 1.0, Metric.euclidean(1))
+        m = Metric.euclidean(1)
+        res = parametric_residuals(ds, model, m)
+        est = p_error_estimate(ds, np.array([0.1]), 0, 1.0, m, res)
         assert est.eps_t == pytest.approx(0.3)
 
     def test_matches_linear_scan_oracle(self):
@@ -201,7 +234,7 @@ class TestParametricErrorEstimate:
             x = rng.normal(size=2)
             c = float(rng.uniform(0.3, 2.0))
             neighbors = [t for t in transitions if m.distance(t.x, x) <= c]
-            est = p_error_estimate(ds, model, x, 0, c, m, residuals=res)
+            est = p_error_estimate(ds, x, 0, c, m, res)
             if not neighbors:
                 assert not est.supported
                 continue

@@ -8,16 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import moesim.experiments
+import moesim.selection
+from moesim.cli import build_parser
 from moesim.cli import main as cli_main
 from moesim.core import read_dataset_csv
 from moesim.experiments import (
     ConfigError,
+    build_context,
     emit_error_maps,
     run_experiment,
     run_repetition,
     validate_config,
 )
-from moesim.reproduce import windy_table1_config
+from moesim.models import NONPARAMETRIC, PARAMETRIC
+from moesim.reproduce import planning_toy_config, windy_table1_config
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_report.json"
 
@@ -140,6 +145,30 @@ class TestTable1Pattern:
             )
 
 
+class TestBuildContext:
+    def test_applies_bound_overrides_and_reward_weight(self):
+        cfg = planning_toy_config(16, "accurate")
+        cfg["selector"]["alpha_r"] = 0.5
+        _, ctx = build_context(validate_config(cfg), 0)
+        assert ctx.bound.l_t == 1.0
+        assert ctx.bound.l_r == math.sqrt(2.0)
+        assert ctx.alpha_r == 0.5
+
+    def test_one_scan_serves_estimated_and_oracle_errors(self, monkeypatch):
+        calls = []
+        for module in (moesim.experiments, moesim.selection):
+            for name in ("parametric_residuals", "global_lipschitz"):
+                fn = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name,
+                    lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k),
+                )
+        cfg = planning_toy_config(8, "accurate", budget=8)
+        cfg["estimators"] = ["moe", "moe_true", "mcts_moe_true"]
+        run_repetition(validate_config(cfg), 0)
+        assert sorted(calls) == ["global_lipschitz", "parametric_residuals"]
+
+
 class TestErrorMaps:
     def _grid(self):
         return {"x_range": [-2.0, 12.0], "y_range": [0.0, 14.0], "resolution": 8}
@@ -166,6 +195,15 @@ class TestErrorMaps:
             recount = [int(row["correct"]) for row in reader]
         assert sum(recount) / len(recount) == pytest.approx(reported)
 
+    def test_estimates_equal_the_builders_context(self, tmp_path):
+        cfg = windy_table1_config(seed=2, n_repetitions=1)
+        rows = emit_error_maps(cfg, self._grid(), tmp_path / "maps.csv")
+        _, ctx = build_context(validate_config(cfg), 0)
+        for r in rows:
+            x = np.array([r["x0"], r["x1"]])
+            assert r["est_eps_np"] == ctx.estimate(NONPARAMETRIC, x, r["action"]).eps_t
+            assert r["est_eps_p"] == ctx.estimate(PARAMETRIC, x, r["action"]).eps_t
+
     def test_rejects_non_2d_env(self, tmp_path):
         cfg = tiny_config(env={"kind": "acrobot"}, model={"kind": "mlp", "epochs": 1})
         with pytest.raises(ConfigError):
@@ -191,6 +229,23 @@ class TestCLI:
         assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["aggregates"]) == set(cfg["estimators"])
+
+    def test_generated_dataset_is_the_builders(self, tmp_path):
+        cfg = tiny_config()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        loaded, _ = read_dataset_csv(tmp_path / "dataset.csv")
+        batch, _ = build_context(validate_config(cfg), 0)
+        assert len(loaded) == len(batch.dataset)
+        for got, want in zip(loaded.transitions, batch.dataset.transitions):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.x_next, want.x_next)
+            assert (got.a, got.r, got.traj_id, got.t) == (want.a, want.r, want.traj_id, want.t)
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "error-maps"])
+    def test_jobs_is_rejected_where_it_does_nothing(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--config", "c.json", "--jobs", "2"])
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -220,6 +275,22 @@ class TestCLI:
             "x0,x1,action,true_eps_np,est_eps_np,true_eps_p,est_eps_p,selected,correct"
         )
 
+    def test_error_maps_skip_actions_no_expert_can_simulate(self, tmp_path):
+        # the scripted behavior never takes action 2, so the ridge expert is
+        # unfitted there and the nonparametric expert has no data for it
+        cfg = windy_table1_config(seed=0, n_repetitions=1)
+        cfg["model"] = {"kind": "ridge"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli_main([
+            "error-maps", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--resolution", "3",
+        ])
+        assert code == 0
+        with (tmp_path / "error_maps.csv").open() as fh:
+            actions = {int(row["action"]) for row in csv.DictReader(fh)}
+        assert 2 not in actions and actions
+
     def test_schema_subcommand(self, capsys):
         assert cli_main(["schema"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -243,7 +314,8 @@ class TestCLI:
         rollouts = (tmp_path / "rollouts.jsonl").read_text().strip().splitlines()
         assert len(rollouts) == 1
         row = json.loads(rollouts[0])
-        assert row["estimator"] == "mcts_moe" and "model_usage" in row
+        assert row["estimator"] == "mcts_moe"
+        assert set(row) >= {"rollout", "seed", "return", "steps", "model_usage"}
         traces = (tmp_path / "mcts_trace.jsonl").read_text().strip().splitlines()
         assert traces and json.loads(traces[0])["chosen"] in (
             "parametric", "nonparametric",

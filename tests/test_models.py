@@ -80,6 +80,17 @@ class TestRidge:
                 assert np.allclose(pred, expect[:2], atol=1e-8)
                 assert r == pytest.approx(expect[2], abs=1e-8)
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-6])
+    def test_constant_target_is_predicted_exactly(self, lam):
+        # a reward that is -1 on every logged step comes back as exactly -1
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 4)) * [1.0, 2.0, 5.0, 9.0]
+        transitions = [Transition(X[i], 0, -1.0, 0.9 * X[i], 0, i) for i in range(300)]
+        ds = Dataset(transitions, [X[0]], 4, 1)
+        model = fit_parametric(ds, ParametricFitConfig(ridge_lambda=lam))
+        for q in rng.normal(size=(50, 4)) * 5.0:
+            assert model.predict(q, 0)[1] == -1.0
+
     def test_unfitted_action_raises(self):
         ds = line_dataset(n_actions=2)  # action 1 has no data
         model = fit_parametric(ds, ParametricFitConfig())
@@ -291,5 +302,3 @@ class TestFitConfigValidation:
             ParametricFitConfig(mlp_learning_rate=0.0)
         with pytest.raises(ValueError):
             ParametricFitConfig(mlp_layers=3)
-        with pytest.raises(ValueError):
-            ParametricFitConfig(mlp_activation="relu")

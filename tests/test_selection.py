@@ -366,7 +366,7 @@ class TestEstimateMemo:
                 return ErrorEstimate(m.distance(true_next, pred_next), abs(true_r - pred_r))
             if kind == NONPARAMETRIC:
                 return np_error_estimate(ds, x, a, radius, m, fallback=lips)
-            return p_error_estimate(ds, model, x, a, radius, m, residuals=residuals)
+            return p_error_estimate(ds, x, a, radius, m, residuals)
 
         return ds, build, direct
 
@@ -405,8 +405,16 @@ class TestSelectorConfigValidation:
         with pytest.raises(ValueError):
             SelectorConfig(mcts_budget=0)
         with pytest.raises(ValueError):
-            SelectorConfig(alpha_r=-0.5)
-        with pytest.raises(ValueError):
             SelectorConfig(delta_coeff="both")
         with pytest.raises(ValueError):
             SelectorConfig(horizon=0)
+
+    def test_context_rejects_negative_reward_weight(self):
+        ds = Dataset([], [np.zeros(1)], 1, 1)
+        m = Metric.euclidean(1)
+        with pytest.raises(ValueError):
+            SelectionContext(
+                FunctionModel(lambda x, a: x, lambda x, a: 0.0),
+                NonparametricModel(ds, m), ds, m, radius=1.0, bound=unit_bound(),
+                policy=Policy.deterministic(lambda x: 0, 1), alpha_r=-0.5,
+            )

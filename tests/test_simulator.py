@@ -17,7 +17,6 @@ from moesim.simulator import (
     rollout_policy,
     simulate_value,
     trajectory_error,
-    write_rollout_jsonl,
 )
 
 
@@ -128,18 +127,6 @@ class TestSimulateValue:
         assert est.v_hat == pytest.approx(
             np.mean(est.per_rollout_returns[::-1]), abs=1e-12
         )
-
-    def test_rollout_jsonl(self, tmp_path):
-        env, ctx, _ = build_windy_context()
-        est = simulate_value(ctx, SimConfig(3, 60, 1.0, seed=1))
-        path = tmp_path / "rollouts.jsonl"
-        write_rollout_jsonl(est, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        import json
-
-        rec = json.loads(lines[0])
-        assert set(rec) >= {"rollout", "seed", "return", "steps", "model_usage"}
 
 
 class TestTrajectoryError:
