@@ -23,7 +23,6 @@ from .errors import (
     ErrorEstimate,
     LipschitzEstimates,
     choose_radius,
-    estimate_lipschitz,
     global_lipschitz,
     np_error_estimate,
     p_error_estimate,
@@ -71,7 +70,6 @@ __all__ = [
     "ErrorEstimate",
     "LipschitzEstimates",
     "choose_radius",
-    "estimate_lipschitz",
     "global_lipschitz",
     "np_error_estimate",
     "p_error_estimate",

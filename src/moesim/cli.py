@@ -146,6 +146,8 @@ def _cmd_error_maps(args: argparse.Namespace) -> None:
 
 def _cmd_reproduce(args: argparse.Namespace) -> None:
     seed = args.seed if args.seed is not None else 0
+    if args.which == "table2" and args.jobs != 1:
+        raise ConfigError("--jobs: table2 runs its repetitions in one process")
     if args.which == "table1":
         payload = reproduce_table1(seed=seed, jobs=args.jobs)
         print(f"pattern fraction: {payload['pattern_fraction']:.2f}")
@@ -207,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="run a canned study")
     p_rep.add_argument("which", choices=["table1", "table2", "consistency"])
     common(p_rep, config_required=False)
-    p_rep.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
+    p_rep.add_argument("--jobs", type=int, default=1,
+                       help="parallel repetitions (table1 and consistency)")
     p_rep.set_defaults(fn=_cmd_reproduce)
     return parser
 

@@ -271,15 +271,6 @@ class Dataset:
         d = metric.distances_to(idx.starts, x)
         return int(idx.order[int(np.argmin(d))])
 
-    def neighbors_within(
-        self, x: StateVec, a: ActionId, c: float, metric: Metric
-    ) -> list[Transition]:
-        """All transitions with action `a` starting within distance `c` of
-        `x`, in ascending distance order (ties by (traj_id, t))."""
-        rows, _ = self.neighbor_rows(x, a, c, metric)
-        idx = self._index[a]
-        return [self._transitions[int(idx.order[r])] for r in rows]
-
     def neighbor_rows(
         self, x: StateVec, a: ActionId, c: float, metric: Metric
     ) -> tuple[np.ndarray, np.ndarray]:

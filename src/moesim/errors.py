@@ -16,11 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ActionId, Dataset, Metric, StateVec, Transition
+from .core import ActionId, Dataset, Metric, StateVec
 from .models import DynamicsModel, NoSupportError
-
-_RATIO_EPS = 0.0  # pairs with zero start distance are skipped outright
-
 
 @dataclass(frozen=True)
 class ErrorEstimate:
@@ -76,29 +73,6 @@ class BoundParams:
 
 class InsufficientPairsError(RuntimeError):
     """No transition pair with nonzero start distance was available."""
-
-
-def estimate_lipschitz(
-    pairs: Sequence[tuple[Transition, Transition]], metric: Metric
-) -> LipschitzEstimates:
-    """Max ratio estimates over explicit transition pairs.
-
-    Pairs whose start states coincide (zero distance) are skipped to avoid
-    division by zero; if nothing remains the caller must fall back.
-    """
-    best_t = 0.0
-    best_r = 0.0
-    used = 0
-    for ti, tj in pairs:
-        d = metric.distance(ti.x, tj.x)
-        if d <= _RATIO_EPS:
-            continue
-        used += 1
-        best_t = max(best_t, metric.distance(ti.x_next, tj.x_next) / d)
-        best_r = max(best_r, abs(ti.r - tj.r) / d)
-    if used == 0:
-        raise InsufficientPairsError("no usable pair with nonzero start distance")
-    return LipschitzEstimates(best_t, best_r, used)
 
 
 _BLOCK = 64  # rows per block of the pair scan; small blocks stay in cache
@@ -236,42 +210,26 @@ def p_error_estimate(
     return ErrorEstimate(et, er)
 
 
-def choose_radius(
-    ds: Dataset,
-    model: DynamicsModel,
-    metric: Metric,
-    residuals: tuple[np.ndarray, np.ndarray] | None = None,
-    lipschitz: LipschitzEstimates | None = None,
-) -> float:
+def choose_radius(residuals_t: np.ndarray, l_t: float) -> float:
     """Neighborhood radius where the nonparametric error estimate crosses
-    the global mean parametric residual: C = mean residual / global ratio.
+    the global mean parametric residual: C = mean residual / l_t.
 
-    `residuals` and `lipschitz` accept the precomputed per-transition
-    residuals and global ratio estimates so callers that already hold them
-    avoid a second all-pairs scan.
+    `residuals_t` are the parametric model's per-transition state residuals
+    (the first array of parametric_residuals) and `l_t` the global
+    transition ratio of global_lipschitz; infinite residuals (unfitted
+    actions) are left out of the mean.
 
-    Degenerate cases: a zero global ratio means every point predicts every
-    other, so all data is always in range (C = inf); a perfect parametric
-    model gives C = 0, collapsing selection to the parametric fallback.
-    An empty dataset also yields C = 0.
+    Degenerate cases: no finite residual (an empty dataset, or no fitted
+    action) gives C = 0, collapsing selection to the parametric fallback; a
+    zero global ratio means every point predicts every other, so all data
+    is always in range (C = inf); a perfect parametric model gives C = 0.
     """
-    if len(ds) == 0:
-        return 0.0
-    eps_t, _ = residuals if residuals is not None else parametric_residuals(
-        ds, model, metric
-    )
-    finite = eps_t[np.isfinite(eps_t)]
+    finite = residuals_t[np.isfinite(residuals_t)]
     if len(finite) == 0:
         return 0.0
-    mean_residual = float(finite.mean())
-    if lipschitz is None:
-        try:
-            lipschitz = global_lipschitz(ds, metric)
-        except InsufficientPairsError:
-            return np.inf if mean_residual > 0 else 0.0
-    if lipschitz.l_t == 0.0:
+    if l_t == 0.0:
         return np.inf
-    return mean_residual / lipschitz.l_t
+    return float(finite.mean()) / l_t
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +244,6 @@ def rollforward_state_error(
     if delta_prev < 0 or eps_t < 0:
         raise ValueError("state errors must be nonnegative")
     return p.l_t * delta_prev + eps_t
-
-
-def state_error_closed_form(eps_t_seq: Sequence[float], p: BoundParams, t: int) -> float:
-    """Explicit form of the recursion: sum_{k=0}^{t-1} l_t^k eps_t[t-k-1]."""
-    return sum((p.l_t**k) * eps_t_seq[t - k - 1] for k in range(t))
 
 
 def return_error_bound(

@@ -69,7 +69,13 @@ def derive_seed(master: int, *path: int) -> int:
 # Config schema
 # ---------------------------------------------------------------------------
 
-_RANGE = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+def _requires_for(kind: str, *fields: str) -> dict:
+    """Schema clause: an object whose `kind` is `kind` must name `fields`."""
+    return {
+        "if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+        "then": {"required": list(fields)},
+    }
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -80,6 +86,7 @@ CONFIG_SCHEMA = {
         "env": {
             "type": "object",
             "required": ["kind"],
+            "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["windy2d", "planning_toy", "acrobot", "ode"]},
                 "horizon": {"type": "integer", "minimum": 1},
@@ -91,33 +98,41 @@ CONFIG_SCHEMA = {
                 "height_filter": {"type": ["number", "null"]},
                 "spec_path": {"type": "string"},
             },
+            **_requires_for("ode", "spec_path"),
         },
         "behavior": {
             "type": "object",
             "required": ["kind"],
+            "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["env_scripted", "eps_greedy"]},
                 "eps": {"type": "number", "minimum": 0, "maximum": 1},
                 "trigger": {
                     "type": ["object", "null"],
+                    "required": ["dim", "greater_than"],
+                    "additionalProperties": False,
                     "properties": {
                         "dim": {"type": "integer", "minimum": 0},
                         "greater_than": {"type": "number"},
                     },
                 },
             },
+            **_requires_for("eps_greedy", "eps"),
         },
         "eval_policy": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["env_default", "constant_action"]},
                 "action": {"type": "integer", "minimum": 0},
             },
+            **_requires_for("constant_action", "action"),
         },
         "n_behavior_trajectories": {"type": "integer", "minimum": 1},
         "model": {
             "type": "object",
             "required": ["kind"],
+            "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["env_analytic", "ridge", "mlp"]},
                 "reward_variant": {"enum": ["accurate", "inaccurate"]},
@@ -126,6 +141,7 @@ CONFIG_SCHEMA = {
                 "layers": {"type": "integer", "minimum": 1, "maximum": 2},
                 "epochs": {"type": "integer", "minimum": 1},
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0},
+                "seed": {"type": "integer", "minimum": 0},
             },
         },
         "metric_weights": {
@@ -134,16 +150,16 @@ CONFIG_SCHEMA = {
         },
         "selector": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "alpha_r": {"type": "number", "minimum": 0},
                 "mcts_budget": {"type": "integer", "minimum": 1},
-                "horizon": {"type": ["integer", "null"], "minimum": 1},
-                "delta_coeff": {"enum": ["reward", "transition"]},
             },
         },
         "sim": {
             "type": "object",
             "required": ["n_rollouts", "horizon", "gamma"],
+            "additionalProperties": False,
             "properties": {
                 "n_rollouts": {"type": "integer", "minimum": 1},
                 "horizon": {"type": "integer", "minimum": 1},
@@ -160,6 +176,7 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "bound": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "l_t": {"type": ["number", "null"], "minimum": 0},
                 "l_r": {"type": ["number", "null"], "minimum": 0},
@@ -190,8 +207,6 @@ _DEFAULTS = {
 _SELECTOR_DEFAULTS = {
     "alpha_r": 0.0,
     "mcts_budget": 128,
-    "horizon": None,
-    "delta_coeff": "reward",
 }
 
 
@@ -324,17 +339,6 @@ def build_parametric(cfg: dict, dataset: Dataset, handle):
     return fit_parametric(dataset, fit_cfg)
 
 
-def _selector_config(cfg: dict, mode: str, seed: int) -> SelectorConfig:
-    sel = {**_SELECTOR_DEFAULTS, **cfg["selector"]}
-    return SelectorConfig(
-        mode=mode,
-        mcts_budget=sel["mcts_budget"],
-        horizon=sel["horizon"],
-        seed=seed,
-        delta_coeff=sel["delta_coeff"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # From config to SelectionContext
 # ---------------------------------------------------------------------------
@@ -392,7 +396,7 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
         lips = global_lipschitz(ds, metric)
     except InsufficientPairsError:
         lips = LipschitzEstimates(0.0, 0.0, 0)
-    radius = choose_radius(ds, parametric, metric, residuals=residuals, lipschitz=lips)
+    radius = choose_radius(residuals[0], lips.l_t)
     override = cfg["bound"]
     bound = BoundParams(
         l_t=lips.l_t if override.get("l_t") is None else override["l_t"],
@@ -401,10 +405,9 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
     )
     ctx = SelectionContext(
         parametric, NonparametricModel(ds, metric), ds, metric, radius, bound,
-        batch.eval_policy,
+        batch.eval_policy, lips, residuals,
         alpha_r=cfg["selector"].get("alpha_r", _SELECTOR_DEFAULTS["alpha_r"]),
         true_step=env.step, is_terminal=env.is_terminal,
-        global_lips=lips, residuals=residuals,
     )
     return batch, ctx
 
@@ -440,6 +443,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
         else None
     )
 
+    budget = cfg["selector"].get("mcts_budget", _SELECTOR_DEFAULTS["mcts_budget"])
     record: dict = {"rep": rep, "v_true": v_true, "radius": ctx_est.radius, "estimates": {}}
     for name in cfg["estimators"]:
         if name in IS_ESTIMATORS:
@@ -447,7 +451,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
         forced = {"p": PARAMETRIC, "np": NONPARAMETRIC}.get(name)
         mode = "mcts" if name.startswith("mcts") else "greedy"
         ctx = ctx_true if name.endswith("_true") else ctx_est
-        sel = _selector_config(cfg, mode, derive_seed(cfg["seed"], rep, 2))
+        sel = SelectorConfig(mode=mode, mcts_budget=budget)
         trace = [] if (cfg["mcts_trace"] and mode == "mcts") else None
         estimate = simulate_value(
             ctx,
@@ -600,6 +604,8 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     matched the truly-better expert.  Actions neither expert can simulate
     are left out.  Writes the CSV and returns the rows."""
     cfg = validate_config(cfg)
+    if grid["resolution"] < 1:
+        raise ConfigError("resolution: the grid needs at least 1 point per axis")
     if build_env(cfg["env"])[0].dim != 2:
         raise ConfigError("env.kind: error maps need a 2-D environment")
     batch, ctx = build_context(cfg, 0)

@@ -30,6 +30,10 @@ class DynamicsModel:
 
     kind: str
 
+    def fitted(self, a: ActionId) -> bool:
+        """Whether the model can predict for action a."""
+        return True
+
     def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
         raise NotImplementedError
 
@@ -48,6 +52,9 @@ class NonparametricModel(DynamicsModel):
         self.dataset = dataset
         self.metric = metric
         self._nearest: dict[tuple[bytes, ActionId], Transition | None] = {}
+
+    def fitted(self, a: ActionId) -> bool:
+        return self.dataset.n_for_action(a) > 0
 
     def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
         x = np.asarray(x, dtype=np.float64)
@@ -198,21 +205,6 @@ class MLPParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        )
-
-    def unflatten_like(self, vec: np.ndarray) -> "MLPParams":
-        ws, bs, pos = [], [], 0
-        for w in self.weights:
-            ws.append(vec[pos : pos + w.size].reshape(w.shape))
-            pos += w.size
-        for b in self.biases:
-            bs.append(vec[pos : pos + b.size].reshape(b.shape))
-            pos += b.size
-        return MLPParams(ws, bs)
-
 
 def mlp_init(
     n_in: int, n_out: int, hidden: int, layers: int, rng: np.random.Generator
@@ -237,15 +229,11 @@ def mlp_forward(params: MLPParams, X: np.ndarray) -> np.ndarray:
     return h
 
 
-def mlp_loss(params: MLPParams, X: np.ndarray, Y: np.ndarray) -> float:
-    diff = mlp_forward(params, X) - Y
-    return float(np.mean(diff * diff))
-
 def mlp_gradient(params: MLPParams, X: np.ndarray, Y: np.ndarray) -> MLPParams:
     """Gradient of the mean squared prediction error with respect to all
     weights and biases, by reverse accumulation through the tanh layers.
 
-    The loss is mean over samples AND outputs, matching mlp_loss.
+    The loss is mean over samples AND outputs.
     """
     if len(X) == 0:
         raise ValueError("gradient needs a nonempty batch")

@@ -20,11 +20,8 @@ from .errors import (
     BoundParams,
     ErrorEstimate,
     LipschitzEstimates,
-    global_lipschitz,
-    InsufficientPairsError,
     np_error_estimate,
     p_error_estimate,
-    parametric_residuals,
 )
 from .models import (
     NONPARAMETRIC,
@@ -43,30 +40,19 @@ class SelectorConfig:
     """Knobs for the per-step model choice.
 
     mode:        "greedy" or "mcts"
-    mcts_budget: rollouts per decision
-    horizon:     planning depth cap; None plans to the remaining
-                 simulation horizon
-    delta_coeff: which Lipschitz constant multiplies the rolled-forward
-                 state error inside the bound increment: "reward" (the
-                 reward-function constant, matching the return bound) or
-                 "transition"
+    mcts_budget: rollouts per UCT decision; the planner always looks ahead
+                 to the end of the simulated trajectory, and its randomness
+                 is the rollout's generator
     """
 
     mode: str = "greedy"
     mcts_budget: int = 128
-    horizon: int | None = None
-    seed: int = 0
-    delta_coeff: str = "reward"
 
     def __post_init__(self) -> None:
         if self.mode not in ("greedy", "mcts"):
             raise ValueError(f"unknown selection mode {self.mode!r}")
         if self.mcts_budget < 1:
             raise ValueError("mcts_budget must be >= 1")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.delta_coeff not in ("reward", "transition"):
-            raise ValueError("delta_coeff must be 'reward' or 'transition'")
 
 
 class SelectionContext:
@@ -76,8 +62,10 @@ class SelectionContext:
     comparison (0 = transition error only), and (for oracle mode, which
     scores each expert by its actual one-step error) the true step function.
 
-    Immutable once built; caches the global Lipschitz ratios and the
-    parametric model's per-transition residuals.
+    Complete once built: it takes the repetition's global Lipschitz ratios
+    (the nonparametric estimate's fallback) and the parametric model's
+    per-transition residuals, and fixes for every action the tuple of
+    experts fitted for it.
 
     `estimate` is an exact memo keyed on (expert, float64 bytes of x,
     action): every input it reads is fixed for the context's lifetime, and
@@ -95,12 +83,12 @@ class SelectionContext:
         radius: float,
         bound: BoundParams,
         policy: Policy,
+        global_lips: LipschitzEstimates,
+        residuals: tuple[np.ndarray, np.ndarray],
         alpha_r: float = 0.0,
         true_step: Callable[[StateVec, ActionId], tuple[StateVec, float]] | None = None,
         is_terminal: Callable[[StateVec], bool] | None = None,
         use_true_errors: bool = False,
-        global_lips: LipschitzEstimates | None = None,
-        residuals: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         if use_true_errors and true_step is None:
             raise ValueError("oracle error mode needs the true step function")
@@ -119,6 +107,10 @@ class SelectionContext:
         self.use_true_errors = use_true_errors
         self._global_lips = global_lips
         self._residuals = residuals
+        self._available = [
+            tuple(k for k in (NONPARAMETRIC, PARAMETRIC) if self.model(k).fitted(a))
+            for a in range(dataset.n_actions)
+        ]
         self._estimates: dict[tuple[str, bytes, ActionId], ErrorEstimate] = {}
 
     def oracle(self) -> "SelectionContext":
@@ -127,38 +119,20 @@ class SelectionContext:
         error.  Its estimate memo starts empty."""
         return SelectionContext(
             self.parametric, self.nonparametric, self.dataset, self.metric,
-            self.radius, self.bound, self.policy, alpha_r=self.alpha_r,
-            true_step=self.true_step, is_terminal=self.is_terminal,
-            use_true_errors=True, global_lips=self._global_lips,
-            residuals=self._residuals,
+            self.radius, self.bound, self.policy, self._global_lips,
+            self._residuals, alpha_r=self.alpha_r, true_step=self.true_step,
+            is_terminal=self.is_terminal, use_true_errors=True,
         )
 
     def model(self, kind: str) -> DynamicsModel:
         return self.nonparametric if kind == NONPARAMETRIC else self.parametric
 
+    def available_models(self, a: ActionId) -> tuple[str, ...]:
+        """The experts fitted for action a, nonparametric first."""
+        return self._available[a]
+
     def usable(self, kind: str, a: ActionId) -> bool:
-        if kind == NONPARAMETRIC:
-            return self.dataset.n_for_action(a) > 0
-        fitted = getattr(self.parametric, "fitted", None)
-        return True if fitted is None else bool(fitted(a))
-
-    def available_models(self, a: ActionId) -> list[str]:
-        return [k for k in (NONPARAMETRIC, PARAMETRIC) if self.usable(k, a)]
-
-    def _fallback_lipschitz(self) -> LipschitzEstimates:
-        if self._global_lips is None:
-            try:
-                self._global_lips = global_lipschitz(self.dataset, self.metric)
-            except InsufficientPairsError:
-                self._global_lips = LipschitzEstimates(0.0, 0.0, 0)
-        return self._global_lips
-
-    def _parametric_residuals(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._residuals is None:
-            self._residuals = parametric_residuals(
-                self.dataset, self.parametric, self.metric
-            )
-        return self._residuals
+        return kind in self._available[a]
 
     def estimate(self, kind: str, x: StateVec, a: ActionId) -> ErrorEstimate:
         """Local error estimate for one expert at (x, a), honoring oracle
@@ -182,36 +156,34 @@ class SelectionContext:
         if kind == NONPARAMETRIC:
             return np_error_estimate(
                 self.dataset, x, a, self.radius, self.metric,
-                fallback=self._fallback_lipschitz(),
+                fallback=self._global_lips,
             )
         return p_error_estimate(
             self.dataset, x, a, self.radius, self.metric,
-            residuals=self._parametric_residuals(),
+            residuals=self._residuals,
         )
 
 
 def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:
     """Pick the expert with the smaller weighted local error estimate.
 
-    Returns nonparametric iff eps_t_np + alpha_r * eps_r_np is strictly
-    smaller than the parametric counterpart.  When the nonparametric
-    estimate is unsupported (no same-action neighbor within the radius) the
-    parametric expert wins by default: it is assumed to extrapolate more
-    gracefully than copying a far-away transition.
+    An expert that is the only one fitted for action a is picked without
+    an estimate.  Otherwise returns nonparametric iff eps_t_np + alpha_r *
+    eps_r_np is strictly smaller than the parametric counterpart.  When the
+    nonparametric estimate is unsupported (no same-action neighbor within
+    the radius) the parametric expert wins by default: it is assumed to
+    extrapolate more gracefully than copying a far-away transition.
     """
-    p_usable = ctx.usable(PARAMETRIC, a)
-    np_usable = ctx.usable(NONPARAMETRIC, a)
-    if not p_usable and not np_usable:
+    avail = ctx.available_models(a)
+    if not avail:
         raise ModelUnusableError(
             f"no data for action {a} and the parametric model is unfitted for it"
         )
-    if not np_usable:
-        return PARAMETRIC
+    if len(avail) == 1:
+        return avail[0]
     np_est = ctx.estimate(NONPARAMETRIC, x, a)
     if not np_est.supported:
-        return PARAMETRIC if p_usable else NONPARAMETRIC
-    if not p_usable:
-        return NONPARAMETRIC
+        return PARAMETRIC
     p_est = ctx.estimate(PARAMETRIC, x, a)
     np_score = np_est.eps_t + ctx.alpha_r * np_est.eps_r
     p_score = p_est.eps_t + ctx.alpha_r * p_est.eps_r
@@ -247,35 +219,15 @@ class PlanNode:
         return self.total_value / self.visits
 
 
-def path_error_sequences(node: PlanNode) -> tuple[list[float], list[float]]:
-    """(eps_t, eps_r) pairs along the root-to-node path, root excluded."""
-    eps_t: list[float] = []
-    eps_r: list[float] = []
-    cur: PlanNode | None = node
-    while cur is not None and cur.model_choice != "root":
-        eps_t.append(cur.eps_t)
-        eps_r.append(cur.eps_r)
-        cur = cur.parent
-    return eps_t[::-1], eps_r[::-1]
-
-
 class _MctsRun:
     """One planning decision: a fresh tree, a shared exploration constant,
     and the rollout machinery."""
 
-    def __init__(
-        self,
-        ctx: SelectionContext,
-        cfg: SelectorConfig,
-        horizon: int,
-        rng: np.random.Generator,
-    ):
+    def __init__(self, ctx: SelectionContext, horizon: int, rng: np.random.Generator):
         self.ctx = ctx
-        self.cfg = cfg
         self.horizon = horizon
         self.rng = rng
         self.max_eps_t = 0.0
-        self.coeff = ctx.bound.l_r if cfg.delta_coeff == "reward" else ctx.bound.l_t
 
     @property
     def c_e(self) -> float:
@@ -304,27 +256,37 @@ class _MctsRun:
             node = self.uct_child(node)
         return node
 
-    def expand(self, node: PlanNode, avail: list[str]) -> PlanNode:
-        tried = {c.model_choice for c in node.children}
-        if not node.children:
-            try:
-                pick = greedy_select(self.ctx, node.state, node.action)
-            except ModelUnusableError:
-                pick = avail[0]
-            if pick not in avail:
-                pick = avail[0]
-        else:
-            pick = next(k for k in avail if k not in tried)
-        est = self._estimate(pick, node.state, node.action)
-        next_state, _ = self.ctx.model(pick).predict(node.state, node.action)
+    def step(
+        self, kind: str, state: StateVec, action: ActionId, tau: int,
+        delta: float, delta_g: float,
+    ) -> tuple[ErrorEstimate, StateVec, ActionId, int, float, float]:
+        """Simulate (state, action) with expert `kind`: its error estimate,
+        the next state and the policy's next action, and the bounds rolled
+        forward to tau + 1, delta' = l_t * delta + eps_t and
+        delta_g' = delta_g + gamma^(tau+1) * (eps_r + l_r * delta')."""
+        est = self._estimate(kind, state, action)
+        next_state, _ = self.ctx.model(kind).predict(state, action)
         next_action = self.ctx.policy.sample(next_state, self.rng)
-        tau = node.tau + 1
+        tau += 1
         bound = self.ctx.bound
-        delta = bound.l_t * node.delta + est.eps_t
-        delta_g = node.delta_g + bound.gamma**tau * (est.eps_r + self.coeff * delta)
+        delta = bound.l_t * delta + est.eps_t
+        delta_g = delta_g + bound.gamma**tau * (est.eps_r + bound.l_r * delta)
+        return est, next_state, next_action, tau, delta, delta_g
+
+    def expand(self, node: PlanNode, avail: tuple[str, ...]) -> PlanNode:
+        """Add the node's next untried expert as a child: the greedy pick
+        first, then the other one."""
+        if node.children:
+            tried = {c.model_choice for c in node.children}
+            pick = next(k for k in avail if k not in tried)
+        else:
+            pick = greedy_select(self.ctx, node.state, node.action)
+        est, state, action, tau, delta, delta_g = self.step(
+            pick, node.state, node.action, node.tau, node.delta, node.delta_g
+        )
         child = PlanNode(
-            state=next_state,
-            action=next_action,
+            state=state,
+            action=action,
             model_choice=pick,
             tau=tau,
             delta=delta,
@@ -352,7 +314,6 @@ class _MctsRun:
         rollout's value is minus the accumulated return-error bound."""
         state, action = node.state, node.action
         tau, delta, delta_g = node.tau, node.delta, node.delta_g
-        bound = self.ctx.bound
         while tau < self.horizon:
             if self.ctx.is_terminal is not None and self.ctx.is_terminal(state):
                 break
@@ -360,13 +321,9 @@ class _MctsRun:
                 kind = greedy_select(self.ctx, state, action)
             except ModelUnusableError:
                 break
-            est = self._estimate(kind, state, action)
-            next_state, _ = self.ctx.model(kind).predict(state, action)
-            tau += 1
-            delta = bound.l_t * delta + est.eps_t
-            delta_g = delta_g + bound.gamma**tau * (est.eps_r + self.coeff * delta)
-            state = next_state
-            action = self.ctx.policy.sample(state, self.rng)
+            _, state, action, tau, delta, delta_g = self.step(
+                kind, state, action, tau, delta, delta_g
+            )
         return -delta_g
 
     @staticmethod
@@ -384,28 +341,24 @@ def mcts_select(
     x: StateVec,
     a: ActionId,
     cfg: SelectorConfig,
-    rng: np.random.Generator | None = None,
-    remaining: int | None = None,
+    rng: np.random.Generator,
+    remaining: int,
     trace: list | None = None,
 ) -> str:
     """Plan the model choice for simulating (x, a) by UCT search.
 
-    Builds a fresh binary tree per decision.  Each expansion applies the
-    chosen expert's transition and the evaluation policy to produce the
-    child (state, action), scores the step's error, and rolls the state-
-    and return-error bounds forward.  Rollouts finish with greedy choices
+    Plans `remaining` steps ahead, the rest of the simulated trajectory,
+    with `cfg.mcts_budget` rollouts that draw the evaluation policy's
+    actions from `rng`.  Builds a fresh binary tree per decision.  Each
+    expansion applies the chosen expert's transition and the evaluation
+    policy to produce the child (state, action), scores the step's error,
+    and rolls the state- and return-error bounds forward with the paper's
+    constants l_t and l_r.  Rollouts finish with greedy choices
     and return minus the accumulated bound; the answer is the model of the
     root child with the best single rollout, preferring nonparametric on
     exact ties.  If no rollout completes, the greedy rule decides.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    horizon = remaining if remaining is not None else cfg.horizon
-    if horizon is None:
-        raise ValueError("mcts_select needs a planning horizon")
-    if cfg.horizon is not None:
-        horizon = min(horizon, cfg.horizon)
-    run = _MctsRun(ctx, cfg, horizon, rng)
+    run = _MctsRun(ctx, remaining, rng)
     root = PlanNode(
         state=np.asarray(x, dtype=np.float64),
         action=a,

@@ -63,11 +63,6 @@ class ValueEstimate:
         value is then a finite stand-in for 'never terminates'."""
         return self.n_unreached_goal == len(self.per_rollout_returns)
 
-    def display_value(self) -> str:
-        if self.n_unreached_goal > 0 and self.capped:
-            return f"-inf (capped at {self.v_hat!r})"
-        return repr(self.v_hat)
-
 
 def simulate_value(
     ctx: SelectionContext,

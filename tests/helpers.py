@@ -4,7 +4,15 @@ import numpy as np
 
 from moesim.core import Metric, Policy
 from moesim.envs.base import Environment
-from moesim.errors import BoundParams, return_error_bound
+from moesim.errors import (
+    BoundParams,
+    InsufficientPairsError,
+    LipschitzEstimates,
+    global_lipschitz,
+    parametric_residuals,
+    return_error_bound,
+)
+from moesim.models import MLPParams, mlp_forward
 
 
 class DeterministicMDP:
@@ -84,3 +92,88 @@ def simulate_bound_instance(rng, horizon=5):
         x_true, x_sim = nxt_true, nxt_sim
     bound = return_error_bound(eps_t, eps_r, BoundParams(l_t, l_r, gamma))
     return abs(g_true - g_sim), bound
+
+
+def context_scans(ds, model, metric):
+    """The two whole-batch scans a SelectionContext takes, computed the way
+    `experiments.build_context` computes them: (global Lipschitz ratios,
+    parametric residuals).  A dataset without a usable pair gets ratios 0."""
+    try:
+        lips = global_lipschitz(ds, metric)
+    except InsufficientPairsError:
+        lips = LipschitzEstimates(0.0, 0.0, 0)
+    return lips, parametric_residuals(ds, model, metric)
+
+
+_RATIO_EPS = 0.0  # pairs with zero start distance are skipped outright
+
+
+def estimate_lipschitz(pairs, metric):
+    """Max ratio estimates over explicit transition pairs.
+
+    Pairs whose start states coincide (zero distance) are skipped to avoid
+    division by zero; with nothing left it raises InsufficientPairsError.
+    """
+    best_t = 0.0
+    best_r = 0.0
+    used = 0
+    for ti, tj in pairs:
+        d = metric.distance(ti.x, tj.x)
+        if d <= _RATIO_EPS:
+            continue
+        used += 1
+        best_t = max(best_t, metric.distance(ti.x_next, tj.x_next) / d)
+        best_r = max(best_r, abs(ti.r - tj.r) / d)
+    if used == 0:
+        raise InsufficientPairsError("no usable pair with nonzero start distance")
+    return LipschitzEstimates(best_t, best_r, used)
+
+
+def state_error_closed_form(eps_t_seq, p, t):
+    """Explicit form of the recursion: sum_{k=0}^{t-1} l_t^k eps_t[t-k-1]."""
+    return sum((p.l_t**k) * eps_t_seq[t - k - 1] for k in range(t))
+
+
+def path_error_sequences(node):
+    """(eps_t, eps_r) pairs along a plan node's root-to-node path, root
+    excluded."""
+    eps_t = []
+    eps_r = []
+    cur = node
+    while cur is not None and cur.model_choice != "root":
+        eps_t.append(cur.eps_t)
+        eps_r.append(cur.eps_r)
+        cur = cur.parent
+    return eps_t[::-1], eps_r[::-1]
+
+
+def neighbors_within(ds, x, a, c, metric):
+    """All transitions of `ds` with action `a` starting within distance `c`
+    of `x`, in ascending distance order (ties by (traj_id, t))."""
+    idx, _ = ds.neighbor_indices(x, a, c, metric)
+    return [ds.transitions[int(i)] for i in idx]
+
+
+def mlp_loss(params, X, Y):
+    """Mean squared prediction error over samples and outputs."""
+    diff = mlp_forward(params, X) - Y
+    return float(np.mean(diff * diff))
+
+
+def flatten(params):
+    """All weights, then all biases, as one vector."""
+    return np.concatenate(
+        [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
+    )
+
+
+def unflatten_like(params, vec):
+    """The inverse of `flatten`, shaped like `params`."""
+    ws, bs, pos = [], [], 0
+    for w in params.weights:
+        ws.append(vec[pos : pos + w.size].reshape(w.shape))
+        pos += w.size
+    for b in params.biases:
+        bs.append(vec[pos : pos + b.size].reshape(b.shape))
+        pos += b.size
+    return MLPParams(ws, bs)

@@ -11,19 +11,26 @@ import time
 import numpy as np
 import pytest
 
-from helpers import DeterministicMDP, eps_greedy_of, simulate_bound_instance
+from helpers import (
+    DeterministicMDP,
+    eps_greedy_of,
+    flatten,
+    mlp_loss,
+    simulate_bound_instance,
+    state_error_closed_form,
+    unflatten_like,
+)
 
 from moesim.baselines import ISInput, is_estimate
 from moesim.core import Dataset, Metric, trajectory_return
 from moesim.envs.base import generate_trajectories
-from moesim.errors import BoundParams, rollforward_state_error, state_error_closed_form
+from moesim.errors import BoundParams, rollforward_state_error
 from moesim.experiments import run_repetition, validate_config
 from moesim.models import (
     NONPARAMETRIC,
     PARAMETRIC,
     mlp_gradient,
     mlp_init,
-    mlp_loss,
 )
 from moesim.reproduce import (
     TABLE2_DEFAULT_HORIZON,
@@ -236,11 +243,11 @@ class TestCriterion08SelectionQuality:
         pmodel = windy_no_wind_model(handle)
         residuals = parametric_residuals(ds, pmodel, metric)
         lips = global_lipschitz(ds, metric)
-        radius = choose_radius(ds, pmodel, metric, residuals=residuals, lipschitz=lips)
+        radius = choose_radius(residuals[0], lips.l_t)
         ctx = SelectionContext(
             pmodel, NonparametricModel(ds, metric), ds, metric, radius,
-            BoundParams(lips.l_t, lips.l_r, 1.0), eval_policy,
-            is_terminal=env.is_terminal, global_lips=lips, residuals=residuals,
+            BoundParams(lips.l_t, lips.l_r, 1.0), eval_policy, lips, residuals,
+            is_terminal=env.is_terminal,
         )
 
         on_data = [(tr.x, tr.a) for tr in ds.transitions]
@@ -280,8 +287,8 @@ class TestCriterion09GradientCheck:
             params = mlp_init(n_in, n_out, hidden, layers, rng)
             X = rng.normal(size=(int(rng.integers(2, 8)), n_in))
             Y = rng.normal(size=(len(X), n_out))
-            g = mlp_gradient(params, X, Y).flatten()
-            flat = params.flatten()
+            g = flatten(mlp_gradient(params, X, Y))
+            flat = flatten(params)
             num = np.zeros_like(flat)
             h = 1e-5
             for i in range(len(flat)):
@@ -290,8 +297,8 @@ class TestCriterion09GradientCheck:
                 dn = flat.copy()
                 dn[i] -= h
                 num[i] = (
-                    mlp_loss(params.unflatten_like(up), X, Y)
-                    - mlp_loss(params.unflatten_like(dn), X, Y)
+                    mlp_loss(unflatten_like(params, up), X, Y)
+                    - mlp_loss(unflatten_like(params, dn), X, Y)
                 ) / (2 * h)
             rel = np.max(np.abs(g - num) / np.maximum(np.abs(num), 1e-8))
             worst = max(worst, float(rel))

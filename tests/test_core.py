@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import neighbors_within
 from moesim.core import (
     Dataset,
     Metric,
@@ -218,7 +219,7 @@ class TestNeighborQueries:
             2,
             1,
         )
-        got = ds.neighbors_within(np.array([1.0, 1.0]), 0, 0.0, Metric.euclidean(2))
+        got = neighbors_within(ds, np.array([1.0, 1.0]), 0, 0.0, Metric.euclidean(2))
         assert len(got) == 2
         assert all(np.array_equal(tr.x, np.ones(2)) for tr in got)
 
@@ -226,7 +227,7 @@ class TestNeighborQueries:
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, 100)
         m = Metric.euclidean(2)
-        got = ds.neighbors_within(np.zeros(2), 1, 1e9, m)
+        got = neighbors_within(ds, np.zeros(2), 1, 1e9, m)
         assert len(got) == ds.n_for_action(1)
 
     def test_neighbors_shells_match_linear_scan(self):
@@ -242,7 +243,7 @@ class TestNeighborQueries:
                 t += 1
         ds = Dataset(transitions, [transitions[0].x], 2, 1)
         m = Metric.euclidean(2)
-        got = ds.neighbors_within(np.zeros(2), 0, 2.0, m)
+        got = neighbors_within(ds, np.zeros(2), 0, 2.0, m)
         scan = [tr for tr in transitions if m.distance(tr.x, np.zeros(2)) <= 2.0]
         assert len(got) == len(scan) == 50
         dists = [m.distance(tr.x, np.zeros(2)) for tr in got]
@@ -259,7 +260,7 @@ class TestNeighborQueries:
                 continue
             d = np.sort(m.distances_to(X, x))
             k = 5
-            got = ds.neighbors_within(x, a, float(d[k - 1]), m)
+            got = neighbors_within(ds, x, a, float(d[k - 1]), m)
             assert len(got) >= k
 
     def test_dataset_validation(self):

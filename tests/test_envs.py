@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import context_scans
 from moesim.core import Dataset, Metric, Policy, trajectory_return
 from moesim.envs import (
     AcrobotConfig,
@@ -37,7 +38,7 @@ from moesim.envs.windy import (
     windy_eval_policy,
     windy_no_wind_model,
 )
-from moesim.errors import BoundParams, choose_radius, global_lipschitz
+from moesim.errors import BoundParams, choose_radius
 from moesim.models import NonparametricModel
 from moesim.selection import SelectionContext
 from moesim.simulator import SimConfig, evaluate_policy_true, rollout_policy, simulate_value
@@ -105,12 +106,12 @@ class TestWindy2D:
         ds = Dataset.from_trajectories(trajs, 4)
         m = Metric.euclidean(2)
         pmodel = windy_no_wind_model(cfg)
-        lips = global_lipschitz(ds, m)
-        radius = choose_radius(ds, pmodel, m, lipschitz=lips)
+        lips, residuals = context_scans(ds, pmodel, m)
+        radius = choose_radius(residuals[0], lips.l_t)
         ctx = SelectionContext(
             pmodel, NonparametricModel(ds, m), ds, m, radius,
             BoundParams(lips.l_t, lips.l_r, 1.0), windy_eval_policy(cfg),
-            is_terminal=env.is_terminal, global_lips=lips,
+            lips, residuals, is_terminal=env.is_terminal,
         )
         sim = SimConfig(6, 60, 1.0, seed=4)
         moe = simulate_value(ctx, sim)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import context_scans, estimate_lipschitz, state_error_closed_form
 from moesim.core import Dataset, Metric, Transition, write_dataset_csv, read_dataset_csv
 from moesim.envs import Windy2DConfig, make_windy2d
 from moesim.envs.base import generate_trajectories
@@ -13,14 +14,12 @@ from moesim.errors import (
     InsufficientPairsError,
     LipschitzEstimates,
     choose_radius,
-    estimate_lipschitz,
     global_lipschitz,
     np_error_estimate,
     p_error_estimate,
     parametric_residuals,
     return_error_bound,
     rollforward_state_error,
-    state_error_closed_form,
 )
 from moesim.models import FunctionModel, NonparametricModel
 
@@ -244,32 +243,51 @@ class TestParametricErrorEstimate:
             assert est.eps_r == pytest.approx(expect_r, rel=1e-12)
 
 
+def radius_of(ds, model, metric):
+    """choose_radius over the scans the pipeline builder makes."""
+    lips, residuals = context_scans(ds, model, metric)
+    return choose_radius(residuals[0], lips.l_t)
+
+
 class TestChooseRadius:
     def test_simple_ratio(self):
         # residuals are 2 everywhere; pair ratios are 4 exactly
         transitions = [tr([float(i)], 0, 0.0, [4.0 * i], t=i) for i in range(5)]
         ds = Dataset(transitions, [transitions[0].x], 1, 1)
         model = FunctionModel(lambda x, a: 4.0 * x + 2.0, lambda x, a: 0.0)
-        c = choose_radius(ds, model, Metric.euclidean(1))
+        c = radius_of(ds, model, Metric.euclidean(1))
         assert c == pytest.approx(2.0 / 4.0)
 
     def test_perfect_model_gives_zero(self):
         transitions = [tr([float(i)], 0, 0.0, [i + 1.0], t=i) for i in range(5)]
         ds = Dataset(transitions, [transitions[0].x], 1, 1)
         model = FunctionModel(lambda x, a: x + 1.0, lambda x, a: 0.0)
-        assert choose_radius(ds, model, Metric.euclidean(1)) == 0.0
+        assert radius_of(ds, model, Metric.euclidean(1)) == 0.0
 
     def test_zero_ratio_gives_infinity(self):
         # constant dynamics: all next states identical, ratios are 0
         transitions = [tr([float(i)], 0, 0.0, [7.0], t=i) for i in range(5)]
         ds = Dataset(transitions, [transitions[0].x], 1, 1)
         model = FunctionModel(lambda x, a: x, lambda x, a: 0.0)
-        assert choose_radius(ds, model, Metric.euclidean(1)) == np.inf
+        assert radius_of(ds, model, Metric.euclidean(1)) == np.inf
 
     def test_empty_dataset_gives_zero(self):
         ds = Dataset([], [np.zeros(1)], 1, 1)
         model = FunctionModel(lambda x, a: x, lambda x, a: 0.0)
-        assert choose_radius(ds, model, Metric.euclidean(1)) == 0.0
+        assert radius_of(ds, model, Metric.euclidean(1)) == 0.0
+
+    @pytest.mark.parametrize(
+        "residuals_t, l_t, expect",
+        [
+            (np.zeros(0), 2.0, 0.0),  # no residual at all
+            (np.full(3, np.inf), 2.0, 0.0),  # no fitted action
+            (np.array([1.0, np.inf, 3.0]), 0.0, np.inf),  # all data in range
+            (np.zeros(4), 2.0, 0.0),  # perfect model
+            (np.array([1.0, np.inf, 3.0]), 4.0, 0.5),  # mean of finite ones / l_t
+        ],
+    )
+    def test_direct_cases(self, residuals_t, l_t, expect):
+        assert choose_radius(residuals_t, l_t) == expect
 
     def test_windy_value_recomputed_from_serialized_dataset(self, tmp_path):
         cfg = Windy2DConfig()
@@ -278,7 +296,7 @@ class TestChooseRadius:
         ds = Dataset.from_trajectories(trajs, 4)
         model = windy_no_wind_model(cfg)
         m = Metric.euclidean(2)
-        c = choose_radius(ds, model, m)
+        c = radius_of(ds, model, m)
 
         path = tmp_path / "windy.csv"
         write_dataset_csv(path, ds)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import moesim.experiments
-import moesim.selection
 from moesim.cli import build_parser
 from moesim.cli import main as cli_main
 from moesim.core import read_dataset_csv
@@ -156,13 +155,12 @@ class TestBuildContext:
 
     def test_one_scan_serves_estimated_and_oracle_errors(self, monkeypatch):
         calls = []
-        for module in (moesim.experiments, moesim.selection):
-            for name in ("parametric_residuals", "global_lipschitz"):
-                fn = getattr(module, name)
-                monkeypatch.setattr(
-                    module, name,
-                    lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k),
-                )
+        for name in ("parametric_residuals", "global_lipschitz"):
+            fn = getattr(moesim.experiments, name)
+            monkeypatch.setattr(
+                moesim.experiments, name,
+                lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k),
+            )
         cfg = planning_toy_config(8, "accurate", budget=8)
         cfg["estimators"] = ["moe", "moe_true", "mcts_moe_true"]
         run_repetition(validate_config(cfg), 0)
@@ -253,6 +251,52 @@ class TestCLI:
         assert cli_main(["evaluate", "--config", str(bad), "--out", str(tmp_path)]) == 2
         missing = tmp_path / "nope.json"
         assert cli_main(["evaluate", "--config", str(missing), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("behavior", {"kind": "eps_greedy"}),
+            ("behavior", {"kind": "eps_greedy", "eps": 0.1, "trigger": {"dim": 1}}),
+            ("env", {"kind": "ode"}),
+            ("eval_policy", {"kind": "constant_action"}),
+            ("selector", {"mcts_budgt": 4}),
+            ("selector", {"horizon": 8}),
+            ("selector", {"delta_coeff": "transition"}),
+            ("model", {"kind": "env_analytic", "ridge_lamda": 0.1}),
+            ("sim", {"n_rollouts": 2, "horizon": 40, "gamma": 1.0, "seed": 1}),
+            ("bound", {"lt": 1.0}),
+        ],
+        ids=[
+            "eps_greedy_without_eps", "trigger_without_threshold", "ode_without_spec",
+            "constant_action_without_action", "selector_typo", "selector_horizon",
+            "selector_delta_coeff", "model_typo", "sim_unknown_key", "bound_typo",
+        ],
+    )
+    def test_config_mistakes_exit_2(self, tmp_path, section, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(**{section: value})))
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_declared_model_seed_is_accepted(self):
+        cfg = validate_config(tiny_config(model={"kind": "ridge", "seed": 3}))
+        assert cfg["model"]["seed"] == 3
+
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_error_maps_resolution_below_one_exits_2(self, tmp_path, resolution):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(windy_table1_config(seed=1, n_repetitions=1)))
+        code = cli_main([
+            "error-maps", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--resolution", resolution,
+        ])
+        assert code == 2
+        assert not (tmp_path / "error_maps.csv").exists()
+
+    def test_reproduce_table2_rejects_jobs(self, tmp_path):
+        code = cli_main(["reproduce", "table2", "--jobs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "table2.json").exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         # validates against the schema but fails to build: the ODE spec file

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every function, method and class the package defines is used by the package.
 
-`__init__.py` files are skipped: their imports are the package's re-exports.
+`__init__.py` files are skipped: their imports are the package's re-exports,
+and a name only they mention is public API that nothing inside runs.
 """
 
 import ast
@@ -36,3 +38,48 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Public entry points that no module of the package calls, each kept for a
+# reader outside it.
+API_EDGE = {
+    "return_error_bound": "the paper's bound, and the planner test's reference",
+    "model_from_json": "reads the model.json that `moesim fit` writes",
+    "is_input_from_csv": "reads the pb column that `moesim generate` writes",
+}
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Names of functions, methods and classes defined in `sources` that no
+    source mentions as a bare name or an attribute; dunder methods are
+    called by Python itself and are skipped."""
+    defined: set[str] = set()
+    used: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defined - used)
+
+
+def test_detects_an_unreferenced_definition():
+    source = (
+        "class A:\n"
+        "    def __init__(self): self.go()\n"
+        "    def go(self): pass\n"
+        "    def spare(self): pass\n"
+        "def main(): return A()\n"
+        "def helper(): pass\n"
+        "main()\n"
+    )
+    assert unreferenced_definitions([source]) == ["helper", "spare"]
+
+
+def test_package_defines_nothing_only_tests_use():
+    found = unreferenced_definitions([path.read_text() for path in MODULES])
+    assert [name for name in found if name not in API_EDGE] == []

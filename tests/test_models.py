@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import flatten, mlp_loss, unflatten_like
 from moesim.core import Dataset, Metric, Transition
 from moesim.envs import make_planning_toy, planning_toy_policies
 from moesim.envs.base import generate_trajectories
@@ -21,7 +22,6 @@ from moesim.models import (
     mlp_forward,
     mlp_gradient,
     mlp_init,
-    mlp_loss,
     model_from_json,
     model_to_json,
 )
@@ -210,8 +210,8 @@ class TestMLPGradient:
         params = mlp_init(3, 2, 4, layers, rng)
         X = rng.normal(size=(6, 3))
         Y = rng.normal(size=(6, 2))
-        g = mlp_gradient(params, X, Y).flatten()
-        flat = params.flatten()
+        g = flatten(mlp_gradient(params, X, Y))
+        flat = flatten(params)
         num = np.zeros_like(flat)
         h = 1e-5
         for i in range(len(flat)):
@@ -220,8 +220,8 @@ class TestMLPGradient:
             dn = flat.copy()
             dn[i] -= h
             num[i] = (
-                mlp_loss(params.unflatten_like(up), X, Y)
-                - mlp_loss(params.unflatten_like(dn), X, Y)
+                mlp_loss(unflatten_like(params, up), X, Y)
+                - mlp_loss(unflatten_like(params, dn), X, Y)
             ) / (2 * h)
         denom = np.maximum(np.abs(num), 1e-8)
         assert np.max(np.abs(g - num) / denom) < 1e-4

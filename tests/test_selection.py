@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import context_scans, path_error_sequences
 from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import make_planning_toy, planning_toy_policies, planning_toy_parametric_model
 from moesim.envs import Windy2DConfig, make_eps_greedy, make_windy2d
@@ -16,10 +17,8 @@ from moesim.errors import (
     BoundParams,
     ErrorEstimate,
     choose_radius,
-    global_lipschitz,
     np_error_estimate,
     p_error_estimate,
-    parametric_residuals,
     return_error_bound,
 )
 from moesim.models import (
@@ -36,7 +35,6 @@ from moesim.selection import (
     _MctsRun,
     greedy_select,
     mcts_select,
-    path_error_sequences,
 )
 from moesim.simulator import SimConfig, simulate_value
 
@@ -67,11 +65,8 @@ class StubContext:
     def model(self, kind):
         return self.np_model if kind == NONPARAMETRIC else self.p_model
 
-    def usable(self, kind, a):
-        return kind not in self._unusable
-
     def available_models(self, a):
-        return [k for k in (NONPARAMETRIC, PARAMETRIC) if self.usable(k, a)]
+        return tuple(k for k in (NONPARAMETRIC, PARAMETRIC) if k not in self._unusable)
 
     def estimate(self, kind, x, a):
         key = (round(float(np.asarray(x)[0]), 6), a, kind)
@@ -118,11 +113,13 @@ class TestGreedy:
                        Transition(np.array([51.0]), 0, -1.0, np.array([52.0]), 0, 1)]
         ds = Dataset(transitions, [transitions[0].x], 1, 1)
         m = Metric.euclidean(1)
+        model = FunctionModel(lambda x, a: x, lambda x, a: 0.0)
+        lips, residuals = context_scans(ds, model, m)
         ctx = SelectionContext(
-            FunctionModel(lambda x, a: x, lambda x, a: 0.0),
-            NonparametricModel(ds, m),
+            model, NonparametricModel(ds, m),
             ds, m, radius=1.0, bound=unit_bound(),
             policy=Policy.deterministic(lambda x: 0, 1),
+            global_lips=lips, residuals=residuals,
         )
         assert greedy_select(ctx, np.array([0.0]), 0) == PARAMETRIC
 
@@ -138,8 +135,8 @@ class TestMctsBasics:
             {("*", 0, NONPARAMETRIC): (0.0, 0.0), ("*", 0, PARAMETRIC): (0.4, 0.0)},
             unit_bound(),
         )
-        cfg = SelectorConfig(mode="mcts", mcts_budget=32, seed=0)
-        got = mcts_select(ctx, np.zeros(1), 0, cfg, remaining=6)
+        cfg = SelectorConfig(mode="mcts", mcts_budget=32)
+        got = mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(0), remaining=6)
         assert got == NONPARAMETRIC
 
     def test_horizon_one_reduces_to_one_step_comparison(self):
@@ -154,8 +151,8 @@ class TestMctsBasics:
                 {("*", 0, NONPARAMETRIC): np_err, ("*", 0, PARAMETRIC): p_err},
                 BoundParams(1.3, 2.0, 0.9),
             )
-            cfg = SelectorConfig(mode="mcts", mcts_budget=16, seed=1)
-            got = mcts_select(ctx, np.zeros(1), 0, cfg, remaining=1)
+            cfg = SelectorConfig(mode="mcts", mcts_budget=16)
+            got = mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(1), remaining=1)
             score = {
                 NONPARAMETRIC: np_err[1] + 2.0 * np_err[0],
                 PARAMETRIC: p_err[1] + 2.0 * p_err[0],
@@ -168,8 +165,11 @@ class TestMctsBasics:
             ("*", 0, PARAMETRIC): (0.2, 0.07),
         }
         ctx = StubContext(errors, unit_bound())
-        cfg = SelectorConfig(mode="mcts", mcts_budget=25, seed=9)
-        a = [mcts_select(ctx, np.zeros(1), 0, cfg, remaining=4) for _ in range(3)]
+        cfg = SelectorConfig(mode="mcts", mcts_budget=25)
+        a = [
+            mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(9), remaining=4)
+            for _ in range(3)
+        ]
         assert len(set(a)) == 1
 
     def test_budget_with_no_usable_child_falls_back_to_greedy(self):
@@ -179,8 +179,9 @@ class TestMctsBasics:
         )
         # terminal immediately: the tree cannot expand at all
         ctx.is_terminal = lambda x: True
-        cfg = SelectorConfig(mode="mcts", mcts_budget=4, seed=0)
-        assert mcts_select(ctx, np.zeros(1), 0, cfg, remaining=5) == PARAMETRIC
+        cfg = SelectorConfig(mode="mcts", mcts_budget=4)
+        got = mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(0), remaining=5)
+        assert got == PARAMETRIC
 
 
 def depth2_bound(ctx, first, second, horizon=2):
@@ -215,8 +216,8 @@ class TestMctsPlanning:
             itertools.product((NONPARAMETRIC, PARAMETRIC), repeat=2),
             key=lambda seq: depth2_bound(ctx, *seq),
         )
-        cfg = SelectorConfig(mode="mcts", mcts_budget=64, seed=3)
-        got = mcts_select(ctx, np.zeros(1), 0, cfg, remaining=2)
+        cfg = SelectorConfig(mode="mcts", mcts_budget=64)
+        got = mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(3), remaining=2)
         assert got == best_seq[0] == PARAMETRIC
 
     def test_tree_structure_and_bound_consistency(self):
@@ -225,8 +226,8 @@ class TestMctsPlanning:
             ("*", 0, PARAMETRIC): (0.12, 0.04),
         }
         ctx = StubContext(errors, BoundParams(1.2, 0.8, 0.95))
-        cfg = SelectorConfig(mode="mcts", mcts_budget=40, seed=5)
-        run = _MctsRun(ctx, cfg, horizon=5, rng=np.random.default_rng(5))
+        cfg = SelectorConfig(mode="mcts", mcts_budget=40)
+        run = _MctsRun(ctx, horizon=5, rng=np.random.default_rng(5))
         root = PlanNode(
             state=np.zeros(1), action=0, model_choice="root", tau=0,
             delta=0.0, delta_g=0.0,
@@ -280,12 +281,15 @@ class TestMctsOnPlanningToy:
                                          starts=BEHAVIOR_STARTS)
         ds = Dataset.from_trajectories(trajs, 2)
         m = Metric.euclidean(2)
+        model = planning_toy_parametric_model(reward_variant)
+        lips, residuals = context_scans(ds, model, m)
         ctx = SelectionContext(
-            planning_toy_parametric_model(reward_variant),
+            model,
             NonparametricModel(ds, m),
             ds, m, radius=1.0,
             bound=BoundParams(1.0, math.sqrt(2.0), 1.0),
             policy=eval_policy,
+            global_lips=lips, residuals=residuals,
             true_step=env.step,
             use_true_errors=True,
         )
@@ -297,7 +301,7 @@ class TestMctsOnPlanningToy:
         # prefers the smooth-model drift at the divergence point (1, 1)
         horizon = 16
         env, ctx = self._context(horizon)
-        cfg = SelectorConfig(mode="mcts", mcts_budget=256, seed=11)
+        cfg = SelectorConfig(mode="mcts", mcts_budget=256)
         sim = SimConfig(1, horizon, 1.0, selector=cfg, seed=4)
         est = simulate_value(ctx, sim, initial_states=[EVAL_START])
         states = [tuple(s) for s in est.trajectories[0].states]
@@ -312,18 +316,19 @@ class TestMctsOnPlanningToy:
         # the drift model costs 0.5 now and compounds forever
         horizon = 14
         _, ctx = self._context(horizon)
-        cfg = SelectorConfig(mode="mcts", mcts_budget=256, seed=2)
-        got = mcts_select(ctx, np.array([1.0, 1.0]), 0, cfg, remaining=horizon - 1)
+        cfg = SelectorConfig(mode="mcts", mcts_budget=256)
+        got = mcts_select(ctx, np.array([1.0, 1.0]), 0, cfg, np.random.default_rng(2),
+                           remaining=horizon - 1)
         assert got == NONPARAMETRIC
         assert greedy_select(ctx, np.array([1.0, 1.0]), 0) == PARAMETRIC
 
     def test_trace_records_children(self):
         horizon = 10
         _, ctx = self._context(horizon)
-        cfg = SelectorConfig(mode="mcts", mcts_budget=32, seed=0)
+        cfg = SelectorConfig(mode="mcts", mcts_budget=32)
         trace = []
-        mcts_select(ctx, np.array([1.0, 1.0]), 0, cfg, remaining=horizon,
-                    trace=trace)
+        mcts_select(ctx, np.array([1.0, 1.0]), 0, cfg, np.random.default_rng(0),
+                    remaining=horizon, trace=trace)
         assert len(trace) == 1
         rec = trace[0]
         assert rec["chosen"] in (NONPARAMETRIC, PARAMETRIC)
@@ -346,9 +351,8 @@ class TestEstimateMemo:
         ds = Dataset.from_trajectories(trajs, env.n_actions)
         m = Metric.euclidean(2)
         model = windy_no_wind_model(cfg)
-        residuals = parametric_residuals(ds, model, m)
-        lips = global_lipschitz(ds, m)
-        radius = choose_radius(ds, model, m, residuals=residuals, lipschitz=lips)
+        lips, residuals = context_scans(ds, model, m)
+        radius = choose_radius(residuals[0], lips.l_t)
 
         def build():
             return SelectionContext(
@@ -398,23 +402,73 @@ class TestEstimateMemo:
                     assert got == direct(kind, x, a)
 
 
+class TestExpertSets:
+    """The experts usable for an action are fixed when the context is built:
+    here the analytic parametric expert covers every action, and the
+    scripted windy behavior never logs action 2 ("left")."""
+
+    @staticmethod
+    def _context():
+        from moesim.experiments import build_context, validate_config
+        from moesim.reproduce import windy_table1_config
+
+        _, ctx = build_context(validate_config(windy_table1_config(seed=1)), 0)
+        return ctx
+
+    def test_available_models_are_the_fitted_experts(self):
+        ctx = self._context()
+        for a in range(ctx.dataset.n_actions):
+            assert ctx.available_models(a) == tuple(
+                k for k in (NONPARAMETRIC, PARAMETRIC) if ctx.model(k).fitted(a)
+            )
+        assert ctx.available_models(2) == (PARAMETRIC,)
+        assert ctx.available_models(0) == (NONPARAMETRIC, PARAMETRIC)
+
+    def test_greedy_returns_the_only_usable_expert(self):
+        ctx = self._context()
+        rng = np.random.default_rng(4)
+        for x in rng.uniform([-1.0, -1.0], [13.0, 15.0], size=(20, 2)):
+            assert greedy_select(ctx, x, 2) == PARAMETRIC
+
+    def test_mcts_nodes_at_a_single_expert_action_have_one_child(self):
+        ctx = self._context()
+        run = _MctsRun(ctx, horizon=8, rng=np.random.default_rng(6))
+        root = PlanNode(
+            state=np.array([3.0, 2.0]), action=2, model_choice="root", tau=0,
+            delta=0.0, delta_g=0.0,
+        )
+        for _ in range(24):
+            leaf = run.tree_policy(root)
+            run.backup(leaf, run.default_policy(leaf))
+
+        def walk(node):
+            yield node
+            for child in node.children:
+                yield from walk(child)
+
+        assert [c.model_choice for c in root.children] == [PARAMETRIC]
+        for node in walk(root):
+            kinds = [c.model_choice for c in node.children]
+            assert set(kinds) <= set(ctx.available_models(node.action))
+            if node.action == 2 and node.visits > 1:
+                assert kinds == [PARAMETRIC]
+
+
 class TestSelectorConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SelectorConfig(mode="random")
         with pytest.raises(ValueError):
             SelectorConfig(mcts_budget=0)
-        with pytest.raises(ValueError):
-            SelectorConfig(delta_coeff="both")
-        with pytest.raises(ValueError):
-            SelectorConfig(horizon=0)
 
     def test_context_rejects_negative_reward_weight(self):
         ds = Dataset([], [np.zeros(1)], 1, 1)
         m = Metric.euclidean(1)
+        model = FunctionModel(lambda x, a: x, lambda x, a: 0.0)
+        lips, residuals = context_scans(ds, model, m)
         with pytest.raises(ValueError):
             SelectionContext(
-                FunctionModel(lambda x, a: x, lambda x, a: 0.0),
-                NonparametricModel(ds, m), ds, m, radius=1.0, bound=unit_bound(),
-                policy=Policy.deterministic(lambda x: 0, 1), alpha_r=-0.5,
+                model, NonparametricModel(ds, m), ds, m, radius=1.0, bound=unit_bound(),
+                policy=Policy.deterministic(lambda x: 0, 1), global_lips=lips,
+                residuals=residuals, alpha_r=-0.5,
             )
