@@ -66,15 +66,19 @@ class ISInput:
         """Fill in the evaluation probabilities of every logged action."""
         eval_probs = []
         for traj in trajectories:
-            eval_probs.append(
-                np.array([eval_policy.prob(tr.x, tr.a) for tr in traj.transitions])
-            )
+            P = eval_policy.probs_many(_starts(traj))
+            eval_probs.append(np.array([p[a] for p, a in zip(P, traj.actions)]))
         return ISInput(
             tuple(trajectories),
             tuple(np.asarray(p, dtype=np.float64) for p in behavior_probs),
             tuple(eval_probs),
             gamma,
         )
+
+
+def _starts(traj: Trajectory) -> np.ndarray:
+    """The start states of a trajectory's transitions, one per row."""
+    return np.array([tr.x for tr in traj.transitions])
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,19 @@ class ModelValueFunctions:
     Stochastic policies are rolled along their argmax action (an
     approximation; control variates need not be exact to keep the doubly
     robust estimators unbiased).  When the task has a known terminal
-    region, rollouts stop there.
+    region, rollouts stop there; `is_terminal_many` is its batched form,
+    and without it the rollouts call `is_terminal` once per row.
 
-    `q` is an exact memo keyed on (float64 bytes of x, a, remaining): the
-    model and policy are deterministic, so DR and WDR share one set of
-    rollouts, and `v` reuses the `q` of the logged action.  One instance
-    serves one repetition.
+    `q` is an exact memo keyed on (float64 bytes of x, a, remaining).  The
+    keys it is missing are rolled in lockstep: `q_many` rolls all of its
+    rows at once, with one `predict_many`, one terminal test and one
+    `probs_many` call per step over the rows still alive, and `q` rolls a
+    missing key as a one-row batch, so there is one rollout path.  No row
+    reads another, so a value does not depend on the batch it was rolled
+    in.  `fill` hands `q_many` every key that the DR/WDR tables of a logged
+    batch read, and memoizes the policy's probabilities at the logged
+    states for `v`.  The model and policy are deterministic, so DR and WDR
+    share one set of rollouts.  One instance serves one repetition.
     """
 
     model: DynamicsModel
@@ -98,43 +109,88 @@ class ModelValueFunctions:
     horizon: int
     gamma: float
     is_terminal: Callable[[StateVec], bool] | None = None
+    is_terminal_many: Callable[[np.ndarray], np.ndarray] | None = None
     _q_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _probs_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def q(self, x: StateVec, a: int, remaining: int) -> float:
         """Discounted model return of taking `a` now, then following the
         policy for remaining - 1 more steps."""
         x = np.asarray(x, dtype=np.float64)
         key = (x.tobytes(), a, remaining)
-        value = self._q_memo.get(key)
-        if value is None:
-            value = self._q_memo[key] = self._rollout(x, a, remaining)
-        return value
-
-    def _rollout(self, x: np.ndarray, a: int, remaining: int) -> float:
-        if remaining <= 0:
-            return 0.0
-        if self.is_terminal is not None and self.is_terminal(x):
-            return 0.0
-        total = 0.0
-        state = x
-        action = a
-        for k in range(remaining):
-            state_next, r = self.model.predict(state, action)
-            total += (self.gamma**k) * r
-            state = state_next
-            if self.is_terminal is not None and self.is_terminal(state):
-                break
-            if k + 1 < remaining:
-                action = int(np.argmax(self.policy.probs(state)))
-        return total
+        if key not in self._q_memo:
+            self._roll({key: x})
+        return self._q_memo[key]
 
     def v(self, x: StateVec, remaining: int) -> float:
         if remaining <= 0:
             return 0.0
-        probs = self.policy.probs(x)
+        x = np.asarray(x, dtype=np.float64)
+        probs = self._probs_memo.get(x.tobytes())
+        if probs is None:
+            probs = self._probs_memo[x.tobytes()] = self.policy.probs(x)
         return float(
             sum(p * self.q(x, a, remaining) for a, p in enumerate(probs) if p > 0)
         )
+
+    def q_many(
+        self, X: np.ndarray, A: Sequence[int], remaining: Sequence[int]
+    ) -> np.ndarray:
+        """`q` of each (X[i], A[i], remaining[i]); the keys the memo is
+        missing are rolled in one lockstep pass."""
+        X = np.asarray(X, dtype=np.float64)
+        keys = [(x.tobytes(), int(a), int(r)) for x, a, r in zip(X, A, remaining)]
+        self._roll({key: x for key, x in zip(keys, X) if key not in self._q_memo})
+        return np.array([self._q_memo[key] for key in keys])
+
+    def fill(self, trajectories: Sequence[Trajectory]) -> None:
+        """Memoize every `q` that the DR/WDR tables of these logged
+        trajectories read, in one lockstep pass: at each logged state, the
+        logged action and every action the policy takes there."""
+        X, A, R = [], [], []
+        for traj in trajectories:
+            starts = _starts(traj)
+            P = self.policy.probs_many(starts)
+            for t, (x, p, a) in enumerate(zip(starts, P, traj.actions)):
+                self._probs_memo[x.tobytes()] = p
+                for b in {a, *np.flatnonzero(p > 0).tolist()}:
+                    X.append(x)
+                    A.append(b)
+                    R.append(self.horizon - t)
+        self.q_many(X, A, R)
+
+    def _roll(self, starts: dict[tuple[bytes, int, int], np.ndarray]) -> None:
+        """Roll each (x bytes, a, remaining) key from its start state in
+        lockstep and memoize the discounted returns.  A row stops after
+        `remaining` steps or on reaching the terminal region."""
+        if not starts:
+            return
+        keys = list(starts)
+        state = np.array(list(starts.values()))
+        action = np.array([a for _, a, _ in keys])
+        remaining = np.array([r for _, _, r in keys])
+        totals = np.zeros(len(keys))
+        live = np.flatnonzero(remaining > 0)
+        if self.is_terminal is not None:
+            live = live[~self._terminal(state[live])]
+        k = 0
+        while len(live):
+            state_next, r = self.model.predict_many(state[live], action[live])
+            totals[live] += (self.gamma**k) * r
+            state[live] = state_next
+            k += 1
+            go_on = remaining[live] > k
+            if self.is_terminal is not None:
+                go_on &= ~self._terminal(state_next)
+            live = live[go_on]
+            if len(live):
+                action[live] = np.argmax(self.policy.probs_many(state[live]), axis=1)
+        self._q_memo.update(zip(keys, totals.tolist()))
+
+    def _terminal(self, X: np.ndarray) -> np.ndarray:
+        if self.is_terminal_many is not None:
+            return np.asarray(self.is_terminal_many(X), dtype=bool)
+        return np.array([bool(self.is_terminal(x)) for x in X], dtype=bool)
 
 
 def is_input_from_csv(path, eval_policy: Policy, gamma: float) -> ISInput:
@@ -187,7 +243,8 @@ def is_estimate(
     DR      PDIS plus model value control variates
     WDR     DR with per-step self-normalized weights
 
-    DR and WDR require `value_model`.
+    DR and WDR require `value_model`; its `fill` rolls every control
+    variate the tables read in one lockstep pass before they are read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown estimator variant {variant!r}")
@@ -225,6 +282,7 @@ def is_estimate(
         raise ValueError(f"{variant} requires model-derived value functions")
 
     # Control-variate terms need per-step Q/V at the logged states.
+    value_model.fill(inp.trajectories)
     q_vals = np.zeros((n, t_max))
     v_vals = np.zeros((n, t_max))
     for i, traj in enumerate(inp.trajectories):

@@ -400,10 +400,17 @@ class Policy:
 
     Deterministic policies are the degenerate one-hot case; sampling uses
     inverse-CDF on the probability vector so it is exact for one-hots.
+
+    `probs_many_fn`, when given, maps a matrix of states (one per row) to
+    the matrix of their probability vectors and must agree with `probs_fn`
+    row by row; without it `probs_many` calls `probs` once per row.
     """
 
     n_actions: int
     probs_fn: Callable[[StateVec], np.ndarray] = field(repr=False)
+    probs_many_fn: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False
+    )
 
     def probs(self, x: StateVec) -> np.ndarray:
         p = np.asarray(self.probs_fn(x), dtype=np.float64)
@@ -414,8 +421,24 @@ class Policy:
             raise ValueError("policy probabilities must be nonnegative and sum to 1")
         return p
 
-    def prob(self, x: StateVec, a: ActionId) -> float:
-        return float(self.probs(x)[a])
+    def probs_many(self, X: np.ndarray) -> np.ndarray:
+        """`probs` of each row of X, as an (n, n_actions) matrix; every row
+        is validated as `probs` validates its vector."""
+        X = np.asarray(X, dtype=np.float64)
+        if len(X) == 0:
+            return np.zeros((0, self.n_actions))
+        if self.probs_many_fn is None:
+            return np.array([self.probs(x) for x in X])
+        P = np.asarray(self.probs_many_fn(X), dtype=np.float64)
+        if P.shape != (len(X), self.n_actions):
+            raise ValueError("policy returned a wrongly-shaped probability matrix")
+        # written so that NaN fails both comparisons
+        if not (
+            np.all(P.min(axis=1) >= 0.0)
+            and np.all(np.abs(P.sum(axis=1) - 1.0) <= 1e-9)
+        ):
+            raise ValueError("policy probabilities must be nonnegative and sum to 1")
+        return P
 
     def sample(self, x: StateVec, rng: np.random.Generator) -> ActionId:
         p = self.probs(x)
@@ -428,13 +451,28 @@ class Policy:
         return self.n_actions - 1
 
     @staticmethod
-    def deterministic(fn: Callable[[StateVec], ActionId], n_actions: int) -> "Policy":
+    def deterministic(
+        fn: Callable[[StateVec], ActionId],
+        n_actions: int,
+        fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> "Policy":
+        """One-hot policy of `fn`; `fn_many`, when given, is its batched
+        form (the action of each row of a state matrix)."""
+
         def probs_fn(x: StateVec) -> np.ndarray:
             p = np.zeros(n_actions)
             p[fn(x)] = 1.0
             return p
 
-        return Policy(n_actions, probs_fn)
+        if fn_many is None:
+            return Policy(n_actions, probs_fn)
+
+        def probs_many_fn(X: np.ndarray) -> np.ndarray:
+            P = np.zeros((len(X), n_actions))
+            P[np.arange(len(X)), fn_many(X)] = 1.0
+            return P
+
+        return Policy(n_actions, probs_fn, probs_many_fn)
 
     @staticmethod
     def uniform(n_actions: int) -> "Policy":

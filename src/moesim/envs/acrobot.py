@@ -95,6 +95,11 @@ def tip_height(x: StateVec) -> float:
     return float(-np.cos(x[0]) - np.cos(x[0] + x[1]))
 
 
+def tip_heights(X: np.ndarray) -> np.ndarray:
+    """`tip_height` of each row of X, with the same bits."""
+    return -np.cos(X[:, 0]) - np.cos(X[:, 0] + X[:, 1])
+
+
 def make_acrobot(cfg: AcrobotConfig | None = None) -> Environment:
     cfg = cfg or AcrobotConfig()
 
@@ -108,6 +113,7 @@ def make_acrobot(cfg: AcrobotConfig | None = None) -> Environment:
         step=lambda x, a: acrobot_step(cfg, x, a),
         sample_initial=sample_initial,
         is_terminal=lambda x: tip_height(x) >= cfg.goal_height,
+        is_terminal_many=lambda X: tip_heights(X) >= cfg.goal_height,
         action_labels=ACTION_LABELS,
     )
 
@@ -121,7 +127,7 @@ def acrobot_heuristic_policy() -> Policy:
     def act(x: StateVec) -> ActionId:
         return 2 if x[3] >= 0 else 0
 
-    return Policy.deterministic(act, 3)
+    return Policy.deterministic(act, 3, lambda X: np.where(X[:, 3] >= 0, 2, 0))
 
 
 def filter_dataset_by_height(ds: Dataset, h_max: float) -> Dataset:

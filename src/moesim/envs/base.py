@@ -19,7 +19,11 @@ from ..core import ActionId, Policy, StateVec, Trajectory, Transition
 
 @dataclass(frozen=True)
 class Environment:
-    """A deterministic task: same (state, action) always steps the same way."""
+    """A deterministic task: same (state, action) always steps the same way.
+
+    `is_terminal_many`, when given, is the batched form of `is_terminal`:
+    one bool per row of a state matrix, agreeing with it row by row.
+    """
 
     dim: int
     n_actions: int
@@ -28,6 +32,7 @@ class Environment:
     sample_initial: Callable[[np.random.Generator], StateVec]
     is_terminal: Callable[[StateVec], bool] | None = None
     action_labels: tuple[str, ...] | None = None
+    is_terminal_many: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def rollout_with_probs(

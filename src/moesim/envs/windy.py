@@ -101,7 +101,9 @@ def windy_eval_policy(cfg: Windy2DConfig) -> Policy:
     def act(x: StateVec) -> ActionId:
         return UP if x[1] < cfg.eval_turn_y else RIGHT
 
-    return Policy.deterministic(act, 4)
+    return Policy.deterministic(
+        act, 4, lambda X: np.where(X[:, 1] < cfg.eval_turn_y, UP, RIGHT)
+    )
 
 
 def windy_behavior_policy(cfg: Windy2DConfig) -> Policy:

@@ -277,6 +277,29 @@ def build_env(env_cfg: dict):
     raise ConfigError(f"env.kind: unknown environment {kind!r}")
 
 
+def _check_fits_env(cfg: dict, env: Environment) -> None:
+    """Reject config values that must fit the built environment's action
+    count or state dimension, naming the field."""
+    kind = cfg["env"]["kind"]
+    pol = cfg["eval_policy"]
+    if pol.get("kind") == "constant_action" and pol["action"] >= env.n_actions:
+        raise ConfigError(
+            f"eval_policy.action: {pol['action']} is not an action of {kind} "
+            f"(actions 0..{env.n_actions - 1})"
+        )
+    trigger = cfg["behavior"].get("trigger")
+    if trigger and trigger["dim"] >= env.dim:
+        raise ConfigError(
+            f"behavior.trigger.dim: {trigger['dim']} is not a dimension of {kind} "
+            f"(dimensions 0..{env.dim - 1})"
+        )
+    weights = cfg["metric_weights"]
+    if weights and len(weights) != env.dim:
+        raise ConfigError(
+            f"metric_weights: {len(weights)} entries for the {env.dim}-D states of {kind}"
+        )
+
+
 def build_eval_policy(cfg: dict, env: Environment, handle) -> Policy:
     pol_cfg = cfg.get("eval_policy", {"kind": "env_default"})
     if pol_cfg.get("kind", "env_default") == "constant_action":
@@ -363,6 +386,7 @@ def generate_batch(cfg: dict, rep: int) -> Batch:
     """Roll out the behavior policy of a validated config for repetition
     `rep` and build its datasets."""
     env, handle = build_env(cfg["env"])
+    _check_fits_env(cfg, env)
     eval_policy = build_eval_policy(cfg, env, handle)
     behavior = build_behavior_policy(cfg, env, handle, eval_policy)
     starts = BEHAVIOR_STARTS if cfg["env"]["kind"] == "planning_toy" else None
@@ -489,7 +513,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
         if any(name in ("DR", "WDR") for name in requested_is):
             value_model = ModelValueFunctions(
                 ctx_est.parametric, eval_policy, horizon, gamma,
-                is_terminal=env.is_terminal,
+                is_terminal=env.is_terminal, is_terminal_many=env.is_terminal_many,
             )
         for name in requested_is:
             record["estimates"][name] = {

@@ -37,6 +37,15 @@ class DynamicsModel:
     def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
         raise NotImplementedError
 
+    def predict_many(self, X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`predict` for each row of X with the action in A: the next states
+        as rows, and the rewards.  This default calls `predict` per row."""
+        X = np.asarray(X, dtype=np.float64)
+        pairs = [self.predict(x, int(a)) for x, a in zip(X, A)]
+        if not pairs:
+            return np.zeros(X.shape), np.zeros(0)
+        return np.stack([y for y, _ in pairs]), np.array([r for _, r in pairs])
+
 
 class NonparametricModel(DynamicsModel):
     """Nearest-neighbor expert: returns the recorded (x_next, r) of the
@@ -143,12 +152,26 @@ class RidgePerActionModel(DynamicsModel):
     def fitted(self, a: ActionId) -> bool:
         return self.coefs[a] is not None
 
-    def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
+    def _coef(self, a: ActionId) -> np.ndarray:
         W = self.coefs[a]
         if W is None:
             raise NoSupportError(f"parametric model was not fitted for action {a}")
-        z = np.append(np.asarray(x, dtype=np.float64), 1.0) @ W
+        return W
+
+    def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
+        z = _affine(np.asarray(x, dtype=np.float64), self._coef(a))
         return z[:-1], float(z[-1])
+
+    def predict_many(self, X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One affine map per action present in A; each row gets the same
+        bits as `predict` of that row."""
+        X = np.asarray(X, dtype=np.float64)
+        A = np.asarray(A)
+        Z = np.empty((len(A), self.dim + 1))
+        for a in sorted(set(A.tolist())):
+            rows = A == a
+            Z[rows] = _affine(X[rows], self._coef(a))
+        return Z[:, :-1], Z[:, -1]
 
     def to_json(self) -> str:
         payload = {
@@ -171,6 +194,20 @@ class RidgePerActionModel(DynamicsModel):
             for W in payload["coefs"]
         ]
         return model
+
+
+def _affine(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """[X, 1] @ W for one state X or a matrix of states (one per row),
+    summed over the input columns in ascending order with the intercept
+    last.  The order is spelled out because a matrix product accumulates
+    in an order that depends on the shapes, so a row's result would change
+    in its last digits between a single and a batched call."""
+    if X.shape[-1] != len(W) - 1:
+        raise ValueError(f"state has {X.shape[-1]} dims, the model {len(W) - 1}")
+    z = X[..., 0, None] * W[0]
+    for j in range(1, len(W) - 1):
+        z = z + X[..., j, None] * W[j]
+    return z + W[-1]
 
 
 def _ridge_solve(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:

@@ -177,3 +177,21 @@ def unflatten_like(params, vec):
         bs.append(vec[pos : pos + b.size].reshape(b.shape))
         pos += b.size
     return MLPParams(ws, bs)
+
+
+def serial_rollout(model, policy, x, a, remaining, gamma, is_terminal=None):
+    """One model rollout at a time, the way control variates were rolled
+    before lockstep: (discounted return, steps taken).  Take `a`, then the
+    policy's argmax, for `remaining` steps or until the terminal region."""
+    if remaining <= 0 or (is_terminal is not None and is_terminal(x)):
+        return 0.0, 0
+    total = 0.0
+    state, action = np.asarray(x, dtype=np.float64), a
+    for k in range(remaining):
+        state, r = model.predict(state, action)
+        total += (gamma**k) * r
+        if is_terminal is not None and is_terminal(state):
+            return total, k + 1
+        if k + 1 < remaining:
+            action = int(np.argmax(policy.probs(state)))
+    return total, remaining

@@ -132,6 +132,9 @@ class ExactValueFunctions:
         self.gamma = gamma
         self.horizon = horizon
 
+    def fill(self, trajectories):
+        """Exact values have no rollouts to run ahead of the tables."""
+
     def q(self, x, a, remaining):
         if remaining <= 0:
             return 0.0

@@ -1,0 +1,369 @@
+"""Batched entry points against their one-row forms: `predict_many`,
+`Policy.probs_many`, the acrobot terminal test, and the lockstep control
+variate rollouts of `ModelValueFunctions`.  Rows must match bit for bit."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from helpers import serial_rollout
+from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
+from moesim.core import Dataset, Policy
+from moesim.envs import (
+    AcrobotConfig,
+    ODESpec,
+    Windy2DConfig,
+    acrobot_heuristic_policy,
+    make_acrobot,
+    make_eps_greedy,
+    make_windy2d,
+    ode_env,
+    planning_toy_parametric_model,
+    planning_toy_policies,
+    tip_height,
+)
+from moesim.envs.acrobot import tip_heights
+from moesim.envs.base import generate_trajectories
+from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
+from moesim.experiments import build_eval_policy
+from moesim.models import (
+    NoSupportError,
+    ParametricFitConfig,
+    RidgePerActionModel,
+    fit_parametric,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def assert_rows_match(model, X, A):
+    Y, R = model.predict_many(X, A)
+    assert Y.shape == X.shape and R.shape == (len(A),)
+    for x, a, y, r in zip(X, A, Y, R):
+        y1, r1 = model.predict(x, int(a))
+        assert bits(y) == bits(y1) and bits(r) == bits(r1)
+
+
+# ---------------------------------------------------------------------------
+# predict_many
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ridge_batches(draw):
+    """A ridge model with random coefficients (action 0 always fitted, the
+    others maybe not) and a batch of queries over all its actions."""
+    dim = draw(st.integers(1, 4))
+    n_actions = draw(st.integers(1, 3))
+    model = RidgePerActionModel(dim, n_actions, 0.0)
+    for a in range(n_actions):
+        if a == 0 or draw(st.booleans()):
+            model.coefs[a] = draw(arrays(np.float64, (dim + 1, dim + 1), elements=finite))
+    n = draw(st.integers(0, 12))
+    X = draw(arrays(np.float64, (n, dim), elements=finite))
+    A = draw(arrays(np.int64, n, elements=st.integers(0, n_actions - 1)))
+    return model, X, A
+
+
+@PROPERTY
+@given(ridge_batches())
+def test_ridge_predict_many_rows_equal_predict(case):
+    model, X, A = case
+    if not all(model.fitted(int(a)) for a in A):
+        with pytest.raises(NoSupportError):
+            model.predict_many(X, A)
+        return
+    assert_rows_match(model, X, A)
+    for x, a in zip(X, A):
+        y, r = model.predict(x, int(a))
+        z = np.append(x, 1.0) @ model.coefs[a]
+        assert np.allclose(np.append(y, r), z, rtol=1e-9, atol=1e-6)
+
+
+def test_ridge_unfitted_action_raises_in_both_forms():
+    model = RidgePerActionModel(2, 3, 0.0)
+    model.coefs[0] = np.ones((3, 3))
+    X = np.zeros((3, 2))
+    with pytest.raises(NoSupportError):
+        model.predict(X[0], 2)
+    with pytest.raises(NoSupportError):
+        model.predict_many(X, np.array([0, 2, 0]))
+
+
+def test_ridge_rejects_wrong_state_dimension():
+    model = RidgePerActionModel(2, 1, 0.0)
+    model.coefs[0] = np.ones((3, 3))
+    with pytest.raises(ValueError):
+        model.predict(np.zeros(3), 0)
+    with pytest.raises(ValueError):
+        model.predict_many(np.zeros((2, 1)), np.array([0, 0]))
+
+
+@pytest.fixture(scope="module")
+def fitted_mlp():
+    env = make_windy2d()
+    trajs, _ = generate_trajectories(env, windy_behavior_policy(Windy2DConfig()), 2, seed=4)
+    ds = Dataset.from_trajectories(trajs, env.n_actions)
+    cfg = ParametricFitConfig(learner="mlp", mlp_hidden=8, mlp_epochs=20, seed=1)
+    return fit_parametric(ds, cfg)
+
+
+@PROPERTY
+@given(
+    X=arrays(np.float64, st.tuples(st.integers(0, 10), st.just(2)), elements=finite),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mlp_and_analytic_predict_many_rows_equal_predict(fitted_mlp, X, seed):
+    A = np.random.default_rng(seed).integers(0, 4, size=len(X))
+    for model in (windy_no_wind_model(Windy2DConfig()), planning_toy_parametric_model()):
+        assert_rows_match(model, X, A)
+    fitted = np.array([fitted_mlp.fitted(int(a)) for a in A], dtype=bool)
+    assert_rows_match(fitted_mlp, X[fitted], A[fitted])
+    if not fitted.all():
+        with pytest.raises(NoSupportError):
+            fitted_mlp.predict_many(X, A)
+
+
+# ---------------------------------------------------------------------------
+# probs_many
+# ---------------------------------------------------------------------------
+
+WINDY = Windy2DConfig()
+TIES = (
+    0.0, -0.0, 1.0, 11.0, WINDY.eval_turn_y, WINDY.behavior_climb_y,
+    WINDY.behavior_climb_x, WINDY.behavior_band_x, 1e-12, -1e-300,
+)
+coordinate = st.one_of(st.sampled_from(TIES), st.floats(-20, 20))
+
+
+def built_in_policies():
+    """(name, policy, state dimension) for every policy the package builds."""
+    windy_env = make_windy2d(WINDY)
+    toy_eval, toy_behavior = planning_toy_policies()
+    constant = build_eval_policy(
+        {"env": {"kind": "windy2d"}, "eval_policy": {"kind": "constant_action", "action": 3}},
+        windy_env, WINDY,
+    )
+    spec = ODESpec.from_json(Path(__file__).resolve().parents[1] / "configs" / "linear_decay_ode.json")
+    ode_default = build_eval_policy(
+        {"env": {"kind": "ode"}, "eval_policy": {"kind": "env_default"}}, ode_env(spec), spec
+    )
+    return [
+        ("windy_eval", windy_eval_policy(WINDY), 2),
+        ("windy_behavior", windy_behavior_policy(WINDY), 2),
+        ("windy_eps_trigger", make_eps_greedy(
+            windy_eval_policy(WINDY), 0.3, trigger=lambda x: x[1] > WINDY.eval_turn_y), 2),
+        ("toy_eval", toy_eval, 2),
+        ("toy_behavior", toy_behavior, 2),
+        ("constant", constant, 2),
+        ("ode_default", ode_default, 1),
+        ("uniform", Policy.uniform(3), 4),
+        ("acrobot", acrobot_heuristic_policy(), 4),
+        ("acrobot_eps", make_eps_greedy(acrobot_heuristic_policy(), 0.1), 4),
+    ]
+
+
+@PROPERTY
+@given(
+    which=st.integers(0, len(built_in_policies()) - 1),
+    rows=st.lists(st.lists(coordinate, min_size=4, max_size=4), max_size=12),
+)
+def test_probs_many_rows_equal_probs(which, rows):
+    _, policy, dim = built_in_policies()[which]
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), 4)[:, :dim]
+    P = policy.probs_many(X)
+    assert P.shape == (len(X), policy.n_actions)
+    for x, p in zip(X, P):
+        assert bits(p) == bits(policy.probs(x))
+
+
+def test_probs_many_threshold_ties():
+    acro = acrobot_heuristic_policy()
+    X = np.array([[0, 0, 0, 0.0], [0, 0, 0, -0.0], [0, 0, 0, -1e-300]])
+    assert np.argmax(acro.probs_many(X), axis=1).tolist() == [2, 2, 0]
+    windy = windy_eval_policy(WINDY)
+    Y = np.array([[0.0, WINDY.eval_turn_y], [0.0, np.nextafter(WINDY.eval_turn_y, 0)]])
+    assert np.argmax(windy.probs_many(Y), axis=1).tolist() == [3, 0]
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [-0.1, 1.1], [0.7, 0.7], [np.inf, 0.0]])
+@given(n=st.integers(1, 6), row=st.integers(0, 5))
+@settings(max_examples=10, deadline=None)
+def test_probs_many_rejects_an_invalid_row(bad, n, row):
+    row = row % n
+    good = np.array([0.25, 0.75])
+
+    def one(x):
+        return np.array(bad) if x[0] == row else good
+
+    def many(X):
+        return np.array([one(x) for x in X])
+
+    X = np.arange(n, dtype=np.float64)[:, None]
+    for policy in (Policy(2, one), Policy(2, one, many)):
+        with pytest.raises(ValueError):
+            policy.probs_many(X)
+
+
+def test_probs_many_rejects_a_wrong_shape():
+    policy = Policy(2, lambda x: np.array([0.5, 0.5]), lambda X: np.full((len(X), 3), 1 / 3))
+    with pytest.raises(ValueError):
+        policy.probs_many(np.zeros((2, 1)))
+
+
+def test_probs_many_of_no_rows():
+    for _, policy, dim in built_in_policies():
+        assert policy.probs_many(np.zeros((0, dim))).shape == (0, policy.n_actions)
+
+
+# ---------------------------------------------------------------------------
+# Batched acrobot terminal test
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(arrays(np.float64, st.tuples(st.integers(0, 20), st.just(4)),
+              elements=st.floats(-10, 10)))
+def test_acrobot_terminal_test_batches_bit_for_bit(X):
+    env = make_acrobot()
+    assert bits(tip_heights(X)) == bits([tip_height(x) for x in X])
+    assert env.is_terminal_many(X).tolist() == [env.is_terminal(x) for x in X]
+
+
+# ---------------------------------------------------------------------------
+# Lockstep control-variate rollouts
+# ---------------------------------------------------------------------------
+
+HORIZON = 25
+# The fixture's model rollouts climb to tip heights between about -1.7 and
+# -1.25 within the horizon.  At -2.5 every state is terminal, at -1.6 and
+# -1.45 some starts are terminal and many rollouts end mid-way, and at 1.0
+# every rollout runs its full length.
+GOAL_HEIGHTS = (-2.5, -1.6, -1.45, 1.0)
+
+
+@pytest.fixture(scope="module")
+def acrobot_batch():
+    env = make_acrobot(AcrobotConfig(horizon=HORIZON))
+    behavior = make_eps_greedy(acrobot_heuristic_policy(), 0.3)
+    trajs, probs = generate_trajectories(env, behavior, 4, seed=3)
+    model = fit_parametric(
+        Dataset.from_trajectories(trajs, env.n_actions), ParametricFitConfig(ridge_lambda=1e-6)
+    )
+    starts = np.array([tr.x for traj in trajs for tr in traj.transitions])
+    return trajs, probs, model, starts
+
+
+def value_functions(model, policy, goal_height, batched_terminal, gamma=0.97):
+    env = make_acrobot(AcrobotConfig(horizon=HORIZON, goal_height=goal_height))
+    return ModelValueFunctions(
+        model, policy, HORIZON, gamma, is_terminal=env.is_terminal,
+        is_terminal_many=env.is_terminal_many if batched_terminal else None,
+    )
+
+
+@st.composite
+def q_keys(draw, n_starts):
+    """Keys over logged starts (some repeated), every action, and
+    remaining 0, 1, the horizon or anything between."""
+    n = draw(st.integers(1, 30))
+    rows = draw(st.lists(st.integers(0, n_starts - 1), min_size=n, max_size=n))
+    actions = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    remaining = draw(st.lists(
+        st.one_of(st.sampled_from([0, 1, HORIZON]), st.integers(-2, HORIZON)),
+        min_size=n, max_size=n,
+    ))
+    return rows, actions, remaining
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    goal_height=st.sampled_from(GOAL_HEIGHTS),
+    stochastic=st.booleans(),
+    batched_terminal=st.booleans(),
+)
+def test_lockstep_q_equals_one_key_rollouts(
+    acrobot_batch, data, goal_height, stochastic, batched_terminal
+):
+    _, _, model, starts = acrobot_batch
+    policy = acrobot_heuristic_policy()
+    if stochastic:
+        policy = make_eps_greedy(policy, 0.2)
+    rows, actions, remaining = data.draw(q_keys(len(starts)))
+    X = starts[rows]
+    lockstep = value_functions(model, policy, goal_height, batched_terminal)
+    got = lockstep.q_many(X, actions, remaining)
+    for x, a, rem, value in zip(X, actions, remaining, got):
+        one_key = value_functions(model, policy, goal_height, batched_terminal)
+        assert bits(value) == bits(one_key.q(x, a, rem))
+        assert bits(value) == bits(lockstep.q(x.copy(), a, rem))
+        reference, _ = serial_rollout(
+            model, policy, x, a, rem, 0.97, one_key.is_terminal
+        )
+        assert bits(value) == bits(reference)
+
+
+def test_lockstep_cases_cover_every_way_a_rollout_ends(acrobot_batch):
+    """GOAL_HEIGHTS give starts that are already terminal, rollouts that
+    end mid-way, and rollouts that run their full length."""
+    _, _, model, starts = acrobot_batch
+    policy = acrobot_heuristic_policy()
+    seen = set()
+    for goal_height in GOAL_HEIGHTS:
+        vm = value_functions(model, policy, goal_height, True)
+        for x in starts:
+            _, steps = serial_rollout(model, policy, x, 0, HORIZON, 0.97, vm.is_terminal)
+            seen.add("start" if steps == 0 else "full" if steps == HORIZON else "mid-way")
+    assert seen == {"start", "mid-way", "full"}
+
+
+def test_fill_memoizes_every_key_the_tables_read(acrobot_batch):
+    """After `fill`, the DR/WDR tables roll nothing more, and their values
+    equal one-key rollouts."""
+    trajs, probs, model, _ = acrobot_batch
+    policy = make_eps_greedy(acrobot_heuristic_policy(), 0.2)
+    inp = ISInput.build(trajs, probs, policy, 0.97)
+
+    class Counting(type(model)):
+        calls = 0
+
+        def predict_many(self, X, A):
+            Counting.calls += 1
+            return super().predict_many(X, A)
+
+    counted = Counting(model.dim, model.n_actions, model.ridge_lambda)
+    counted.coefs = model.coefs
+    vm = value_functions(counted, policy, -1.45, True)
+    vm.fill(inp.trajectories)
+    rolled = Counting.calls
+    assert rolled > 0
+    for traj in inp.trajectories:
+        for t, tr in enumerate(traj.transitions):
+            one_key = value_functions(model, policy, -1.45, False)
+            assert vm.q(tr.x, tr.a, HORIZON - t) == one_key.q(tr.x, tr.a, HORIZON - t)
+            assert vm.v(tr.x, HORIZON - t) == one_key.v(tr.x, HORIZON - t)
+    assert Counting.calls == rolled
+    for variant in ("DR", "WDR"):
+        assert is_estimate(inp, variant, value_model=vm) == is_estimate(
+            inp, variant, value_model=value_functions(model, policy, -1.45, False)
+        )
+    assert Counting.calls == rolled
+
+
+def test_is_input_eval_probs_equal_per_step_probs(acrobot_batch):
+    trajs, probs, _, _ = acrobot_batch
+    for policy in (acrobot_heuristic_policy(), make_eps_greedy(acrobot_heuristic_policy(), 0.2)):
+        inp = ISInput.build(trajs, probs, policy, 1.0)
+        for traj, pe in zip(trajs, inp.eval_probs):
+            want = np.array([policy.probs(tr.x)[tr.a] for tr in traj.transitions])
+            assert bits(pe) == bits(want)

@@ -312,7 +312,7 @@ class TestPolicy:
     def test_deterministic_one_hot(self):
         pol = Policy.deterministic(lambda x: 1 if x[0] > 0 else 0, 3)
         assert pol.probs(np.array([2.0])).tolist() == [0.0, 1.0, 0.0]
-        assert pol.prob(np.array([-2.0]), 0) == 1.0
+        assert pol.probs(np.array([-2.0]))[0] == 1.0
 
     def test_sampling_matches_distribution(self):
         pol = Policy(2, lambda x: np.array([0.25, 0.75]))

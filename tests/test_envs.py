@@ -255,7 +255,7 @@ class TestEpsGreedy:
         rng = np.random.default_rng(2)
         traj, probs = rollout_with_probs(env, pol, rng)
         for tr, pb in zip(traj.transitions, probs):
-            assert pb == pytest.approx(pol.prob(tr.x, tr.a), abs=0)
+            assert pb == pytest.approx(pol.probs(tr.x)[tr.a], abs=0)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

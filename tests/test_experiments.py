@@ -298,6 +298,27 @@ class TestCLI:
         assert code == 2
         assert not (tmp_path / "table2.json").exists()
 
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("eval_policy", {"kind": "constant_action", "action": 7}, "eval_policy.action"),
+            ("behavior", {"kind": "eps_greedy", "eps": 0.3,
+                          "trigger": {"dim": 5, "greater_than": 1.0}}, "behavior.trigger.dim"),
+            ("metric_weights", [1.0, 1.0, 1.0], "metric_weights"),
+        ],
+        ids=["action_out_of_range", "trigger_dim_out_of_range", "metric_weights_length"],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "generate"])
+    def test_values_that_must_fit_the_env_exit_2(
+        self, tmp_path, capsys, command, section, value, field
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(**{section: value})))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "dataset.csv").exists()
+
     def test_runtime_error_exit_code(self, tmp_path):
         # validates against the schema but fails to build: the ODE spec file
         # does not exist
@@ -364,3 +385,35 @@ class TestCLI:
         assert traces and json.loads(traces[0])["chosen"] in (
             "parametric", "nonparametric",
         )
+
+
+class TestDoublyRobustTripwire:
+    """DR and WDR of the benchmark's `acrobot_dr` config (ridge expert,
+    model-rollout control variates) at master seeds 0 and 7, pinned to the
+    values that one-rollout-at-a-time control variates gave.  The windy
+    golden fixture cannot see these: it runs no ridge expert and its IS
+    weights are all zero.  Only the estimators and the number of true
+    rollouts differ from the benchmark config; neither feeds DR or WDR."""
+
+    @pytest.mark.parametrize(
+        "seed, dr, wdr",
+        [
+            (0, -200.00000000000023, -199.99999999999997),
+            (7, -200.00000000000003, -199.99999999999997),
+        ],
+    )
+    def test_acrobot_dr_values(self, seed, dr, wdr):
+        cfg = validate_config({
+            "name": "acrobot-dr-tripwire",
+            "env": {"kind": "acrobot", "horizon": 200},
+            "behavior": {"kind": "eps_greedy", "eps": 0.1},
+            "n_behavior_trajectories": 6,
+            "model": {"kind": "ridge"},
+            "sim": {"n_rollouts": 8, "horizon": 200, "gamma": 1.0},
+            "estimators": ["DR", "WDR"],
+            "n_true_rollouts": 1,
+            "seed": seed,
+        })
+        estimates = run_repetition(cfg, 0)["estimates"]
+        assert estimates["DR"]["v_hat"] == dr
+        assert estimates["WDR"]["v_hat"] == wdr
