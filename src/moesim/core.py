@@ -400,6 +400,10 @@ class Policy:
 
     Deterministic policies are the degenerate one-hot case; sampling uses
     inverse-CDF on the probability vector so it is exact for one-hots.
+    `sample` is `probs` followed by the pure `choose(p, u)` on one uniform
+    draw, so a caller that already holds a state's probabilities (a
+    memoised planner step, a behaviour rollout that logs them) draws the
+    same action from one `rng.random()` without evaluating the policy again.
 
     `probs_many_fn`, when given, maps a matrix of states (one per row) to
     the matrix of their probability vectors and must agree with `probs_fn`
@@ -441,14 +445,20 @@ class Policy:
         return P
 
     def sample(self, x: StateVec, rng: np.random.Generator) -> ActionId:
-        p = self.probs(x)
-        u = rng.random()
+        return self.choose(self.probs(x), rng.random())
+
+    @staticmethod
+    def choose(p: Sequence[float], u: float) -> ActionId:
+        """Inverse-CDF pick from probability vector p at uniform u in
+        [0, 1): the first action whose running sum exceeds u, else the
+        last action."""
         cum = 0.0
-        for a in range(self.n_actions - 1):
+        last = len(p) - 1
+        for a in range(last):
             cum += p[a]
             if u < cum:
                 return a
-        return self.n_actions - 1
+        return last
 
     @staticmethod
     def deterministic(

@@ -51,7 +51,7 @@ def rollout_with_probs(
     reached = False
     for t in range(horizon):
         p = policy.probs(x)
-        a = policy.sample(x, rng)
+        a = policy.choose(p, rng.random())
         probs.append(float(p[a]))
         x_next, r = env.step(x, a)
         transitions.append(Transition(x, a, r, x_next, traj_id=traj_id, t=t))

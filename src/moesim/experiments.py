@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -441,14 +442,35 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
 # ---------------------------------------------------------------------------
 
 
+class RepetitionError(RuntimeError):
+    """A runtime failure inside one repetition; the message names the
+    repetition and the stage (data and context, truth rollouts, IS inputs,
+    or an estimator) before the original error's message, which is chained
+    as the cause."""
+
+
+@contextmanager
+def _stage(rep: int, stage: str):
+    """Re-raise a runtime error of `stage` as a `RepetitionError`; config
+    errors pass through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise RepetitionError(f"repetition {rep}, {stage}: {exc}") from exc
+
+
 def run_repetition(cfg: dict, rep: int) -> dict:
     """Generate data, fit models, run every requested estimator once.
 
     Pure function of (validated config, repetition index): all randomness
     flows from seeds derived off the master seed and `rep`, so repetitions
-    can run in any order.
+    can run in any order.  A runtime failure raises `RepetitionError`,
+    naming `rep` and the stage it happened in.
     """
-    batch, ctx_est = build_context(cfg, rep)
+    with _stage(rep, "data and context"):
+        batch, ctx_est = build_context(cfg, rep)
     env, eval_policy, metric = batch.env, batch.eval_policy, ctx_est.metric
     sim_cfg = cfg["sim"]
     gamma = sim_cfg["gamma"]
@@ -457,10 +479,11 @@ def run_repetition(cfg: dict, rep: int) -> dict:
         name.endswith("_true") for name in cfg["estimators"]
     ) else None
 
-    v_true = evaluate_policy_true(
-        env, eval_policy, cfg["n_true_rollouts"], horizon, gamma,
-        seed=derive_seed(cfg["seed"], rep, 1),
-    )
+    with _stage(rep, "truth rollouts"):
+        v_true = evaluate_policy_true(
+            env, eval_policy, cfg["n_true_rollouts"], horizon, gamma,
+            seed=derive_seed(cfg["seed"], rep, 1),
+        )
     initial_override = (
         [np.array(s, dtype=np.float64) for s in cfg["initial_states"]]
         if cfg["initial_states"]
@@ -477,27 +500,28 @@ def run_repetition(cfg: dict, rep: int) -> dict:
         ctx = ctx_true if name.endswith("_true") else ctx_est
         sel = SelectorConfig(mode=mode, mcts_budget=budget)
         trace = [] if (cfg["mcts_trace"] and mode == "mcts") else None
-        estimate = simulate_value(
-            ctx,
-            SimConfig(
-                n_rollouts=sim_cfg["n_rollouts"], horizon=horizon, gamma=gamma,
-                selector=sel, seed=derive_seed(cfg["seed"], rep, 3),
-            ),
-            initial_states=initial_override,
-            forced_model=forced,
-            mcts_trace=trace,
-        )
-        entry = {
-            "v_hat": estimate.v_hat,
-            "n_unreached_goal": estimate.n_unreached_goal,
-            "capped": estimate.capped,
-            "model_usage": estimate.model_usage,
-        }
-        if cfg["eps_traj"]:
-            entry["eps_traj"] = _mean_traj_error(
-                env, eval_policy, estimate.trajectories, metric, horizon,
-                derive_seed(cfg["seed"], rep, 4),
+        with _stage(rep, f"estimator {name}"):
+            estimate = simulate_value(
+                ctx,
+                SimConfig(
+                    n_rollouts=sim_cfg["n_rollouts"], horizon=horizon, gamma=gamma,
+                    selector=sel, seed=derive_seed(cfg["seed"], rep, 3),
+                ),
+                initial_states=initial_override,
+                forced_model=forced,
+                mcts_trace=trace,
             )
+            entry = {
+                "v_hat": estimate.v_hat,
+                "n_unreached_goal": estimate.n_unreached_goal,
+                "capped": estimate.capped,
+                "model_usage": estimate.model_usage,
+            }
+            if cfg["eps_traj"]:
+                entry["eps_traj"] = _mean_traj_error(
+                    env, eval_policy, estimate.trajectories, metric, horizon,
+                    derive_seed(cfg["seed"], rep, 4),
+                )
         if trace is not None:
             entry["mcts_trace"] = trace
         if cfg["rollout_log"]:
@@ -506,19 +530,21 @@ def run_repetition(cfg: dict, rep: int) -> dict:
 
     requested_is = [name for name in cfg["estimators"] if name in IS_ESTIMATORS]
     if requested_is:
-        is_input = ISInput.build(
-            batch.trajectories, batch.probs, eval_policy, gamma,
-        )
-        value_model = None
-        if any(name in ("DR", "WDR") for name in requested_is):
-            value_model = ModelValueFunctions(
-                ctx_est.parametric, eval_policy, horizon, gamma,
-                is_terminal=env.is_terminal, is_terminal_many=env.is_terminal_many,
+        with _stage(rep, "IS inputs"):
+            is_input = ISInput.build(
+                batch.trajectories, batch.probs, eval_policy, gamma,
             )
+            value_model = None
+            if any(name in ("DR", "WDR") for name in requested_is):
+                value_model = ModelValueFunctions(
+                    ctx_est.parametric, eval_policy, horizon, gamma,
+                    is_terminal=env.is_terminal, is_terminal_many=env.is_terminal_many,
+                )
         for name in requested_is:
-            record["estimates"][name] = {
-                "v_hat": is_estimate(is_input, name, value_model=value_model)
-            }
+            with _stage(rep, f"estimator {name}"):
+                record["estimates"][name] = {
+                    "v_hat": is_estimate(is_input, name, value_model=value_model)
+                }
     return record
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,7 +55,71 @@ class SelectorConfig:
             raise ValueError("mcts_budget must be >= 1")
 
 
-class SelectionContext:
+class Successor(NamedTuple):
+    """One simulated step of (state, action) by one expert, as the planner
+    reads it: the expert's error estimate (and whether its `eps_t` is
+    finite), the read-only next state with its float64 bytes, the
+    evaluation policy's probabilities there as Python floats, and whether
+    the next state is terminal."""
+
+    estimate: ErrorEstimate
+    finite: bool
+    state: np.ndarray
+    key: bytes
+    probs: tuple[float, ...]
+    terminal: bool
+
+
+class StepMemo:
+    """Exact memos of the planner's per-step work, for a context that
+    provides `estimate`, `model`, `policy`, `is_terminal` and
+    `available_models`.
+
+    Inside one context every input of a simulated step is fixed except the
+    uniform draw that picks the next action: the estimate, the expert's
+    next state, the policy's probabilities at it and its terminal test are
+    functions of (expert, state bytes, action), and the greedy pick is a
+    function of (state bytes, action).  So `successor` and `greedy` compute
+    each once; a memoised step then costs a dict lookup and
+    `Policy.choose` on one `rng.random()`, which is exact for stochastic
+    policies too.
+    """
+
+    def __init__(self) -> None:
+        self._successors: dict[tuple[str, bytes, ActionId], Successor] = {}
+        self.greedy_picks: dict[tuple[bytes, ActionId], str] = {}
+
+    def successor(self, kind: str, x: StateVec, key: bytes, a: ActionId) -> Successor:
+        """The step of (x, a) by expert `kind`; `key` is x's float64 bytes."""
+        succ = self._successors.get((kind, key, a))
+        if succ is None:
+            succ = self._successors[(kind, key, a)] = self._step(kind, x, a)
+        return succ
+
+    def _step(self, kind: str, x: StateVec, a: ActionId) -> Successor:
+        est = self.estimate(kind, x, a)
+        next_state = np.array(self.model(kind).predict(x, a)[0], dtype=np.float64)
+        next_state.flags.writeable = False
+        term = self.is_terminal
+        return Successor(
+            est,
+            math.isfinite(est.eps_t),
+            next_state,
+            next_state.tobytes(),
+            tuple(self.policy.probs(next_state).tolist()),
+            bool(term(next_state)) if term is not None else False,
+        )
+
+    def greedy(self, x: StateVec, key: bytes, a: ActionId) -> str:
+        """`greedy_select` at (x, a), memoised on (key, a); an action no
+        expert can simulate raises `ModelUnusableError` every time."""
+        pick = self.greedy_picks.get((key, a))
+        if pick is None:
+            pick = self.greedy_picks[(key, a)] = greedy_select(self, x, a)
+        return pick
+
+
+class SelectionContext(StepMemo):
     """Everything one model choice needs: both experts, the batch data and
     metric, the shared neighborhood radius, bound constants, the evaluation
     policy, the weight `alpha_r` of the reward-error term in the greedy
@@ -71,7 +135,8 @@ class SelectionContext:
     action): every input it reads is fixed for the context's lifetime, and
     simulated states repeat exactly because the nonparametric expert copies
     logged outcomes.  A context lives for one repetition, so the memo never
-    crosses repetitions.
+    crosses repetitions.  For the same reasons the planner's steps and
+    greedy picks are exact memos too (`StepMemo`).
     """
 
     def __init__(
@@ -94,6 +159,7 @@ class SelectionContext:
             raise ValueError("oracle error mode needs the true step function")
         if alpha_r < 0:
             raise ValueError("alpha_r must be nonnegative")
+        super().__init__()
         self.parametric = parametric
         self.nonparametric = nonparametric
         self.dataset = dataset
@@ -116,7 +182,7 @@ class SelectionContext:
     def oracle(self) -> "SelectionContext":
         """This context in oracle mode: the same experts, data, radius,
         bound and cached scans, scoring each expert by its actual one-step
-        error.  Its estimate memo starts empty."""
+        error.  Its memos start empty."""
         return SelectionContext(
             self.parametric, self.nonparametric, self.dataset, self.metric,
             self.radius, self.bound, self.policy, self._global_lips,
@@ -197,11 +263,14 @@ def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:
 
 @dataclass
 class PlanNode:
-    """Search-tree node: the (state, action) about to be simulated, which
-    expert produced it, visit statistics, and the rolled-forward error
-    bounds along the path from the root."""
+    """Search-tree node: the (state, action) about to be simulated, the
+    state's float64 bytes and terminal flag, which expert produced it,
+    visit statistics, and the rolled-forward error bounds along the path
+    from the root."""
 
     state: StateVec
+    key: bytes
+    terminal: bool
     action: ActionId
     model_choice: str  # "parametric" | "nonparametric" | "root"
     tau: int
@@ -233,21 +302,23 @@ class _MctsRun:
     def c_e(self) -> float:
         return max(1e-6, self.max_eps_t / math.sqrt(2.0))
 
-    def _estimate(self, kind: str, x: StateVec, a: ActionId) -> ErrorEstimate:
-        est = self.ctx.estimate(kind, x, a)
-        if math.isfinite(est.eps_t):
-            self.max_eps_t = max(self.max_eps_t, est.eps_t)
-        return est
-
-    def terminal(self, node: PlanNode) -> bool:
-        if node.tau >= self.horizon:
-            return True
+    def root(self, x: StateVec, a: ActionId) -> PlanNode:
+        state = np.asarray(x, dtype=np.float64)
         term = self.ctx.is_terminal
-        return bool(term(node.state)) if term is not None else False
+        return PlanNode(
+            state=state,
+            key=state.tobytes(),
+            terminal=bool(term(state)) if term is not None else False,
+            action=a,
+            model_choice="root",
+            tau=0,
+            delta=0.0,
+            delta_g=0.0,
+        )
 
     def tree_policy(self, root: PlanNode) -> PlanNode:
         node = root
-        while not self.terminal(node):
+        while node.tau < self.horizon and not node.terminal:
             avail = self.ctx.available_models(node.action)
             if not avail:
                 return node
@@ -257,21 +328,24 @@ class _MctsRun:
         return node
 
     def step(
-        self, kind: str, state: StateVec, action: ActionId, tau: int,
+        self, kind: str, state: StateVec, key: bytes, action: ActionId, tau: int,
         delta: float, delta_g: float,
-    ) -> tuple[ErrorEstimate, StateVec, ActionId, int, float, float]:
-        """Simulate (state, action) with expert `kind`: its error estimate,
-        the next state and the policy's next action, and the bounds rolled
-        forward to tau + 1, delta' = l_t * delta + eps_t and
-        delta_g' = delta_g + gamma^(tau+1) * (eps_r + l_r * delta')."""
-        est = self._estimate(kind, state, action)
-        next_state, _ = self.ctx.model(kind).predict(state, action)
-        next_action = self.ctx.policy.sample(next_state, self.rng)
+    ) -> tuple[Successor, ActionId, int, float, float]:
+        """Simulate (state, action) with expert `kind`: its memoised
+        successor, the policy's next action, and the bounds rolled forward
+        to tau + 1, delta' = l_t * delta + eps_t and
+        delta_g' = delta_g + gamma^(tau+1) * (eps_r + l_r * delta').  A
+        finite eps_t raises the exploration constant's running maximum."""
+        succ = self.ctx.successor(kind, state, key, action)
+        est = succ.estimate
+        if succ.finite:
+            self.max_eps_t = max(self.max_eps_t, est.eps_t)
+        next_action = Policy.choose(succ.probs, self.rng.random())
         tau += 1
         bound = self.ctx.bound
         delta = bound.l_t * delta + est.eps_t
         delta_g = delta_g + bound.gamma**tau * (est.eps_r + bound.l_r * delta)
-        return est, next_state, next_action, tau, delta, delta_g
+        return succ, next_action, tau, delta, delta_g
 
     def expand(self, node: PlanNode, avail: tuple[str, ...]) -> PlanNode:
         """Add the node's next untried expert as a child: the greedy pick
@@ -280,19 +354,21 @@ class _MctsRun:
             tried = {c.model_choice for c in node.children}
             pick = next(k for k in avail if k not in tried)
         else:
-            pick = greedy_select(self.ctx, node.state, node.action)
-        est, state, action, tau, delta, delta_g = self.step(
-            pick, node.state, node.action, node.tau, node.delta, node.delta_g
+            pick = self.ctx.greedy(node.state, node.key, node.action)
+        succ, action, tau, delta, delta_g = self.step(
+            pick, node.state, node.key, node.action, node.tau, node.delta, node.delta_g
         )
         child = PlanNode(
-            state=state,
+            state=succ.state,
+            key=succ.key,
+            terminal=succ.terminal,
             action=action,
             model_choice=pick,
             tau=tau,
             delta=delta,
             delta_g=delta_g,
-            eps_t=est.eps_t,
-            eps_r=est.eps_r,
+            eps_t=succ.estimate.eps_t,
+            eps_r=succ.estimate.eps_r,
             parent=node,
         )
         node.children.append(child)
@@ -312,18 +388,17 @@ class _MctsRun:
     def default_policy(self, node: PlanNode) -> float:
         """Complete the rollout to the horizon with greedy choices; the
         rollout's value is minus the accumulated return-error bound."""
-        state, action = node.state, node.action
+        state, key, action, terminal = node.state, node.key, node.action, node.terminal
         tau, delta, delta_g = node.tau, node.delta, node.delta_g
-        while tau < self.horizon:
-            if self.ctx.is_terminal is not None and self.ctx.is_terminal(state):
-                break
+        while tau < self.horizon and not terminal:
             try:
-                kind = greedy_select(self.ctx, state, action)
+                kind = self.ctx.greedy(state, key, action)
             except ModelUnusableError:
                 break
-            _, state, action, tau, delta, delta_g = self.step(
-                kind, state, action, tau, delta, delta_g
+            succ, action, tau, delta, delta_g = self.step(
+                kind, state, key, action, tau, delta, delta_g
             )
+            state, key, terminal = succ.state, succ.key, succ.terminal
         return -delta_g
 
     @staticmethod
@@ -359,14 +434,7 @@ def mcts_select(
     exact ties.  If no rollout completes, the greedy rule decides.
     """
     run = _MctsRun(ctx, remaining, rng)
-    root = PlanNode(
-        state=np.asarray(x, dtype=np.float64),
-        action=a,
-        model_choice="root",
-        tau=0,
-        delta=0.0,
-        delta_g=0.0,
-    )
+    root = run.root(x, a)
     for _ in range(cfg.mcts_budget):
         leaf = run.tree_policy(root)
         value = run.default_policy(leaf)
@@ -386,7 +454,7 @@ def mcts_select(
         )[1].model_choice
     if trace is not None:
         trace.append(_trace_record(root, run, chosen))
-    return chosen if chosen is not None else greedy_select(ctx, x, a)
+    return chosen if chosen is not None else ctx.greedy(root.state, root.key, a)
 
 
 def _trace_record(root: PlanNode, run: _MctsRun, chosen: str | None) -> dict:

@@ -109,7 +109,13 @@ def simulate_value(
                     remaining=cfg.horizon - t, trace=mcts_trace,
                 )
             else:
-                kind = greedy_select(ctx, x, a)
+                # the context's greedy memo (`StepMemo.greedy`), written out
+                # so that a miss calls this module's `greedy_select`, the
+                # name perfbench's tracer wraps for the simulator's decisions
+                key = (np.asarray(x, dtype=np.float64).tobytes(), a)
+                kind = ctx.greedy_picks.get(key)
+                if kind is None:
+                    kind = ctx.greedy_picks[key] = greedy_select(ctx, x, a)
             try:
                 x_next, r = ctx.model(kind).predict(x, a)
             except NoSupportError:

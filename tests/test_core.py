@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import neighbors_within
 from moesim.core import (
@@ -16,6 +18,28 @@ from moesim.core import (
     trajectory_return,
     write_dataset_csv,
 )
+
+
+def inverse_cdf(p, u):
+    """Reference pick: the first action whose cumulative probability
+    exceeds u (numpy's running sum), else the last action."""
+    return int(np.searchsorted(np.cumsum(p)[:-1], u, side="right"))
+
+
+@st.composite
+def probability_vectors(draw):
+    """Normalized random weights (zeros allowed) or a one-hot."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        p = np.zeros(n)
+        p[draw(st.integers(0, n - 1))] = 1.0
+        return p
+    w = np.array(draw(st.lists(
+        st.floats(0.0, 1.0, allow_subnormal=False), min_size=n, max_size=n,
+    )))
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return w / w.sum()
 
 
 def make_transition(x, a, r, y, traj_id=0, t=0):
@@ -325,6 +349,35 @@ class TestPolicy:
         a = [pol.sample(np.zeros(1), np.random.default_rng(42)) for _ in range(5)]
         b = [pol.sample(np.zeros(1), np.random.default_rng(42)) for _ in range(5)]
         assert a == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(probability_vectors(), st.floats(0.0, 1.0, exclude_max=True), st.data())
+    def test_choose_is_the_inverse_cdf(self, p, u, data):
+        assert Policy.choose(p, u) == inverse_cdf(p, u)
+        assert Policy.choose(p.tolist(), u) == inverse_cdf(p, u)
+        # u exactly on a cumulative boundary belongs to the next action
+        cum = np.cumsum(p)
+        k = data.draw(st.integers(0, len(p) - 1))
+        if cum[k] < 1.0:
+            assert Policy.choose(p, cum[k]) == inverse_cdf(p, cum[k])
+
+    def test_choose_on_boundaries_and_one_hots(self):
+        p = [0.25, 0.25, 0.5]
+        assert [Policy.choose(p, u) for u in (0.0, 0.2499, 0.25, 0.5, 0.9999)] == [
+            0, 0, 1, 2, 2,
+        ]
+        for a in range(4):
+            one_hot = np.eye(4)[a]
+            assert {Policy.choose(one_hot, u) for u in (0.0, 0.5, 1.0 - 2**-53)} == {a}
+
+    def test_sample_is_probs_then_choose(self):
+        pol = Policy(3, lambda x: np.array([0.2, 0.3, 0.5]))
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(50):
+            assert pol.sample(np.zeros(1), rng) == Policy.choose(
+                pol.probs(np.zeros(1)), ref.random()
+            )
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_invalid_distribution_rejected(self):
         bad = Policy(2, lambda x: np.array([0.7, 0.7]))

@@ -12,8 +12,10 @@ import moesim.experiments
 from moesim.cli import build_parser
 from moesim.cli import main as cli_main
 from moesim.core import read_dataset_csv
+from moesim.envs import DivergedError
 from moesim.experiments import (
     ConfigError,
+    RepetitionError,
     build_context,
     emit_error_maps,
     run_experiment,
@@ -24,6 +26,7 @@ from moesim.models import NONPARAMETRIC, PARAMETRIC
 from moesim.reproduce import planning_toy_config, windy_table1_config
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_report.json"
+MCTS_GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_mcts_report.json"
 
 
 def tiny_config(**overrides):
@@ -41,6 +44,22 @@ def tiny_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def diverging_ode_config(tmp_path):
+    """An ODE config whose truth rollouts diverge: x' = x^2 from x = 0.1
+    blows up at t = 10, so the 2-step behaviour rollouts stay finite and
+    the 40-step truth rollouts do not."""
+    spec = {
+        "state_names": ["x"], "actions": [[]], "rhs": ["x*x"], "reward": "-x",
+        "dt": 0.05, "steps_per_decision": 20, "initial_states": [[0.1]],
+        "horizon": 2,
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return tiny_config(
+        env={"kind": "ode", "spec_path": str(tmp_path / "spec.json")},
+        model={"kind": "ridge"}, estimators=["moe"],
+    )
 
 
 class TestConfigValidation:
@@ -99,6 +118,28 @@ class TestRunExperiment:
     def test_matches_golden_schema_and_values(self):
         report = run_experiment(tiny_config())
         assert report.to_json() == GOLDEN.read_text()
+
+    def test_matches_mcts_ridge_golden(self):
+        # UCT selection with its traces, a ridge expert, and nonzero IS and
+        # WIS weights: what the env_analytic greedy fixture above cannot see
+        cfg = {
+            "name": "tiny-windy-mcts",
+            "env": {"kind": "windy2d"},
+            "behavior": {"kind": "eps_greedy", "eps": 0.05},
+            "n_behavior_trajectories": 6,
+            "model": {"kind": "ridge"},
+            "selector": {"mcts_budget": 16},
+            "sim": {"n_rollouts": 2, "horizon": 40, "gamma": 1.0},
+            "estimators": ["moe", "mcts_moe", "IS", "WIS", "DR", "WDR"],
+            "n_repetitions": 2,
+            "n_true_rollouts": 4,
+            "seed": 5,
+            "mcts_trace": True,
+        }
+        report = run_experiment(cfg)
+        assert report.per_repetition[0]["estimates"]["IS"]["v_hat"] != 0.0
+        assert report.per_repetition[0]["estimates"]["WIS"]["v_hat"] != 0.0
+        assert report.to_json() == MCTS_GOLDEN.read_text()
 
     def test_rep_order_permutation_is_invisible(self):
         cfg = tiny_config(n_repetitions=3)
@@ -326,6 +367,21 @@ class TestCLI:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+    def test_diverging_truth_rollouts_name_repetition_and_stage(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(diverging_ode_config(tmp_path)))
+        with np.errstate(all="ignore"):
+            code = cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: repetition 0, truth rollouts: diverged:" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_repetition_error_chains_the_cause(self, tmp_path):
+        with np.errstate(all="ignore"), pytest.raises(RepetitionError) as err:
+            run_experiment(diverging_ode_config(tmp_path), rep_order=[1, 0])
+        assert str(err.value).startswith("repetition 1, truth rollouts: diverged:")
+        assert isinstance(err.value.__cause__, DivergedError)
 
     def test_error_maps_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Greedy and UCT model selection."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from moesim.selection import (
     PlanNode,
     SelectionContext,
     SelectorConfig,
+    StepMemo,
     _MctsRun,
     greedy_select,
     mcts_select,
@@ -39,16 +41,19 @@ from moesim.selection import (
 from moesim.simulator import SimConfig, simulate_value
 
 
-class StubContext:
+class StubContext(StepMemo):
     """Scripted-error stand-in for SelectionContext.
 
-    Errors are keyed by (rounded state tuple, action, model kind); both
+    Errors are keyed by (rounded state tuple, action, model kind), with
+    "*" for any state, and are either (eps_t, eps_r) or "unsupported"; both
     experts share simple integer-lattice dynamics so tree states stay on
-    known keys.
+    known keys.  The planner's step and greedy memos are the real ones,
+    inherited from `StepMemo`, so script the errors before the first call.
     """
 
     def __init__(self, errors, bound, n_actions=1, horizon_terminal=None,
                  unusable=()):
+        super().__init__()
         self.errors = errors
         self.bound = bound
         self.alpha_r = 0.0
@@ -70,13 +75,10 @@ class StubContext:
 
     def estimate(self, kind, x, a):
         key = (round(float(np.asarray(x)[0]), 6), a, kind)
-        if key in self.errors:
-            et, er = self.errors[key]
-            return ErrorEstimate(et, er)
-        default = self.errors.get(("*", a, kind))
-        if default is None:
-            return ErrorEstimate(0.0, 0.0)
-        return ErrorEstimate(*default)
+        scripted = self.errors.get(key, self.errors.get(("*", a, kind), (0.0, 0.0)))
+        if scripted == "unsupported":
+            return ErrorEstimate.unsupported()
+        return ErrorEstimate(*scripted)
 
 
 def unit_bound():
@@ -228,10 +230,7 @@ class TestMctsPlanning:
         ctx = StubContext(errors, BoundParams(1.2, 0.8, 0.95))
         cfg = SelectorConfig(mode="mcts", mcts_budget=40)
         run = _MctsRun(ctx, horizon=5, rng=np.random.default_rng(5))
-        root = PlanNode(
-            state=np.zeros(1), action=0, model_choice="root", tau=0,
-            delta=0.0, delta_g=0.0,
-        )
+        root = run.root(np.zeros(1), 0)
         for _ in range(cfg.mcts_budget):
             leaf = run.tree_policy(root)
             run.backup(leaf, run.default_policy(leaf))
@@ -263,8 +262,9 @@ class TestMctsPlanning:
                 assert node.delta_g == pytest.approx(recomputed, abs=1e-12)
 
     def test_backup_tracks_max_and_counts(self):
-        root = PlanNode(np.zeros(1), 0, "root", 0, 0.0, 0.0)
-        child = PlanNode(np.zeros(1), 0, NONPARAMETRIC, 1, 0.0, 0.0, parent=root)
+        root = PlanNode(np.zeros(1), bytes(8), False, 0, "root", 0, 0.0, 0.0)
+        child = PlanNode(np.zeros(1), bytes(8), False, 0, NONPARAMETRIC, 1, 0.0, 0.0,
+                         parent=root)
         root.children.append(child)
         for v in (-3.0, -1.0, -2.0):
             _MctsRun.backup(child, v)
@@ -274,33 +274,15 @@ class TestMctsPlanning:
 
 
 class TestMctsOnPlanningToy:
-    def _context(self, horizon, reward_variant="accurate"):
-        env = make_planning_toy(horizon)
-        eval_policy, behavior = planning_toy_policies()
-        trajs, _ = generate_trajectories(env, behavior, 2, seed=0,
-                                         starts=BEHAVIOR_STARTS)
-        ds = Dataset.from_trajectories(trajs, 2)
-        m = Metric.euclidean(2)
-        model = planning_toy_parametric_model(reward_variant)
-        lips, residuals = context_scans(ds, model, m)
-        ctx = SelectionContext(
-            model,
-            NonparametricModel(ds, m),
-            ds, m, radius=1.0,
-            bound=BoundParams(1.0, math.sqrt(2.0), 1.0),
-            policy=eval_policy,
-            global_lips=lips, residuals=residuals,
-            true_step=env.step,
-            use_true_errors=True,
-        )
-        return env, ctx
+    def _context(self, horizon):
+        return planning_toy_context(horizon)[1]()
 
     def test_planner_reaches_the_zero_error_region(self):
         # the planner must route the rollout to the bottom data ribbon where
         # copying transitions is error-free, even though the greedy rule
         # prefers the smooth-model drift at the divergence point (1, 1)
         horizon = 16
-        env, ctx = self._context(horizon)
+        ctx = self._context(horizon)
         cfg = SelectorConfig(mode="mcts", mcts_budget=256)
         sim = SimConfig(1, horizon, 1.0, selector=cfg, seed=4)
         est = simulate_value(ctx, sim, initial_states=[EVAL_START])
@@ -315,7 +297,7 @@ class TestMctsOnPlanningToy:
         # at (1, 1) with action "r": copying costs 1.0 now but zero later;
         # the drift model costs 0.5 now and compounds forever
         horizon = 14
-        _, ctx = self._context(horizon)
+        ctx = self._context(horizon)
         cfg = SelectorConfig(mode="mcts", mcts_budget=256)
         got = mcts_select(ctx, np.array([1.0, 1.0]), 0, cfg, np.random.default_rng(2),
                            remaining=horizon - 1)
@@ -324,7 +306,7 @@ class TestMctsOnPlanningToy:
 
     def test_trace_records_children(self):
         horizon = 10
-        _, ctx = self._context(horizon)
+        ctx = self._context(horizon)
         cfg = SelectorConfig(mode="mcts", mcts_budget=32)
         trace = []
         mcts_select(ctx, np.array([1.0, 1.0]), 0, cfg, np.random.default_rng(0),
@@ -337,6 +319,160 @@ class TestMctsOnPlanningToy:
             assert child["visits"] > 0
 
 
+def windy_parts(use_true_errors=False, eval_eps=None):
+    """A windy batch and (its dataset, a builder of fresh contexts over it,
+    the direct error estimate); `eval_eps` makes the evaluation policy
+    eps-greedy, so that planner rollouts draw stochastic actions."""
+    cfg = Windy2DConfig()
+    env = make_windy2d(cfg)
+    behavior = make_eps_greedy(windy_eval_policy(cfg), 0.3)
+    trajs, _ = generate_trajectories(env, behavior, 12, seed=3)
+    ds = Dataset.from_trajectories(trajs, env.n_actions)
+    m = Metric.euclidean(2)
+    model = windy_no_wind_model(cfg)
+    lips, residuals = context_scans(ds, model, m)
+    radius = choose_radius(residuals[0], lips.l_t)
+    policy = windy_eval_policy(cfg)
+    if eval_eps is not None:
+        policy = make_eps_greedy(policy, eval_eps)
+
+    def build():
+        return SelectionContext(
+            model, NonparametricModel(ds, m), ds, m, radius,
+            BoundParams(lips.l_t, lips.l_r, 1.0), policy,
+            true_step=env.step, is_terminal=env.is_terminal,
+            use_true_errors=use_true_errors, global_lips=lips,
+            residuals=residuals,
+        )
+
+    def direct(kind, x, a):
+        if use_true_errors:
+            true_next, true_r = env.step(x, a)
+            pred_next, pred_r = build().model(kind).predict(x, a)
+            return ErrorEstimate(m.distance(true_next, pred_next), abs(true_r - pred_r))
+        if kind == NONPARAMETRIC:
+            return np_error_estimate(ds, x, a, radius, m, fallback=lips)
+        return p_error_estimate(ds, x, a, radius, m, residuals)
+
+    return ds, build, direct
+
+
+def planning_toy_context(horizon):
+    env = make_planning_toy(horizon)
+    eval_policy, behavior = planning_toy_policies()
+    trajs, _ = generate_trajectories(env, behavior, 2, seed=0, starts=BEHAVIOR_STARTS)
+    ds = Dataset.from_trajectories(trajs, 2)
+    m = Metric.euclidean(2)
+    model = planning_toy_parametric_model("accurate")
+    lips, residuals = context_scans(ds, model, m)
+    return ds, lambda: SelectionContext(
+        model, NonparametricModel(ds, m), ds, m, radius=1.0,
+        bound=BoundParams(1.0, math.sqrt(2.0), 1.0), policy=eval_policy,
+        global_lips=lips, residuals=residuals, true_step=env.step,
+        use_true_errors=True,
+    )
+
+
+class TestStepMemo:
+    """The planner's step and greedy memos (`StepMemo`) are exact: a
+    decision on a context whose memos earlier decisions filled equals the
+    same decision on a fresh context, down to its trace and the generator
+    state it leaves behind.  Every state is planned from with every action,
+    so a memo entry of one action is there when another is asked."""
+
+    @staticmethod
+    def _decide(ctx, x, a, seed, remaining, budget):
+        rng = np.random.default_rng(seed)
+        trace = []
+        chosen = mcts_select(
+            ctx, x, a, SelectorConfig(mode="mcts", mcts_budget=budget), rng,
+            remaining=remaining, trace=trace,
+        )
+        # json keeps NaN bounds comparable (NaN != NaN as a float)
+        return chosen, json.dumps(trace), rng.bit_generator.state
+
+    def _check_warm_equals_fresh(self, build, states, n_actions, remaining, budget):
+        warm = build()
+        for i, x in enumerate(states):
+            for a in range(n_actions):
+                seed = [i, a]
+                got = self._decide(warm, x, a, seed, remaining, budget)
+                assert got == self._decide(build(), x, a, seed, remaining, budget)
+
+    @pytest.mark.parametrize("eval_eps", [None, 0.3], ids=["deterministic", "eps_greedy"])
+    def test_windy_decisions_on_a_warm_memo_equal_fresh_ones(self, eval_eps):
+        ds, build, _ = windy_parts(eval_eps=eval_eps)
+        rng = np.random.default_rng(11)
+        states = [ds.transitions[int(i)].x for i in rng.choice(len(ds), 4, replace=False)]
+        states += [np.array([0.0, 0.0]), states[0].copy()]
+        self._check_warm_equals_fresh(build, states, ds.n_actions, remaining=12, budget=16)
+
+    def test_planning_toy_decisions_on_a_warm_memo_equal_fresh_ones(self):
+        ds, build = planning_toy_context(horizon=10)
+        states = [np.array(EVAL_START, dtype=np.float64), np.array([1.0, 1.0])]
+        states += [ds.transitions[i].x for i in (0, 3, 5)]
+        self._check_warm_equals_fresh(build, states, ds.n_actions, remaining=10, budget=24)
+
+    @pytest.mark.parametrize("np_error", [(0.5, 0.0), "unsupported"])
+    def test_exploration_constant_is_the_largest_finite_step_error(self, np_error):
+        ctx = StubContext(
+            {("*", 0, NONPARAMETRIC): np_error, ("*", 0, PARAMETRIC): (0.3, 0.1)},
+            unit_bound(),
+        )
+        want = (0.3 if np_error == "unsupported" else 0.5) / math.sqrt(2.0)
+        cfg = SelectorConfig(mode="mcts", mcts_budget=8)
+        for _ in range(2):  # a fresh memo, then a warm one
+            trace = []
+            mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(0),
+                        remaining=4, trace=trace)
+            assert {c["model"] for c in trace[0]["children"]} == {NONPARAMETRIC, PARAMETRIC}
+            assert trace[0]["c_e"] == want
+
+    def test_each_simulated_step_draws_one_uniform(self):
+        # memo hits and misses alike take the next action from one draw of
+        # the decision's generator, as `Policy.sample` would
+        ds, build, _ = windy_parts(eval_eps=0.3)
+        ctx = build()
+        steps = []
+        successor = ctx.successor
+        ctx.successor = lambda *args: steps.append(args) or successor(*args)
+        for x in (ds.transitions[0].x, ds.transitions[0].x, ds.transitions[7].x):
+            steps.clear()
+            rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+            mcts_select(ctx, x, 1, SelectorConfig(mode="mcts", mcts_budget=16), rng,
+                        remaining=10)
+            ref.random(len(steps))
+            assert steps and rng.bit_generator.state == ref.bit_generator.state
+
+    def test_greedy_memo_equals_greedy_select_on_a_fresh_context(self):
+        ds, build, _ = windy_parts()
+        ctx = build()
+        rng = np.random.default_rng(5)
+        for query, x in TestEstimateMemo._queries(ds, rng):
+            key = np.asarray(query, dtype=np.float64).tobytes()
+            for a in range(ds.n_actions):
+                assert ctx.greedy(query, key, a) == greedy_select(build(), x, a)
+
+    def test_memoised_next_states_are_read_only(self):
+        ds, build, _ = windy_parts()
+        ctx = build()
+        x = ds.transitions[0].x
+        for kind in (NONPARAMETRIC, PARAMETRIC):
+            succ = ctx.successor(kind, x, x.tobytes(), 0)
+            assert succ.key == succ.state.tobytes()
+            with pytest.raises(ValueError):
+                succ.state[0] = 99.0
+        run = _MctsRun(ctx, horizon=8, rng=np.random.default_rng(2))
+        root = run.root(x, 0)
+        for _ in range(8):
+            leaf = run.tree_policy(root)
+            run.backup(leaf, run.default_policy(leaf))
+        assert root.children
+        for child in root.children:
+            with pytest.raises(ValueError):
+                child.state += 1.0
+
+
 class TestEstimateMemo:
     """`SelectionContext.estimate` memoizes per (expert, state bytes,
     action).  Every answer must equal a fresh context's (empty memo) and the
@@ -344,35 +480,7 @@ class TestEstimateMemo:
 
     @staticmethod
     def _windy(use_true_errors=False):
-        cfg = Windy2DConfig()
-        env = make_windy2d(cfg)
-        behavior = make_eps_greedy(windy_eval_policy(cfg), 0.3)
-        trajs, _ = generate_trajectories(env, behavior, 12, seed=3)
-        ds = Dataset.from_trajectories(trajs, env.n_actions)
-        m = Metric.euclidean(2)
-        model = windy_no_wind_model(cfg)
-        lips, residuals = context_scans(ds, model, m)
-        radius = choose_radius(residuals[0], lips.l_t)
-
-        def build():
-            return SelectionContext(
-                model, NonparametricModel(ds, m), ds, m, radius,
-                BoundParams(lips.l_t, lips.l_r, 1.0), windy_eval_policy(cfg),
-                true_step=env.step, is_terminal=env.is_terminal,
-                use_true_errors=use_true_errors, global_lips=lips,
-                residuals=residuals,
-            )
-
-        def direct(kind, x, a):
-            if use_true_errors:
-                true_next, true_r = env.step(x, a)
-                pred_next, pred_r = build().model(kind).predict(x, a)
-                return ErrorEstimate(m.distance(true_next, pred_next), abs(true_r - pred_r))
-            if kind == NONPARAMETRIC:
-                return np_error_estimate(ds, x, a, radius, m, fallback=lips)
-            return p_error_estimate(ds, x, a, radius, m, residuals)
-
-        return ds, build, direct
+        return windy_parts(use_true_errors)
 
     @staticmethod
     def _queries(ds, rng):
@@ -433,10 +541,7 @@ class TestExpertSets:
     def test_mcts_nodes_at_a_single_expert_action_have_one_child(self):
         ctx = self._context()
         run = _MctsRun(ctx, horizon=8, rng=np.random.default_rng(6))
-        root = PlanNode(
-            state=np.array([3.0, 2.0]), action=2, model_choice="root", tau=0,
-            delta=0.0, delta_g=0.0,
-        )
+        root = run.root(np.array([3.0, 2.0]), 2)
         for _ in range(24):
             leaf = run.tree_policy(root)
             run.backup(leaf, run.default_policy(leaf))
