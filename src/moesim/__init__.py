@@ -37,14 +37,11 @@ from .models import (
     MLPModel,
     NonparametricModel,
     NoSupportError,
-    ParametricFitConfig,
     RidgePerActionModel,
-    fit_parametric,
 )
 from .selection import (
     PlanNode,
     SelectionContext,
-    SelectorConfig,
     greedy_select,
     mcts_select,
 )
@@ -82,12 +79,9 @@ __all__ = [
     "MLPModel",
     "NonparametricModel",
     "NoSupportError",
-    "ParametricFitConfig",
     "RidgePerActionModel",
-    "fit_parametric",
     "PlanNode",
     "SelectionContext",
-    "SelectorConfig",
     "greedy_select",
     "mcts_select",
     "SimConfig",

@@ -24,9 +24,8 @@ from .core import read_dataset_csv, write_dataset_csv
 from .envs.base import behavior_prob_table
 from .experiments import (
     ConfigError,
-    build_env,
-    build_parametric,
     emit_error_maps,
+    fit_parametric,
     generate_batch,
     run_experiment,
     validate_config,
@@ -69,8 +68,7 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     ds, _ = read_dataset_csv(args.data)
     if cfg["model"]["kind"] == "env_analytic":
         raise ConfigError("model.kind: analytic models have no parameters to fit")
-    _, handle = build_env(cfg["env"])
-    model = build_parametric(cfg, ds, handle)
+    model = fit_parametric(ds, cfg["model"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "model.json"

@@ -18,7 +18,6 @@ from ..core import ActionId, Dataset, Policy, StateVec
 from .base import Environment
 
 TORQUES = (-1.0, 0.0, 1.0)
-ACTION_LABELS = ("torque-", "torque0", "torque+")
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ def make_acrobot(cfg: AcrobotConfig | None = None) -> Environment:
         sample_initial=sample_initial,
         is_terminal=lambda x: tip_height(x) >= cfg.goal_height,
         is_terminal_many=lambda X: tip_heights(X) >= cfg.goal_height,
-        action_labels=ACTION_LABELS,
     )
 
 

@@ -31,21 +31,21 @@ class Environment:
     step: Callable[[StateVec, ActionId], tuple[StateVec, float]]
     sample_initial: Callable[[np.random.Generator], StateVec]
     is_terminal: Callable[[StateVec], bool] | None = None
-    action_labels: tuple[str, ...] | None = None
     is_terminal_many: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def rollout_with_probs(
     env: Environment,
     policy: Policy,
+    x0: StateVec,
+    horizon: int,
     rng: np.random.Generator,
-    x0: StateVec | None = None,
-    horizon: int | None = None,
     traj_id: int = 0,
 ) -> tuple[Trajectory, np.ndarray]:
-    """One rollout plus the logged probability of each sampled action."""
-    horizon = env.horizon if horizon is None else horizon
-    x = np.array(x0 if x0 is not None else env.sample_initial(rng), dtype=np.float64)
+    """Roll the true environment forward from x0 under the policy for at
+    most `horizon` steps, stopping at a terminal state: the trajectory and
+    the probability of each sampled action."""
+    x = np.array(x0, dtype=np.float64)
     transitions = []
     probs = []
     reached = False
@@ -77,8 +77,8 @@ def generate_trajectories(
     all_probs = []
     for i in range(n):
         rng = np.random.default_rng([seed, i])
-        x0 = None if starts is None else starts[i % len(starts)]
-        traj, probs = rollout_with_probs(env, policy, rng, x0=x0, traj_id=i)
+        x0 = env.sample_initial(rng) if starts is None else starts[i % len(starts)]
+        traj, probs = rollout_with_probs(env, policy, x0, env.horizon, rng, traj_id=i)
         trajectories.append(traj)
         all_probs.append(probs)
     return trajectories, all_probs

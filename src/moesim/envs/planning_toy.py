@@ -18,7 +18,6 @@ from .base import Environment
 
 RIGHT_ACTION = 0  # "r"
 DIAG_ACTION = 1  # "d"
-ACTION_LABELS = ("r", "d")
 
 BEHAVIOR_STARTS = (np.array([0.0, 0.0]), np.array([1.0, 0.0]))
 EVAL_START = np.array([0.0, 0.0])
@@ -78,5 +77,4 @@ def make_planning_toy(horizon: int) -> Environment:
         step=lambda x, a: planning_toy_step(x, a),
         sample_initial=lambda rng: EVAL_START.copy(),
         is_terminal=None,
-        action_labels=ACTION_LABELS,
     )

@@ -31,7 +31,6 @@ _UNIT = {
     LEFT: np.array([-1.0, 0.0]),
     RIGHT: np.array([1.0, 0.0]),
 }
-ACTION_LABELS = ("up", "down", "left", "right")
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ def make_windy2d(cfg: Windy2DConfig | None = None) -> Environment:
         step=lambda x, a: windy2d_step(cfg, x, a),
         sample_initial=sample_initial,
         is_terminal=lambda x: in_goal(cfg, x),
-        action_labels=ACTION_LABELS,
     )
 
 

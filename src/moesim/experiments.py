@@ -47,12 +47,12 @@ from .errors import InsufficientPairsError, LipschitzEstimates
 from .models import (
     NONPARAMETRIC,
     PARAMETRIC,
+    DynamicsModel,
+    MLPModel,
     NonparametricModel,
-    NoSupportError,
-    ParametricFitConfig,
-    fit_parametric,
+    RidgePerActionModel,
 )
-from .selection import SelectionContext, SelectorConfig, greedy_select
+from .selection import SelectionContext, greedy_select
 from .simulator import SimConfig, rollout_policy, simulate_value, trajectory_error
 from .simulator import evaluate_policy_true
 
@@ -91,11 +91,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kind": {"enum": ["windy2d", "planning_toy", "acrobot", "ode"]},
                 "horizon": {"type": "integer", "minimum": 1},
-                "wind_slope": {"type": "number", "minimum": 0},
-                "step_size": {"type": "number", "exclusiveMinimum": 0},
-                "goal_box": {"type": "array"},
-                "start_box": {"type": "array"},
-                "goal_height": {"type": "number"},
                 "height_filter": {"type": ["number", "null"]},
                 "spec_path": {"type": "string"},
             },
@@ -243,34 +238,18 @@ def validate_config(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _box(value, fallback):
-    if value is None:
-        return fallback
-    (x0, x1), (y0, y1) = value
-    return ((float(x0), float(x1)), (float(y0), float(y1)))
-
-
 def build_env(env_cfg: dict):
     """Returns (environment, env handle) where the handle keeps whatever the
     scripted policies and analytic models need (configs, specs)."""
     kind = env_cfg["kind"]
     if kind == "windy2d":
-        cfg = Windy2DConfig(
-            step_size=env_cfg.get("step_size", 1.0),
-            wind_slope=env_cfg.get("wind_slope", 0.03),
-            goal_box=_box(env_cfg.get("goal_box"), Windy2DConfig().goal_box),
-            start_box=_box(env_cfg.get("start_box"), Windy2DConfig().start_box),
-            horizon=env_cfg.get("horizon", 60),
-        )
+        cfg = Windy2DConfig(horizon=env_cfg.get("horizon", 60))
         return make_windy2d(cfg), cfg
     if kind == "planning_toy":
         horizon = env_cfg.get("horizon", 16)
         return make_planning_toy(horizon), horizon
     if kind == "acrobot":
-        cfg = AcrobotConfig(
-            goal_height=env_cfg.get("goal_height", 1.0),
-            horizon=env_cfg.get("horizon", 300),
-        )
+        cfg = AcrobotConfig(horizon=env_cfg.get("horizon", 300))
         return make_acrobot(cfg), cfg
     if kind == "ode":
         spec = ODESpec.from_json(env_cfg["spec_path"])
@@ -333,10 +312,24 @@ def build_behavior_policy(cfg: dict, env: Environment, handle, eval_policy: Poli
     return make_eps_greedy(eval_policy, beh["eps"], trigger=trigger)
 
 
-def build_parametric(cfg: dict, dataset: Dataset, handle):
+def fit_parametric(ds: Dataset, model_cfg: dict) -> DynamicsModel:
+    """Fit the learned expert that a validated `model` section of kind
+    "ridge" or "mlp" describes, on every transition of `ds`."""
+    if len(ds) == 0:
+        raise ValueError("cannot fit a parametric model on an empty dataset")
+    if model_cfg["kind"] == "ridge":
+        lam = model_cfg.get("ridge_lambda", 1e-6)
+        return RidgePerActionModel(ds.dim, ds.n_actions, lam).fit(ds)
+    model = MLPModel(
+        ds.dim, ds.n_actions, model_cfg.get("hidden", 64), model_cfg.get("layers", 1),
+        seed=model_cfg.get("seed", 0),
+    )
+    return model.fit(ds, model_cfg.get("epochs", 2000), model_cfg.get("learning_rate", 0.05))
+
+
+def build_parametric(cfg: dict, dataset: Dataset, handle) -> DynamicsModel:
     model_cfg = cfg["model"]
-    kind = model_cfg["kind"]
-    if kind == "env_analytic":
+    if model_cfg["kind"] == "env_analytic":
         env_kind = cfg["env"]["kind"]
         if env_kind == "windy2d":
             return windy_no_wind_model(handle)
@@ -345,22 +338,7 @@ def build_parametric(cfg: dict, dataset: Dataset, handle):
                 model_cfg.get("reward_variant", "accurate")
             )
         raise ConfigError(f"model.kind: no analytic model for env {env_kind!r}")
-    if kind == "ridge":
-        fit_cfg = ParametricFitConfig(
-            learner="ridge_per_action",
-            ridge_lambda=model_cfg.get("ridge_lambda", 1e-6),
-            seed=model_cfg.get("seed", 0),
-        )
-        return fit_parametric(dataset, fit_cfg)
-    fit_cfg = ParametricFitConfig(
-        learner="mlp",
-        mlp_hidden=model_cfg.get("hidden", 64),
-        mlp_layers=model_cfg.get("layers", 1),
-        mlp_epochs=model_cfg.get("epochs", 2000),
-        mlp_learning_rate=model_cfg.get("learning_rate", 0.05),
-        seed=model_cfg.get("seed", 0),
-    )
-    return fit_parametric(dataset, fit_cfg)
+    return fit_parametric(dataset, model_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +476,13 @@ def run_repetition(cfg: dict, rep: int) -> dict:
         forced = {"p": PARAMETRIC, "np": NONPARAMETRIC}.get(name)
         mode = "mcts" if name.startswith("mcts") else "greedy"
         ctx = ctx_true if name.endswith("_true") else ctx_est
-        sel = SelectorConfig(mode=mode, mcts_budget=budget)
         trace = [] if (cfg["mcts_trace"] and mode == "mcts") else None
         with _stage(rep, f"estimator {name}"):
             estimate = simulate_value(
                 ctx,
                 SimConfig(
                     n_rollouts=sim_cfg["n_rollouts"], horizon=horizon, gamma=gamma,
-                    selector=sel, seed=derive_seed(cfg["seed"], rep, 3),
+                    mode=mode, mcts_budget=budget, seed=derive_seed(cfg["seed"], rep, 3),
                 ),
                 initial_states=initial_override,
                 forced_model=forced,
@@ -659,7 +636,7 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     if build_env(cfg["env"])[0].dim != 2:
         raise ConfigError("env.kind: error maps need a 2-D environment")
     batch, ctx = build_context(cfg, 0)
-    env = batch.env
+    env, oracle = batch.env, ctx.oracle()
 
     (x_lo, x_hi) = grid["x_range"]
     (y_lo, y_hi) = grid["y_range"]
@@ -670,7 +647,7 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
             x = np.array([x0, x1])
             for a in range(env.n_actions):
                 if ctx.available_models(a):
-                    rows.append(_map_row(ctx, env, x, a))
+                    rows.append(_map_row(ctx, oracle, x, a))
     with Path(out_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MAP_HEADER.split(","))
@@ -686,20 +663,9 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     return rows
 
 
-def _true_error(ctx: SelectionContext, kind: str, x: np.ndarray, a: int, true_next) -> float:
-    """Actual one-step state error of one expert; inf where it has no
-    prediction for action a."""
-    try:
-        pred_next, _ = ctx.model(kind).predict(x, a)
-    except NoSupportError:
-        return math.inf
-    return ctx.metric.distance(true_next, pred_next)
-
-
-def _map_row(ctx: SelectionContext, env, x: np.ndarray, a: int) -> dict:
-    true_next, _ = env.step(x, a)
-    true_np = _true_error(ctx, NONPARAMETRIC, x, a, true_next)
-    true_p = _true_error(ctx, PARAMETRIC, x, a, true_next)
+def _map_row(ctx: SelectionContext, oracle: SelectionContext, x: np.ndarray, a: int) -> dict:
+    true_np = oracle.estimate(NONPARAMETRIC, x, a).eps_t
+    true_p = oracle.estimate(PARAMETRIC, x, a).eps_t
     est_np = ctx.estimate(NONPARAMETRIC, x, a)
     est_p = ctx.estimate(PARAMETRIC, x, a)
     selected = greedy_select(ctx, x, a)

@@ -94,38 +94,6 @@ class FunctionModel(DynamicsModel):
         return np.asarray(self._f_t(x, a), dtype=np.float64), float(self._f_r(x, a))
 
 
-@dataclass(frozen=True)
-class ParametricFitConfig:
-    """How to fit the learned expert.
-
-    learner:       "ridge_per_action" or "mlp"
-    ridge_lambda:  L2 penalty on non-intercept weights (0 = plain least squares)
-    mlp_hidden:    hidden width (per layer)
-    mlp_layers:    1 or 2 hidden layers, tanh activations
-    mlp_epochs:    full-batch gradient-descent epochs
-    mlp_learning_rate: step size
-    seed:          weight-initialization seed
-    """
-
-    learner: str = "ridge_per_action"
-    ridge_lambda: float = 0.0
-    mlp_hidden: int = 64
-    mlp_layers: int = 1
-    mlp_epochs: int = 2000
-    mlp_learning_rate: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.learner not in ("ridge_per_action", "mlp"):
-            raise ValueError(f"unknown learner {self.learner!r}")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be nonnegative")
-        if self.mlp_hidden < 1 or self.mlp_layers not in (1, 2):
-            raise ValueError("mlp_hidden must be >= 1 and mlp_layers 1 or 2")
-        if self.mlp_learning_rate <= 0:
-            raise ValueError("mlp_learning_rate must be positive")
-
-
 class RidgePerActionModel(DynamicsModel):
     """Independent ridge regressions of [x_next, r] on x, one set per action,
     with an unpenalized intercept.  Actions absent from the training data are
@@ -296,7 +264,9 @@ def mlp_gradient(params: MLPParams, X: np.ndarray, Y: np.ndarray) -> MLPParams:
 
 
 class MLPModel(DynamicsModel):
-    """One shared tanh network over [x, one-hot(a)] predicting [x_next, r].
+    """One shared tanh network over [x, one-hot(a)] predicting [x_next, r],
+    with `layers` (1 or 2) hidden layers of `hidden` units whose initial
+    weights are drawn from `seed`.
 
     Only actions seen during training are considered fitted; querying an
     unseen action raises rather than silently extrapolating the one-hot.
@@ -304,14 +274,14 @@ class MLPModel(DynamicsModel):
 
     kind = PARAMETRIC
 
-    def __init__(self, dim: int, n_actions: int, cfg: "ParametricFitConfig"):
+    def __init__(self, dim: int, n_actions: int, hidden: int, layers: int, seed: int = 0):
         self.dim = dim
         self.n_actions = n_actions
-        self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
-        self.params = mlp_init(
-            dim + n_actions, dim + 1, cfg.mlp_hidden, cfg.mlp_layers, rng
-        )
+        self.hidden = hidden
+        self.layers = layers
+        self.seed = seed
+        rng = np.random.default_rng(seed)
+        self.params = mlp_init(dim + n_actions, dim + 1, hidden, layers, rng)
         self.fitted_actions: set[int] = set()
 
     def _encode(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -319,7 +289,8 @@ class MLPModel(DynamicsModel):
         onehot[np.arange(len(A)), A] = 1.0
         return np.column_stack([X, onehot])
 
-    def fit(self, ds: Dataset) -> "MLPModel":
+    def fit(self, ds: Dataset, epochs: int, learning_rate: float) -> "MLPModel":
+        """`epochs` full-batch gradient-descent steps of size `learning_rate`."""
         X = np.stack([tr.x for tr in ds.transitions])
         A = np.array([tr.a for tr in ds.transitions])
         Y = np.column_stack(
@@ -327,13 +298,12 @@ class MLPModel(DynamicsModel):
              np.array([tr.r for tr in ds.transitions])]
         )
         inputs = self._encode(X, A)
-        lr = self.cfg.mlp_learning_rate
-        for _ in range(self.cfg.mlp_epochs):
+        for _ in range(epochs):
             g = mlp_gradient(self.params, inputs, Y)
             for w, gwi in zip(self.params.weights, g.weights):
-                w -= lr * gwi
+                w -= learning_rate * gwi
             for b, gbi in zip(self.params.biases, g.biases):
-                b -= lr * gbi
+                b -= learning_rate * gbi
         self.fitted_actions = set(int(a) for a in np.unique(A))
         return self
 
@@ -354,9 +324,9 @@ class MLPModel(DynamicsModel):
             "learner": "mlp",
             "dim": self.dim,
             "n_actions": self.n_actions,
-            "hidden": self.cfg.mlp_hidden,
-            "layers": self.cfg.mlp_layers,
-            "seed": self.cfg.seed,
+            "hidden": self.hidden,
+            "layers": self.layers,
+            "seed": self.seed,
             "weights": [w.tolist() for w in self.params.weights],
             "biases": [b.tolist() for b in self.params.biases],
             "fitted_actions": sorted(self.fitted_actions),
@@ -366,28 +336,16 @@ class MLPModel(DynamicsModel):
     @staticmethod
     def from_json(text: str) -> "MLPModel":
         payload = json.loads(text)
-        cfg = ParametricFitConfig(
-            learner="mlp",
-            mlp_hidden=payload["hidden"],
-            mlp_layers=payload["layers"],
-            seed=payload["seed"],
+        model = MLPModel(
+            payload["dim"], payload["n_actions"], payload["hidden"], payload["layers"],
+            payload["seed"],
         )
-        model = MLPModel(payload["dim"], payload["n_actions"], cfg)
         model.params = MLPParams(
             [np.array(w) for w in payload["weights"]],
             [np.array(b) for b in payload["biases"]],
         )
         model.fitted_actions = set(payload["fitted_actions"])
         return model
-
-
-def fit_parametric(ds: Dataset, cfg: ParametricFitConfig) -> DynamicsModel:
-    """Fit the learned expert on a dataset according to the config."""
-    if len(ds) == 0:
-        raise ValueError("cannot fit a parametric model on an empty dataset")
-    if cfg.learner == "ridge_per_action":
-        return RidgePerActionModel(ds.dim, ds.n_actions, cfg.ridge_lambda).fit(ds)
-    return MLPModel(ds.dim, ds.n_actions, cfg).fit(ds)
 
 
 def model_to_json(model: DynamicsModel) -> str:

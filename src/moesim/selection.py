@@ -35,26 +35,6 @@ class ModelUnusableError(RuntimeError):
     """Neither expert can simulate the requested (state, action)."""
 
 
-@dataclass(frozen=True)
-class SelectorConfig:
-    """Knobs for the per-step model choice.
-
-    mode:        "greedy" or "mcts"
-    mcts_budget: rollouts per UCT decision; the planner always looks ahead
-                 to the end of the simulated trajectory, and its randomness
-                 is the rollout's generator
-    """
-
-    mode: str = "greedy"
-    mcts_budget: int = 128
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("greedy", "mcts"):
-            raise ValueError(f"unknown selection mode {self.mode!r}")
-        if self.mcts_budget < 1:
-            raise ValueError("mcts_budget must be >= 1")
-
-
 class Successor(NamedTuple):
     """One simulated step of (state, action) by one expert, as the planner
     reads it: the expert's error estimate (and whether its `eps_t` is
@@ -276,8 +256,6 @@ class PlanNode:
     tau: int
     delta: float
     delta_g: float
-    eps_t: float = 0.0
-    eps_r: float = 0.0
     parent: "PlanNode | None" = None
     visits: int = 0
     total_value: float = 0.0
@@ -335,13 +313,20 @@ class _MctsRun:
         successor, the policy's next action, and the bounds rolled forward
         to tau + 1, delta' = l_t * delta + eps_t and
         delta_g' = delta_g + gamma^(tau+1) * (eps_r + l_r * delta').  A
-        finite eps_t raises the exploration constant's running maximum."""
+        finite eps_t raises the exploration constant's running maximum.
+
+        An unsupported step (infinite errors) makes both bounds infinite
+        for the rest of the path; they are set rather than computed, since
+        a zero l_t or l_r times an infinite error is NaN, and a NaN value
+        would never win `uct_child`."""
         succ = self.ctx.successor(kind, state, key, action)
         est = succ.estimate
         if succ.finite:
             self.max_eps_t = max(self.max_eps_t, est.eps_t)
         next_action = Policy.choose(succ.probs, self.rng.random())
         tau += 1
+        if not succ.finite or delta_g == math.inf:
+            return succ, next_action, tau, math.inf, math.inf
         bound = self.ctx.bound
         delta = bound.l_t * delta + est.eps_t
         delta_g = delta_g + bound.gamma**tau * (est.eps_r + bound.l_r * delta)
@@ -367,8 +352,6 @@ class _MctsRun:
             tau=tau,
             delta=delta,
             delta_g=delta_g,
-            eps_t=succ.estimate.eps_t,
-            eps_r=succ.estimate.eps_r,
             parent=node,
         )
         node.children.append(child)
@@ -415,7 +398,7 @@ def mcts_select(
     ctx: SelectionContext,
     x: StateVec,
     a: ActionId,
-    cfg: SelectorConfig,
+    budget: int,
     rng: np.random.Generator,
     remaining: int,
     trace: list | None = None,
@@ -423,7 +406,7 @@ def mcts_select(
     """Plan the model choice for simulating (x, a) by UCT search.
 
     Plans `remaining` steps ahead, the rest of the simulated trajectory,
-    with `cfg.mcts_budget` rollouts that draw the evaluation policy's
+    with `budget` rollouts that draw the evaluation policy's
     actions from `rng`.  Builds a fresh binary tree per decision.  Each
     expansion applies the chosen expert's transition and the evaluation
     policy to produce the child (state, action), scores the step's error,
@@ -435,7 +418,7 @@ def mcts_select(
     """
     run = _MctsRun(ctx, remaining, rng)
     root = run.root(x, a)
-    for _ in range(cfg.mcts_budget):
+    for _ in range(budget):
         leaf = run.tree_policy(root)
         value = run.default_policy(leaf)
         run.backup(leaf, value)

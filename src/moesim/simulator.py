@@ -15,23 +15,27 @@ from typing import Sequence
 import numpy as np
 
 from .core import Metric, Policy, StateVec, Trajectory, Transition, trajectory_return
+from .envs.base import rollout_with_probs
 from .models import NONPARAMETRIC, PARAMETRIC, NoSupportError
-from .selection import (
-    SelectionContext,
-    SelectorConfig,
-    greedy_select,
-    mcts_select,
-)
+from .selection import SelectionContext, greedy_select, mcts_select
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Rollout count, horizon, discount, selection config, master seed."""
+    """Rollout count, horizon, discount, the per-step model choice, and the
+    master seed.
+
+    mode:        "greedy" or "mcts"
+    mcts_budget: rollouts per UCT decision; the planner always looks ahead
+                 to the end of the simulated trajectory, and its randomness
+                 is the rollout's generator
+    """
 
     n_rollouts: int
     horizon: int
     gamma: float
-    selector: SelectorConfig = field(default_factory=SelectorConfig)
+    mode: str = "greedy"
+    mcts_budget: int = 128
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -39,6 +43,10 @@ class SimConfig:
             raise ValueError("n_rollouts and horizon must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
+        if self.mode not in ("greedy", "mcts"):
+            raise ValueError(f"unknown selection mode {self.mode!r}")
+        if self.mcts_budget < 1:
+            raise ValueError("mcts_budget must be >= 1")
 
 
 @dataclass
@@ -103,9 +111,9 @@ def simulate_value(
             a = ctx.policy.sample(x, rng)
             if forced_model is not None:
                 kind = forced_model
-            elif cfg.selector.mode == "mcts":
+            elif cfg.mode == "mcts":
                 kind = mcts_select(
-                    ctx, x, a, cfg.selector, rng=rng,
+                    ctx, x, a, cfg.mcts_budget, rng=rng,
                     remaining=cfg.horizon - t, trace=mcts_trace,
                 )
             else:
@@ -179,18 +187,7 @@ def rollout_policy(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Roll the true environment forward from x0 under the policy."""
-    x = np.array(x0, dtype=np.float64)
-    transitions = []
-    reached = False
-    for t in range(horizon):
-        a = policy.sample(x, rng)
-        x_next, r = env.step(x, a)
-        transitions.append(Transition(x, a, r, x_next, traj_id=0, t=t))
-        x = x_next
-        if env.is_terminal is not None and env.is_terminal(x):
-            reached = True
-            break
-    return Trajectory(tuple(transitions), terminated=reached)
+    return rollout_with_probs(env, policy, x0, horizon, rng)[0]
 
 
 def evaluate_policy_true(

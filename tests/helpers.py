@@ -134,15 +134,17 @@ def state_error_closed_form(eps_t_seq, p, t):
     return sum((p.l_t**k) * eps_t_seq[t - k - 1] for k in range(t))
 
 
-def path_error_sequences(node):
+def path_error_sequences(ctx, node):
     """(eps_t, eps_r) pairs along a plan node's root-to-node path, root
-    excluded."""
+    excluded: each node's step is its expert's estimate at its parent's
+    (state, action)."""
     eps_t = []
     eps_r = []
     cur = node
     while cur is not None and cur.model_choice != "root":
-        eps_t.append(cur.eps_t)
-        eps_r.append(cur.eps_r)
+        est = ctx.estimate(cur.model_choice, cur.parent.state, cur.parent.action)
+        eps_t.append(est.eps_t)
+        eps_r.append(est.eps_r)
         cur = cur.parent
     return eps_t[::-1], eps_r[::-1]
 

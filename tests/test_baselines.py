@@ -13,7 +13,7 @@ from moesim.baselines import (
 from moesim.core import Dataset, Metric, Policy, Trajectory, Transition, trajectory_return
 from moesim.envs import AcrobotConfig, acrobot_heuristic_policy, make_acrobot, make_eps_greedy
 from moesim.envs.base import generate_trajectories, rollout_with_probs
-from moesim.models import FunctionModel, ParametricFitConfig, fit_parametric
+from moesim.models import FunctionModel, RidgePerActionModel
 
 
 from helpers import DeterministicMDP, eps_greedy_of
@@ -210,10 +210,8 @@ class TestValueFunctionMemo:
         eval_policy = make_eps_greedy(acrobot_heuristic_policy(), 0.1)
         behavior = make_eps_greedy(acrobot_heuristic_policy(), 0.3)
         trajs, probs = generate_trajectories(env, behavior, 3, seed=2)
-        model = fit_parametric(
-            Dataset.from_trajectories(trajs, env.n_actions),
-            ParametricFitConfig(ridge_lambda=1e-3),
-        )
+        ds = Dataset.from_trajectories(trajs, env.n_actions)
+        model = RidgePerActionModel(ds.dim, ds.n_actions, 1e-3).fit(ds)
 
         def fresh():
             return ModelValueFunctions(

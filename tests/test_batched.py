@@ -30,12 +30,7 @@ from moesim.envs.acrobot import tip_heights
 from moesim.envs.base import generate_trajectories
 from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
 from moesim.experiments import build_eval_policy
-from moesim.models import (
-    NoSupportError,
-    ParametricFitConfig,
-    RidgePerActionModel,
-    fit_parametric,
-)
+from moesim.models import MLPModel, NoSupportError, RidgePerActionModel
 
 PROPERTY = settings(max_examples=60, deadline=None)
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -113,8 +108,7 @@ def fitted_mlp():
     env = make_windy2d()
     trajs, _ = generate_trajectories(env, windy_behavior_policy(Windy2DConfig()), 2, seed=4)
     ds = Dataset.from_trajectories(trajs, env.n_actions)
-    cfg = ParametricFitConfig(learner="mlp", mlp_hidden=8, mlp_epochs=20, seed=1)
-    return fit_parametric(ds, cfg)
+    return MLPModel(ds.dim, ds.n_actions, 8, 1, seed=1).fit(ds, 20, 0.05)
 
 
 @PROPERTY
@@ -256,9 +250,8 @@ def acrobot_batch():
     env = make_acrobot(AcrobotConfig(horizon=HORIZON))
     behavior = make_eps_greedy(acrobot_heuristic_policy(), 0.3)
     trajs, probs = generate_trajectories(env, behavior, 4, seed=3)
-    model = fit_parametric(
-        Dataset.from_trajectories(trajs, env.n_actions), ParametricFitConfig(ridge_lambda=1e-6)
-    )
+    ds = Dataset.from_trajectories(trajs, env.n_actions)
+    model = RidgePerActionModel(ds.dim, ds.n_actions, 1e-6).fit(ds)
     starts = np.array([tr.x for traj in trajs for tr in traj.transitions])
     return trajs, probs, model, starts
 

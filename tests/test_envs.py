@@ -253,7 +253,7 @@ class TestEpsGreedy:
         env = make_windy2d(cfg)
         pol = make_eps_greedy(windy_eval_policy(cfg), 0.3)
         rng = np.random.default_rng(2)
-        traj, probs = rollout_with_probs(env, pol, rng)
+        traj, probs = rollout_with_probs(env, pol, env.sample_initial(rng), env.horizon, rng)
         for tr, pb in zip(traj.transitions, probs):
             assert pb == pytest.approx(pol.probs(tr.x)[tr.a], abs=0)
 

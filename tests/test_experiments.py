@@ -1,6 +1,7 @@
 """Experiment orchestration, reports, error maps, and the CLI."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -269,6 +270,27 @@ class TestCLI:
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["aggregates"]) == set(cfg["estimators"])
 
+    @pytest.mark.parametrize(
+        "model, sha256",
+        [
+            ({"kind": "ridge"},
+             "b85736f48f95a7cf50a99e23a3ba5c85d3c5f252c5deed6d43bda81181c29a70"),
+            ({"kind": "mlp", "hidden": 6, "layers": 2, "epochs": 30, "seed": 4},
+             "50bfc29a4848e106ad14c41587f2edefee6d1a06ead05a4082b721c0f367c8e3"),
+        ],
+        ids=["ridge", "mlp"],
+    )
+    def test_fit_writes_the_pinned_model_json(self, tmp_path, model, sha256):
+        # the model section's defaults and the JSON payload, byte for byte
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(model=model)))
+        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert cli_main([
+            "fit", "--config", str(cfg_path), "--data", str(tmp_path / "dataset.csv"),
+            "--out", str(tmp_path),
+        ]) == 0
+        assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == sha256
+
     def test_generated_dataset_is_the_builders(self, tmp_path):
         cfg = tiny_config()
         cfg_path = tmp_path / "cfg.json"
@@ -306,11 +328,24 @@ class TestCLI:
             ("model", {"kind": "env_analytic", "ridge_lamda": 0.1}),
             ("sim", {"n_rollouts": 2, "horizon": 40, "gamma": 1.0, "seed": 1}),
             ("bound", {"lt": 1.0}),
+            ("env", {"kind": "windy2d", "wind_slope": 0.1}),
+            ("env", {"kind": "windy2d", "step_size": 0.5}),
+            ("env", {"kind": "windy2d", "goal_box": [[9, 12], [9, 12]]}),
+            ("env", {"kind": "windy2d", "start_box": [[0, 1], [0, 1]]}),
+            ("env", {"kind": "windy2d", "goal_height": 1.0}),
+            ("model", {"kind": "mlp", "layers": 3}),
+            ("model", {"kind": "ridge", "ridge_lambda": -1}),
+            ("model", {"kind": "mlp", "learning_rate": 0}),
+            ("model", {"kind": "forest"}),
+            ("selector", {"mcts_budget": 0}),
         ],
         ids=[
             "eps_greedy_without_eps", "trigger_without_threshold", "ode_without_spec",
             "constant_action_without_action", "selector_typo", "selector_horizon",
             "selector_delta_coeff", "model_typo", "sim_unknown_key", "bound_typo",
+            "env_wind_slope", "env_step_size", "env_goal_box", "env_start_box",
+            "env_goal_height", "model_three_layers", "model_negative_ridge_lambda",
+            "model_zero_learning_rate", "model_unknown_kind", "selector_zero_budget",
         ],
     )
     def test_config_mistakes_exit_2(self, tmp_path, section, value):

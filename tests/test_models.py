@@ -16,9 +16,7 @@ from moesim.models import (
     MLPParams,
     NonparametricModel,
     NoSupportError,
-    ParametricFitConfig,
     RidgePerActionModel,
-    fit_parametric,
     mlp_forward,
     mlp_gradient,
     mlp_init,
@@ -48,7 +46,7 @@ def toy_behavior_dataset(horizon=12):
 class TestRidge:
     def test_recovers_exact_linear_shift(self):
         ds = line_dataset()
-        model = fit_parametric(ds, ParametricFitConfig(ridge_lambda=0.0))
+        model = RidgePerActionModel(ds.dim, ds.n_actions, 0.0).fit(ds)
         for q in (0.3, 2.2, 7.9):
             pred, r = model.predict(np.array([q]), 0)
             assert pred[0] == pytest.approx(q + 1.0, abs=1e-8)
@@ -57,7 +55,7 @@ class TestRidge:
     def test_single_transition_interpolates(self):
         tr = Transition(np.array([2.0, -1.0]), 0, 3.5, np.array([0.5, 0.5]), 0, 0)
         ds = Dataset([tr], [tr.x], 2, 1)
-        model = fit_parametric(ds, ParametricFitConfig(ridge_lambda=0.0))
+        model = RidgePerActionModel(ds.dim, ds.n_actions, 0.0).fit(ds)
         pred, r = model.predict(tr.x, 0)
         assert np.allclose(pred, tr.x_next, atol=1e-9)
         assert r == pytest.approx(3.5, abs=1e-9)
@@ -66,7 +64,7 @@ class TestRidge:
         # independent least-squares oracle: solve (A^T A) W = A^T Y directly
         ds = toy_behavior_dataset()
         lam = 0.1
-        model = fit_parametric(ds, ParametricFitConfig(ridge_lambda=lam))
+        model = RidgePerActionModel(ds.dim, ds.n_actions, lam).fit(ds)
         for a in range(2):
             X, Y, R = ds.action_arrays(a)
             A = np.column_stack([X, np.ones(len(X))])
@@ -87,13 +85,13 @@ class TestRidge:
         X = rng.normal(size=(300, 4)) * [1.0, 2.0, 5.0, 9.0]
         transitions = [Transition(X[i], 0, -1.0, 0.9 * X[i], 0, i) for i in range(300)]
         ds = Dataset(transitions, [X[0]], 4, 1)
-        model = fit_parametric(ds, ParametricFitConfig(ridge_lambda=lam))
+        model = RidgePerActionModel(ds.dim, ds.n_actions, lam).fit(ds)
         for q in rng.normal(size=(50, 4)) * 5.0:
             assert model.predict(q, 0)[1] == -1.0
 
     def test_unfitted_action_raises(self):
         ds = line_dataset(n_actions=2)  # action 1 has no data
-        model = fit_parametric(ds, ParametricFitConfig())
+        model = RidgePerActionModel(ds.dim, ds.n_actions, 0.0).fit(ds)
         assert model.fitted(0) and not model.fitted(1)
         with pytest.raises(NoSupportError):
             model.predict(np.array([1.0]), 1)
@@ -109,14 +107,14 @@ class TestRidge:
         queries = rng.normal(size=(50, 2))
         variances = []
         for lam in (1e-3, 1.0, 1e3):
-            model = fit_parametric(ds, ParametricFitConfig(ridge_lambda=lam))
+            model = RidgePerActionModel(ds.dim, ds.n_actions, lam).fit(ds)
             preds = np.array([model.predict(q, 0)[0] for q in queries])
             variances.append(float(preds.var(axis=0).sum()))
         assert variances[0] > variances[1] > variances[2]
 
     def test_serialization_round_trip(self):
         ds = toy_behavior_dataset()
-        model = fit_parametric(ds, ParametricFitConfig(ridge_lambda=0.5))
+        model = RidgePerActionModel(ds.dim, ds.n_actions, 0.5).fit(ds)
         clone = model_from_json(model_to_json(model))
         q = np.array([2.5, 0.5])
         for a in range(2):
@@ -242,10 +240,7 @@ class TestMLPModel:
                 Transition(x, int(rng.integers(2)), float(x.sum()), x * 0.5, 0, i)
             )
         ds = Dataset(transitions, [transitions[0].x], 2, 2)
-        cfg = ParametricFitConfig(
-            learner="mlp", mlp_hidden=16, mlp_epochs=3000, mlp_learning_rate=0.2, seed=1
-        )
-        model = fit_parametric(ds, cfg)
+        model = MLPModel(ds.dim, ds.n_actions, 16, 1, seed=1).fit(ds, 3000, 0.2)
         err = 0.0
         for _ in range(20):
             x = rng.uniform(-1, 1, size=2)
@@ -255,9 +250,8 @@ class TestMLPModel:
 
     def test_deterministic_under_seed(self):
         ds = toy_behavior_dataset()
-        cfg = ParametricFitConfig(learner="mlp", mlp_hidden=8, mlp_epochs=200, seed=3)
-        a = fit_parametric(ds, cfg)
-        b = fit_parametric(ds, cfg)
+        a = MLPModel(ds.dim, ds.n_actions, 8, 1, seed=3).fit(ds, 200, 0.05)
+        b = MLPModel(ds.dim, ds.n_actions, 8, 1, seed=3).fit(ds, 200, 0.05)
         q = np.array([1.5, 0.5])
         pa, ra = a.predict(q, 0)
         pb, rb = b.predict(q, 0)
@@ -265,15 +259,13 @@ class TestMLPModel:
 
     def test_unseen_action_raises(self):
         ds = line_dataset(n_actions=2)
-        cfg = ParametricFitConfig(learner="mlp", mlp_hidden=4, mlp_epochs=50)
-        model = fit_parametric(ds, cfg)
+        model = MLPModel(ds.dim, ds.n_actions, 4, 1).fit(ds, 50, 0.05)
         with pytest.raises(NoSupportError):
             model.predict(np.array([0.0]), 1)
 
     def test_serialization_round_trip(self):
         ds = line_dataset()
-        cfg = ParametricFitConfig(learner="mlp", mlp_hidden=4, mlp_epochs=100, seed=2)
-        model = fit_parametric(ds, cfg)
+        model = MLPModel(ds.dim, ds.n_actions, 4, 1, seed=2).fit(ds, 100, 0.05)
         clone = model_from_json(model_to_json(model))
         q = np.array([1.3])
         assert np.array_equal(clone.predict(q, 0)[0], model.predict(q, 0)[0])
@@ -284,21 +276,9 @@ class TestMLPModel:
 class TestRidgeDeterminism:
     def test_same_config_bit_identical(self):
         ds = toy_behavior_dataset()
-        cfg = ParametricFitConfig(ridge_lambda=0.3, seed=7)
-        a = fit_parametric(ds, cfg)
-        b = fit_parametric(ds, cfg)
+        a = RidgePerActionModel(ds.dim, ds.n_actions, 0.3).fit(ds)
+        b = RidgePerActionModel(ds.dim, ds.n_actions, 0.3).fit(ds)
         q = np.array([4.2, 1.1])
         assert np.array_equal(a.predict(q, 0)[0], b.predict(q, 0)[0])
         assert a.predict(q, 1)[1] == b.predict(q, 1)[1]
 
-
-class TestFitConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ParametricFitConfig(learner="forest")
-        with pytest.raises(ValueError):
-            ParametricFitConfig(ridge_lambda=-1.0)
-        with pytest.raises(ValueError):
-            ParametricFitConfig(mlp_learning_rate=0.0)
-        with pytest.raises(ValueError):
-            ParametricFitConfig(mlp_layers=3)

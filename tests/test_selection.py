@@ -1,11 +1,12 @@
 """Greedy and UCT model selection."""
 
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import context_scans, path_error_sequences
 from moesim.core import Dataset, Metric, Policy, Transition
@@ -32,7 +33,6 @@ from moesim.selection import (
     ModelUnusableError,
     PlanNode,
     SelectionContext,
-    SelectorConfig,
     StepMemo,
     _MctsRun,
     greedy_select,
@@ -137,8 +137,8 @@ class TestMctsBasics:
             {("*", 0, NONPARAMETRIC): (0.0, 0.0), ("*", 0, PARAMETRIC): (0.4, 0.0)},
             unit_bound(),
         )
-        cfg = SelectorConfig(mode="mcts", mcts_budget=32)
-        got = mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(0), remaining=6)
+        budget = 32
+        got = mcts_select(ctx, np.zeros(1), 0, budget, np.random.default_rng(0), remaining=6)
         assert got == NONPARAMETRIC
 
     def test_horizon_one_reduces_to_one_step_comparison(self):
@@ -153,8 +153,8 @@ class TestMctsBasics:
                 {("*", 0, NONPARAMETRIC): np_err, ("*", 0, PARAMETRIC): p_err},
                 BoundParams(1.3, 2.0, 0.9),
             )
-            cfg = SelectorConfig(mode="mcts", mcts_budget=16)
-            got = mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(1), remaining=1)
+            budget = 16
+            got = mcts_select(ctx, np.zeros(1), 0, budget, np.random.default_rng(1), remaining=1)
             score = {
                 NONPARAMETRIC: np_err[1] + 2.0 * np_err[0],
                 PARAMETRIC: p_err[1] + 2.0 * p_err[0],
@@ -167,9 +167,9 @@ class TestMctsBasics:
             ("*", 0, PARAMETRIC): (0.2, 0.07),
         }
         ctx = StubContext(errors, unit_bound())
-        cfg = SelectorConfig(mode="mcts", mcts_budget=25)
+        budget = 25
         a = [
-            mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(9), remaining=4)
+            mcts_select(ctx, np.zeros(1), 0, budget, np.random.default_rng(9), remaining=4)
             for _ in range(3)
         ]
         assert len(set(a)) == 1
@@ -181,8 +181,8 @@ class TestMctsBasics:
         )
         # terminal immediately: the tree cannot expand at all
         ctx.is_terminal = lambda x: True
-        cfg = SelectorConfig(mode="mcts", mcts_budget=4)
-        got = mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(0), remaining=5)
+        budget = 4
+        got = mcts_select(ctx, np.zeros(1), 0, budget, np.random.default_rng(0), remaining=5)
         assert got == PARAMETRIC
 
 
@@ -199,6 +199,47 @@ def depth2_bound(ctx, first, second, horizon=2):
         delta_g = delta_g + bound.gamma**tau * (est.eps_r + bound.l_r * delta)
         x = ctx.model(kind).predict(x, 0)[0]
     return delta_g
+
+
+step_errors = st.one_of(
+    st.just("unsupported"),
+    st.tuples(st.sampled_from([0.0, 0.25, 1.0, 3.5]), st.sampled_from([0.0, 0.5, 2.0])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    l_t=st.sampled_from([0.0, 0.5, 1.0]),
+    l_r=st.sampled_from([0.0, 0.5, 1.0]),
+    gamma=st.sampled_from([0.9, 1.0]),
+    errors=st.lists(step_errors, min_size=1, max_size=8),
+)
+def test_bound_step_is_never_nan_and_stays_infinite_once_unsupported(l_t, l_r, gamma, errors):
+    # one nonparametric step per entry of `errors`; the stub's expert moves
+    # x to x + 1, so step i starts at state i
+    ctx = StubContext(
+        {(float(i), 0, NONPARAMETRIC): err for i, err in enumerate(errors)},
+        BoundParams(l_t, l_r, gamma),
+    )
+    run = _MctsRun(ctx, horizon=len(errors), rng=np.random.default_rng(0))
+    state = np.zeros(1)
+    key, tau, delta, delta_g = state.tobytes(), 0, 0.0, 0.0
+    want_delta, want_delta_g = 0.0, 0.0
+    unsupported = False
+    for err in errors:
+        succ, _, tau, delta, delta_g = run.step(
+            NONPARAMETRIC, state, key, 0, tau, delta, delta_g
+        )
+        state, key = succ.state, succ.key
+        assert not (math.isnan(delta) or math.isnan(delta_g))
+        unsupported = unsupported or err == "unsupported"
+        if unsupported:
+            assert delta == delta_g == math.inf
+        else:
+            eps_t, eps_r = err
+            want_delta = l_t * want_delta + eps_t
+            want_delta_g = want_delta_g + gamma**tau * (eps_r + l_r * want_delta)
+            assert (delta, delta_g) == (want_delta, want_delta_g)
 
 
 class TestMctsPlanning:
@@ -218,8 +259,8 @@ class TestMctsPlanning:
             itertools.product((NONPARAMETRIC, PARAMETRIC), repeat=2),
             key=lambda seq: depth2_bound(ctx, *seq),
         )
-        cfg = SelectorConfig(mode="mcts", mcts_budget=64)
-        got = mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(3), remaining=2)
+        budget = 64
+        got = mcts_select(ctx, np.zeros(1), 0, budget, np.random.default_rng(3), remaining=2)
         assert got == best_seq[0] == PARAMETRIC
 
     def test_tree_structure_and_bound_consistency(self):
@@ -228,10 +269,10 @@ class TestMctsPlanning:
             ("*", 0, PARAMETRIC): (0.12, 0.04),
         }
         ctx = StubContext(errors, BoundParams(1.2, 0.8, 0.95))
-        cfg = SelectorConfig(mode="mcts", mcts_budget=40)
+        budget = 40
         run = _MctsRun(ctx, horizon=5, rng=np.random.default_rng(5))
         root = run.root(np.zeros(1), 0)
-        for _ in range(cfg.mcts_budget):
+        for _ in range(budget):
             leaf = run.tree_policy(root)
             run.backup(leaf, run.default_policy(leaf))
 
@@ -254,7 +295,7 @@ class TestMctsPlanning:
                 # incremental bound equals the batch recomputation over the
                 # path's error sequence, with the reward errors delayed one
                 # step relative to the transition errors
-                eps_t, eps_r = path_error_sequences(node)
+                eps_t, eps_r = path_error_sequences(ctx, node)
                 recomputed = return_error_bound(
                     eps_t + [0.0], [0.0] + eps_r,
                     BoundParams(ctx.bound.l_t, ctx.bound.l_r, ctx.bound.gamma),
@@ -283,12 +324,12 @@ class TestMctsOnPlanningToy:
         # prefers the smooth-model drift at the divergence point (1, 1)
         horizon = 16
         ctx = self._context(horizon)
-        cfg = SelectorConfig(mode="mcts", mcts_budget=256)
-        sim = SimConfig(1, horizon, 1.0, selector=cfg, seed=4)
+        budget = 256
+        sim = SimConfig(1, horizon, 1.0, mode="mcts", mcts_budget=budget, seed=4)
         est = simulate_value(ctx, sim, initial_states=[EVAL_START])
         states = [tuple(s) for s in est.trajectories[0].states]
         assert (2.0, 0.0) in states  # jumped down onto the horizontal ribbon
-        greedy_sim = SimConfig(1, horizon, 1.0, selector=SelectorConfig(), seed=4)
+        greedy_sim = SimConfig(1, horizon, 1.0, seed=4)
         greedy_est = simulate_value(ctx, greedy_sim, initial_states=[EVAL_START])
         greedy_states = [tuple(s) for s in greedy_est.trajectories[0].states]
         assert (2.0, 0.0) not in greedy_states
@@ -298,8 +339,8 @@ class TestMctsOnPlanningToy:
         # the drift model costs 0.5 now and compounds forever
         horizon = 14
         ctx = self._context(horizon)
-        cfg = SelectorConfig(mode="mcts", mcts_budget=256)
-        got = mcts_select(ctx, np.array([1.0, 1.0]), 0, cfg, np.random.default_rng(2),
+        budget = 256
+        got = mcts_select(ctx, np.array([1.0, 1.0]), 0, budget, np.random.default_rng(2),
                            remaining=horizon - 1)
         assert got == NONPARAMETRIC
         assert greedy_select(ctx, np.array([1.0, 1.0]), 0) == PARAMETRIC
@@ -307,9 +348,9 @@ class TestMctsOnPlanningToy:
     def test_trace_records_children(self):
         horizon = 10
         ctx = self._context(horizon)
-        cfg = SelectorConfig(mode="mcts", mcts_budget=32)
+        budget = 32
         trace = []
-        mcts_select(ctx, np.array([1.0, 1.0]), 0, cfg, np.random.default_rng(0),
+        mcts_select(ctx, np.array([1.0, 1.0]), 0, budget, np.random.default_rng(0),
                     remaining=horizon, trace=trace)
         assert len(trace) == 1
         rec = trace[0]
@@ -385,11 +426,10 @@ class TestStepMemo:
         rng = np.random.default_rng(seed)
         trace = []
         chosen = mcts_select(
-            ctx, x, a, SelectorConfig(mode="mcts", mcts_budget=budget), rng,
+            ctx, x, a, budget, rng,
             remaining=remaining, trace=trace,
         )
-        # json keeps NaN bounds comparable (NaN != NaN as a float)
-        return chosen, json.dumps(trace), rng.bit_generator.state
+        return chosen, trace, rng.bit_generator.state
 
     def _check_warm_equals_fresh(self, build, states, n_actions, remaining, budget):
         warm = build()
@@ -420,10 +460,10 @@ class TestStepMemo:
             unit_bound(),
         )
         want = (0.3 if np_error == "unsupported" else 0.5) / math.sqrt(2.0)
-        cfg = SelectorConfig(mode="mcts", mcts_budget=8)
+        budget = 8
         for _ in range(2):  # a fresh memo, then a warm one
             trace = []
-            mcts_select(ctx, np.zeros(1), 0, cfg, np.random.default_rng(0),
+            mcts_select(ctx, np.zeros(1), 0, budget, np.random.default_rng(0),
                         remaining=4, trace=trace)
             assert {c["model"] for c in trace[0]["children"]} == {NONPARAMETRIC, PARAMETRIC}
             assert trace[0]["c_e"] == want
@@ -439,7 +479,7 @@ class TestStepMemo:
         for x in (ds.transitions[0].x, ds.transitions[0].x, ds.transitions[7].x):
             steps.clear()
             rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-            mcts_select(ctx, x, 1, SelectorConfig(mode="mcts", mcts_budget=16), rng,
+            mcts_select(ctx, x, 1, 16, rng,
                         remaining=10)
             ref.random(len(steps))
             assert steps and rng.bit_generator.state == ref.bit_generator.state
@@ -559,13 +599,7 @@ class TestExpertSets:
                 assert kinds == [PARAMETRIC]
 
 
-class TestSelectorConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SelectorConfig(mode="random")
-        with pytest.raises(ValueError):
-            SelectorConfig(mcts_budget=0)
-
+class TestContextValidation:
     def test_context_rejects_negative_reward_weight(self):
         ds = Dataset([], [np.zeros(1)], 1, 1)
         m = Metric.euclidean(1)

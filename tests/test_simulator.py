@@ -11,7 +11,7 @@ from moesim.envs.planning_toy import BEHAVIOR_STARTS, EVAL_START
 from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
 from moesim.errors import BoundParams, choose_radius
 from moesim.models import NONPARAMETRIC, PARAMETRIC, FunctionModel, NonparametricModel
-from moesim.selection import SelectionContext, SelectorConfig
+from moesim.selection import SelectionContext
 from moesim.simulator import (
     SimConfig,
     evaluate_policy_true,
@@ -245,5 +245,9 @@ class TestSimConfigValidation:
             SimConfig(1, 0, 1.0)
         with pytest.raises(ValueError):
             SimConfig(1, 5, 0.0)
+        with pytest.raises(ValueError):
+            SimConfig(1, 5, 1.0, mode="random")
+        with pytest.raises(ValueError):
+            SimConfig(1, 5, 1.0, mode="mcts", mcts_budget=0)
         with pytest.raises(ValueError):
             simulate_value(None, SimConfig(1, 5, 1.0), forced_model="magic")
