@@ -14,9 +14,7 @@ from .core import (
     Policy,
     Trajectory,
     Transition,
-    read_dataset_csv,
     trajectory_return,
-    write_dataset_csv,
 )
 from .errors import (
     BoundParams,
@@ -60,9 +58,7 @@ __all__ = [
     "Policy",
     "Trajectory",
     "Transition",
-    "read_dataset_csv",
     "trajectory_return",
-    "write_dataset_csv",
     "BoundParams",
     "ErrorEstimate",
     "LipschitzEstimates",

@@ -162,7 +162,8 @@ class ModelValueFunctions:
     def _roll(self, starts: dict[tuple[bytes, int, int], np.ndarray]) -> None:
         """Roll each (x bytes, a, remaining) key from its start state in
         lockstep and memoize the discounted returns.  A row stops after
-        `remaining` steps or on reaching the terminal region."""
+        `remaining` steps or on reaching the terminal region; a non-finite
+        predicted state or reward raises ValueError."""
         if not starts:
             return
         keys = list(starts)
@@ -176,6 +177,10 @@ class ModelValueFunctions:
         k = 0
         while len(live):
             state_next, r = self.model.predict_many(state[live], action[live])
+            if not (np.isfinite(state_next).all() and np.isfinite(r).all()):
+                raise ValueError(
+                    f"model predicted a non-finite state or reward at rollout step {k}"
+                )
             totals[live] += (self.gamma**k) * r
             state[live] = state_next
             k += 1
@@ -191,22 +196,6 @@ class ModelValueFunctions:
         if self.is_terminal_many is not None:
             return np.asarray(self.is_terminal_many(X), dtype=bool)
         return np.array([bool(self.is_terminal(x)) for x in X], dtype=bool)
-
-
-def is_input_from_csv(path, eval_policy: Policy, gamma: float) -> ISInput:
-    """Build estimator input from a dataset CSV whose `pb` column carries
-    the logged behavior probabilities."""
-    from .core import read_dataset_csv, trajectories_from_dataset
-
-    ds, pb = read_dataset_csv(path)
-    if pb is None:
-        raise ValueError("dataset CSV has no pb column of behavior probabilities")
-    trajectories = trajectories_from_dataset(ds)
-    probs = [
-        np.array([pb[(tr.traj_id, tr.t)] for tr in traj.transitions])
-        for traj in trajectories
-    ]
-    return ISInput.build(trajectories, probs, eval_policy, gamma)
 
 
 def _ratio_table(inp: ISInput) -> tuple[np.ndarray, np.ndarray, int]:

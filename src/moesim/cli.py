@@ -1,10 +1,6 @@
 """Command-line entry point.
 
 Subcommands:
-  generate     roll out the configured behavior policy and write the
-               dataset CSV (with logged behavior probabilities) + sidecar
-  fit          fit the configured parametric model on a dataset CSV and
-               write its JSON parameters
   evaluate     run the full experiment described by a config file and
                write the report JSON
   error-maps   export the per-grid-point model-error comparison CSV
@@ -20,17 +16,11 @@ import json
 import sys
 from pathlib import Path
 
-from .core import read_dataset_csv, write_dataset_csv
-from .envs.base import behavior_prob_table
 from .experiments import (
     ConfigError,
     emit_error_maps,
-    fit_parametric,
-    generate_batch,
     run_experiment,
-    validate_config,
 )
-from .models import model_to_json
 from .reproduce import (
     reproduce_consistency,
     reproduce_table1,
@@ -46,34 +36,6 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-
-
-def _cmd_generate(args: argparse.Namespace) -> None:
-    cfg = validate_config(_load_config(args.config))
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    batch = generate_batch(cfg, 0)
-    ds = batch.dataset
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "dataset.csv"
-    write_dataset_csv(
-        csv_path, ds, behavior_probs=behavior_prob_table(batch.trajectories, batch.probs)
-    )
-    print(f"wrote {csv_path} ({len(ds)} transitions, {len(ds.initial_states)} trajectories)")
-
-
-def _cmd_fit(args: argparse.Namespace) -> None:
-    cfg = validate_config(_load_config(args.config))
-    ds, _ = read_dataset_csv(args.data)
-    if cfg["model"]["kind"] == "env_analytic":
-        raise ConfigError("model.kind: analytic models have no parameters to fit")
-    model = fit_parametric(ds, cfg["model"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "model.json"
-    path.write_text(model_to_json(model))
-    print(f"wrote {path}")
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
@@ -129,6 +91,8 @@ def _cmd_schema(args: argparse.Namespace) -> None:
 
 def _cmd_error_maps(args: argparse.Namespace) -> None:
     cfg = _load_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     grid = {
         "x_range": [args.x_min, args.x_max],
         "y_range": [args.y_min, args.y_max],
@@ -173,15 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default="out", help="output directory")
-
-    p_gen = sub.add_parser("generate", help="generate behavior data")
-    common(p_gen)
-    p_gen.set_defaults(fn=_cmd_generate)
-
-    p_fit = sub.add_parser("fit", help="fit the parametric model on a dataset")
-    common(p_fit)
-    p_fit.add_argument("--data", required=True, help="dataset CSV path")
-    p_fit.set_defaults(fn=_cmd_fit)
 
     p_eval = sub.add_parser("evaluate", help="run a full experiment")
     common(p_eval)

@@ -7,10 +7,7 @@ nearest-neighbor queries under a (possibly weighted) Euclidean metric.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -293,100 +290,6 @@ class Dataset:
         """Like neighbor_rows but returns global transition indices."""
         rows, dists = self.neighbor_rows(x, a, c, metric)
         return self._index[a].order[rows], dists
-
-
-# ---------------------------------------------------------------------------
-# Serialization: line-oriented CSV plus a JSON sidecar descriptor
-# ---------------------------------------------------------------------------
-
-
-def _sidecar_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
-
-
-def write_dataset_csv(
-    path: str | Path,
-    ds: Dataset,
-    behavior_probs: dict[tuple[int, int], float] | None = None,
-) -> None:
-    """Write `traj_id,t,x_0..x_{d-1},a,r,y_0..y_{d-1}` rows (plus an optional
-    `pb` column of logged behavior probabilities keyed by (traj_id, t)).
-
-    Floats are written with full round-trip precision.  A sidecar JSON
-    descriptor `{dim, n_actions, initial_states}` lands next to the CSV.
-    """
-    path = Path(path)
-    d = ds.dim
-    header = (
-        ["traj_id", "t"]
-        + [f"x_{i}" for i in range(d)]
-        + ["a", "r"]
-        + [f"y_{i}" for i in range(d)]
-    )
-    if behavior_probs is not None:
-        header.append("pb")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for tr in ds.transitions:
-            row = [tr.traj_id, tr.t]
-            row += [repr(float(v)) for v in tr.x]
-            row += [tr.a, repr(float(tr.r))]
-            row += [repr(float(v)) for v in tr.x_next]
-            if behavior_probs is not None:
-                row.append(repr(float(behavior_probs[(tr.traj_id, tr.t)])))
-            writer.writerow(row)
-    sidecar = {
-        "dim": d,
-        "n_actions": ds.n_actions,
-        "initial_states": [[float(v) for v in s] for s in ds.initial_states],
-    }
-    _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=1))
-
-
-def read_dataset_csv(
-    path: str | Path,
-) -> tuple[Dataset, dict[tuple[int, int], float] | None]:
-    """Inverse of write_dataset_csv.  Returns (dataset, behavior_probs),
-    the latter None when the CSV carries no `pb` column."""
-    path = Path(path)
-    meta = json.loads(_sidecar_path(path).read_text())
-    d = meta["dim"]
-    transitions: list[Transition] = []
-    probs: dict[tuple[int, int], float] = {}
-    has_pb = False
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_pb = header[-1] == "pb"
-        for row in reader:
-            traj_id, t = int(row[0]), int(row[1])
-            x = np.array([float(v) for v in row[2 : 2 + d]])
-            a = int(row[2 + d])
-            r = float(row[3 + d])
-            y = np.array([float(v) for v in row[4 + d : 4 + 2 * d]])
-            transitions.append(Transition(x, a, r, y, traj_id=traj_id, t=t))
-            if has_pb:
-                probs[(traj_id, t)] = float(row[4 + 2 * d])
-    ds = Dataset(
-        transitions,
-        [np.array(s) for s in meta["initial_states"]],
-        d,
-        meta["n_actions"],
-    )
-    return ds, (probs if has_pb else None)
-
-
-def trajectories_from_dataset(ds: Dataset) -> list[Trajectory]:
-    """Regroup a dataset's transitions into per-trajectory chains."""
-    groups: dict[int, list[Transition]] = {}
-    for tr in ds.transitions:
-        groups.setdefault(tr.traj_id, []).append(tr)
-    out = []
-    for tid in sorted(groups):
-        chain = sorted(groups[tid], key=lambda tr: tr.t)
-        out.append(Trajectory(tuple(chain)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,17 +84,6 @@ def generate_trajectories(
     return trajectories, all_probs
 
 
-def behavior_prob_table(
-    trajectories: Sequence[Trajectory], probs: Sequence[np.ndarray]
-) -> dict[tuple[int, int], float]:
-    """(traj_id, t) -> logged behavior probability, for CSV export."""
-    table = {}
-    for traj, p in zip(trajectories, probs):
-        for tr, pi in zip(traj.transitions, p):
-            table[(tr.traj_id, tr.t)] = float(pi)
-    return table
-
-
 def make_eps_greedy(
     base: Policy,
     eps: float,

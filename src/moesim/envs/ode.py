@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy
 
 from ..core import ActionId, StateVec
 from .base import Environment
@@ -104,6 +103,10 @@ class ODESpec:
 
 def _compile(spec: ODESpec) -> tuple[Callable, Callable]:
     """Lambdify (rhs, reward) over state + input symbols with params bound."""
+    # Imported here, not at module level: only ODE environments need sympy,
+    # and importing it takes longer than the rest of moesim together.
+    import sympy
+
     syms = sympy.symbols(list(spec.state_names) + list(spec.input_names))
     local = {name: sym for name, sym in zip(
         list(spec.state_names) + list(spec.input_names), syms

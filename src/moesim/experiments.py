@@ -148,7 +148,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "alpha_r": {"type": "number", "minimum": 0},
                 "mcts_budget": {"type": "integer", "minimum": 1},
             },
         },
@@ -201,7 +200,6 @@ _DEFAULTS = {
 }
 
 _SELECTOR_DEFAULTS = {
-    "alpha_r": 0.0,
     "mcts_budget": 128,
 }
 
@@ -259,8 +257,12 @@ def build_env(env_cfg: dict):
 
 def _check_fits_env(cfg: dict, env: Environment) -> None:
     """Reject config values that must fit the built environment's action
-    count or state dimension, naming the field."""
+    count, state dimension or kind, naming the field."""
     kind = cfg["env"]["kind"]
+    if kind != "acrobot" and cfg["env"].get("height_filter") is not None:
+        raise ConfigError(
+            f"env.height_filter: filters by acrobot tip height, not a quantity of {kind}"
+        )
     pol = cfg["eval_policy"]
     if pol.get("kind") == "constant_action" and pol["action"] >= env.n_actions:
         raise ConfigError(
@@ -409,7 +411,6 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
     ctx = SelectionContext(
         parametric, NonparametricModel(ds, metric), ds, metric, radius, bound,
         batch.eval_policy, lips, residuals,
-        alpha_r=cfg["selector"].get("alpha_r", _SELECTOR_DEFAULTS["alpha_r"]),
         true_step=env.step, is_terminal=env.is_terminal,
     )
     return batch, ctx

@@ -9,7 +9,6 @@ fixed analytic function supplied by an experiment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -141,28 +140,6 @@ class RidgePerActionModel(DynamicsModel):
             Z[rows] = _affine(X[rows], self._coef(a))
         return Z[:, :-1], Z[:, -1]
 
-    def to_json(self) -> str:
-        payload = {
-            "learner": "ridge_per_action",
-            "dim": self.dim,
-            "n_actions": self.n_actions,
-            "ridge_lambda": self.ridge_lambda,
-            "coefs": [None if W is None else W.tolist() for W in self.coefs],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "RidgePerActionModel":
-        payload = json.loads(text)
-        model = RidgePerActionModel(
-            payload["dim"], payload["n_actions"], payload["ridge_lambda"]
-        )
-        model.coefs = [
-            None if W is None else np.array(W, dtype=np.float64)
-            for W in payload["coefs"]
-        ]
-        return model
-
 
 def _affine(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """[X, 1] @ W for one state X or a matrix of states (one per row),
@@ -275,11 +252,7 @@ class MLPModel(DynamicsModel):
     kind = PARAMETRIC
 
     def __init__(self, dim: int, n_actions: int, hidden: int, layers: int, seed: int = 0):
-        self.dim = dim
         self.n_actions = n_actions
-        self.hidden = hidden
-        self.layers = layers
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self.params = mlp_init(dim + n_actions, dim + 1, hidden, layers, rng)
         self.fitted_actions: set[int] = set()
@@ -318,46 +291,3 @@ class MLPModel(DynamicsModel):
             self._encode(np.asarray(x, dtype=np.float64)[None, :], np.array([a])),
         )[0]
         return z[:-1], float(z[-1])
-
-    def to_json(self) -> str:
-        payload = {
-            "learner": "mlp",
-            "dim": self.dim,
-            "n_actions": self.n_actions,
-            "hidden": self.hidden,
-            "layers": self.layers,
-            "seed": self.seed,
-            "weights": [w.tolist() for w in self.params.weights],
-            "biases": [b.tolist() for b in self.params.biases],
-            "fitted_actions": sorted(self.fitted_actions),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "MLPModel":
-        payload = json.loads(text)
-        model = MLPModel(
-            payload["dim"], payload["n_actions"], payload["hidden"], payload["layers"],
-            payload["seed"],
-        )
-        model.params = MLPParams(
-            [np.array(w) for w in payload["weights"]],
-            [np.array(b) for b in payload["biases"]],
-        )
-        model.fitted_actions = set(payload["fitted_actions"])
-        return model
-
-
-def model_to_json(model: DynamicsModel) -> str:
-    if isinstance(model, (RidgePerActionModel, MLPModel)):
-        return model.to_json()
-    raise TypeError(f"{type(model).__name__} does not serialize to JSON")
-
-
-def model_from_json(text: str) -> DynamicsModel:
-    kind = json.loads(text)["learner"]
-    if kind == "ridge_per_action":
-        return RidgePerActionModel.from_json(text)
-    if kind == "mlp":
-        return MLPModel.from_json(text)
-    raise ValueError(f"unknown serialized learner {kind!r}")

@@ -102,9 +102,8 @@ class StepMemo:
 class SelectionContext(StepMemo):
     """Everything one model choice needs: both experts, the batch data and
     metric, the shared neighborhood radius, bound constants, the evaluation
-    policy, the weight `alpha_r` of the reward-error term in the greedy
-    comparison (0 = transition error only), and (for oracle mode, which
-    scores each expert by its actual one-step error) the true step function.
+    policy, and (for oracle mode, which scores each expert by its actual
+    one-step error) the true step function.
 
     Complete once built: it takes the repetition's global Lipschitz ratios
     (the nonparametric estimate's fallback) and the parametric model's
@@ -130,15 +129,12 @@ class SelectionContext(StepMemo):
         policy: Policy,
         global_lips: LipschitzEstimates,
         residuals: tuple[np.ndarray, np.ndarray],
-        alpha_r: float = 0.0,
         true_step: Callable[[StateVec, ActionId], tuple[StateVec, float]] | None = None,
         is_terminal: Callable[[StateVec], bool] | None = None,
         use_true_errors: bool = False,
     ):
         if use_true_errors and true_step is None:
             raise ValueError("oracle error mode needs the true step function")
-        if alpha_r < 0:
-            raise ValueError("alpha_r must be nonnegative")
         super().__init__()
         self.parametric = parametric
         self.nonparametric = nonparametric
@@ -147,7 +143,6 @@ class SelectionContext(StepMemo):
         self.radius = radius
         self.bound = bound
         self.policy = policy
-        self.alpha_r = alpha_r
         self.true_step = true_step
         self.is_terminal = is_terminal
         self.use_true_errors = use_true_errors
@@ -166,7 +161,7 @@ class SelectionContext(StepMemo):
         return SelectionContext(
             self.parametric, self.nonparametric, self.dataset, self.metric,
             self.radius, self.bound, self.policy, self._global_lips,
-            self._residuals, alpha_r=self.alpha_r, true_step=self.true_step,
+            self._residuals, true_step=self.true_step,
             is_terminal=self.is_terminal, use_true_errors=True,
         )
 
@@ -211,14 +206,15 @@ class SelectionContext(StepMemo):
 
 
 def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:
-    """Pick the expert with the smaller weighted local error estimate.
+    """Pick the expert with the smaller local transition-error estimate.
 
     An expert that is the only one fitted for action a is picked without
-    an estimate.  Otherwise returns nonparametric iff eps_t_np + alpha_r *
-    eps_r_np is strictly smaller than the parametric counterpart.  When the
-    nonparametric estimate is unsupported (no same-action neighbor within
-    the radius) the parametric expert wins by default: it is assumed to
-    extrapolate more gracefully than copying a far-away transition.
+    an estimate.  Otherwise returns nonparametric iff its eps_t is strictly
+    smaller than the parametric one's (an unsupported parametric estimate
+    is infinite, so it loses).  When the nonparametric estimate is
+    unsupported (no same-action neighbor within the radius) the parametric
+    expert wins by default: it is assumed to extrapolate more gracefully
+    than copying a far-away transition.
     """
     avail = ctx.available_models(a)
     if not avail:
@@ -231,9 +227,7 @@ def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:
     if not np_est.supported:
         return PARAMETRIC
     p_est = ctx.estimate(PARAMETRIC, x, a)
-    np_score = np_est.eps_t + ctx.alpha_r * np_est.eps_r
-    p_score = p_est.eps_t + ctx.alpha_r * p_est.eps_r
-    return NONPARAMETRIC if np_score < p_score else PARAMETRIC
+    return NONPARAMETRIC if np_est.eps_t < p_est.eps_t else PARAMETRIC
 
 
 # ---------------------------------------------------------------------------

@@ -236,37 +236,6 @@ class TestValueFunctionMemo:
             )
 
 
-class TestCSVInput:
-    def test_round_trip_through_pb_column(self, tmp_path):
-        from moesim.baselines import is_input_from_csv
-        from moesim.core import Dataset, write_dataset_csv
-        from moesim.envs.base import behavior_prob_table
-
-        rng = np.random.default_rng(12)
-        env, base, behavior, trajs, probs = random_logged_batch(rng)
-        ds = Dataset.from_trajectories(trajs, env.n_actions)
-        path = tmp_path / "logged.csv"
-        write_dataset_csv(path, ds, behavior_probs=behavior_prob_table(trajs, probs))
-        inp = is_input_from_csv(path, behavior, 1.0)
-        direct = ISInput.build(trajs, probs, behavior, 1.0)
-        for variant in ("IS", "WIS", "PDIS", "CWPDIS"):
-            assert is_estimate(inp, variant) == pytest.approx(
-                is_estimate(direct, variant), abs=1e-12
-            )
-
-    def test_missing_pb_column_rejected(self, tmp_path):
-        from moesim.baselines import is_input_from_csv
-        from moesim.core import Dataset, write_dataset_csv
-
-        rng = np.random.default_rng(13)
-        env, base, behavior, trajs, probs = random_logged_batch(rng)
-        ds = Dataset.from_trajectories(trajs, env.n_actions)
-        path = tmp_path / "plain.csv"
-        write_dataset_csv(path, ds)
-        with pytest.raises(ValueError):
-            is_input_from_csv(path, behavior, 1.0)
-
-
 class TestISInputValidation:
     def test_misaligned_probs_rejected(self):
         traj = chain([0.0, 1.0, 2.0], [1.0, 1.0])

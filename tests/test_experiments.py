@@ -1,7 +1,6 @@
 """Experiment orchestration, reports, error maps, and the CLI."""
 
 import csv
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -12,18 +11,19 @@ import pytest
 import moesim.experiments
 from moesim.cli import build_parser
 from moesim.cli import main as cli_main
-from moesim.core import read_dataset_csv
+from moesim.core import Dataset, Transition
 from moesim.envs import DivergedError
 from moesim.experiments import (
     ConfigError,
     RepetitionError,
     build_context,
     emit_error_maps,
+    fit_parametric,
     run_experiment,
     run_repetition,
     validate_config,
 )
-from moesim.models import NONPARAMETRIC, PARAMETRIC
+from moesim.models import NONPARAMETRIC, PARAMETRIC, MLPModel, RidgePerActionModel
 from moesim.reproduce import planning_toy_config, windy_table1_config
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_report.json"
@@ -189,11 +189,9 @@ class TestTable1Pattern:
 class TestBuildContext:
     def test_applies_bound_overrides_and_reward_weight(self):
         cfg = planning_toy_config(16, "accurate")
-        cfg["selector"]["alpha_r"] = 0.5
         _, ctx = build_context(validate_config(cfg), 0)
         assert ctx.bound.l_t == 1.0
         assert ctx.bound.l_r == math.sqrt(2.0)
-        assert ctx.alpha_r == 0.5
 
     def test_one_scan_serves_estimated_and_oracle_errors(self, monkeypatch):
         calls = []
@@ -207,6 +205,35 @@ class TestBuildContext:
         cfg["estimators"] = ["moe", "moe_true", "mcts_moe_true"]
         run_repetition(validate_config(cfg), 0)
         assert sorted(calls) == ["global_lipschitz", "parametric_residuals"]
+
+
+def tiny_dataset():
+    rng = np.random.default_rng(3)
+    transitions = [
+        Transition(rng.normal(size=2), i % 2, float(rng.normal()), rng.normal(size=2), 0, i)
+        for i in range(8)
+    ]
+    return Dataset(transitions, [transitions[0].x], 2, 3)
+
+
+class TestFitParametricDefaults:
+    # the defaults a bare `model` section fits with, bit for bit
+    def test_ridge(self):
+        ds = tiny_dataset()
+        got = fit_parametric(ds, {"kind": "ridge"})
+        want = RidgePerActionModel(ds.dim, ds.n_actions, 1e-6).fit(ds)
+        assert got.coefs[2] is None and want.coefs[2] is None
+        for a in range(2):
+            assert got.coefs[a].tobytes() == want.coefs[a].tobytes()
+
+    def test_mlp(self):
+        ds = tiny_dataset()
+        got = fit_parametric(ds, {"kind": "mlp"})
+        want = MLPModel(ds.dim, ds.n_actions, 64, 1, seed=0).fit(ds, 2000, 0.05)
+        assert got.fitted_actions == want.fitted_actions == {0, 1}
+        for g, w in zip(got.params.weights + got.params.biases,
+                        want.params.weights + want.params.biases):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestErrorMaps:
@@ -251,59 +278,7 @@ class TestErrorMaps:
 
 
 class TestCLI:
-    def test_generate_fit_evaluate_round_trip(self, tmp_path):
-        cfg = tiny_config(model={"kind": "ridge", "ridge_lambda": 0.001})
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-
-        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-        ds, pb = read_dataset_csv(tmp_path / "dataset.csv")
-        assert len(ds) > 0 and pb is not None
-
-        assert cli_main([
-            "fit", "--config", str(cfg_path), "--data", str(tmp_path / "dataset.csv"),
-            "--out", str(tmp_path),
-        ]) == 0
-        assert (tmp_path / "model.json").exists()
-
-        assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert set(report["aggregates"]) == set(cfg["estimators"])
-
-    @pytest.mark.parametrize(
-        "model, sha256",
-        [
-            ({"kind": "ridge"},
-             "b85736f48f95a7cf50a99e23a3ba5c85d3c5f252c5deed6d43bda81181c29a70"),
-            ({"kind": "mlp", "hidden": 6, "layers": 2, "epochs": 30, "seed": 4},
-             "50bfc29a4848e106ad14c41587f2edefee6d1a06ead05a4082b721c0f367c8e3"),
-        ],
-        ids=["ridge", "mlp"],
-    )
-    def test_fit_writes_the_pinned_model_json(self, tmp_path, model, sha256):
-        # the model section's defaults and the JSON payload, byte for byte
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config(model=model)))
-        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-        assert cli_main([
-            "fit", "--config", str(cfg_path), "--data", str(tmp_path / "dataset.csv"),
-            "--out", str(tmp_path),
-        ]) == 0
-        assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == sha256
-
-    def test_generated_dataset_is_the_builders(self, tmp_path):
-        cfg = tiny_config()
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-        loaded, _ = read_dataset_csv(tmp_path / "dataset.csv")
-        batch, _ = build_context(validate_config(cfg), 0)
-        assert len(loaded) == len(batch.dataset)
-        for got, want in zip(loaded.transitions, batch.dataset.transitions):
-            assert np.array_equal(got.x, want.x) and np.array_equal(got.x_next, want.x_next)
-            assert (got.a, got.r, got.traj_id, got.t) == (want.a, want.r, want.traj_id, want.t)
-
-    @pytest.mark.parametrize("command", ["generate", "fit", "error-maps"])
+    @pytest.mark.parametrize("command", ["error-maps"])
     def test_jobs_is_rejected_where_it_does_nothing(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--config", "c.json", "--jobs", "2"])
@@ -338,6 +313,7 @@ class TestCLI:
             ("model", {"kind": "mlp", "learning_rate": 0}),
             ("model", {"kind": "forest"}),
             ("selector", {"mcts_budget": 0}),
+            ("selector", {"alpha_r": 0.5}),
         ],
         ids=[
             "eps_greedy_without_eps", "trigger_without_threshold", "ode_without_spec",
@@ -346,6 +322,7 @@ class TestCLI:
             "env_wind_slope", "env_step_size", "env_goal_box", "env_start_box",
             "env_goal_height", "model_three_layers", "model_negative_ridge_lambda",
             "model_zero_learning_rate", "model_unknown_kind", "selector_zero_budget",
+            "selector_alpha_r",
         ],
     )
     def test_config_mistakes_exit_2(self, tmp_path, section, value):
@@ -381,10 +358,12 @@ class TestCLI:
             ("behavior", {"kind": "eps_greedy", "eps": 0.3,
                           "trigger": {"dim": 5, "greater_than": 1.0}}, "behavior.trigger.dim"),
             ("metric_weights", [1.0, 1.0, 1.0], "metric_weights"),
+            ("env", {"kind": "windy2d", "height_filter": 0.0}, "env.height_filter"),
         ],
-        ids=["action_out_of_range", "trigger_dim_out_of_range", "metric_weights_length"],
+        ids=["action_out_of_range", "trigger_dim_out_of_range", "metric_weights_length",
+             "height_filter_off_acrobot"],
     )
-    @pytest.mark.parametrize("command", ["evaluate", "generate"])
+    @pytest.mark.parametrize("command", ["evaluate", "error-maps"])
     def test_values_that_must_fit_the_env_exit_2(
         self, tmp_path, capsys, command, section, value, field
     ):
@@ -393,7 +372,7 @@ class TestCLI:
         assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
-        assert not (tmp_path / "dataset.csv").exists()
+        assert not (tmp_path / "error_maps.csv").exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         # validates against the schema but fails to build: the ODE spec file
@@ -418,6 +397,20 @@ class TestCLI:
         assert str(err.value).startswith("repetition 1, truth rollouts: diverged:")
         assert isinstance(err.value.__cause__, DivergedError)
 
+    @pytest.mark.parametrize("env", ["windy2d", "acrobot"])
+    def test_diverged_model_fails_dr_rollouts(self, env):
+        cfg = tiny_config(
+            env={"kind": env}, seed=1, n_behavior_trajectories=4, n_repetitions=1,
+            model={"kind": "mlp", "epochs": 200, "learning_rate": 1e6, "hidden": 8},
+            estimators=["DR"],
+        )
+        with np.errstate(all="ignore"), pytest.raises(RepetitionError) as err:
+            run_repetition(validate_config(cfg), 0)
+        assert str(err.value).startswith(
+            "repetition 0, estimator DR: model predicted a non-finite state or reward "
+            "at rollout step "
+        )
+
     def test_error_maps_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(windy_table1_config(seed=1, n_repetitions=1)))
@@ -430,6 +423,18 @@ class TestCLI:
         assert header == (
             "x0,x1,action,true_eps_np,est_eps_np,true_eps_p,est_eps_p,selected,correct"
         )
+
+    def test_error_maps_seed_overrides_the_config(self, tmp_path):
+        def write_maps(cfg, out, *extra):
+            cfg_path = tmp_path / f"{out}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            args = ["error-maps", "--config", str(cfg_path), "--out", str(tmp_path / out)]
+            assert cli_main(args + ["--resolution", "4", *extra]) == 0
+            return (tmp_path / out / "error_maps.csv").read_bytes()
+
+        flagged = write_maps(windy_table1_config(seed=1, n_repetitions=1), "flag", "--seed", "7")
+        assert flagged == write_maps(windy_table1_config(seed=7, n_repetitions=1), "config")
+        assert flagged != write_maps(windy_table1_config(seed=1, n_repetitions=1), "plain")
 
     def test_error_maps_skip_actions_no_expert_can_simulate(self, tmp_path):
         # the scripted behavior never takes action 2, so the ridge expert is

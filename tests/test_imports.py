@@ -6,6 +6,9 @@ and a name only they mention is public API that nothing inside runs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,8 +47,6 @@ def test_no_unused_imports(path):
 # reader outside it.
 API_EDGE = {
     "return_error_bound": "the paper's bound, and the planner test's reference",
-    "model_from_json": "reads the model.json that `moesim fit` writes",
-    "is_input_from_csv": "reads the pb column that `moesim generate` writes",
 }
 
 
@@ -83,3 +84,23 @@ def test_detects_an_unreferenced_definition():
 def test_package_defines_nothing_only_tests_use():
     found = unreferenced_definitions([path.read_text() for path in MODULES])
     assert [name for name in found if name not in API_EDGE] == []
+
+
+def test_a_windy_config_does_not_import_sympy():
+    # sympy is only needed to compile ODE specs, and importing it costs more
+    # than the rest of a CLI start-up
+    code = (
+        "import sys\n"
+        "from moesim.experiments import validate_config\n"
+        "validate_config({'name': 'w', 'env': {'kind': 'windy2d'},\n"
+        "    'behavior': {'kind': 'env_scripted'}, 'model': {'kind': 'ridge'},\n"
+        "    'sim': {'n_rollouts': 1, 'horizon': 5, 'gamma': 1.0},\n"
+        "    'estimators': ['moe']})\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,6 @@
 """The two experts: ridge/MLP parametric models and the nearest-neighbor
 nonparametric model."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -20,8 +18,6 @@ from moesim.models import (
     mlp_forward,
     mlp_gradient,
     mlp_init,
-    model_from_json,
-    model_to_json,
 )
 
 
@@ -111,14 +107,6 @@ class TestRidge:
             preds = np.array([model.predict(q, 0)[0] for q in queries])
             variances.append(float(preds.var(axis=0).sum()))
         assert variances[0] > variances[1] > variances[2]
-
-    def test_serialization_round_trip(self):
-        ds = toy_behavior_dataset()
-        model = RidgePerActionModel(ds.dim, ds.n_actions, 0.5).fit(ds)
-        clone = model_from_json(model_to_json(model))
-        q = np.array([2.5, 0.5])
-        for a in range(2):
-            assert np.array_equal(clone.predict(q, a)[0], model.predict(q, a)[0])
 
 
 class TestNonparametric:
@@ -262,15 +250,6 @@ class TestMLPModel:
         model = MLPModel(ds.dim, ds.n_actions, 4, 1).fit(ds, 50, 0.05)
         with pytest.raises(NoSupportError):
             model.predict(np.array([0.0]), 1)
-
-    def test_serialization_round_trip(self):
-        ds = line_dataset()
-        model = MLPModel(ds.dim, ds.n_actions, 4, 1, seed=2).fit(ds, 100, 0.05)
-        clone = model_from_json(model_to_json(model))
-        q = np.array([1.3])
-        assert np.array_equal(clone.predict(q, 0)[0], model.predict(q, 0)[0])
-        payload = json.loads(model_to_json(model))
-        assert payload["learner"] == "mlp" and payload["seed"] == 2
 
 
 class TestRidgeDeterminism:

@@ -56,7 +56,6 @@ class StubContext(StepMemo):
         super().__init__()
         self.errors = errors
         self.bound = bound
-        self.alpha_r = 0.0
         self.policy = Policy.deterministic(lambda x: 0, n_actions)
         self.is_terminal = horizon_terminal
         self._unusable = set(unusable)
@@ -100,12 +99,12 @@ class TestGreedy:
         )
         assert greedy_select(ctx, np.zeros(1), 0) == PARAMETRIC
 
-    def test_weighted_reward_term(self):
+    def test_unsupported_parametric_loses_to_supported_nonparametric(self):
+        # non-finite residuals near x leave the parametric estimate unsupported
         ctx = StubContext(
-            {("*", 0, NONPARAMETRIC): (0.3, 0.0), ("*", 0, PARAMETRIC): (0.2, 0.5)},
+            {("*", 0, NONPARAMETRIC): (0.3, 0.0), ("*", 0, PARAMETRIC): "unsupported"},
             unit_bound(),
         )
-        ctx.alpha_r = 1.0
         assert greedy_select(ctx, np.zeros(1), 0) == NONPARAMETRIC
 
     def test_unsupported_nonparametric_falls_back(self):
@@ -597,17 +596,3 @@ class TestExpertSets:
             assert set(kinds) <= set(ctx.available_models(node.action))
             if node.action == 2 and node.visits > 1:
                 assert kinds == [PARAMETRIC]
-
-
-class TestContextValidation:
-    def test_context_rejects_negative_reward_weight(self):
-        ds = Dataset([], [np.zeros(1)], 1, 1)
-        m = Metric.euclidean(1)
-        model = FunctionModel(lambda x, a: x, lambda x, a: 0.0)
-        lips, residuals = context_scans(ds, model, m)
-        with pytest.raises(ValueError):
-            SelectionContext(
-                model, NonparametricModel(ds, m), ds, m, radius=1.0, bound=unit_bound(),
-                policy=Policy.deterministic(lambda x: 0, 1), global_lips=lips,
-                residuals=residuals, alpha_r=-0.5,
-            )
