@@ -66,19 +66,14 @@ class ISInput:
         """Fill in the evaluation probabilities of every logged action."""
         eval_probs = []
         for traj in trajectories:
-            P = eval_policy.probs_many(_starts(traj))
-            eval_probs.append(np.array([p[a] for p, a in zip(P, traj.actions)]))
+            P = eval_policy.probs_many(traj.states[:-1])
+            eval_probs.append(P[np.arange(len(traj)), traj.actions])
         return ISInput(
             tuple(trajectories),
             tuple(np.asarray(p, dtype=np.float64) for p in behavior_probs),
             tuple(eval_probs),
             gamma,
         )
-
-
-def _starts(traj: Trajectory) -> np.ndarray:
-    """The start states of a trajectory's transitions, one per row."""
-    return np.array([tr.x for tr in traj.transitions])
 
 
 @dataclass(frozen=True)
@@ -149,9 +144,9 @@ class ModelValueFunctions:
         logged action and every action the policy takes there."""
         X, A, R = [], [], []
         for traj in trajectories:
-            starts = _starts(traj)
+            starts = traj.states[:-1]
             P = self.policy.probs_many(starts)
-            for t, (x, p, a) in enumerate(zip(starts, P, traj.actions)):
+            for t, (x, p, a) in enumerate(zip(starts, P, traj.actions.tolist())):
                 self._probs_memo[x.tobytes()] = p
                 for b in {a, *np.flatnonzero(p > 0).tolist()}:
                     X.append(x)
@@ -198,24 +193,20 @@ class ModelValueFunctions:
         return np.array([bool(self.is_terminal(x)) for x in X], dtype=bool)
 
 
-def _ratio_table(inp: ISInput) -> tuple[np.ndarray, np.ndarray, int]:
-    """(cumulative ratios rho[i, t], rewards[i, t], max length).
-
-    Ratios freeze and rewards are zero past each trajectory's end.
-    """
-    n = len(inp.trajectories)
-    t_max = max(len(traj) for traj in inp.trajectories)
-    rho = np.ones((n, t_max))
-    rewards = np.zeros((n, t_max))
+def _ratio_table(inp: ISInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cumulative ratios rho[i, t], rewards[i, t], trajectory lengths),
+    with at least one column.  Past each trajectory's end its ratio is 1,
+    so rho freezes, and its rewards are zero."""
+    lengths = np.array([len(traj) for traj in inp.trajectories])
+    shape = (len(lengths), max(1, int(lengths.max())))
+    ratios = np.ones(shape)
+    rewards = np.zeros(shape)
     for i, (traj, pb, pe) in enumerate(
         zip(inp.trajectories, inp.behavior_probs, inp.eval_probs)
     ):
-        running = 1.0
-        for t, tr in enumerate(traj.transitions):
-            running *= float(pe[t]) / float(pb[t])
-            rho[i, t:] = running  # freeze from here until overwritten
-            rewards[i, t] = tr.r
-    return rho, rewards, t_max
+        ratios[i, : len(traj)] = pe / pb
+        rewards[i, : len(traj)] = traj.rewards
+    return np.cumprod(ratios, axis=1), rewards, lengths
 
 
 def is_estimate(
@@ -239,13 +230,11 @@ def is_estimate(
         raise ValueError(f"unknown estimator variant {variant!r}")
     gamma = inp.gamma
     n = len(inp.trajectories)
-    rho, rewards, t_max = _ratio_table(inp)
+    rho, rewards, lengths = _ratio_table(inp)
+    t_max = rho.shape[1]
 
     if variant in ("IS", "WIS"):
-        full = np.array(
-            [rho[i, len(traj) - 1] if len(traj) else 1.0
-             for i, traj in enumerate(inp.trajectories)]
-        )
+        full = rho[:, -1]
         returns = np.array(
             [trajectory_return(traj, gamma) for traj in inp.trajectories]
         )
@@ -280,9 +269,7 @@ def is_estimate(
             q_vals[i, t] = value_model.q(tr.x, tr.a, remaining)
             v_vals[i, t] = value_model.v(tr.x, remaining)
 
-    alive = np.zeros((n, t_max), dtype=bool)
-    for i, traj in enumerate(inp.trajectories):
-        alive[i, : len(traj)] = True
+    alive = np.arange(t_max) < lengths[:, None]
     rho_prev = np.ones((n, t_max))
     rho_prev[:, 1:] = rho[:, :-1]
 

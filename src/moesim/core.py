@@ -1,13 +1,16 @@
 """Core data types for batch trajectory data.
 
 States are plain 1-D float64 numpy arrays, actions are small integer ids.
-A Dataset is an immutable indexed batch of transitions with per-action
-nearest-neighbor queries under a (possibly weighted) Euclidean metric.
+A Trajectory holds one rollout and a Dataset a batch of logged steps, both
+as read-only arrays; the Dataset answers per-action nearest-neighbor queries
+under a (possibly weighted) Euclidean metric.  `Transition` objects are
+views for callers outside the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -76,7 +79,8 @@ class Metric:
 @dataclass(frozen=True)
 class Transition:
     """One observed step: (x, a, r, x_next), tagged with its source
-    trajectory id and time index."""
+    trajectory id and time index; validated on construction.  The
+    `transitions` of a Trajectory or Dataset are unvalidated views."""
 
     x: StateVec
     a: ActionId
@@ -95,45 +99,66 @@ class Transition:
         if self.a < 0:
             raise ValueError("action id must be nonnegative")
 
+    @classmethod
+    def _view(cls, *values) -> "Transition":
+        """A transition over (x, a, r, x_next, traj_id, t) as given."""
+        tr = object.__new__(cls)
+        tr.__dict__.update(zip(cls.__dataclass_fields__, values))
+        return tr
 
-@dataclass(frozen=True)
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An ordered chain of transitions from one rollout.
+    """One rollout as arrays: `states` holds its T + 1 visited states, one
+    per row, from the start state to the state after the last step;
+    `actions` and `rewards` hold its T steps.  `terminated` records whether
+    a terminal/goal condition was reached before the horizon cap.
 
-    `terminated` records whether a terminal/goal condition was reached
-    before the horizon cap.
+    Validated once on construction (shapes agree, states and rewards are
+    finite, actions are nonnegative) and stored as read-only copies.
     """
 
-    transitions: tuple[Transition, ...]
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
     terminated: bool = False
 
     def __post_init__(self) -> None:
-        trs = tuple(self.transitions)
-        object.__setattr__(self, "transitions", trs)
-        for k in range(len(trs) - 1):
-            if not np.array_equal(trs[k].x_next, trs[k + 1].x):
-                raise ValueError(f"transitions do not chain at step {k}")
-        for k, tr in enumerate(trs):
-            if tr.t != k:
-                raise ValueError("time indices must be 0,1,2,... consecutive")
+        states = np.array(self.states, dtype=np.float64)
+        actions = np.array(self.actions, dtype=np.intp)
+        rewards = np.array(self.rewards, dtype=np.float64)
+        n = len(actions)
+        if actions.ndim != 1 or rewards.shape != (n,) or states.ndim != 2 or len(states) != n + 1:
+            raise ValueError(
+                f"a trajectory of {n} actions needs {n} rewards and {n + 1} states, "
+                f"got rewards of shape {rewards.shape} and states of shape {states.shape}"
+            )
+        finite = np.isfinite(states).all(axis=1)
+        ok = finite[:-1] & finite[1:] & np.isfinite(rewards)
+        if not (finite[0] and ok.all()):
+            step = int(np.argmin(ok)) if n else 0
+            raise ValueError(f"non-finite state or reward at trajectory step {step}")
+        if n and actions.min() < 0:
+            raise ValueError("action ids must be nonnegative")
+        for name, arr in (("states", states), ("actions", actions), ("rewards", rewards)):
+            object.__setattr__(self, name, _read_only(arr))
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.actions)
 
-    @property
-    def states(self) -> list[StateVec]:
-        """All visited states, length len(self) + 1 (empty trajectory: [])."""
-        if not self.transitions:
-            return []
-        return [tr.x for tr in self.transitions] + [self.transitions[-1].x_next]
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return np.array([tr.r for tr in self.transitions])
-
-    @property
-    def actions(self) -> list[ActionId]:
-        return [tr.a for tr in self.transitions]
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The steps as `Transition` views, built on first use."""
+        s = self.states
+        return tuple(
+            Transition._view(s[t], a, r, s[t + 1], 0, t)
+            for t, (a, r) in enumerate(zip(self.actions.tolist(), self.rewards.tolist()))
+        )
 
 
 def trajectory_return(traj: Trajectory, gamma: float) -> float:
@@ -141,44 +166,23 @@ def trajectory_return(traj: Trajectory, gamma: float) -> float:
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     total = 0.0
-    for k, tr in enumerate(traj.transitions):
-        total += (gamma**k) * tr.r
+    for k, r in enumerate(traj.rewards.tolist()):
+        total += (gamma**k) * r
     return total
 
 
-class _ActionIndex:
-    """Per-action stacked arrays for vectorized neighbor queries.
-
-    Entries are sorted by (traj_id, t) so that the first minimizer found
-    by argmin is the lexicographically smallest tie-break winner.
-    """
-
-    __slots__ = ("starts", "nexts", "rewards", "order")
-
-    def __init__(self, transitions: Sequence[Transition], indices: list[int]):
-        indices = sorted(
-            indices, key=lambda i: (transitions[i].traj_id, transitions[i].t)
-        )
-        self.order = np.array(indices, dtype=np.intp)
-        if indices:
-            self.starts = np.stack([transitions[i].x for i in indices])
-            self.nexts = np.stack([transitions[i].x_next for i in indices])
-            self.rewards = np.array([transitions[i].r for i in indices])
-        else:
-            self.starts = np.zeros((0, 0))
-            self.nexts = np.zeros((0, 0))
-            self.rewards = np.zeros(0)
-
-    def __len__(self) -> int:
-        return len(self.order)
+_COLUMNS = ("starts", "actions", "rewards", "nexts", "traj_id", "t")
 
 
 class Dataset:
-    """Immutable collection of transitions plus the recorded initial states.
+    """Immutable batch of logged steps plus the recorded initial states.
 
-    Supports per-action nearest-neighbor and radius queries.  The reference
-    semantics are those of a per-action linear scan; the stacked-array
-    implementation must (and does, see tests) agree with it exactly.
+    Row i is the step `starts[i]`, `actions[i]`, `rewards[i]`, `nexts[i]`
+    of trajectory `traj_id[i]` at time `t[i]`; every array is read-only.
+    Supports per-action nearest-neighbor and radius queries.  Each query
+    scans one action's rows in (traj_id, t) order, so its reference
+    semantics are those of a per-action linear scan with exact ties going
+    to the smallest (traj_id, t) (see tests).
     """
 
     def __init__(
@@ -188,85 +192,94 @@ class Dataset:
         dim: int,
         n_actions: int,
     ):
-        self._transitions = tuple(transitions)
-        self._initial_states = tuple(as_state(s) for s in initial_states)
-        self._dim = int(dim)
-        self._n_actions = int(n_actions)
-        for tr in self._transitions:
-            if len(tr.x) != self._dim:
-                raise ValueError("transition dimension differs from dataset dim")
-            if tr.a >= self._n_actions:
-                raise ValueError(f"action id {tr.a} out of range (<{self._n_actions})")
-        for s in self._initial_states:
-            if len(s) != self._dim:
-                raise ValueError("initial state dimension differs from dataset dim")
-        by_action: list[list[int]] = [[] for _ in range(self._n_actions)]
-        for i, tr in enumerate(self._transitions):
-            by_action[tr.a].append(i)
-        self._index = [_ActionIndex(self._transitions, ids) for ids in by_action]
+        trs = tuple(transitions)
+        if any(len(tr.x) != dim for tr in trs):
+            raise ValueError("transition dimension differs from dataset dim")
+        x, a, r, y, traj_id, t = (
+            [getattr(tr, f) for tr in trs] for f in Transition.__dataclass_fields__
+        )
+        shape = (len(trs), dim)
+        columns = (np.reshape(x, shape), a, r, np.reshape(y, shape), traj_id, t)
+        self._fill(columns, initial_states, dim, n_actions)
+
+    def _fill(self, columns, initial_states, dim: int, n_actions: int) -> "Dataset":
+        """Store the rows, given as the `_COLUMNS` in order, and index each
+        action's rows in (traj_id, t) order."""
+        self.dim, self.n_actions = int(dim), int(n_actions)
+        self.initial_states = tuple(as_state(s) for s in initial_states)
+        if any(len(s) != self.dim for s in self.initial_states):
+            raise ValueError("initial state dimension differs from dataset dim")
+        for name, col in zip(_COLUMNS, columns):
+            dtype = np.intp if name in ("actions", "traj_id", "t") else np.float64
+            setattr(self, name, _read_only(np.asarray(col, dtype=dtype)))
+        if len(self.actions) and self.actions.max() >= self.n_actions:
+            raise ValueError(f"action id {self.actions.max()} out of range (<{self.n_actions})")
+        order = np.lexsort((self.t, self.traj_id))
+        self._rows = [order[self.actions[order] == a] for a in range(self.n_actions)]
+        self._by_action = [
+            tuple(_read_only(arr[rows]) for arr in (self.starts, self.nexts, self.rewards))
+            for rows in self._rows
+        ]
+        return self
 
     @classmethod
     def from_trajectories(
         cls, trajectories: Sequence[Trajectory], n_actions: int
     ) -> "Dataset":
-        transitions: list[Transition] = []
-        initial = []
-        dim = None
-        for traj in trajectories:
-            if not traj.transitions:
-                continue
-            initial.append(traj.transitions[0].x)
-            transitions.extend(traj.transitions)
-            dim = len(traj.transitions[0].x)
-        if dim is None:
+        """Every step of the nonempty trajectories, trajectory i's steps
+        tagged with traj_id i; their start states are the initial states."""
+        kept = [(i, traj) for i, traj in enumerate(trajectories) if len(traj)]
+        if not kept:
             raise ValueError("cannot build a dataset from empty trajectories")
-        return cls(transitions, initial, dim, n_actions)
+        parts = [
+            (traj.states[:-1], traj.actions, traj.rewards, traj.states[1:],
+             np.full(len(traj), i), np.arange(len(traj)))
+            for i, traj in kept
+        ]
+        return cls.__new__(cls)._fill(
+            [np.concatenate(col) for col in zip(*parts)],
+            [traj.states[0] for _, traj in kept], kept[0][1].states.shape[1], n_actions,
+        )
 
-    @property
+    def select(self, keep: np.ndarray) -> "Dataset":
+        """The rows where the boolean mask `keep` holds, with the same
+        initial states."""
+        return Dataset.__new__(Dataset)._fill(
+            [getattr(self, name)[keep] for name in _COLUMNS],
+            self.initial_states, self.dim, self.n_actions,
+        )
+
+    @cached_property
     def transitions(self) -> tuple[Transition, ...]:
-        return self._transitions
-
-    @property
-    def initial_states(self) -> tuple[StateVec, ...]:
-        return self._initial_states
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def n_actions(self) -> int:
-        return self._n_actions
+        """The rows as `Transition` views, built on first use."""
+        return tuple(
+            Transition._view(*row)
+            for row in zip(
+                self.starts, self.actions.tolist(), self.rewards.tolist(), self.nexts,
+                self.traj_id.tolist(), self.t.tolist(),
+            )
+        )
 
     def __len__(self) -> int:
-        return len(self._transitions)
+        return len(self.actions)
 
     def n_for_action(self, a: ActionId) -> int:
-        return len(self._index[a])
+        return len(self._rows[a])
 
     def action_arrays(self, a: ActionId) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked (starts, next states, rewards) for one action, in
+        """(starts, next states, rewards) of one action's rows, in
         (traj_id, t) order."""
-        idx = self._index[a]
-        return idx.starts, idx.nexts, idx.rewards
-
-    def nearest(
-        self, x: StateVec, a: ActionId, metric: Metric
-    ) -> Transition | None:
-        """Transition with action `a` whose start is closest to `x`.
-
-        Exact ties resolve to the smallest (traj_id, t).  Returns None when
-        no transition has action `a`.
-        """
-        i = self.nearest_index(x, a, metric)
-        return None if i is None else self._transitions[i]
+        return self._by_action[a]
 
     def nearest_index(self, x: StateVec, a: ActionId, metric: Metric) -> int | None:
-        idx = self._index[a]
-        if len(idx) == 0:
+        """Row of the action-`a` step whose start is closest to `x`; exact
+        ties resolve to the smallest (traj_id, t).  None when no row has
+        action `a`."""
+        rows = self._rows[a]
+        if len(rows) == 0:
             return None
-        d = metric.distances_to(idx.starts, x)
-        return int(idx.order[int(np.argmin(d))])
+        d = metric.distances_to(self._by_action[a][0], x)
+        return int(rows[int(np.argmin(d))])
 
     def neighbor_rows(
         self, x: StateVec, a: ActionId, c: float, metric: Metric
@@ -275,10 +288,10 @@ class Dataset:
         corresponding distances, both in ascending distance order."""
         if c < 0:
             raise ValueError("radius must be nonnegative")
-        idx = self._index[a]
-        if len(idx) == 0:
+        starts = self._by_action[a][0]
+        if len(starts) == 0:
             return np.zeros(0, dtype=np.intp), np.zeros(0)
-        d = metric.distances_to(idx.starts, x)
+        d = metric.distances_to(starts, x)
         rows = np.nonzero(d <= c)[0]
         order = np.argsort(d[rows], kind="stable")
         rows = rows[order]
@@ -287,9 +300,9 @@ class Dataset:
     def neighbor_indices(
         self, x: StateVec, a: ActionId, c: float, metric: Metric
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Like neighbor_rows but returns global transition indices."""
+        """Like neighbor_rows but returns dataset rows."""
         rows, dists = self.neighbor_rows(x, a, c, metric)
-        return self._index[a].order[rows], dists
+        return self._rows[a][rows], dists
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +399,3 @@ class Policy:
             return P
 
         return Policy(n_actions, probs_fn, probs_many_fn)
-
-    @staticmethod
-    def uniform(n_actions: int) -> "Policy":
-        p = np.full(n_actions, 1.0 / n_actions)
-        return Policy(n_actions, lambda x: p)

@@ -134,5 +134,4 @@ def filter_dataset_by_height(ds: Dataset, h_max: float) -> Dataset:
     The recorded initial states survive unchanged, so simulation can still
     draw starting points even from a heavily filtered dataset.
     """
-    kept = [tr for tr in ds.transitions if tip_height(tr.x) <= h_max]
-    return Dataset(kept, ds.initial_states, ds.dim, ds.n_actions)
+    return ds.select(tip_heights(ds.starts) <= h_max)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import ActionId, Policy, StateVec, Trajectory, Transition
+from ..core import ActionId, Policy, StateVec, Trajectory
 
 
 @dataclass(frozen=True)
@@ -40,26 +40,25 @@ def rollout_with_probs(
     x0: StateVec,
     horizon: int,
     rng: np.random.Generator,
-    traj_id: int = 0,
 ) -> tuple[Trajectory, np.ndarray]:
     """Roll the true environment forward from x0 under the policy for at
     most `horizon` steps, stopping at a terminal state: the trajectory and
     the probability of each sampled action."""
     x = np.array(x0, dtype=np.float64)
-    transitions = []
-    probs = []
+    states, actions, rewards, probs = [x], [], [], []
     reached = False
-    for t in range(horizon):
+    for _ in range(horizon):
         p = policy.probs(x)
         a = policy.choose(p, rng.random())
         probs.append(float(p[a]))
-        x_next, r = env.step(x, a)
-        transitions.append(Transition(x, a, r, x_next, traj_id=traj_id, t=t))
-        x = x_next
+        x, r = env.step(x, a)
+        states.append(x)
+        actions.append(a)
+        rewards.append(r)
         if env.is_terminal is not None and env.is_terminal(x):
             reached = True
             break
-    return Trajectory(tuple(transitions), terminated=reached), np.array(probs)
+    return Trajectory(states, actions, rewards, terminated=reached), np.array(probs)
 
 
 def generate_trajectories(
@@ -78,7 +77,7 @@ def generate_trajectories(
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         x0 = env.sample_initial(rng) if starts is None else starts[i % len(starts)]
-        traj, probs = rollout_with_probs(env, policy, x0, env.horizon, rng, traj_id=i)
+        traj, probs = rollout_with_probs(env, policy, x0, env.horizon, rng)
         trajectories.append(traj)
         all_probs.append(probs)
     return trajectories, all_probs

@@ -169,18 +169,19 @@ def np_error_estimate(
 def parametric_residuals(
     ds: Dataset, model: DynamicsModel, metric: Metric
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-transition residuals of the parametric model on the whole batch:
-    (state-prediction distances, absolute reward errors), aligned with
-    ds.transitions.  Unfitted actions get infinite residuals."""
+    """Per-row residuals of the parametric model on the whole batch:
+    (state-prediction distances, absolute reward errors), aligned with the
+    dataset's rows.  Unfitted actions get infinite residuals."""
     eps_t = np.full(len(ds), np.inf)
     eps_r = np.full(len(ds), np.inf)
-    for i, tr in enumerate(ds.transitions):
+    rows = zip(ds.starts, ds.actions.tolist(), ds.nexts, ds.rewards.tolist())
+    for i, (x, a, y, r) in enumerate(rows):
         try:
-            xp, rp = model.predict(tr.x, tr.a)
+            xp, rp = model.predict(x, a)
         except NoSupportError:
             continue
-        eps_t[i] = metric.distance(xp, tr.x_next)
-        eps_r[i] = abs(rp - tr.r)
+        eps_t[i] = metric.distance(xp, y)
+        eps_r[i] = abs(rp - r)
     return eps_t, eps_r
 
 

@@ -177,7 +177,8 @@ CONFIG_SCHEMA = {
                 "l_r": {"type": ["number", "null"], "minimum": 0},
             },
         },
-        "initial_states": {"type": ["array", "null"]},
+        "initial_states": {"type": ["array", "null"], "minItems": 1,
+                           "items": {"type": "array", "items": {"type": "number"}}},
         "eps_traj": {"type": "boolean"},
         "mcts_trace": {"type": "boolean"},
         "rollout_log": {"type": "boolean"},
@@ -257,7 +258,7 @@ def build_env(env_cfg: dict):
 
 def _check_fits_env(cfg: dict, env: Environment) -> None:
     """Reject config values that must fit the built environment's action
-    count, state dimension or kind, naming the field."""
+    count, state dimension, horizon or kind, naming the field."""
     kind = cfg["env"]["kind"]
     if kind != "acrobot" and cfg["env"].get("height_filter") is not None:
         raise ConfigError(
@@ -279,6 +280,14 @@ def _check_fits_env(cfg: dict, env: Environment) -> None:
     if weights and len(weights) != env.dim:
         raise ConfigError(
             f"metric_weights: {len(weights)} entries for the {env.dim}-D states of {kind}"
+        )
+    for i, state in enumerate(cfg["initial_states"] or ()):
+        if len(state) != env.dim:
+            raise ConfigError(f"initial_states: state {i} is not a {env.dim}-D state of {kind}")
+    if cfg["sim"]["horizon"] > env.horizon and set(cfg["estimators"]) & set(IS_ESTIMATORS):
+        raise ConfigError(
+            f"sim.horizon: {cfg['sim']['horizon']} steps, but the IS estimators reweight "
+            f"logged {kind} trajectories of at most {env.horizon}"
         )
 
 
@@ -463,11 +472,6 @@ def run_repetition(cfg: dict, rep: int) -> dict:
             env, eval_policy, cfg["n_true_rollouts"], horizon, gamma,
             seed=derive_seed(cfg["seed"], rep, 1),
         )
-    initial_override = (
-        [np.array(s, dtype=np.float64) for s in cfg["initial_states"]]
-        if cfg["initial_states"]
-        else None
-    )
 
     budget = cfg["selector"].get("mcts_budget", _SELECTOR_DEFAULTS["mcts_budget"])
     record: dict = {"rep": rep, "v_true": v_true, "radius": ctx_est.radius, "estimates": {}}
@@ -485,7 +489,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
                     n_rollouts=sim_cfg["n_rollouts"], horizon=horizon, gamma=gamma,
                     mode=mode, mcts_budget=budget, seed=derive_seed(cfg["seed"], rep, 3),
                 ),
-                initial_states=initial_override,
+                initial_states=cfg["initial_states"],
                 forced_model=forced,
                 mcts_trace=trace,
             )
@@ -509,8 +513,14 @@ def run_repetition(cfg: dict, rep: int) -> dict:
     requested_is = [name for name in cfg["estimators"] if name in IS_ESTIMATORS]
     if requested_is:
         with _stage(rep, "IS inputs"):
+            # reweight the first sim.horizon steps, the horizon v_true has
+            logged = [
+                Trajectory(traj.states[: horizon + 1], traj.actions[:horizon],
+                           traj.rewards[:horizon], traj.terminated and len(traj) <= horizon)
+                for traj in batch.trajectories
+            ]
             is_input = ISInput.build(
-                batch.trajectories, batch.probs, eval_policy, gamma,
+                logged, [p[:horizon] for p in batch.probs], eval_policy, gamma,
             )
             value_model = None
             if any(name in ("DR", "WDR") for name in requested_is):
@@ -529,10 +539,10 @@ def run_repetition(cfg: dict, rep: int) -> dict:
 def _mean_traj_error(env, policy, sim_trajectories, metric, horizon, seed) -> float:
     errs = []
     for i, sim in enumerate(sim_trajectories):
-        if not sim.transitions:
+        if not len(sim):
             continue
         rng = np.random.default_rng([seed, i])
-        truth = rollout_policy(env, policy, sim.transitions[0].x, horizon, rng)
+        truth = rollout_policy(env, policy, sim.states[0], horizon, rng)
         errs.append(trajectory_error(sim, truth, metric))
     return float(np.mean(errs)) if errs else 0.0
 

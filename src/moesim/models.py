@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ActionId, Dataset, Metric, StateVec, Transition
+from .core import ActionId, Dataset, Metric, StateVec
 
 PARAMETRIC = "parametric"
 NONPARAMETRIC = "nonparametric"
@@ -50,8 +50,8 @@ class NonparametricModel(DynamicsModel):
     """Nearest-neighbor expert: returns the recorded (x_next, r) of the
     same-action transition whose start state is closest to the query.
 
-    The nearest transition is memoized per (float64 bytes of x, action);
-    each prediction still returns a fresh copy of its next state.
+    The nearest row is memoized per (float64 bytes of x, action); each
+    prediction still returns a fresh copy of its next state.
     """
 
     kind = NONPARAMETRIC
@@ -59,7 +59,7 @@ class NonparametricModel(DynamicsModel):
     def __init__(self, dataset: Dataset, metric: Metric):
         self.dataset = dataset
         self.metric = metric
-        self._nearest: dict[tuple[bytes, ActionId], Transition | None] = {}
+        self._nearest: dict[tuple[bytes, ActionId], int | None] = {}
 
     def fitted(self, a: ActionId) -> bool:
         return self.dataset.n_for_action(a) > 0
@@ -68,11 +68,11 @@ class NonparametricModel(DynamicsModel):
         x = np.asarray(x, dtype=np.float64)
         key = (x.tobytes(), a)
         if key not in self._nearest:
-            self._nearest[key] = self.dataset.nearest(x, a, self.metric)
-        tr = self._nearest[key]
-        if tr is None:
+            self._nearest[key] = self.dataset.nearest_index(x, a, self.metric)
+        row = self._nearest[key]
+        if row is None:
             raise NoSupportError(f"no support: dataset has no transitions for action {a}")
-        return tr.x_next.copy(), float(tr.r)
+        return self.dataset.nexts[row].copy(), float(self.dataset.rewards[row])
 
 
 class FunctionModel(DynamicsModel):
@@ -264,20 +264,15 @@ class MLPModel(DynamicsModel):
 
     def fit(self, ds: Dataset, epochs: int, learning_rate: float) -> "MLPModel":
         """`epochs` full-batch gradient-descent steps of size `learning_rate`."""
-        X = np.stack([tr.x for tr in ds.transitions])
-        A = np.array([tr.a for tr in ds.transitions])
-        Y = np.column_stack(
-            [np.stack([tr.x_next for tr in ds.transitions]),
-             np.array([tr.r for tr in ds.transitions])]
-        )
-        inputs = self._encode(X, A)
+        Y = np.column_stack([ds.nexts, ds.rewards])
+        inputs = self._encode(ds.starts, ds.actions)
         for _ in range(epochs):
             g = mlp_gradient(self.params, inputs, Y)
             for w, gwi in zip(self.params.weights, g.weights):
                 w -= learning_rate * gwi
             for b, gbi in zip(self.params.biases, g.biases):
                 b -= learning_rate * gbi
-        self.fitted_actions = set(int(a) for a in np.unique(A))
+        self.fitted_actions = set(np.unique(ds.actions).tolist())
         return self
 
     def fitted(self, a: ActionId) -> bool:

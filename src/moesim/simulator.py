@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Metric, Policy, StateVec, Trajectory, Transition, trajectory_return
+from .core import Metric, Policy, StateVec, Trajectory, trajectory_return
 from .envs.base import rollout_with_probs
 from .models import NONPARAMETRIC, PARAMETRIC, NoSupportError
 from .selection import SelectionContext, greedy_select, mcts_select
@@ -105,7 +105,7 @@ def simulate_value(
         x = np.array(starts[int(rng.integers(len(starts)))], dtype=np.float64)
         ret = 0.0
         reached = False
-        transitions: list[Transition] = []
+        states, actions, rewards = [x], [], []
         rollout_usage = {PARAMETRIC: 0, NONPARAMETRIC: 0}
         for t in range(cfg.horizon):
             a = ctx.policy.sample(x, rng)
@@ -131,7 +131,9 @@ def simulate_value(
                     raise  # both experts failed: selection had no way out
                 break
             rollout_usage[kind] += 1
-            transitions.append(Transition(x, a, r, x_next, traj_id=n, t=t))
+            states.append(x_next)
+            actions.append(a)
+            rewards.append(r)
             ret += (cfg.gamma**t) * r
             x = x_next
             if ctx.is_terminal is not None and ctx.is_terminal(x):
@@ -140,7 +142,7 @@ def simulate_value(
         if ctx.is_terminal is not None and not reached:
             unreached += 1
         returns.append(ret)
-        trajectories.append(Trajectory(tuple(transitions), terminated=reached))
+        trajectories.append(Trajectory(states, actions, rewards, terminated=reached))
         usage[PARAMETRIC] += rollout_usage[PARAMETRIC]
         usage[NONPARAMETRIC] += rollout_usage[NONPARAMETRIC]
         records.append(
@@ -148,7 +150,7 @@ def simulate_value(
                 "rollout": n,
                 "seed": [cfg.seed, n],
                 "return": ret,
-                "steps": len(transitions),
+                "steps": len(actions),
                 "reached_goal": reached,
                 "model_usage": dict(rollout_usage),
             }
@@ -167,16 +169,9 @@ def simulate_value(
 def trajectory_error(sim: Trajectory, truth: Trajectory, metric: Metric) -> float:
     """Summed state distance between a simulated and a reference trajectory
     from the same start, truncated to the shorter state sequence."""
-    sim_states = sim.states
-    true_states = truth.states
-    if not sim_states or not true_states:
-        return 0.0
-    if not np.array_equal(sim_states[0], true_states[0]):
+    if not np.array_equal(sim.states[0], truth.states[0]):
         raise ValueError("trajectories must start from the same initial state")
-    n = min(len(sim_states), len(true_states))
-    return float(
-        sum(metric.distance(sim_states[t], true_states[t]) for t in range(n))
-    )
+    return float(sum(metric.distance(x, y) for x, y in zip(sim.states, truth.states)))
 
 
 def rollout_policy(

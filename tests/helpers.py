@@ -38,6 +38,12 @@ class DeterministicMDP:
         )
 
 
+def uniform_policy(n_actions: int) -> Policy:
+    """Every action with probability 1 / n_actions."""
+    p = np.full(n_actions, 1.0 / n_actions)
+    return Policy(n_actions, lambda x: p)
+
+
 def eps_greedy_of(base: Policy, eps: float) -> Policy:
     n = base.n_actions
     return Policy(n, lambda x: (1 - eps) * base.probs(x) + eps / n)

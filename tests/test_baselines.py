@@ -10,7 +10,7 @@ from moesim.baselines import (
     VARIANTS,
     is_estimate,
 )
-from moesim.core import Dataset, Metric, Policy, Trajectory, Transition, trajectory_return
+from moesim.core import Dataset, Metric, Policy, Trajectory, trajectory_return
 from moesim.envs import AcrobotConfig, acrobot_heuristic_policy, make_acrobot, make_eps_greedy
 from moesim.envs.base import generate_trajectories, rollout_with_probs
 from moesim.models import FunctionModel, RidgePerActionModel
@@ -19,15 +19,10 @@ from moesim.models import FunctionModel, RidgePerActionModel
 from helpers import DeterministicMDP, eps_greedy_of
 
 
-def chain(states, rewards, actions=None, tid=0):
-    trs = []
+def chain(states, rewards, actions=None):
+    """A 1-D trajectory through `states`."""
     actions = actions or [0] * (len(states) - 1)
-    for t in range(len(states) - 1):
-        trs.append(
-            Transition(np.array([states[t]], float), actions[t], rewards[t],
-                       np.array([states[t + 1]], float), tid, t)
-        )
-    return Trajectory(tuple(trs))
+    return Trajectory(np.array(states, float)[:, None], actions, rewards)
 
 
 def random_logged_batch(rng, n_traj=30, horizon=5):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import serial_rollout
+from helpers import serial_rollout, uniform_policy
 from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
 from moesim.core import Dataset, Policy
 from moesim.envs import (
@@ -160,7 +160,7 @@ def built_in_policies():
         ("toy_behavior", toy_behavior, 2),
         ("constant", constant, 2),
         ("ode_default", ode_default, 1),
-        ("uniform", Policy.uniform(3), 4),
+        ("uniform", uniform_policy(3), 4),
         ("acrobot", acrobot_heuristic_policy(), 4),
         ("acrobot_eps", make_eps_greedy(acrobot_heuristic_policy(), 0.1), 4),
     ]

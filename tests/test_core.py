@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import neighbors_within
+from helpers import neighbors_within, uniform_policy
 from moesim.core import (
     Dataset,
     Metric,
@@ -43,17 +43,24 @@ def make_transition(x, a, r, y, traj_id=0, t=0):
     return Transition(np.array(x, float), a, r, np.array(y, float), traj_id, t)
 
 
-def brute_force_nearest(transitions, x, a, metric):
-    """Reference linear scan with (traj_id, t) tie-break."""
-    best = None
-    best_key = None
-    for tr in transitions:
-        if tr.a != a:
-            continue
-        key = (metric.distance(np.array(x), tr.x), tr.traj_id, tr.t)
-        if best_key is None or key < best_key:
-            best, best_key = tr, key
-    return best
+def linear_scan(ds, x, a, metric):
+    """Reference per-action scan: (distance, traj_id, t, row) of every row
+    with action `a`, in ascending order, so ties go to the smallest
+    (traj_id, t)."""
+    return sorted(
+        (metric.distance(x, tr.x), tr.traj_id, tr.t, row)
+        for row, tr in enumerate(ds.transitions)
+        if tr.a == a
+    )
+
+
+def trajectory(states, actions=None, rewards=None):
+    n = len(states) - 1
+    return Trajectory(
+        np.array(states, float).reshape(n + 1, -1),
+        [0] * n if actions is None else actions,
+        [-1.0] * n if rewards is None else rewards,
+    )
 
 
 class TestMetric:
@@ -121,28 +128,54 @@ class TestStatesAndTransitions:
         with pytest.raises(ValueError):
             make_transition([0.0], 0, np.inf, [1.0])
 
-    def test_trajectory_chaining_enforced(self):
-        a = make_transition([0.0], 0, -1.0, [1.0], t=0)
-        b_bad = make_transition([2.0], 0, -1.0, [3.0], t=1)
+    def test_trajectory_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="needs 2 rewards and 3 states"):
+            Trajectory(np.zeros((2, 1)), [0, 0], [-1.0, -1.0])
+        with pytest.raises(ValueError, match="needs 2 rewards"):
+            Trajectory(np.zeros((3, 1)), [0, 0], [-1.0])
         with pytest.raises(ValueError):
-            Trajectory((a, b_bad))
-        b_bad_t = make_transition([1.0], 0, -1.0, [2.0], t=5)
+            Trajectory(np.zeros(3), [0, 0], [-1.0, -1.0])  # states are rows
         with pytest.raises(ValueError):
-            Trajectory((a, b_bad_t))
+            Trajectory(np.zeros((0, 1)), [], [])  # no start state
+
+    @pytest.mark.parametrize(
+        "where, step",
+        [("start", 0), ("state", 0), ("state", 2), ("reward", 1), ("reward", 2)],
+    )
+    def test_trajectory_names_the_first_non_finite_step(self, where, step):
+        states, rewards = np.zeros((4, 2)), np.zeros(3)
+        if where == "start":
+            states[0, 1] = np.nan
+        elif where == "state":
+            states[step + 1, 0] = np.inf  # the state step `step` leads to
+        else:
+            rewards[step] = np.nan
+        states[3, 1] = np.nan  # a later fault is not the one named
+        with pytest.raises(ValueError, match=f"at trajectory step {step}$"):
+            Trajectory(states, [0, 1, 0], rewards)
+
+    def test_trajectory_rejects_negative_actions(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            trajectory([[0.0], [1.0], [2.0]], actions=[0, -1])
 
     def test_trajectory_states(self):
-        a = make_transition([0.0], 0, -1.0, [1.0], t=0)
-        b = make_transition([1.0], 0, -1.0, [2.0], t=1)
-        traj = Trajectory((a, b))
-        assert [float(s[0]) for s in traj.states] == [0.0, 1.0, 2.0]
+        states = np.array([[0.0], [1.0], [2.0]])
+        traj = Trajectory(states, [1, 0], [-1.0, -2.0], terminated=True)
+        states[1, 0] = 9.0  # the trajectory holds its own copy
+        assert traj.states[:, 0].tolist() == [0.0, 1.0, 2.0]
+        for arr in (traj.states, traj.actions, traj.rewards):
+            with pytest.raises(ValueError):
+                arr[0] = 5
+        assert [(tr.x[0], tr.a, tr.r, tr.x_next[0], tr.t) for tr in traj.transitions] == [
+            (0.0, 1, -1.0, 1.0, 0), (1.0, 0, -2.0, 2.0, 1),
+        ]
+        assert traj.transitions is traj.transitions  # built once
+        assert len(traj) == 2 and traj.terminated
 
 
 class TestTrajectoryReturn:
     def _constant_reward_traj(self, rewards):
-        trs = []
-        for t, r in enumerate(rewards):
-            trs.append(make_transition([float(t)], 0, r, [float(t + 1)], t=t))
-        return Trajectory(tuple(trs))
+        return trajectory([[float(t)] for t in range(len(rewards) + 1)], rewards=rewards)
 
     def test_undiscounted_negative_steps(self):
         traj = self._constant_reward_traj([-1.0] * 10)
@@ -153,7 +186,7 @@ class TestTrajectoryReturn:
         assert trajectory_return(traj, 0.5) == 1.5
 
     def test_empty(self):
-        assert trajectory_return(Trajectory(()), 1.0) == 0.0
+        assert trajectory_return(trajectory([[0.0]]), 1.0) == 0.0
 
     def test_gamma_validation(self):
         traj = self._constant_reward_traj([1.0])
@@ -161,6 +194,26 @@ class TestTrajectoryReturn:
             trajectory_return(traj, 0.0)
         with pytest.raises(ValueError):
             trajectory_return(traj, 1.5)
+
+
+@st.composite
+def indexed_dataset(draw):
+    """A dataset on a small integer grid (so ties and duplicate starts are
+    common) whose rows arrive in a shuffled (traj_id, t) order, with a
+    weighted metric."""
+    n = draw(st.integers(0, 40))
+    cells = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+    keys = draw(st.permutations(
+        draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)),
+                      min_size=n, max_size=n, unique=True))
+    ))
+    transitions = [
+        Transition(np.array(draw(cells), float), draw(st.integers(0, 2)), -1.0,
+                   np.array(draw(cells), float), traj_id=i, t=t)
+        for i, t in keys
+    ]
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=2, max_size=2))
+    return Dataset(transitions, [np.zeros(2)], 2, 3), Metric(np.array(weights))
 
 
 def random_dataset(rng, n, dim=2, n_actions=3):
@@ -191,14 +244,14 @@ class TestNeighborQueries:
             2,
         )
         m = Metric.euclidean(2)
-        got = ds.nearest(np.array([1.0, 1.0]), 0, m)
-        assert np.array_equal(got.x, np.array([0.0, 0.0]))
+        got = ds.nearest_index(np.array([1.0, 1.0]), 0, m)
+        assert np.array_equal(ds.starts[got], np.array([0.0, 0.0]))
 
     def test_nearest_absent_action(self):
         ds = Dataset(
             [make_transition([0.0, 0.0], 0, -1.0, [1.0, 0.0])], [np.zeros(2)], 2, 2
         )
-        assert ds.nearest(np.zeros(2), 1, Metric.euclidean(2)) is None
+        assert ds.nearest_index(np.zeros(2), 1, Metric.euclidean(2)) is None
 
     def test_nearest_tie_breaks_lexicographically(self):
         # both starts at distance 1 from the query; (traj 0, t 3) wins over (1, 0)
@@ -211,23 +264,25 @@ class TestNeighborQueries:
             2,
             1,
         )
-        got = ds.nearest(np.zeros(2), 0, Metric.euclidean(2))
-        assert (got.traj_id, got.t) == (0, 3)
+        got = ds.nearest_index(np.zeros(2), 0, Metric.euclidean(2))
+        assert (ds.traj_id[got], ds.t[got]) == (0, 3)
 
-    def test_nearest_matches_brute_force(self):
-        rng = np.random.default_rng(7)
-        for trial in range(10):
-            ds = random_dataset(rng, int(rng.integers(5, 500)))
-            m = Metric(rng.uniform(0.2, 3.0, size=2))
-            for _ in range(20):
-                x = rng.normal(size=2)
-                a = int(rng.integers(3))
-                expect = brute_force_nearest(ds.transitions, x, a, m)
-                got = ds.nearest(x, a, m)
-                if expect is None:
-                    assert got is None
-                else:
-                    assert (got.traj_id, got.t) == (expect.traj_id, expect.t)
+    @settings(max_examples=150, deadline=None)
+    @given(indexed_dataset(), st.data())
+    def test_index_equals_a_per_action_linear_scan(self, case, data):
+        # integer coordinates and power-of-two weights keep every distance
+        # exact, so equal distances are true ties
+        ds, m = case
+        x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2)), float)
+        for a in range(ds.n_actions):
+            scan = linear_scan(ds, x, a, m)
+            got = ds.nearest_index(x, a, m)
+            assert got == (scan[0][3] if scan else None)
+            c = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5, 1e9]))
+            rows, dists = ds.neighbor_indices(x, a, c, m)
+            within = [(d, row) for d, _, _, row in scan if d <= c]
+            assert rows.tolist() == [row for _, row in within]
+            assert dists.tolist() == [d for d, _ in within]
 
     def test_neighbors_radius_zero_at_observed_start(self):
         ds = Dataset(
@@ -305,7 +360,7 @@ class TestPolicy:
         assert np.mean(draws) == pytest.approx(0.75, abs=0.03)
 
     def test_sampling_deterministic_under_seed(self):
-        pol = Policy.uniform(4)
+        pol = uniform_policy(4)
         a = [pol.sample(np.zeros(1), np.random.default_rng(42)) for _ in range(5)]
         b = [pol.sample(np.zeros(1), np.random.default_rng(42)) for _ in range(5)]
         assert a == b

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import context_scans
+from helpers import context_scans, uniform_policy
 from moesim.core import Dataset, Metric, Policy, trajectory_return
 from moesim.envs import (
     AcrobotConfig,
@@ -259,7 +259,7 @@ class TestEpsGreedy:
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
-            make_eps_greedy(Policy.uniform(2), 1.5)
+            make_eps_greedy(uniform_policy(2), 1.5)
 
 
 class TestODE:

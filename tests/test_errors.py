@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import context_scans, estimate_lipschitz, state_error_closed_form
 from moesim.core import Dataset, Metric, Transition
@@ -13,6 +15,7 @@ from moesim.errors import (
     ErrorEstimate,
     InsufficientPairsError,
     LipschitzEstimates,
+    _pairwise_max_ratios,
     choose_radius,
     global_lipschitz,
     np_error_estimate,
@@ -29,27 +32,50 @@ def tr(x, a, r, y, tid=0, t=0):
                       np.atleast_1d(np.array(y, float)), tid, t)
 
 
-def brute_force_ratios(transitions, metric):
-    """Independent reference over all same-action pairs: each transition
-    against every later one of its action, one transition at a time."""
-    X = np.array([t.x for t in transitions])
-    Y = np.array([t.x_next for t in transitions])
-    A = np.array([t.a for t in transitions])
-    R = np.array([t.r for t in transitions])
+def brute_force_ratios(X, Y, A, R, metric):
+    """Independent reference over all same-action pairs: each row against
+    every later row of its action, one row at a time, from exact
+    differences of the weighted coordinates."""
+    Xw = X * metric.weights
+    Yw = Y * metric.weights
     best_t = 0.0
     best_r = 0.0
     used = 0
-    w = metric.weights
-    for i in range(len(transitions)):
+    for i in range(len(X)):
         later = i + 1 + np.flatnonzero(A[i + 1 :] == A[i])
-        d = np.sqrt((((X[later] - X[i]) * w) ** 2).sum(axis=1))
+        d = np.sqrt(((Xw[later] - Xw[i]) ** 2).sum(axis=1))
         keep = later[d > 0.0]
         d = d[d > 0.0]
         used += len(keep)
-        dy = np.sqrt((((Y[keep] - Y[i]) * w) ** 2).sum(axis=1))
+        dy = np.sqrt(((Yw[keep] - Yw[i]) ** 2).sum(axis=1))
         best_t = max(best_t, (dy / d).max(initial=0.0))
         best_r = max(best_r, (np.abs(R[keep] - R[i]) / d).max(initial=0.0))
     return best_t, best_r, used
+
+
+@st.composite
+def ratio_inputs(draw):
+    """One action's (starts, next states, rewards) and a weighted metric,
+    with exact and near duplicates of drawn starts, often on either side of
+    a 64-row block boundary of the pair scan."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-10, 10, size=(n, dim))
+    Y = rng.normal(size=(n, dim))
+    R = rng.normal(size=n)
+    row = st.integers(0, n - 1)
+    edges = [b + k for b in (64, 128, 192) for k in (-1, 0) if b + k < n]
+    if edges:
+        row = st.one_of(row, st.sampled_from(edges))
+    for _ in range(draw(st.integers(0, 6))):
+        src, dst = draw(row), draw(row)
+        X[dst] = X[src]
+        X[dst, draw(st.integers(0, dim - 1))] += draw(
+            st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 3e-6])
+        )
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim))
+    return X, Y, R, Metric(np.array(weights))
 
 
 class TestLipschitzEstimation:
@@ -78,6 +104,16 @@ class TestLipschitzEstimation:
         with pytest.raises(InsufficientPairsError):
             estimate_lipschitz([(a, b)], Metric.euclidean(1))
 
+    @settings(max_examples=80, deadline=None)
+    @given(ratio_inputs())
+    def test_pair_scan_matches_brute_force(self, case):
+        X, Y, R, m = case
+        bt, br, used = _pairwise_max_ratios(X, Y, R, m)
+        want_t, want_r, want_used = brute_force_ratios(X, Y, np.zeros(len(X)), R, m)
+        assert used == want_used
+        assert bt == pytest.approx(want_t, rel=1e-9)
+        assert br == pytest.approx(want_r, rel=1e-9)
+
     def test_global_matches_brute_force(self):
         rng = np.random.default_rng(17)
         transitions = [
@@ -88,7 +124,7 @@ class TestLipschitzEstimation:
         ds = Dataset(transitions, [transitions[0].x], 2, 2)
         m = Metric(rng.uniform(0.5, 2.0, size=2))
         got = global_lipschitz(ds, m)
-        bt, br, used = brute_force_ratios(transitions, m)
+        bt, br, used = brute_force_ratios(ds.starts, ds.nexts, ds.actions, ds.rewards, m)
         assert got.l_t == pytest.approx(bt, rel=1e-9)
         assert got.l_r == pytest.approx(br, rel=1e-9)
         assert got.n_pairs == used
@@ -106,28 +142,10 @@ class TestLipschitzEstimation:
         got = global_lipschitz(ds, m)
         # the map is linear with factor 1.5, so the true max ratio is exact
         assert got.l_t == pytest.approx(1.5, rel=1e-6)
-        bt, br, used = brute_force_ratios(transitions, m)
+        bt, br, used = brute_force_ratios(X, X * 1.5 + 0.2, np.zeros(n), X[:, 0], m)
         assert got.l_t == pytest.approx(bt, rel=1e-9)
         assert got.l_r == pytest.approx(br, rel=1e-9)
         assert got.n_pairs == used
-
-    def test_near_duplicate_starts_set_the_ratio(self):
-        # the closest pairs are the ones that can set the maximum: a pair
-        # 1e-6 apart whose next states differ by 1, among 3100 rows
-        rng = np.random.default_rng(29)
-        n = 3100
-        X = rng.uniform(0, 10, size=(n, 2))
-        Y = X * 1.5 + 0.2
-        X[-1] = X[0] + [1e-6, 0.0]
-        Y[-1] = Y[0] + [1.0, 0.0]
-        transitions = [tr(X[i], 0, float(X[i, 0]), Y[i], 0, i) for i in range(n)]
-        ds = Dataset(transitions, [transitions[0].x], 2, 1)
-        m = Metric.euclidean(2)
-        got = global_lipschitz(ds, m)
-        pair = m.distance(Y[0], Y[-1]) / m.distance(X[0], X[-1])
-        assert pair > 1e5
-        assert got.l_t == pytest.approx(pair, rel=1e-9)
-        assert got.n_pairs == brute_force_ratios(transitions, m)[2]
 
     def test_linear_map_never_exceeds_operator_norm(self):
         rng = np.random.default_rng(31)
@@ -194,10 +212,10 @@ class TestNonparametricErrorEstimate:
         npm = NonparametricModel(ds, m)
         for _ in range(100):
             x = rng.uniform(-2, 2, size=2)
-            nearest = ds.nearest(x, 0, m)
+            nearest = ds.starts[ds.nearest_index(x, 0, m)]
             pred, _ = npm.predict(x, 0)
             true_err = m.distance(A @ x, pred)
-            assert true_err <= true_l * m.distance(x, nearest.x) + 1e-12
+            assert true_err <= true_l * m.distance(x, nearest) + 1e-12
 
 
 class TestParametricErrorEstimate:
@@ -303,7 +321,7 @@ class TestChooseRadius:
             m.distance(model.predict(t.x, t.a)[0], t.x_next)
             for t in ds.transitions
         ]
-        bt, _, _ = brute_force_ratios(list(ds.transitions), m)
+        bt, _, _ = brute_force_ratios(ds.starts, ds.nexts, ds.actions, ds.rewards, m)
         assert c == pytest.approx(np.mean(residuals) / bt, rel=1e-9)
 
 

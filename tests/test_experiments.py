@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,20 @@ class TestRunExperiment:
         solo = run_repetition(cfg, 1)
         after_other = [run_repetition(cfg, 0), run_repetition(cfg, 1)][1]
         assert json.dumps(solo, sort_keys=True) == json.dumps(after_other, sort_keys=True)
+
+    def test_is_family_reweights_the_simulated_horizon(self):
+        # on-policy with deterministic windy steps every logged trajectory
+        # is the true one; they run 60 steps, the simulated horizon is 10
+        cfg = tiny_config(
+            behavior={"kind": "eps_greedy", "eps": 0.0}, seed=1,
+            sim={"n_rollouts": 2, "horizon": 10, "gamma": 1.0},
+            estimators=["IS", "WIS", "PDIS", "CWPDIS", "DR", "WDR"],
+        )
+        rec = run_repetition(validate_config(cfg), 0)
+        assert rec["v_true"] == -10.0
+        assert {name: e["v_hat"] for name, e in rec["estimates"].items()} == {
+            name: -10.0 for name in cfg["estimators"]
+        }
 
     def test_relative_rmse_normalizes_by_plain_is(self):
         report = run_experiment(tiny_config())
@@ -359,9 +374,14 @@ class TestCLI:
                           "trigger": {"dim": 5, "greater_than": 1.0}}, "behavior.trigger.dim"),
             ("metric_weights", [1.0, 1.0, 1.0], "metric_weights"),
             ("env", {"kind": "windy2d", "height_filter": 0.0}, "env.height_filter"),
+            ("initial_states", [[0.0]], "initial_states"),
+            ("initial_states", [[0.0, "a"]], "$.initial_states[0][1]"),
+            ("initial_states", [], "$.initial_states"),
+            ("sim", {"n_rollouts": 2, "horizon": 61, "gamma": 1.0}, "sim.horizon"),
         ],
         ids=["action_out_of_range", "trigger_dim_out_of_range", "metric_weights_length",
-             "height_filter_off_acrobot"],
+             "height_filter_off_acrobot", "initial_state_length", "initial_state_not_a_number",
+             "initial_states_empty", "sim_horizon_beyond_logged_steps"],
     )
     @pytest.mark.parametrize("command", ["evaluate", "error-maps"])
     def test_values_that_must_fit_the_env_exit_2(
@@ -409,6 +429,21 @@ class TestCLI:
         assert str(err.value).startswith(
             "repetition 0, estimator DR: model predicted a non-finite state or reward "
             "at rollout step "
+        )
+
+    @pytest.mark.parametrize("estimator", ["p", "moe", "mcts_moe"])
+    def test_diverged_model_fails_simulated_rollouts_naming_the_step(self, estimator):
+        cfg = tiny_config(
+            env={"kind": "acrobot"}, seed=1, n_behavior_trajectories=4, n_repetitions=1,
+            model={"kind": "mlp", "epochs": 200, "learning_rate": 1e6, "hidden": 8},
+            estimators=[estimator], selector={"mcts_budget": 8},
+        )
+        with np.errstate(all="ignore"), pytest.raises(RepetitionError) as err:
+            run_repetition(validate_config(cfg), 0)
+        assert re.fullmatch(
+            f"repetition 0, estimator {estimator}: non-finite state or reward "
+            r"at trajectory step \d+",
+            str(err.value),
         )
 
     def test_error_maps_subcommand(self, tmp_path):

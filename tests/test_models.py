@@ -146,7 +146,7 @@ class TestNonparametric:
             again, r_again = model.predict(query, 0)
             assert np.array_equal(again, expected) and r_again == r
             again[:] = -98.0
-        assert np.array_equal(ds.nearest(x, 0, m).x_next, expected)
+        assert np.array_equal(ds.nexts[ds.nearest_index(x, 0, m)], expected)
         assert np.array_equal(NonparametricModel(ds, m).predict(x, 0)[0], expected)
 
     def test_no_support_raises(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import context_scans
-from moesim.core import Dataset, Metric, Policy, Trajectory, Transition
+from moesim.core import Dataset, Metric, Policy, Trajectory
 from moesim.envs import Windy2DConfig, make_planning_toy, make_windy2d, planning_toy_policies
 from moesim.envs.base import generate_trajectories
 from moesim.envs.planning_toy import BEHAVIOR_STARTS, EVAL_START
@@ -131,13 +131,8 @@ class TestSimulateValue:
 
 class TestTrajectoryError:
     def _chain(self, states):
-        trs = []
-        for t in range(len(states) - 1):
-            trs.append(
-                Transition(np.array(states[t], float), 0, -1.0,
-                           np.array(states[t + 1], float), 0, t)
-            )
-        return Trajectory(tuple(trs))
+        n = len(states) - 1
+        return Trajectory(np.array(states, float), [0] * n, [-1.0] * n)
 
     def test_identical_is_zero(self):
         states = [(float(t), 0.0) for t in range(8)]
