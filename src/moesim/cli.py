@@ -38,7 +38,13 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"--jobs: {jobs} parallel repetitions; give at least 1")
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> None:
+    _check_jobs(args.jobs)
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -108,6 +114,7 @@ def _cmd_error_maps(args: argparse.Namespace) -> None:
 
 def _cmd_reproduce(args: argparse.Namespace) -> None:
     seed = args.seed if args.seed is not None else 0
+    _check_jobs(args.jobs)
     if args.which == "table2" and args.jobs != 1:
         raise ConfigError("--jobs: table2 runs its repetitions in one process")
     if args.which == "table1":

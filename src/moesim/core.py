@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,6 +171,16 @@ def trajectory_return(traj: Trajectory, gamma: float) -> float:
     return total
 
 
+class Neighbors(NamedTuple):
+    """A dataset's rows around one query for one action: the `nearest` row,
+    its `distance`, and the `rows` within the query radius in (traj_id, t)
+    order, all as dataset row indices."""
+
+    nearest: int
+    distance: float
+    rows: np.ndarray
+
+
 _COLUMNS = ("starts", "actions", "rewards", "nexts", "traj_id", "t")
 
 
@@ -179,10 +189,10 @@ class Dataset:
 
     Row i is the step `starts[i]`, `actions[i]`, `rewards[i]`, `nexts[i]`
     of trajectory `traj_id[i]` at time `t[i]`; every array is read-only.
-    Supports per-action nearest-neighbor and radius queries.  Each query
-    scans one action's rows in (traj_id, t) order, so its reference
-    semantics are those of a per-action linear scan with exact ties going
-    to the smallest (traj_id, t) (see tests).
+    Answers per-action neighbour queries: `neighbor_rows` scans one
+    action's rows in (traj_id, t) order once, so its reference semantics
+    are those of a per-action linear scan with exact ties going to the
+    smallest (traj_id, t) (see tests).
     """
 
     def __init__(
@@ -271,38 +281,26 @@ class Dataset:
         (traj_id, t) order."""
         return self._by_action[a]
 
-    def nearest_index(self, x: StateVec, a: ActionId, metric: Metric) -> int | None:
-        """Row of the action-`a` step whose start is closest to `x`; exact
-        ties resolve to the smallest (traj_id, t).  None when no row has
+    def neighbor_rows(
+        self, x: StateVec, a: ActionId, c: float, metric: Metric
+    ) -> Neighbors | None:
+        """One scan of action `a`'s starts around `x`: the nearest row (exact
+        ties resolve to the smallest (traj_id, t)), its distance, and the
+        rows within radius `c` in (traj_id, t) order.  None when no row has
         action `a`."""
+        if c < 0:
+            raise ValueError("radius must be nonnegative")
         rows = self._rows[a]
         if len(rows) == 0:
             return None
         d = metric.distances_to(self._by_action[a][0], x)
-        return int(rows[int(np.argmin(d))])
+        i = int(np.argmin(d))
+        return Neighbors(int(rows[i]), float(d[i]), rows[d <= c])
 
-    def neighbor_rows(
-        self, x: StateVec, a: ActionId, c: float, metric: Metric
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row positions into action_arrays(a) within radius `c`, plus the
-        corresponding distances, both in ascending distance order."""
-        if c < 0:
-            raise ValueError("radius must be nonnegative")
-        starts = self._by_action[a][0]
-        if len(starts) == 0:
-            return np.zeros(0, dtype=np.intp), np.zeros(0)
-        d = metric.distances_to(starts, x)
-        rows = np.nonzero(d <= c)[0]
-        order = np.argsort(d[rows], kind="stable")
-        rows = rows[order]
-        return rows, d[rows]
-
-    def neighbor_indices(
-        self, x: StateVec, a: ActionId, c: float, metric: Metric
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Like neighbor_rows but returns dataset rows."""
-        rows, dists = self.neighbor_rows(x, a, c, metric)
-        return self._rows[a][rows], dists
+    def nearest_index(self, x: StateVec, a: ActionId, metric: Metric) -> int | None:
+        """The nearest row of `neighbor_rows`, or None."""
+        near = self.neighbor_rows(x, a, 0.0, metric)
+        return None if near is None else near.nearest
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,13 @@ def _wrap(angle: float) -> float:
     return float((angle + np.pi) % (2 * np.pi) - np.pi)
 
 
-def acrobot_step(
-    cfg: AcrobotConfig, x: StateVec, a: ActionId, n_substeps: int | None = None
-) -> tuple[np.ndarray, float]:
+def acrobot_step(cfg: AcrobotConfig, x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
     """One decision step: RK4-integrate the equations of motion for dt with
     the chosen constant torque, wrap angles, clip velocities; reward -1."""
     s = np.asarray(x, dtype=np.float64).copy()
     torque = TORQUES[a]
-    n = cfg.n_substeps if n_substeps is None else n_substeps
-    h = cfg.dt / n
-    for _ in range(n):
+    h = cfg.dt / cfg.n_substeps
+    for _ in range(cfg.n_substeps):
         s = _rk4_step(cfg, s, torque, h)
     s[0] = _wrap(s[0])
     s[1] = _wrap(s[1])

@@ -139,22 +139,17 @@ def _rk4(rhs: Callable, state: np.ndarray, inputs, h: float, n: int) -> np.ndarr
     return s
 
 
-def ode_env(spec: ODESpec, substep_scale: int = 1) -> Environment:
-    """Build an Environment from an ODESpec.
-
-    substep_scale multiplies the substep count (halving the step size
-    accordingly), which exists so integration accuracy can be checked by
-    step halving.
-    """
+def ode_env(spec: ODESpec) -> Environment:
+    """Build an Environment from an ODESpec."""
     rhs, reward = _compile(spec)
-    n = spec.steps_per_decision * substep_scale
-    h = spec.dt / substep_scale
     starts = [np.array(s, dtype=np.float64) for s in spec.initial_states]
 
     def step(x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
         inputs = spec.actions[a]
         r = reward(np.asarray(x, dtype=np.float64), inputs)
-        x_next = _rk4(rhs, np.asarray(x, dtype=np.float64), inputs, h, n)
+        x_next = _rk4(
+            rhs, np.asarray(x, dtype=np.float64), inputs, spec.dt, spec.steps_per_decision
+        )
         return x_next, r
 
     def sample_initial(rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ActionId, Dataset, Metric, StateVec
+from .core import Dataset, Metric, Neighbors
 from .models import DynamicsModel, NoSupportError
 
 @dataclass(frozen=True)
@@ -138,32 +138,29 @@ def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
 
 def np_error_estimate(
     ds: Dataset,
-    x: StateVec,
-    a: ActionId,
-    c: float,
+    near: Neighbors | None,
     metric: Metric,
     fallback: LipschitzEstimates,
 ) -> ErrorEstimate:
-    """Nonparametric error estimate at (x, a) with neighborhood radius c.
+    """Nonparametric error estimate from one neighbour scan of (x, a) at
+    radius c (`Dataset.neighbor_rows`).
 
     eps = (local Lipschitz ratio) * (distance to the nearest same-action
     start).  The local ratios come from transition pairs starting within c
     of x; with fewer than two such neighbors the global estimates in
     `fallback` are used.
     """
-    if c < 0:
-        raise ValueError("radius must be nonnegative")
-    rows, dists = ds.neighbor_rows(x, a, c, metric)
-    if len(rows) == 0:
+    if near is None or len(near.rows) == 0:
         return ErrorEstimate.unsupported()
-    d_star = float(dists[0])
-    X, Y, R = ds.action_arrays(a)
+    rows = near.rows
     lips = fallback
     if len(rows) >= 2:
-        bt, br, n = _pairwise_max_ratios(X[rows], Y[rows], R[rows], metric)
+        bt, br, n = _pairwise_max_ratios(
+            ds.starts[rows], ds.nexts[rows], ds.rewards[rows], metric
+        )
         if n > 0:
             lips = LipschitzEstimates(bt, br, n)
-    return ErrorEstimate(lips.l_t * d_star, lips.l_r * d_star)
+    return ErrorEstimate(lips.l_t * near.distance, lips.l_r * near.distance)
 
 
 def parametric_residuals(
@@ -186,26 +183,19 @@ def parametric_residuals(
 
 
 def p_error_estimate(
-    ds: Dataset,
-    x: StateVec,
-    a: ActionId,
-    c: float,
-    metric: Metric,
-    residuals: tuple[np.ndarray, np.ndarray],
+    near: Neighbors | None, residuals: tuple[np.ndarray, np.ndarray]
 ) -> ErrorEstimate:
     """Parametric error estimate: the worst residual the model makes on the
-    same-action transitions starting within c of x.
+    same-action transitions starting within c of x, given one neighbour
+    scan of (x, a) at radius c (`Dataset.neighbor_rows`).
 
     `residuals` are the model's per-transition residuals, as returned by
     parametric_residuals.
     """
-    if c < 0:
-        raise ValueError("radius must be nonnegative")
-    idx, _ = ds.neighbor_indices(x, a, c, metric)
-    if len(idx) == 0:
+    if near is None or len(near.rows) == 0:
         return ErrorEstimate.unsupported()
-    et = float(residuals[0][idx].max())
-    er = float(residuals[1][idx].max())
+    et = float(residuals[0][near.rows].max())
+    er = float(residuals[1][near.rows].max())
     if not (np.isfinite(et) and np.isfinite(er)):
         return ErrorEstimate.unsupported()
     return ErrorEstimate(et, er)

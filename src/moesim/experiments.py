@@ -142,6 +142,7 @@ CONFIG_SCHEMA = {
         },
         "metric_weights": {
             "type": ["array", "null"],
+            "minItems": 1,
             "items": {"type": "number", "exclusiveMinimum": 0},
         },
         "selector": {
@@ -418,7 +419,7 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
         gamma=cfg["sim"]["gamma"],
     )
     ctx = SelectionContext(
-        parametric, NonparametricModel(ds, metric), ds, metric, radius, bound,
+        parametric, NonparametricModel(ds, metric, radius), bound,
         batch.eval_policy, lips, residuals,
         true_step=env.step, is_terminal=env.is_terminal,
     )
@@ -459,7 +460,8 @@ def run_repetition(cfg: dict, rep: int) -> dict:
     """
     with _stage(rep, "data and context"):
         batch, ctx_est = build_context(cfg, rep)
-    env, eval_policy, metric = batch.env, batch.eval_policy, ctx_est.metric
+    env, eval_policy = batch.env, batch.eval_policy
+    metric, radius = ctx_est.nonparametric.metric, ctx_est.nonparametric.radius
     sim_cfg = cfg["sim"]
     gamma = sim_cfg["gamma"]
     horizon = sim_cfg["horizon"]
@@ -474,7 +476,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
         )
 
     budget = cfg["selector"].get("mcts_budget", _SELECTOR_DEFAULTS["mcts_budget"])
-    record: dict = {"rep": rep, "v_true": v_true, "radius": ctx_est.radius, "estimates": {}}
+    record: dict = {"rep": rep, "v_true": v_true, "radius": radius, "estimates": {}}
     for name in cfg["estimators"]:
         if name in IS_ESTIMATORS:
             continue

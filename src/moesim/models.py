@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ActionId, Dataset, Metric, StateVec
+from .core import ActionId, Dataset, Metric, Neighbors, StateVec
 
 PARAMETRIC = "parametric"
 NONPARAMETRIC = "nonparametric"
@@ -50,28 +50,36 @@ class NonparametricModel(DynamicsModel):
     """Nearest-neighbor expert: returns the recorded (x_next, r) of the
     same-action transition whose start state is closest to the query.
 
-    The nearest row is memoized per (float64 bytes of x, action); each
+    It owns the one neighbour scan per (float64 bytes of x, action), at the
+    selection radius C, memoized: its predictions read the scan's nearest
+    row, and both local error estimates read its rows within C.  Each
     prediction still returns a fresh copy of its next state.
     """
 
     kind = NONPARAMETRIC
 
-    def __init__(self, dataset: Dataset, metric: Metric):
+    def __init__(self, dataset: Dataset, metric: Metric, radius: float):
         self.dataset = dataset
         self.metric = metric
-        self._nearest: dict[tuple[bytes, ActionId], int | None] = {}
+        self.radius = radius
+        self._neighbors: dict[tuple[bytes, ActionId], Neighbors | None] = {}
 
     def fitted(self, a: ActionId) -> bool:
         return self.dataset.n_for_action(a) > 0
 
-    def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
+    def neighbors(self, x: StateVec, a: ActionId) -> Neighbors | None:
+        """`Dataset.neighbor_rows` of (x, a) at this expert's radius."""
         x = np.asarray(x, dtype=np.float64)
         key = (x.tobytes(), a)
-        if key not in self._nearest:
-            self._nearest[key] = self.dataset.nearest_index(x, a, self.metric)
-        row = self._nearest[key]
-        if row is None:
+        if key not in self._neighbors:
+            self._neighbors[key] = self.dataset.neighbor_rows(x, a, self.radius, self.metric)
+        return self._neighbors[key]
+
+    def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
+        near = self.neighbors(x, a)
+        if near is None:
             raise NoSupportError(f"no support: dataset has no transitions for action {a}")
+        row = near.nearest
         return self.dataset.nexts[row].copy(), float(self.dataset.rewards[row])
 
 

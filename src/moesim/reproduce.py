@@ -119,9 +119,9 @@ def reproduce_table1(seed: int = 0, jobs: int = 1, n_repetitions: int = 100) -> 
     }
 
 
-def _toy_errors(horizon: int, variant: str, seed: int, budget: int,
+def _toy_errors(horizon: int, variant: str, seed: int,
                 estimators: tuple[str, ...] = TABLE2_ESTIMATORS) -> dict[str, float]:
-    cfg = validate_config(planning_toy_config(horizon, variant, seed, budget))
+    cfg = validate_config(planning_toy_config(horizon, variant, seed))
     cfg["estimators"] = list(estimators)
     rec = run_repetition(cfg, 0)
     return {
@@ -130,11 +130,9 @@ def _toy_errors(horizon: int, variant: str, seed: int, budget: int,
     }
 
 
-def search_table2_horizon(
-    seed: int = 0, horizons: range = range(2, 25), budget: int = 256
-) -> dict:
-    """Scan simulation horizons for one reproducing the published error
-    quadruples exactly (both reward-model variants).
+def search_table2_horizon(seed: int = 0) -> dict:
+    """Scan simulation horizons 2 to 24 for one reproducing the published
+    error quadruples exactly (both reward-model variants).
 
     The cheap estimators gate the scan; the planned mixture only runs when
     they already match.  Returns the matching horizon (or None) plus the
@@ -143,11 +141,11 @@ def search_table2_horizon(
     gate = ("p", "np", "moe_true")
     scanned = {}
     match = None
-    for h in horizons:
+    for h in range(2, 25):
         errs = {}
         ok = True
         for variant, target in TABLE2_TARGETS.items():
-            e = _toy_errors(h, variant, seed, budget, estimators=gate)
+            e = _toy_errors(h, variant, seed, estimators=gate)
             errs[variant] = e
             ok = ok and all(
                 abs(e[name] - target[i]) < 1e-9 for i, name in enumerate(gate)
@@ -155,7 +153,7 @@ def search_table2_horizon(
         scanned[h] = errs
         if ok:
             full = {
-                variant: _toy_errors(h, variant, seed, budget)
+                variant: _toy_errors(h, variant, seed)
                 for variant in TABLE2_TARGETS
             }
             if all(
@@ -167,16 +165,16 @@ def search_table2_horizon(
     return {"match": match, "scanned": {str(h): v for h, v in scanned.items()}}
 
 
-def reproduce_table2(seed: int = 0, budget: int = 256, search: bool = True) -> dict:
+def reproduce_table2(seed: int = 0) -> dict:
     """Errors of all four estimators on both reward-model variants, at the
     horizon recovered by the search (or the pinned default when the search
     finds no exact reproduction)."""
-    found = search_table2_horizon(seed=seed, budget=budget) if search else {"match": None}
+    found = search_table2_horizon(seed=seed)
     horizon = found["match"] if found["match"] is not None else TABLE2_DEFAULT_HORIZON
     rows = {}
     ordering = {}
     for variant, target in TABLE2_TARGETS.items():
-        errs = _toy_errors(horizon, variant, seed, budget)
+        errs = _toy_errors(horizon, variant, seed)
         rows[variant] = errs
         ordering[variant] = {
             "mcts_strictly_smallest": all(

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ActionId, Dataset, Metric, Policy, StateVec
+from .core import ActionId, Policy, StateVec
 from .errors import (
     BoundParams,
     ErrorEstimate,
@@ -100,10 +100,11 @@ class StepMemo:
 
 
 class SelectionContext(StepMemo):
-    """Everything one model choice needs: both experts, the batch data and
-    metric, the shared neighborhood radius, bound constants, the evaluation
-    policy, and (for oracle mode, which scores each expert by its actual
-    one-step error) the true step function.
+    """Everything one model choice needs: both experts, bound constants,
+    the evaluation policy, and (for oracle mode, which scores each expert
+    by its actual one-step error) the true step function.  The batch data,
+    metric and neighbourhood radius are the nonparametric expert's, whose
+    memoised neighbour scan both local error estimates read.
 
     Complete once built: it takes the repetition's global Lipschitz ratios
     (the nonparametric estimate's fallback) and the parametric model's
@@ -122,9 +123,6 @@ class SelectionContext(StepMemo):
         self,
         parametric: DynamicsModel,
         nonparametric: NonparametricModel,
-        dataset: Dataset,
-        metric: Metric,
-        radius: float,
         bound: BoundParams,
         policy: Policy,
         global_lips: LipschitzEstimates,
@@ -138,9 +136,6 @@ class SelectionContext(StepMemo):
         super().__init__()
         self.parametric = parametric
         self.nonparametric = nonparametric
-        self.dataset = dataset
-        self.metric = metric
-        self.radius = radius
         self.bound = bound
         self.policy = policy
         self.true_step = true_step
@@ -150,18 +145,17 @@ class SelectionContext(StepMemo):
         self._residuals = residuals
         self._available = [
             tuple(k for k in (NONPARAMETRIC, PARAMETRIC) if self.model(k).fitted(a))
-            for a in range(dataset.n_actions)
+            for a in range(nonparametric.dataset.n_actions)
         ]
         self._estimates: dict[tuple[str, bytes, ActionId], ErrorEstimate] = {}
 
     def oracle(self) -> "SelectionContext":
-        """This context in oracle mode: the same experts, data, radius,
-        bound and cached scans, scoring each expert by its actual one-step
-        error.  Its memos start empty."""
+        """This context in oracle mode: the same experts, bound and cached
+        scans, scoring each expert by its actual one-step error.  Its
+        estimate and step memos start empty."""
         return SelectionContext(
-            self.parametric, self.nonparametric, self.dataset, self.metric,
-            self.radius, self.bound, self.policy, self._global_lips,
-            self._residuals, true_step=self.true_step,
+            self.parametric, self.nonparametric, self.bound, self.policy,
+            self._global_lips, self._residuals, true_step=self.true_step,
             is_terminal=self.is_terminal, use_true_errors=True,
         )
 
@@ -188,21 +182,17 @@ class SelectionContext(StepMemo):
     def _compute_estimate(self, kind: str, x: StateVec, a: ActionId) -> ErrorEstimate:
         if not self.usable(kind, a):
             return ErrorEstimate.unsupported()
+        npm = self.nonparametric
         if self.use_true_errors:
             true_next, true_r = self.true_step(x, a)
             pred_next, pred_r = self.model(kind).predict(x, a)
             return ErrorEstimate(
-                self.metric.distance(true_next, pred_next), abs(true_r - pred_r)
+                npm.metric.distance(true_next, pred_next), abs(true_r - pred_r)
             )
+        near = npm.neighbors(x, a)
         if kind == NONPARAMETRIC:
-            return np_error_estimate(
-                self.dataset, x, a, self.radius, self.metric,
-                fallback=self._global_lips,
-            )
-        return p_error_estimate(
-            self.dataset, x, a, self.radius, self.metric,
-            residuals=self._residuals,
-        )
+            return np_error_estimate(npm.dataset, near, npm.metric, fallback=self._global_lips)
+        return p_error_estimate(near, residuals=self._residuals)
 
 
 def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:

@@ -91,7 +91,8 @@ def simulate_value(
     if forced_model not in (None, PARAMETRIC, NONPARAMETRIC):
         raise ValueError(f"invalid forced model {forced_model!r}")
     starts = list(
-        initial_states if initial_states is not None else ctx.dataset.initial_states
+        initial_states if initial_states is not None
+        else ctx.nonparametric.dataset.initial_states
     )
     if not starts:
         raise ValueError("no initial states to sample from")

@@ -157,9 +157,9 @@ def path_error_sequences(ctx, node):
 
 def neighbors_within(ds, x, a, c, metric):
     """All transitions of `ds` with action `a` starting within distance `c`
-    of `x`, in ascending distance order (ties by (traj_id, t))."""
-    idx, _ = ds.neighbor_indices(x, a, c, metric)
-    return [ds.transitions[int(i)] for i in idx]
+    of `x`, in (traj_id, t) order."""
+    near = ds.neighbor_rows(x, a, c, metric)
+    return [] if near is None else [ds.transitions[int(i)] for i in near.rows]
 
 
 def mlp_loss(params, X, Y):

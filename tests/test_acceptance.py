@@ -33,12 +33,10 @@ from moesim.models import (
     mlp_init,
 )
 from moesim.reproduce import (
-    TABLE2_DEFAULT_HORIZON,
     TABLE2_TARGETS,
     reproduce_consistency,
     reproduce_table1,
     reproduce_table2,
-    search_table2_horizon,
     windy_table1_config,
     write_report,
 )
@@ -95,14 +93,11 @@ class TestCriterion02ClosedForm:
 
 class TestCriterion03PlanningToyOrdering:
     def test_ordering_with_true_errors(self):
-        found = search_table2_horizon(seed=0, horizons=range(2, 25), budget=256)
-        payload = reproduce_table2(seed=0, budget=256, search=False)
-        horizon = (
-            found["match"] if found["match"] is not None else TABLE2_DEFAULT_HORIZON
-        )
+        payload = reproduce_table2(seed=0)
+        match, horizon = payload["exact_match_horizon"], payload["horizon"]
         ok = True
-        details = [f"exact-match horizon: {found['match']} (pinned {horizon})"]
-        if found["match"] is not None:
+        details = [f"exact-match horizon: {match} (pinned {horizon})"]
+        if match is not None:
             for variant, target in TABLE2_TARGETS.items():
                 errs = payload["errors"][variant]
                 ok = ok and all(
@@ -245,7 +240,7 @@ class TestCriterion08SelectionQuality:
         lips = global_lipschitz(ds, metric)
         radius = choose_radius(residuals[0], lips.l_t)
         ctx = SelectionContext(
-            pmodel, NonparametricModel(ds, metric), ds, metric, radius,
+            pmodel, NonparametricModel(ds, metric, radius),
             BoundParams(lips.l_t, lips.l_r, 1.0), eval_policy, lips, residuals,
             is_terminal=env.is_terminal,
         )

@@ -276,13 +276,15 @@ class TestNeighborQueries:
         x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2)), float)
         for a in range(ds.n_actions):
             scan = linear_scan(ds, x, a, m)
-            got = ds.nearest_index(x, a, m)
-            assert got == (scan[0][3] if scan else None)
             c = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5, 1e9]))
-            rows, dists = ds.neighbor_indices(x, a, c, m)
-            within = [(d, row) for d, _, _, row in scan if d <= c]
-            assert rows.tolist() == [row for _, row in within]
-            assert dists.tolist() == [d for d, _ in within]
+            near = ds.neighbor_rows(x, a, c, m)
+            assert ds.nearest_index(x, a, m) == (scan[0][3] if scan else None)
+            if not scan:
+                assert near is None
+                continue
+            assert (near.nearest, near.distance) == (scan[0][3], scan[0][0])
+            within = sorted((tid, t, row) for d, tid, t, row in scan if d <= c)
+            assert near.rows.tolist() == [row for _, _, row in within]
 
     def test_neighbors_radius_zero_at_observed_start(self):
         ds = Dataset(
@@ -322,8 +324,7 @@ class TestNeighborQueries:
         got = neighbors_within(ds, np.zeros(2), 0, 2.0, m)
         scan = [tr for tr in transitions if m.distance(tr.x, np.zeros(2)) <= 2.0]
         assert len(got) == len(scan) == 50
-        dists = [m.distance(tr.x, np.zeros(2)) for tr in got]
-        assert np.all(np.diff(dists) >= -1e-12)
+        assert [tr.t for tr in got] == [tr.t for tr in scan]
 
     def test_neighbors_within_kth_distance_holds_k_items(self):
         rng = np.random.default_rng(13)

@@ -1,5 +1,6 @@
 """Ground-truth environments, scripted policies, and the data harness."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ class TestWindy2D:
         lips, residuals = context_scans(ds, pmodel, m)
         radius = choose_radius(residuals[0], lips.l_t)
         ctx = SelectionContext(
-            pmodel, NonparametricModel(ds, m), ds, m, radius,
+            pmodel, NonparametricModel(ds, m, radius),
             BoundParams(lips.l_t, lips.l_r, 1.0), windy_eval_policy(cfg),
             lips, residuals, is_terminal=env.is_terminal,
         )
@@ -178,9 +179,9 @@ class TestAcrobot:
         ratios = []
         for _ in range(5):
             x = rng.uniform(-0.5, 0.5, size=4)
-            coarse = acrobot_step(cfg, x, 2, n_substeps=2)[0]
-            fine = acrobot_step(cfg, x, 2, n_substeps=4)[0]
-            finer = acrobot_step(cfg, x, 2, n_substeps=8)[0]
+            coarse, fine, finer = (
+                acrobot_step(replace(cfg, n_substeps=k), x, 2)[0] for k in (2, 4, 8)
+            )
             e1 = np.linalg.norm(coarse - fine)
             e2 = np.linalg.norm(fine - finer)
             if e2 > 1e-12:
@@ -291,7 +292,9 @@ class TestODE:
     def test_hiv_step_halving(self):
         spec = ODESpec.from_json(CONFIG_DIR / "hiv_ode.json")
         env = ode_env(spec)
-        env_half = ode_env(spec, substep_scale=2)
+        env_half = ode_env(
+            replace(spec, dt=spec.dt / 2, steps_per_decision=2 * spec.steps_per_decision)
+        )
         x = np.array(spec.initial_states[0])
         for a in range(4):
             coarse, _ = env.step(x, a)

@@ -174,7 +174,8 @@ class TestNonparametricErrorEstimate:
 
     def _estimate(self, ds, x, c):
         m = Metric.euclidean(1)
-        return np_error_estimate(ds, np.array([x]), 0, c, m, global_lipschitz(ds, m))
+        near = ds.neighbor_rows(np.array([x]), 0, c, m)
+        return np_error_estimate(ds, near, m, global_lipschitz(ds, m))
 
     def test_zero_at_observed_start(self):
         est = self._estimate(self._dataset(), 3.0, 2.5)
@@ -190,13 +191,23 @@ class TestNonparametricErrorEstimate:
         assert not est.supported
         assert np.isinf(est.eps_t)
 
+    def test_unsupported_for_an_action_without_rows(self):
+        transitions = [tr([0.0], 0, 0.0, [0.0], t=0), tr([1.0], 0, 1.0, [2.0], t=1)]
+        ds = Dataset(transitions, [transitions[0].x], 1, 2)
+        m = Metric.euclidean(1)
+        near = ds.neighbor_rows(np.array([0.0]), 1, 1e9, m)
+        assert near is None
+        assert not np_error_estimate(ds, near, m, global_lipschitz(ds, m)).supported
+        res = parametric_residuals(ds, FunctionModel(lambda x, a: x, lambda x, a: 0.0), m)
+        assert not p_error_estimate(near, res).supported
+
     def test_single_neighbor_falls_back_to_global(self):
         transitions = [tr([0.0], 0, 0.0, [0.0], t=0),
                        tr([10.0], 0, 5.0, [40.0], t=1)]
         ds = Dataset(transitions, [transitions[0].x], 1, 1)
         m = Metric.euclidean(1)
         fallback = global_lipschitz(ds, m)  # l_t = 4, l_r = 0.5
-        est = np_error_estimate(ds, np.array([0.5]), 0, 1.0, m, fallback)
+        est = np_error_estimate(ds, ds.neighbor_rows(np.array([0.5]), 0, 1.0, m), m, fallback)
         assert est.eps_t == pytest.approx(4.0 * 0.5)
         assert est.eps_r == pytest.approx(0.5 * 0.5)
 
@@ -209,7 +220,7 @@ class TestNonparametricErrorEstimate:
         transitions = [tr(X[i], 0, 0.0, A @ X[i], 0, i) for i in range(200)]
         ds = Dataset(transitions, [X[0]], 2, 1)
         m = Metric.euclidean(2)
-        npm = NonparametricModel(ds, m)
+        npm = NonparametricModel(ds, m, 0.0)
         for _ in range(100):
             x = rng.uniform(-2, 2, size=2)
             nearest = ds.starts[ds.nearest_index(x, 0, m)]
@@ -225,7 +236,7 @@ class TestParametricErrorEstimate:
         exact = FunctionModel(lambda x, a: x + 1.0, lambda x, a: 1.0)
         m = Metric.euclidean(1)
         res = parametric_residuals(ds, exact, m)
-        est = p_error_estimate(ds, np.array([2.2]), 0, 3.0, m, res)
+        est = p_error_estimate(ds.neighbor_rows(np.array([2.2]), 0, 3.0, m), res)
         assert est.eps_t == 0.0 and est.eps_r == 0.0
 
     def test_single_neighbor_residual(self):
@@ -234,7 +245,7 @@ class TestParametricErrorEstimate:
         model = FunctionModel(lambda x, a: x + 1.0, lambda x, a: 1.0)
         m = Metric.euclidean(1)
         res = parametric_residuals(ds, model, m)
-        est = p_error_estimate(ds, np.array([0.1]), 0, 1.0, m, res)
+        est = p_error_estimate(ds.neighbor_rows(np.array([0.1]), 0, 1.0, m), res)
         assert est.eps_t == pytest.approx(0.3)
 
     def test_matches_linear_scan_oracle(self):
@@ -251,7 +262,7 @@ class TestParametricErrorEstimate:
             x = rng.normal(size=2)
             c = float(rng.uniform(0.3, 2.0))
             neighbors = [t for t in transitions if m.distance(t.x, x) <= c]
-            est = p_error_estimate(ds, x, 0, c, m, res)
+            est = p_error_estimate(ds.neighbor_rows(x, 0, c, m), res)
             if not neighbors:
                 assert not est.supported
                 continue

@@ -366,6 +366,20 @@ class TestCLI:
         assert code == 2
         assert not (tmp_path / "table2.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate", "--config", "{cfg}"], ["reproduce", "table1"], ["reproduce", "consistency"]],
+        ids=["evaluate", "table1", "consistency"],
+    )
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, command, jobs):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        argv = [arg.format(cfg=cfg_path) for arg in command]
+        assert cli_main(argv + ["--jobs", jobs, "--out", str(tmp_path)]) == 2
+        assert "config error: --jobs:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize(
         "section, value, field",
         [
@@ -373,6 +387,7 @@ class TestCLI:
             ("behavior", {"kind": "eps_greedy", "eps": 0.3,
                           "trigger": {"dim": 5, "greater_than": 1.0}}, "behavior.trigger.dim"),
             ("metric_weights", [1.0, 1.0, 1.0], "metric_weights"),
+            ("metric_weights", [], "$.metric_weights"),
             ("env", {"kind": "windy2d", "height_filter": 0.0}, "env.height_filter"),
             ("initial_states", [[0.0]], "initial_states"),
             ("initial_states", [[0.0, "a"]], "$.initial_states[0][1]"),
@@ -380,6 +395,7 @@ class TestCLI:
             ("sim", {"n_rollouts": 2, "horizon": 61, "gamma": 1.0}, "sim.horizon"),
         ],
         ids=["action_out_of_range", "trigger_dim_out_of_range", "metric_weights_length",
+             "metric_weights_empty",
              "height_filter_off_acrobot", "initial_state_length", "initial_state_not_a_number",
              "initial_states_empty", "sim_horizon_beyond_logged_steps"],
     )

@@ -47,6 +47,8 @@ def test_no_unused_imports(path):
 # reader outside it.
 API_EDGE = {
     "return_error_bound": "the paper's bound, and the planner test's reference",
+    "nearest_index": "the nearest row of one neighbour scan; perfbench's tracer wraps it "
+    "and the tests compare it with a per-action linear scan",
 }
 
 

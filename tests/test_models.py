@@ -112,7 +112,7 @@ class TestRidge:
 class TestNonparametric:
     def test_prediction_at_support_is_exact(self):
         ds = line_dataset()
-        model = NonparametricModel(ds, Metric.euclidean(1))
+        model = NonparametricModel(ds, Metric.euclidean(1), 0.0)
         tr = ds.transitions[3]
         pred, r = model.predict(tr.x, 0)
         assert np.array_equal(pred, tr.x_next)
@@ -126,7 +126,7 @@ class TestNonparametric:
             for i in range(40)
         ]
         ds = Dataset(transitions, [transitions[0].x], 2, 2)
-        model = NonparametricModel(ds, Metric.euclidean(2))
+        model = NonparametricModel(ds, Metric.euclidean(2), 0.0)
         observed = {(tuple(tr.x_next), tr.r) for tr in transitions}
         for _ in range(60):
             x = rng.normal(size=2)
@@ -137,7 +137,7 @@ class TestNonparametric:
     def test_mutating_a_prediction_leaves_later_ones_unchanged(self):
         ds = line_dataset()
         m = Metric.euclidean(1)
-        model = NonparametricModel(ds, m)
+        model = NonparametricModel(ds, m, 0.0)
         x = np.array([3.2])
         first, r = model.predict(x, 0)
         expected = first.copy()
@@ -147,11 +147,11 @@ class TestNonparametric:
             assert np.array_equal(again, expected) and r_again == r
             again[:] = -98.0
         assert np.array_equal(ds.nexts[ds.nearest_index(x, 0, m)], expected)
-        assert np.array_equal(NonparametricModel(ds, m).predict(x, 0)[0], expected)
+        assert np.array_equal(NonparametricModel(ds, m, 0.0).predict(x, 0)[0], expected)
 
     def test_no_support_raises(self):
         ds = line_dataset(n_actions=3)
-        model = NonparametricModel(ds, Metric.euclidean(1))
+        model = NonparametricModel(ds, Metric.euclidean(1), 0.0)
         with pytest.raises(NoSupportError):
             model.predict(np.array([0.0]), 2)
 
@@ -159,7 +159,7 @@ class TestNonparametric:
         # querying the diagonal trajectory at its own start reproduces the
         # recorded outcome of the environment exactly
         ds = toy_behavior_dataset()
-        model = NonparametricModel(ds, Metric.euclidean(2))
+        model = NonparametricModel(ds, Metric.euclidean(2), 0.0)
         pred, r = model.predict(np.array([0.0, 0.0]), 1)
         assert np.array_equal(pred, np.array([1.0, 1.0]))
         assert r == 0.0

@@ -117,8 +117,7 @@ class TestGreedy:
         model = FunctionModel(lambda x, a: x, lambda x, a: 0.0)
         lips, residuals = context_scans(ds, model, m)
         ctx = SelectionContext(
-            model, NonparametricModel(ds, m),
-            ds, m, radius=1.0, bound=unit_bound(),
+            model, NonparametricModel(ds, m, 1.0), bound=unit_bound(),
             policy=Policy.deterministic(lambda x: 0, 1),
             global_lips=lips, residuals=residuals,
         )
@@ -378,7 +377,7 @@ def windy_parts(use_true_errors=False, eval_eps=None):
 
     def build():
         return SelectionContext(
-            model, NonparametricModel(ds, m), ds, m, radius,
+            model, NonparametricModel(ds, m, radius),
             BoundParams(lips.l_t, lips.l_r, 1.0), policy,
             true_step=env.step, is_terminal=env.is_terminal,
             use_true_errors=use_true_errors, global_lips=lips,
@@ -390,9 +389,10 @@ def windy_parts(use_true_errors=False, eval_eps=None):
             true_next, true_r = env.step(x, a)
             pred_next, pred_r = build().model(kind).predict(x, a)
             return ErrorEstimate(m.distance(true_next, pred_next), abs(true_r - pred_r))
+        near = ds.neighbor_rows(x, a, radius, m)
         if kind == NONPARAMETRIC:
-            return np_error_estimate(ds, x, a, radius, m, fallback=lips)
-        return p_error_estimate(ds, x, a, radius, m, residuals)
+            return np_error_estimate(ds, near, m, fallback=lips)
+        return p_error_estimate(near, residuals)
 
     return ds, build, direct
 
@@ -406,7 +406,7 @@ def planning_toy_context(horizon):
     model = planning_toy_parametric_model("accurate")
     lips, residuals = context_scans(ds, model, m)
     return ds, lambda: SelectionContext(
-        model, NonparametricModel(ds, m), ds, m, radius=1.0,
+        model, NonparametricModel(ds, m, 1.0),
         bound=BoundParams(1.0, math.sqrt(2.0), 1.0), policy=eval_policy,
         global_lips=lips, residuals=residuals, true_step=env.step,
         use_true_errors=True,
@@ -549,6 +549,27 @@ class TestEstimateMemo:
                     assert got == direct(kind, x, a)
 
 
+def test_one_neighbour_scan_per_state_and_action(monkeypatch):
+    # both estimates and the nonparametric predictions at one (state,
+    # action) read the expert's single memoised scan
+    from moesim.experiments import run_repetition, validate_config
+    from moesim.reproduce import windy_table1_config
+
+    keys = []
+    scan = Dataset.neighbor_rows
+
+    def counted(ds, x, a, c, metric):
+        keys.append((np.asarray(x, dtype=np.float64).tobytes(), a))
+        return scan(ds, x, a, c, metric)
+
+    monkeypatch.setattr(Dataset, "neighbor_rows", counted)
+    cfg = validate_config(windy_table1_config(seed=0, n_repetitions=1))
+    cfg["estimators"] = ["p", "np", "moe", "moe_true"]
+    run_repetition(cfg, 0)
+    assert len(keys) > 0
+    assert len(keys) == len(set(keys))
+
+
 class TestExpertSets:
     """The experts usable for an action are fixed when the context is built:
     here the analytic parametric expert covers every action, and the
@@ -564,7 +585,7 @@ class TestExpertSets:
 
     def test_available_models_are_the_fitted_experts(self):
         ctx = self._context()
-        for a in range(ctx.dataset.n_actions):
+        for a in range(ctx.nonparametric.dataset.n_actions):
             assert ctx.available_models(a) == tuple(
                 k for k in (NONPARAMETRIC, PARAMETRIC) if ctx.model(k).fitted(a)
             )

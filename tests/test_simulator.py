@@ -33,7 +33,7 @@ def build_windy_context(seed=7, n_traj=10):
     lips, residuals = context_scans(ds, pmodel, m)
     radius = choose_radius(residuals[0], lips.l_t)
     ctx = SelectionContext(
-        pmodel, NonparametricModel(ds, m), ds, m, radius,
+        pmodel, NonparametricModel(ds, m, radius),
         BoundParams(lips.l_t, lips.l_r, 1.0), eval_policy, lips, residuals,
         is_terminal=env.is_terminal,
     )
@@ -52,7 +52,7 @@ class TestSimulateValue:
         exact = FunctionModel(lambda x, a: env.step(x, a)[0],
                               lambda x, a: env.step(x, a)[1])
         ctx = SelectionContext(
-            exact, NonparametricModel(ds, m), ds, m, 1.0,
+            exact, NonparametricModel(ds, m, 1.0),
             BoundParams(1.0, 1.0, 1.0), eval_policy, *context_scans(ds, exact, m),
         )
         est = simulate_value(
@@ -72,7 +72,7 @@ class TestSimulateValue:
         m = Metric.euclidean(2)
         identity = FunctionModel(lambda x, a: x, lambda x, a: 0.0)
         ctx = SelectionContext(
-            identity, NonparametricModel(ds, m), ds, m, 1.0,
+            identity, NonparametricModel(ds, m, 1.0),
             BoundParams(1.0, 1.0, 1.0), eval_policy, *context_scans(ds, identity, m),
         )
         est = simulate_value(
@@ -174,8 +174,7 @@ class TestTrajectoryError:
         pmodel = planning_toy_parametric_model("accurate")
         lips, residuals = context_scans(ds, pmodel, m)
         ctx = SelectionContext(
-            pmodel, NonparametricModel(ds, m), ds, m,
-            choose_radius(residuals[0], lips.l_t),
+            pmodel, NonparametricModel(ds, m, choose_radius(residuals[0], lips.l_t)),
             BoundParams(lips.l_t, lips.l_r, 1.0), eval_policy, lips, residuals,
         )
         est = simulate_value(
