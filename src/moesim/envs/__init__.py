@@ -16,7 +16,6 @@ from .acrobot import (
     AcrobotConfig,
     acrobot_heuristic_policy,
     acrobot_step,
-    filter_dataset_by_height,
     make_acrobot,
     tip_height,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "AcrobotConfig",
     "acrobot_heuristic_policy",
     "acrobot_step",
-    "filter_dataset_by_height",
     "make_acrobot",
     "tip_height",
     "DivergedError",

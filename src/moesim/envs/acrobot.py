@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ActionId, Dataset, Policy, StateVec
+from ..core import ActionId, Policy, StateVec
 from .base import Environment
 
 TORQUES = (-1.0, 0.0, 1.0)
@@ -22,6 +22,7 @@ TORQUES = (-1.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class AcrobotConfig:
+    horizon: int
     m1: float = 1.0
     m2: float = 1.0
     l1: float = 1.0
@@ -35,7 +36,6 @@ class AcrobotConfig:
     max_vel1: float = 4.0 * np.pi
     max_vel2: float = 9.0 * np.pi
     goal_height: float = 1.0
-    horizon: int = 300
     init_noise: float = 0.1
 
 
@@ -96,9 +96,7 @@ def tip_heights(X: np.ndarray) -> np.ndarray:
     return -np.cos(X[:, 0]) - np.cos(X[:, 0] + X[:, 1])
 
 
-def make_acrobot(cfg: AcrobotConfig | None = None) -> Environment:
-    cfg = cfg or AcrobotConfig()
-
+def make_acrobot(cfg: AcrobotConfig) -> Environment:
     def sample_initial(rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-cfg.init_noise, cfg.init_noise, size=4)
 
@@ -123,12 +121,3 @@ def acrobot_heuristic_policy() -> Policy:
         return 2 if x[3] >= 0 else 0
 
     return Policy.deterministic(act, 3, lambda X: np.where(X[:, 3] >= 0, 2, 0))
-
-
-def filter_dataset_by_height(ds: Dataset, h_max: float) -> Dataset:
-    """Drop every transition whose starting tip height exceeds h_max.
-
-    The recorded initial states survive unchanged, so simulation can still
-    draw starting points even from a heavily filtered dataset.
-    """
-    return ds.select(tip_heights(ds.starts) <= h_max)

@@ -20,6 +20,7 @@ RIGHT_ACTION = 0  # "r"
 DIAG_ACTION = 1  # "d"
 
 BEHAVIOR_STARTS = (np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+REWARD_VARIANTS = ("accurate", "inaccurate")
 EVAL_START = np.array([0.0, 0.0])
 
 
@@ -60,7 +61,7 @@ def planning_toy_reward_model(variant: str, x: StateVec) -> float:
     raise ValueError(f"unknown reward-model variant {variant!r}")
 
 
-def planning_toy_parametric_model(reward_variant: str = "accurate") -> FunctionModel:
+def planning_toy_parametric_model(reward_variant: str) -> FunctionModel:
     """The action-blind analytic expert: always predicts (x1+1, x2+0.5)."""
 
     def f_t(x: StateVec, a: ActionId) -> np.ndarray:

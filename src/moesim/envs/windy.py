@@ -35,9 +35,10 @@ _UNIT = {
 
 @dataclass(frozen=True)
 class Windy2DConfig:
-    """Step size, wind slope, goal/start boxes ((x_lo, x_hi), (y_lo, y_hi)),
-    horizon, and the route thresholds of the two scripted policies."""
+    """Horizon, step size, wind slope, goal/start boxes ((x_lo, x_hi),
+    (y_lo, y_hi)), and the route thresholds of the two scripted policies."""
 
+    horizon: int
     step_size: float = 1.0
     wind_slope: float = 0.03
     goal_box: tuple[tuple[float, float], tuple[float, float]] = (
@@ -48,7 +49,6 @@ class Windy2DConfig:
         (0.0, 0.5),
         (0.0, 0.5),
     )
-    horizon: int = 60
     behavior_climb_y: float = 13.4
     behavior_climb_x: float = 9.9
     behavior_band_x: float = 12.3
@@ -76,9 +76,7 @@ def in_goal(cfg: Windy2DConfig, x: StateVec) -> bool:
     return bool(x0 <= x[0] <= x1 and y0 <= x[1] <= y1)
 
 
-def make_windy2d(cfg: Windy2DConfig | None = None) -> Environment:
-    cfg = cfg or Windy2DConfig()
-
+def make_windy2d(cfg: Windy2DConfig) -> Environment:
     def sample_initial(rng: np.random.Generator) -> np.ndarray:
         (x0, x1), (y0, y1) = cfg.start_box
         return np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])

@@ -17,12 +17,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from jsonschema import Draft7Validator
 
 from . import __version__
+from .baselines import VARIANTS as IS_ESTIMATORS
 from .baselines import ISInput, ModelValueFunctions, is_estimate
 from .core import Dataset, Metric, Policy, Trajectory
 from .envs import (
@@ -30,7 +31,6 @@ from .envs import (
     ODESpec,
     Windy2DConfig,
     acrobot_heuristic_policy,
-    filter_dataset_by_height,
     make_acrobot,
     make_eps_greedy,
     make_planning_toy,
@@ -39,8 +39,9 @@ from .envs import (
     planning_toy_parametric_model,
     planning_toy_policies,
 )
+from .envs.acrobot import tip_heights
 from .envs.base import Environment, generate_trajectories
-from .envs.planning_toy import BEHAVIOR_STARTS
+from .envs.planning_toy import BEHAVIOR_STARTS, REWARD_VARIANTS
 from .envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
 from .errors import BoundParams, choose_radius, global_lipschitz, parametric_residuals
 from .errors import InsufficientPairsError, LipschitzEstimates
@@ -57,7 +58,6 @@ from .simulator import SimConfig, rollout_policy, simulate_value, trajectory_err
 from .simulator import evaluate_policy_true
 
 MODEL_ESTIMATORS = ("p", "np", "moe", "mcts_moe", "moe_true", "mcts_moe_true")
-IS_ESTIMATORS = ("IS", "WIS", "PDIS", "CWPDIS", "DR", "WDR")
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -70,11 +70,52 @@ def derive_seed(master: int, *path: int) -> int:
 # Config schema
 # ---------------------------------------------------------------------------
 
-def _requires_for(kind: str, *fields: str) -> dict:
-    """Schema clause: an object whose `kind` is `kind` must name `fields`."""
+REQUIRED = "<required>"
+
+# Every key of a config section, with its default, stated once: the builders
+# read a section through `settings`, and `moesim schema` prints this table.
+# A section with a `kind` accepts only the keys of its kind, and must give
+# those marked REQUIRED.  `validate_config` fills in none of these, so a
+# report embeds each section as it was written.
+SECTIONS = {
+    "env": {
+        "windy2d": {"horizon": 60},
+        "planning_toy": {"horizon": 16},
+        "acrobot": {"horizon": 300, "height_filter": None},
+        "ode": {"spec_path": REQUIRED},  # the spec sets the horizon
+    },
+    "behavior": {
+        "env_scripted": {},
+        "eps_greedy": {"eps": REQUIRED, "trigger": None},
+    },
+    "eval_policy": {
+        "env_default": {},
+        "constant_action": {"action": REQUIRED},
+    },
+    "model": {
+        "env_analytic": {"reward_variant": "accurate"},
+        "ridge": {"ridge_lambda": 1e-6},
+        "mlp": {"hidden": 64, "layers": 1, "epochs": 2000, "learning_rate": 0.05, "seed": 0},
+    },
+    "selector": {"mcts_budget": 128},
+    "bound": {"l_t": None, "l_r": None},  # None: the estimated ratio
+}
+_KINDED = ("env", "behavior", "eval_policy", "model")
+
+
+def settings(section: str, given: dict) -> dict:
+    """A validated config section with the defaults of its kind filled in."""
+    table = SECTIONS[section]
+    return {**(table[given["kind"]] if section in _KINDED else table), **given}
+
+
+def _kinded(section: str, properties: dict) -> dict:
+    """Schema of a section with a `kind`, one of the table's kinds."""
     return {
-        "if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
-        "then": {"required": list(fields)},
+        "type": "object",
+        "required": ["kind"],
+        "additionalProperties": False,
+        "properties": {"kind": {"enum": list(SECTIONS[section])}, **properties},
     }
 
 
@@ -84,62 +125,36 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "name": {"type": "string"},
-        "env": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["windy2d", "planning_toy", "acrobot", "ode"]},
-                "horizon": {"type": "integer", "minimum": 1},
-                "height_filter": {"type": ["number", "null"]},
-                "spec_path": {"type": "string"},
-            },
-            **_requires_for("ode", "spec_path"),
-        },
-        "behavior": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["env_scripted", "eps_greedy"]},
-                "eps": {"type": "number", "minimum": 0, "maximum": 1},
-                "trigger": {
-                    "type": ["object", "null"],
-                    "required": ["dim", "greater_than"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "dim": {"type": "integer", "minimum": 0},
-                        "greater_than": {"type": "number"},
-                    },
+        "env": _kinded("env", {
+            "horizon": {"type": "integer", "minimum": 1},
+            "height_filter": {"type": ["number", "null"]},
+            "spec_path": {"type": "string"},
+        }),
+        "behavior": _kinded("behavior", {
+            "eps": {"type": "number", "minimum": 0, "maximum": 1},
+            "trigger": {
+                "type": ["object", "null"],
+                "required": ["dim", "greater_than"],
+                "additionalProperties": False,
+                "properties": {
+                    "dim": {"type": "integer", "minimum": 0},
+                    "greater_than": {"type": "number"},
                 },
             },
-            **_requires_for("eps_greedy", "eps"),
-        },
-        "eval_policy": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["env_default", "constant_action"]},
-                "action": {"type": "integer", "minimum": 0},
-            },
-            **_requires_for("constant_action", "action"),
-        },
+        }),
+        "eval_policy": _kinded("eval_policy", {
+            "action": {"type": "integer", "minimum": 0},
+        }),
         "n_behavior_trajectories": {"type": "integer", "minimum": 1},
-        "model": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["env_analytic", "ridge", "mlp"]},
-                "reward_variant": {"enum": ["accurate", "inaccurate"]},
-                "ridge_lambda": {"type": "number", "minimum": 0},
-                "hidden": {"type": "integer", "minimum": 1},
-                "layers": {"type": "integer", "minimum": 1, "maximum": 2},
-                "epochs": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
+        "model": _kinded("model", {
+            "reward_variant": {"enum": list(REWARD_VARIANTS)},
+            "ridge_lambda": {"type": "number", "minimum": 0},
+            "hidden": {"type": "integer", "minimum": 1},
+            "layers": {"type": "integer", "minimum": 1, "maximum": 2},
+            "epochs": {"type": "integer", "minimum": 1},
+            "learning_rate": {"type": "number", "exclusiveMinimum": 0},
+            "seed": {"type": "integer", "minimum": 0},
+        }),
         "metric_weights": {
             "type": ["array", "null"],
             "minItems": 1,
@@ -173,10 +188,7 @@ CONFIG_SCHEMA = {
         "bound": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "l_t": {"type": ["number", "null"], "minimum": 0},
-                "l_r": {"type": ["number", "null"], "minimum": 0},
-            },
+            "properties": {k: {"type": ["number", "null"], "minimum": 0} for k in SECTIONS["bound"]},
         },
         "initial_states": {"type": ["array", "null"], "minItems": 1,
                            "items": {"type": "array", "items": {"type": "number"}}},
@@ -186,6 +198,7 @@ CONFIG_SCHEMA = {
     },
 }
 
+# the top-level defaults, which `validate_config` fills in
 _DEFAULTS = {
     "eval_policy": {"kind": "env_default"},
     "n_behavior_trajectories": 10,
@@ -201,19 +214,11 @@ _DEFAULTS = {
     "rollout_log": False,
 }
 
-_SELECTOR_DEFAULTS = {
-    "mcts_budget": 128,
-}
-
 
 def schema_reference() -> dict:
-    """The config schema plus every default, for the CLI's generated
-    documentation."""
-    return {
-        "schema": CONFIG_SCHEMA,
-        "defaults": dict(_DEFAULTS),
-        "selector_defaults": dict(_SELECTOR_DEFAULTS),
-    }
+    """The config schema, the top-level defaults and every section's keys
+    with their defaults, for the CLI's generated documentation."""
+    return {"schema": CONFIG_SCHEMA, "defaults": dict(_DEFAULTS), "sections": SECTIONS}
 
 
 class ConfigError(ValueError):
@@ -221,7 +226,9 @@ class ConfigError(ValueError):
 
 
 def validate_config(cfg: dict) -> dict:
-    """Validate and return the config with defaults filled in."""
+    """Validate and return the config with the top-level defaults filled in.
+    A section must give the keys its kind requires, and no key its kind
+    does not read."""
     errors = sorted(
         Draft7Validator(CONFIG_SCHEMA).iter_errors(cfg), key=lambda e: e.json_path
     )
@@ -230,6 +237,18 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(msgs)
     merged = dict(_DEFAULTS)
     merged.update(cfg)
+    for section in _KINDED:
+        kind = merged[section]["kind"]
+        reads = SECTIONS[section][kind]
+        for key in merged[section]:
+            if key != "kind" and key not in reads:
+                raise ConfigError(
+                    f"{section}.{key}: {section} kind {kind!r} does not read it "
+                    f"(it reads {', '.join(reads) or 'no other key'})"
+                )
+        for key, default in reads.items():
+            if default is REQUIRED and key not in merged[section]:
+                raise ConfigError(f"{section}.{key}: {section} kind {kind!r} requires it")
     return merged
 
 
@@ -238,35 +257,59 @@ def validate_config(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_env(env_cfg: dict):
-    """Returns (environment, env handle) where the handle keeps whatever the
-    scripted policies and analytic models need (configs, specs)."""
+@dataclass(frozen=True)
+class Task:
+    """What one environment kind provides: the environment, its default
+    evaluation policy, its scripted behavior policy, its analytic experts
+    by reward variant (None when it has none), and, each only where the
+    kind has one, the fixed starts of the behavior rollouts and the height
+    of each state row that `env.height_filter` compares."""
+
+    env: Environment
+    eval_policy: Policy
+    behavior_policy: Policy
+    analytic: dict[str, Callable[[], DynamicsModel]] | None
+    behavior_starts: tuple[np.ndarray, ...] | None = None
+    height: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def build_task(env_cfg: dict) -> Task:
+    """The task of a validated `env` section: the one place that reads the
+    environment kind."""
+    env_cfg = settings("env", env_cfg)
     kind = env_cfg["kind"]
     if kind == "windy2d":
-        cfg = Windy2DConfig(horizon=env_cfg.get("horizon", 60))
-        return make_windy2d(cfg), cfg
-    if kind == "planning_toy":
-        horizon = env_cfg.get("horizon", 16)
-        return make_planning_toy(horizon), horizon
-    if kind == "acrobot":
-        cfg = AcrobotConfig(horizon=env_cfg.get("horizon", 300))
-        return make_acrobot(cfg), cfg
-    if kind == "ode":
-        spec = ODESpec.from_json(env_cfg["spec_path"])
-        return ode_env(spec), spec
-    raise ConfigError(f"env.kind: unknown environment {kind!r}")
-
-
-def _check_fits_env(cfg: dict, env: Environment) -> None:
-    """Reject config values that must fit the built environment's action
-    count, state dimension, horizon or kind, naming the field."""
-    kind = cfg["env"]["kind"]
-    if kind != "acrobot" and cfg["env"].get("height_filter") is not None:
-        raise ConfigError(
-            f"env.height_filter: filters by acrobot tip height, not a quantity of {kind}"
+        geometry = Windy2DConfig(horizon=env_cfg["horizon"])
+        return Task(  # one analytic expert, whose reward of -1 a step is exact
+            make_windy2d(geometry), windy_eval_policy(geometry), windy_behavior_policy(geometry),
+            {"accurate": lambda: windy_no_wind_model(geometry)},
         )
+    if kind == "planning_toy":
+        return Task(
+            make_planning_toy(env_cfg["horizon"]), *planning_toy_policies(),
+            {v: (lambda v=v: planning_toy_parametric_model(v)) for v in REWARD_VARIANTS},
+            behavior_starts=BEHAVIOR_STARTS,
+        )
+    if kind == "acrobot":
+        env = make_acrobot(AcrobotConfig(horizon=env_cfg["horizon"]))
+        heuristic = acrobot_heuristic_policy()
+        return Task(env, heuristic, heuristic, None, height=tip_heights)
+    env = ode_env(ODESpec.from_json(env_cfg["spec_path"]))
+    first_action = Policy.deterministic(lambda x: 0, env.n_actions)
+    return Task(env, first_action, first_action, None)
+
+
+def _check_fits_env(cfg: dict, task: Task) -> None:
+    """Reject config values that must fit the task: its action count, state
+    dimension, horizon or analytic experts, naming the field."""
+    env, kind = task.env, cfg["env"]["kind"]
+    model = cfg["model"]
+    if model["kind"] == "env_analytic" and task.analytic is None:
+        raise ConfigError(f"model.kind: {kind} has no analytic model")
+    if "reward_variant" in model and len(task.analytic) == 1:
+        raise ConfigError(f"model.reward_variant: {kind} has one analytic model")
     pol = cfg["eval_policy"]
-    if pol.get("kind") == "constant_action" and pol["action"] >= env.n_actions:
+    if pol["kind"] == "constant_action" and pol["action"] >= env.n_actions:
         raise ConfigError(
             f"eval_policy.action: {pol['action']} is not an action of {kind} "
             f"(actions 0..{env.n_actions - 1})"
@@ -292,36 +335,13 @@ def _check_fits_env(cfg: dict, env: Environment) -> None:
         )
 
 
-def build_eval_policy(cfg: dict, env: Environment, handle) -> Policy:
-    pol_cfg = cfg.get("eval_policy", {"kind": "env_default"})
-    if pol_cfg.get("kind", "env_default") == "constant_action":
-        a = pol_cfg["action"]
-        return Policy.deterministic(lambda x: a, env.n_actions)
-    kind = cfg["env"]["kind"]
-    if kind == "windy2d":
-        return windy_eval_policy(handle)
-    if kind == "planning_toy":
-        return planning_toy_policies()[0]
-    if kind == "acrobot":
-        return acrobot_heuristic_policy()
-    return Policy.deterministic(lambda x: 0, env.n_actions)
-
-
-def build_behavior_policy(cfg: dict, env: Environment, handle, eval_policy: Policy) -> Policy:
-    beh = cfg["behavior"]
-    if beh["kind"] == "env_scripted":
-        kind = cfg["env"]["kind"]
-        if kind == "windy2d":
-            return windy_behavior_policy(handle)
-        if kind == "planning_toy":
-            return planning_toy_policies()[1]
-        return eval_policy
-    trigger = None
-    if beh.get("trigger"):
-        dim = beh["trigger"]["dim"]
-        threshold = beh["trigger"]["greater_than"]
-        trigger = lambda x: x[dim] > threshold  # noqa: E731
-    return make_eps_greedy(eval_policy, beh["eps"], trigger=trigger)
+def build_eval_policy(cfg: dict, task: Task) -> Policy:
+    """The evaluation policy a validated config names on its task."""
+    pol = cfg["eval_policy"]
+    if pol["kind"] == "constant_action":
+        a = pol["action"]
+        return Policy.deterministic(lambda x: a, task.env.n_actions)
+    return task.eval_policy
 
 
 def fit_parametric(ds: Dataset, model_cfg: dict) -> DynamicsModel:
@@ -329,28 +349,11 @@ def fit_parametric(ds: Dataset, model_cfg: dict) -> DynamicsModel:
     "ridge" or "mlp" describes, on every transition of `ds`."""
     if len(ds) == 0:
         raise ValueError("cannot fit a parametric model on an empty dataset")
-    if model_cfg["kind"] == "ridge":
-        lam = model_cfg.get("ridge_lambda", 1e-6)
-        return RidgePerActionModel(ds.dim, ds.n_actions, lam).fit(ds)
-    model = MLPModel(
-        ds.dim, ds.n_actions, model_cfg.get("hidden", 64), model_cfg.get("layers", 1),
-        seed=model_cfg.get("seed", 0),
-    )
-    return model.fit(ds, model_cfg.get("epochs", 2000), model_cfg.get("learning_rate", 0.05))
-
-
-def build_parametric(cfg: dict, dataset: Dataset, handle) -> DynamicsModel:
-    model_cfg = cfg["model"]
-    if model_cfg["kind"] == "env_analytic":
-        env_kind = cfg["env"]["kind"]
-        if env_kind == "windy2d":
-            return windy_no_wind_model(handle)
-        if env_kind == "planning_toy":
-            return planning_toy_parametric_model(
-                model_cfg.get("reward_variant", "accurate")
-            )
-        raise ConfigError(f"model.kind: no analytic model for env {env_kind!r}")
-    return fit_parametric(dataset, model_cfg)
+    m = settings("model", model_cfg)
+    if m["kind"] == "ridge":
+        return RidgePerActionModel(ds.dim, ds.n_actions, m["ridge_lambda"]).fit(ds)
+    model = MLPModel(ds.dim, ds.n_actions, m["hidden"], m["layers"], seed=m["seed"])
+    return model.fit(ds, m["epochs"], m["learning_rate"])
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +363,11 @@ def build_parametric(cfg: dict, dataset: Dataset, handle) -> DynamicsModel:
 
 @dataclass(frozen=True)
 class Batch:
-    """The data stage of one repetition: the environment, the evaluation
-    policy, the behavior rollouts with their logged action probabilities,
-    and the datasets built from them."""
+    """The data stage of one repetition: the task, the evaluation policy,
+    the behavior rollouts with their logged action probabilities, and the
+    datasets built from them."""
 
-    env: Environment
-    handle: object
+    task: Task
     eval_policy: Policy
     trajectories: list[Trajectory]
     probs: list[np.ndarray]
@@ -376,19 +378,26 @@ class Batch:
 def generate_batch(cfg: dict, rep: int) -> Batch:
     """Roll out the behavior policy of a validated config for repetition
     `rep` and build its datasets."""
-    env, handle = build_env(cfg["env"])
-    _check_fits_env(cfg, env)
-    eval_policy = build_eval_policy(cfg, env, handle)
-    behavior = build_behavior_policy(cfg, env, handle, eval_policy)
-    starts = BEHAVIOR_STARTS if cfg["env"]["kind"] == "planning_toy" else None
+    task = build_task(cfg["env"])
+    _check_fits_env(cfg, task)
+    eval_policy = build_eval_policy(cfg, task)
+    beh = settings("behavior", cfg["behavior"])
+    behavior = task.behavior_policy
+    if beh["kind"] == "eps_greedy":
+        trigger = None
+        if beh["trigger"]:
+            dim, threshold = beh["trigger"]["dim"], beh["trigger"]["greater_than"]
+            trigger = lambda x: x[dim] > threshold  # noqa: E731
+        behavior = make_eps_greedy(eval_policy, beh["eps"], trigger=trigger)
     trajectories, probs = generate_trajectories(
-        env, behavior, cfg["n_behavior_trajectories"],
-        seed=derive_seed(cfg["seed"], rep, 0), starts=starts,
+        task.env, behavior, cfg["n_behavior_trajectories"],
+        seed=derive_seed(cfg["seed"], rep, 0), starts=task.behavior_starts,
     )
-    dataset = Dataset.from_trajectories(trajectories, env.n_actions)
-    height = cfg["env"].get("height_filter")
-    visible = dataset if height is None else filter_dataset_by_height(dataset, height)
-    return Batch(env, handle, eval_policy, trajectories, probs, dataset, visible)
+    dataset = Dataset.from_trajectories(trajectories, task.env.n_actions)
+    # drop the rows that start above the height; every initial state survives
+    height = settings("env", cfg["env"]).get("height_filter")
+    visible = dataset if height is None else dataset.select(task.height(dataset.starts) <= height)
+    return Batch(task, eval_policy, trajectories, probs, dataset, visible)
 
 
 def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
@@ -399,23 +408,27 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
     ratios).  The context estimates errors; `ctx.oracle()` shares its scans
     for the oracle estimators."""
     batch = generate_batch(cfg, rep)
-    env, ds = batch.env, batch.visible
+    env, ds = batch.task.env, batch.visible
     metric = (
         Metric(np.array(cfg["metric_weights"]))
         if cfg["metric_weights"]
         else Metric.euclidean(env.dim)
     )
-    parametric = build_parametric(cfg, batch.dataset, batch.handle)
+    model = settings("model", cfg["model"])
+    if model["kind"] == "env_analytic":
+        parametric = batch.task.analytic[model["reward_variant"]]()
+    else:
+        parametric = fit_parametric(batch.dataset, cfg["model"])
     residuals = parametric_residuals(ds, parametric, metric)
     try:
         lips = global_lipschitz(ds, metric)
     except InsufficientPairsError:
         lips = LipschitzEstimates(0.0, 0.0, 0)
     radius = choose_radius(residuals[0], lips.l_t)
-    override = cfg["bound"]
+    override = settings("bound", cfg["bound"])
     bound = BoundParams(
-        l_t=lips.l_t if override.get("l_t") is None else override["l_t"],
-        l_r=lips.l_r if override.get("l_r") is None else override["l_r"],
+        l_t=lips.l_t if override["l_t"] is None else override["l_t"],
+        l_r=lips.l_r if override["l_r"] is None else override["l_r"],
         gamma=cfg["sim"]["gamma"],
     )
     ctx = SelectionContext(
@@ -460,7 +473,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
     """
     with _stage(rep, "data and context"):
         batch, ctx_est = build_context(cfg, rep)
-    env, eval_policy = batch.env, batch.eval_policy
+    env, eval_policy = batch.task.env, batch.eval_policy
     metric, radius = ctx_est.nonparametric.metric, ctx_est.nonparametric.radius
     sim_cfg = cfg["sim"]
     gamma = sim_cfg["gamma"]
@@ -475,7 +488,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
             seed=derive_seed(cfg["seed"], rep, 1),
         )
 
-    budget = cfg["selector"].get("mcts_budget", _SELECTOR_DEFAULTS["mcts_budget"])
+    budget = settings("selector", cfg["selector"])["mcts_budget"]
     record: dict = {"rep": rep, "v_true": v_true, "radius": radius, "estimates": {}}
     for name in cfg["estimators"]:
         if name in IS_ESTIMATORS:
@@ -587,6 +600,8 @@ def run_experiment(
     `rep_order` only reorders execution; the report is always sorted by
     repetition index and identical for any order (seed isolation).
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs: {jobs} parallel repetitions; give at least 1")
     cfg = validate_config(cfg)
     order = list(rep_order) if rep_order is not None else list(range(cfg["n_repetitions"]))
     if sorted(order) != list(range(cfg["n_repetitions"])):
@@ -646,10 +661,10 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     cfg = validate_config(cfg)
     if grid["resolution"] < 1:
         raise ConfigError("resolution: the grid needs at least 1 point per axis")
-    if build_env(cfg["env"])[0].dim != 2:
+    if build_task(cfg["env"]).env.dim != 2:
         raise ConfigError("env.kind: error maps need a 2-D environment")
     batch, ctx = build_context(cfg, 0)
-    env, oracle = batch.env, ctx.oracle()
+    env, oracle = batch.task.env, ctx.oracle()
 
     (x_lo, x_hi) = grid["x_range"]
     (y_lo, y_hi) = grid["y_range"]

@@ -45,16 +45,14 @@ def windy_table1_config(seed: int = 0, n_repetitions: int = 100) -> dict:
     }
 
 
-def planning_toy_config(
-    horizon: int, reward_variant: str, seed: int = 0, budget: int = 256
-) -> dict:
+def planning_toy_config(horizon: int, reward_variant: str, seed: int = 0) -> dict:
     return {
         "name": f"planning-toy-{reward_variant}",
         "env": {"kind": "planning_toy", "horizon": horizon},
         "behavior": {"kind": "env_scripted"},
         "n_behavior_trajectories": 2,
         "model": {"kind": "env_analytic", "reward_variant": reward_variant},
-        "selector": {"mcts_budget": budget},
+        "selector": {"mcts_budget": 256},
         "sim": {"n_rollouts": 1, "horizon": horizon, "gamma": 1.0},
         "estimators": ["p", "np", "moe_true", "mcts_moe_true"],
         "n_repetitions": 1,

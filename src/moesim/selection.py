@@ -37,13 +37,11 @@ class ModelUnusableError(RuntimeError):
 
 class Successor(NamedTuple):
     """One simulated step of (state, action) by one expert, as the planner
-    reads it: the expert's error estimate (and whether its `eps_t` is
-    finite), the read-only next state with its float64 bytes, the
-    evaluation policy's probabilities there as Python floats, and whether
-    the next state is terminal."""
+    reads it: the expert's error estimate, the read-only next state with
+    its float64 bytes, the evaluation policy's probabilities there as
+    Python floats, and whether the next state is terminal."""
 
     estimate: ErrorEstimate
-    finite: bool
     state: np.ndarray
     key: bytes
     probs: tuple[float, ...]
@@ -83,7 +81,6 @@ class StepMemo:
         term = self.is_terminal
         return Successor(
             est,
-            math.isfinite(est.eps_t),
             next_state,
             next_state.tobytes(),
             tuple(self.policy.probs(next_state).tolist()),
@@ -297,7 +294,8 @@ class _MctsRun:
         successor, the policy's next action, and the bounds rolled forward
         to tau + 1, delta' = l_t * delta + eps_t and
         delta_g' = delta_g + gamma^(tau+1) * (eps_r + l_r * delta').  A
-        finite eps_t raises the exploration constant's running maximum.
+        supported (so finite) eps_t raises the exploration constant's running
+        maximum.
 
         An unsupported step (infinite errors) makes both bounds infinite
         for the rest of the path; they are set rather than computed, since
@@ -305,11 +303,11 @@ class _MctsRun:
         would never win `uct_child`."""
         succ = self.ctx.successor(kind, state, key, action)
         est = succ.estimate
-        if succ.finite:
+        if est.supported:
             self.max_eps_t = max(self.max_eps_t, est.eps_t)
         next_action = Policy.choose(succ.probs, self.rng.random())
         tau += 1
-        if not succ.finite or delta_g == math.inf:
+        if not est.supported or delta_g == math.inf:
             return succ, next_action, tau, math.inf, math.inf
         bound = self.ctx.bound
         delta = bound.l_t * delta + est.eps_t

@@ -26,16 +26,16 @@ class SimConfig:
     master seed.
 
     mode:        "greedy" or "mcts"
-    mcts_budget: rollouts per UCT decision; the planner always looks ahead
-                 to the end of the simulated trajectory, and its randomness
-                 is the rollout's generator
+    mcts_budget: rollouts per UCT decision, required in "mcts" mode; the
+                 planner always looks ahead to the end of the simulated
+                 trajectory, and its randomness is the rollout's generator
     """
 
     n_rollouts: int
     horizon: int
     gamma: float
     mode: str = "greedy"
-    mcts_budget: int = 128
+    mcts_budget: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -45,8 +45,8 @@ class SimConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.mode not in ("greedy", "mcts"):
             raise ValueError(f"unknown selection mode {self.mode!r}")
-        if self.mcts_budget < 1:
-            raise ValueError("mcts_budget must be >= 1")
+        if self.mode == "mcts" and (self.mcts_budget or 0) < 1:
+            raise ValueError("mcts mode needs an mcts_budget >= 1")
 
 
 @dataclass

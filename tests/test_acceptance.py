@@ -22,7 +22,7 @@ from helpers import (
 )
 
 from moesim.baselines import ISInput, is_estimate
-from moesim.core import Dataset, Metric, trajectory_return
+from moesim.core import Metric, trajectory_return
 from moesim.envs.base import generate_trajectories
 from moesim.errors import BoundParams, rollforward_state_error
 from moesim.experiments import run_repetition, validate_config
@@ -208,34 +208,20 @@ class TestCriterion07EmpiricalConsistency:
 
 class TestCriterion08SelectionQuality:
     def test_probe_classes_are_perfect(self):
-        from moesim.experiments import (
-            build_behavior_policy,
-            build_env,
-            build_eval_policy,
-            derive_seed,
-        )
-        from moesim.envs.base import generate_trajectories
         from moesim.errors import (
             choose_radius,
             global_lipschitz,
             parametric_residuals,
         )
+        from moesim.experiments import generate_batch
         from moesim.models import NonparametricModel
         from moesim.selection import SelectionContext
 
         cfg = validate_config(windy_table1_config(seed=4, n_repetitions=1))
-        env, handle = build_env(cfg["env"])
-        eval_policy = build_eval_policy(cfg, env, handle)
-        behavior = build_behavior_policy(cfg, env, handle, eval_policy)
-        trajs, _ = generate_trajectories(
-            env, behavior, cfg["n_behavior_trajectories"],
-            seed=derive_seed(cfg["seed"], 0, 0),
-        )
-        ds = Dataset.from_trajectories(trajs, env.n_actions)
+        batch = generate_batch(cfg, 0)
+        env, ds, eval_policy = batch.task.env, batch.dataset, batch.eval_policy
         metric = Metric.euclidean(2)
-        from moesim.envs.windy import windy_no_wind_model
-
-        pmodel = windy_no_wind_model(handle)
+        pmodel = batch.task.analytic["accurate"]()
         residuals = parametric_residuals(ds, pmodel, metric)
         lips = global_lipschitz(ds, metric)
         radius = choose_radius(residuals[0], lips.l_t)

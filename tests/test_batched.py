@@ -15,13 +15,11 @@ from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
 from moesim.core import Dataset, Policy
 from moesim.envs import (
     AcrobotConfig,
-    ODESpec,
     Windy2DConfig,
     acrobot_heuristic_policy,
     make_acrobot,
     make_eps_greedy,
     make_windy2d,
-    ode_env,
     planning_toy_parametric_model,
     planning_toy_policies,
     tip_height,
@@ -29,7 +27,7 @@ from moesim.envs import (
 from moesim.envs.acrobot import tip_heights
 from moesim.envs.base import generate_trajectories
 from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
-from moesim.experiments import build_eval_policy
+from moesim.experiments import build_eval_policy, build_task
 from moesim.models import MLPModel, NoSupportError, RidgePerActionModel
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -105,8 +103,8 @@ def test_ridge_rejects_wrong_state_dimension():
 
 @pytest.fixture(scope="module")
 def fitted_mlp():
-    env = make_windy2d()
-    trajs, _ = generate_trajectories(env, windy_behavior_policy(Windy2DConfig()), 2, seed=4)
+    env = make_windy2d(WINDY)
+    trajs, _ = generate_trajectories(env, windy_behavior_policy(WINDY), 2, seed=4)
     ds = Dataset.from_trajectories(trajs, env.n_actions)
     return MLPModel(ds.dim, ds.n_actions, 8, 1, seed=1).fit(ds, 20, 0.05)
 
@@ -118,7 +116,7 @@ def fitted_mlp():
 )
 def test_mlp_and_analytic_predict_many_rows_equal_predict(fitted_mlp, X, seed):
     A = np.random.default_rng(seed).integers(0, 4, size=len(X))
-    for model in (windy_no_wind_model(Windy2DConfig()), planning_toy_parametric_model()):
+    for model in (windy_no_wind_model(WINDY), planning_toy_parametric_model("accurate")):
         assert_rows_match(model, X, A)
     fitted = np.array([fitted_mlp.fitted(int(a)) for a in A], dtype=bool)
     assert_rows_match(fitted_mlp, X[fitted], A[fitted])
@@ -131,7 +129,7 @@ def test_mlp_and_analytic_predict_many_rows_equal_predict(fitted_mlp, X, seed):
 # probs_many
 # ---------------------------------------------------------------------------
 
-WINDY = Windy2DConfig()
+WINDY = Windy2DConfig(horizon=60)
 TIES = (
     0.0, -0.0, 1.0, 11.0, WINDY.eval_turn_y, WINDY.behavior_climb_y,
     WINDY.behavior_climb_x, WINDY.behavior_band_x, 1e-12, -1e-300,
@@ -141,15 +139,15 @@ coordinate = st.one_of(st.sampled_from(TIES), st.floats(-20, 20))
 
 def built_in_policies():
     """(name, policy, state dimension) for every policy the package builds."""
-    windy_env = make_windy2d(WINDY)
     toy_eval, toy_behavior = planning_toy_policies()
     constant = build_eval_policy(
-        {"env": {"kind": "windy2d"}, "eval_policy": {"kind": "constant_action", "action": 3}},
-        windy_env, WINDY,
+        {"eval_policy": {"kind": "constant_action", "action": 3}},
+        build_task({"kind": "windy2d"}),
     )
-    spec = ODESpec.from_json(Path(__file__).resolve().parents[1] / "configs" / "linear_decay_ode.json")
+    spec_path = Path(__file__).resolve().parents[1] / "configs" / "linear_decay_ode.json"
     ode_default = build_eval_policy(
-        {"env": {"kind": "ode"}, "eval_policy": {"kind": "env_default"}}, ode_env(spec), spec
+        {"eval_policy": {"kind": "env_default"}},
+        build_task({"kind": "ode", "spec_path": str(spec_path)}),
     )
     return [
         ("windy_eval", windy_eval_policy(WINDY), 2),
@@ -228,7 +226,7 @@ def test_probs_many_of_no_rows():
 @given(arrays(np.float64, st.tuples(st.integers(0, 20), st.just(4)),
               elements=st.floats(-10, 10)))
 def test_acrobot_terminal_test_batches_bit_for_bit(X):
-    env = make_acrobot()
+    env = make_acrobot(AcrobotConfig(horizon=300))
     assert bits(tip_heights(X)) == bits([tip_height(x) for x in X])
     assert env.is_terminal_many(X).tolist() == [env.is_terminal(x) for x in X]
 

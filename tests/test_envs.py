@@ -15,7 +15,6 @@ from moesim.envs import (
     Windy2DConfig,
     acrobot_heuristic_policy,
     acrobot_step,
-    filter_dataset_by_height,
     make_acrobot,
     make_eps_greedy,
     make_planning_toy,
@@ -40,6 +39,7 @@ from moesim.envs.windy import (
     windy_no_wind_model,
 )
 from moesim.errors import BoundParams, choose_radius
+from moesim.experiments import generate_batch, validate_config
 from moesim.models import NonparametricModel
 from moesim.selection import SelectionContext
 from moesim.simulator import SimConfig, evaluate_policy_true, rollout_policy, simulate_value
@@ -49,17 +49,17 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 class TestWindy2D:
     def test_step_without_wind_at_ground_level(self):
-        cfg = Windy2DConfig(step_size=1.0, wind_slope=0.1)
+        cfg = Windy2DConfig(horizon=60, step_size=1.0, wind_slope=0.1)
         x_next, r = windy2d_step(cfg, np.array([0.0, 0.0]), UP)
         assert np.allclose(x_next, [0.0, 1.0]) and r == -1.0
 
     def test_wind_subtracts_from_rightward_motion(self):
-        cfg = Windy2DConfig(step_size=1.0, wind_slope=0.1)
+        cfg = Windy2DConfig(horizon=60, step_size=1.0, wind_slope=0.1)
         x_next, _ = windy2d_step(cfg, np.array([0.0, 2.0]), RIGHT)
         assert np.allclose(x_next, [0.8, 2.0])
 
     def test_goal_gives_negative_step_count(self):
-        cfg = Windy2DConfig()
+        cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         rng = np.random.default_rng(1)
         traj = rollout_policy(env, windy_behavior_policy(cfg), env.sample_initial(rng), 60, rng)
@@ -68,7 +68,7 @@ class TestWindy2D:
         assert in_goal(cfg, traj.states[-1])
 
     def test_step_determinism(self):
-        cfg = Windy2DConfig()
+        cfg = Windy2DConfig(horizon=60)
         x = np.array([1.234, 5.678])
         a1 = windy2d_step(cfg, x, DOWN)
         a2 = windy2d_step(cfg, x, DOWN)
@@ -77,7 +77,7 @@ class TestWindy2D:
     def test_behavior_enters_goal_moving_down_only(self):
         # the data-side guarantee behind the capped nonparametric estimator:
         # the only transitions ending inside the goal carry the down action
-        cfg = Windy2DConfig()
+        cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         trajs, _ = generate_trajectories(env, windy_behavior_policy(cfg), 25, seed=3)
         entries = []
@@ -89,7 +89,7 @@ class TestWindy2D:
         assert entries and set(entries) == {DOWN}
 
     def test_eval_policy_uses_up_and_right_only(self):
-        cfg = Windy2DConfig()
+        cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         pol = windy_eval_policy(cfg)
         rng = np.random.default_rng(5)
@@ -101,7 +101,7 @@ class TestWindy2D:
     def test_no_wind_case_makes_all_estimators_coincide(self):
         # with zero wind the analytic expert is exact, so the mixture, the
         # parametric-only and the true value all agree
-        cfg = Windy2DConfig(wind_slope=0.0)
+        cfg = Windy2DConfig(horizon=60, wind_slope=0.0)
         env = make_windy2d(cfg)
         trajs, _ = generate_trajectories(env, windy_behavior_policy(cfg), 6, seed=9)
         ds = Dataset.from_trajectories(trajs, 4)
@@ -162,12 +162,12 @@ class TestPlanningToy:
 
 
 def acrobot_cfg():
-    return AcrobotConfig()
+    return AcrobotConfig(horizon=300)
 
 
 class TestAcrobot:
     def test_gravity_free_equilibrium(self):
-        cfg = AcrobotConfig(gravity=0.0)
+        cfg = AcrobotConfig(horizon=300, gravity=0.0)
         x, r = acrobot_step(cfg, np.zeros(4), 1)  # zero torque
         assert np.allclose(x, np.zeros(4), atol=1e-12)
         assert r == -1.0
@@ -192,7 +192,7 @@ class TestAcrobot:
         assert tip_height(np.zeros(4)) == pytest.approx(-2.0)
         upright = np.array([np.pi, 0.0, 0.0, 0.0])
         assert tip_height(upright) == pytest.approx(2.0)
-        env = make_acrobot(AcrobotConfig(goal_height=1.0))
+        env = make_acrobot(AcrobotConfig(horizon=300, goal_height=1.0))
         assert env.is_terminal(upright)
         assert not env.is_terminal(np.zeros(4))
         # a state whose tip sits just above the threshold is terminal
@@ -208,20 +208,23 @@ class TestAcrobot:
         assert traj.terminated
 
     def test_height_filter(self):
-        cfg = AcrobotConfig(horizon=80)
-        env = make_acrobot(cfg)
-        trajs, _ = generate_trajectories(env, acrobot_heuristic_policy(), 3, seed=1)
-        ds = Dataset.from_trajectories(trajs, 3)
-        full = filter_dataset_by_height(ds, np.inf)
-        assert len(full) == len(ds)
-        empty = filter_dataset_by_height(ds, -2.5)
-        assert len(empty) == 0
-        assert len(empty.initial_states) == len(ds.initial_states)
-        h = -0.5
-        kept = filter_dataset_by_height(ds, h)
-        scan = sum(1 for tr in ds.transitions if tip_height(tr.x) <= h)
-        assert len(kept) == scan
-        assert all(tip_height(tr.x) <= h for tr in kept.transitions)
+        # the nonparametric expert sees the transitions starting at or below
+        # the tip height h; every initial state survives
+        for h, kept_all in ((np.inf, True), (-2.5, False), (-0.5, False)):
+            cfg = validate_config({
+                "name": "acrobot-height",
+                "env": {"kind": "acrobot", "horizon": 80, "height_filter": h},
+                "behavior": {"kind": "env_scripted"}, "n_behavior_trajectories": 3,
+                "model": {"kind": "ridge"},
+                "sim": {"n_rollouts": 1, "horizon": 5, "gamma": 1.0},
+                "estimators": ["moe"], "seed": 1,
+            })
+            batch = generate_batch(cfg, 0)
+            ds, kept = batch.dataset, batch.visible
+            scan = [(tr.traj_id, tr.t) for tr in ds.transitions if tip_height(tr.x) <= h]
+            assert [(tr.traj_id, tr.t) for tr in kept.transitions] == scan
+            assert (len(kept) == len(ds)) == kept_all
+            assert len(kept.initial_states) == len(ds.initial_states)
 
 
 class TestEpsGreedy:
@@ -250,7 +253,7 @@ class TestEpsGreedy:
         assert pol.probs(np.array([11.0]))[0] == pytest.approx(0.1 + 0.9 / 3)
 
     def test_logged_probabilities_match_policy(self):
-        cfg = Windy2DConfig()
+        cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         pol = make_eps_greedy(windy_eval_policy(cfg), 0.3)
         rng = np.random.default_rng(2)
@@ -356,13 +359,13 @@ class TestEnvironmentDeterminism:
     @pytest.mark.parametrize("which", ["windy", "toy", "acrobot", "ode"])
     def test_repeat_steps_bitwise_equal(self, which):
         if which == "windy":
-            env = make_windy2d(Windy2DConfig())
+            env = make_windy2d(Windy2DConfig(horizon=60))
             x = np.array([0.7, 3.1])
         elif which == "toy":
             env = make_planning_toy(10)
             x = np.array([2.0, 1.0])
         elif which == "acrobot":
-            env = make_acrobot(AcrobotConfig())
+            env = make_acrobot(AcrobotConfig(horizon=300))
             x = np.array([0.1, -0.2, 0.05, 0.3])
         else:
             env = ode_env(ODESpec.from_json(CONFIG_DIR / "linear_decay_ode.json"))

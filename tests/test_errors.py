@@ -319,7 +319,7 @@ class TestChooseRadius:
         assert choose_radius(residuals_t, l_t) == expect
 
     def test_windy_value_recomputed_from_serialized_dataset(self):
-        cfg = Windy2DConfig()
+        cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         trajs, _ = generate_trajectories(env, windy_behavior_policy(cfg), 6, seed=5)
         ds = Dataset.from_trajectories(trajs, 4)

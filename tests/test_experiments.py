@@ -17,6 +17,7 @@ from moesim.envs import DivergedError
 from moesim.experiments import (
     ConfigError,
     RepetitionError,
+    SECTIONS,
     build_context,
     emit_error_maps,
     fit_parametric,
@@ -25,7 +26,12 @@ from moesim.experiments import (
     validate_config,
 )
 from moesim.models import NONPARAMETRIC, PARAMETRIC, MLPModel, RidgePerActionModel
-from moesim.reproduce import planning_toy_config, windy_table1_config
+from moesim.reproduce import (
+    planning_toy_config,
+    reproduce_consistency,
+    reproduce_table1,
+    windy_table1_config,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_report.json"
 MCTS_GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_mcts_report.json"
@@ -89,6 +95,23 @@ class TestConfigValidation:
         assert cfg["metric_weights"] is None
         assert cfg["eval_policy"] == {"kind": "env_default"}
 
+    def test_sections_are_kept_as_written(self):
+        # a report embeds the validated config: no section default fills in
+        given = tiny_config(model={"kind": "ridge"}, selector={})
+        cfg = validate_config(given)
+        for section in ("env", "behavior", "model", "selector"):
+            assert cfg[section] == given[section]
+
+    def test_the_table_names_every_section_key_the_schema_types(self):
+        props = moesim.experiments.CONFIG_SCHEMA["properties"]
+        for section in ("env", "behavior", "eval_policy", "model"):
+            kinds = SECTIONS[section]
+            assert props[section]["properties"]["kind"]["enum"] == list(kinds)
+            read = {key for keys in kinds.values() for key in keys}
+            assert read | {"kind"} == set(props[section]["properties"])
+        for section in ("selector", "bound"):
+            assert set(SECTIONS[section]) == set(props[section]["properties"])
+
 
 class TestRunExperiment:
     def test_single_repetition_rmse_identity(self):
@@ -148,6 +171,19 @@ class TestRunExperiment:
         forward = run_experiment(cfg)
         permuted = run_experiment(cfg, rep_order=[2, 0, 1])
         assert forward.to_json() == permuted.to_json()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_experiment(tiny_config(), jobs=0),
+            lambda: reproduce_table1(jobs=0, n_repetitions=1),
+            lambda: reproduce_consistency(jobs=-1, batch_sizes=(10,), n_repetitions=1),
+        ],
+        ids=["run_experiment", "table1", "consistency"],
+    )
+    def test_jobs_below_one_is_a_config_error(self, run):
+        with pytest.raises(ConfigError, match=r"^jobs: -?\d+ parallel repetitions"):
+            run()
 
     def test_parallel_jobs_match_serial(self):
         cfg = tiny_config(n_repetitions=3)
@@ -216,10 +252,56 @@ class TestBuildContext:
                 moesim.experiments, name,
                 lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k),
             )
-        cfg = planning_toy_config(8, "accurate", budget=8)
+        cfg = planning_toy_config(8, "accurate")
+        cfg["selector"]["mcts_budget"] = 8
         cfg["estimators"] = ["moe", "moe_true", "mcts_moe_true"]
         run_repetition(validate_config(cfg), 0)
         assert sorted(calls) == ["global_lipschitz", "parametric_residuals"]
+
+
+def each_kind_config(kind):
+    """One small repetition on environment `kind`."""
+    env = {
+        "windy2d": {"kind": "windy2d", "horizon": 30},
+        "planning_toy": {"kind": "planning_toy", "horizon": 8},
+        "acrobot": {"kind": "acrobot", "horizon": 30, "height_filter": 0.0},
+        "ode": {"kind": "ode", "spec_path": str(
+            Path(__file__).resolve().parents[1] / "configs" / "linear_decay_ode.json")},
+    }[kind]
+    model = {"kind": "env_analytic", "reward_variant": "inaccurate"} if kind == "planning_toy" \
+        else {"kind": "ridge"}
+    return tiny_config(
+        env=env, model=model, n_repetitions=1, n_behavior_trajectories=3,
+        sim={"n_rollouts": 2, "horizon": 8, "gamma": 1.0},
+        estimators=["p", "np", "moe", "IS", "WIS"],
+    )
+
+
+class TestTasks:
+    @pytest.mark.parametrize("kind", ["windy2d", "planning_toy", "acrobot", "ode"])
+    def test_one_repetition_of_each_env_kind(self, kind):
+        cfg = validate_config(each_kind_config(kind))
+        batch, ctx = build_context(cfg, 0)
+        task = batch.task
+        assert (task.analytic is None) == (kind in ("acrobot", "ode"))
+        assert (task.behavior_starts is not None) == (kind == "planning_toy")
+        assert (task.height is not None) == ("height_filter" in SECTIONS["env"][kind])
+        assert len(batch.trajectories) == 3 and len(batch.dataset) > 0
+        rec = run_repetition(cfg, 0)
+        assert all(math.isfinite(e["v_hat"]) for e in rec["estimates"].values())
+
+    def test_env_analytic_without_one_exits_2_before_any_rollout(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(moesim.experiments, "generate_trajectories",
+                            lambda *a, **k: calls.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(env={"kind": "acrobot"})))
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "config error: model.kind: acrobot has no analytic model" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "report.json").exists()
 
 
 def tiny_dataset():
@@ -231,8 +313,17 @@ def tiny_dataset():
     return Dataset(transitions, [transitions[0].x], 2, 3)
 
 
+def written_out(capsys, section, given):
+    """`given` with every default that `moesim schema` prints for it."""
+    assert cli_main(["schema"]) == 0
+    printed = json.loads(capsys.readouterr().out)["sections"][section]
+    keys = printed[given["kind"]] if "kind" in given else printed
+    return {**{k: v for k, v in keys.items() if v != "<required>"}, **given}
+
+
 class TestFitParametricDefaults:
-    # the defaults a bare `model` section fits with, bit for bit
+    # the defaults a bare `model` section fits with, bit for bit, and the
+    # ones `moesim schema` prints for each section
     def test_ridge(self):
         ds = tiny_dataset()
         got = fit_parametric(ds, {"kind": "ridge"})
@@ -249,6 +340,34 @@ class TestFitParametricDefaults:
         for g, w in zip(got.params.weights + got.params.biases,
                         want.params.weights + want.params.biases):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("kind", ["ridge", "mlp"])
+    def test_printed_defaults_written_out(self, capsys, kind):
+        ds = tiny_dataset()
+        bare = fit_parametric(ds, {"kind": kind})
+        full = fit_parametric(ds, written_out(capsys, "model", {"kind": kind}))
+        got = bare.coefs if kind == "ridge" else bare.params.weights + bare.params.biases
+        want = full.coefs if kind == "ridge" else full.params.weights + full.params.biases
+        assert [g is None or g.tobytes() for g in got] == [w is None or w.tobytes() for w in want]
+
+    @pytest.mark.parametrize(
+        "env, model", [("windy2d", "ridge"), ("planning_toy", "env_analytic"), ("acrobot", "ridge")]
+    )
+    def test_bare_sections_run_as_their_printed_defaults(self, capsys, env, model):
+        bare = tiny_config(
+            env={"kind": env}, model={"kind": model}, n_repetitions=1,
+            behavior={"kind": "eps_greedy", "eps": 0.2}, n_behavior_trajectories=2,
+            sim={"n_rollouts": 1, "horizon": 6, "gamma": 1.0}, selector={}, bound={},
+            estimators=["p", "moe", "mcts_moe", "IS"], n_true_rollouts=1,
+        )
+        full = dict(bare, **{
+            section: written_out(capsys, section, bare[section])
+            for section in ("env", "behavior", "model", "selector", "bound")
+        })
+        assert full["env"]["horizon"] == SECTIONS["env"][env]["horizon"]
+        assert json.dumps(run_repetition(validate_config(bare), 0)) == json.dumps(
+            run_repetition(validate_config(full), 0)
+        )
 
 
 class TestErrorMaps:
@@ -347,7 +466,7 @@ class TestCLI:
         assert not (tmp_path / "report.json").exists()
 
     def test_declared_model_seed_is_accepted(self):
-        cfg = validate_config(tiny_config(model={"kind": "ridge", "seed": 3}))
+        cfg = validate_config(tiny_config(model={"kind": "mlp", "seed": 3}))
         assert cfg["model"]["seed"] == 3
 
     @pytest.mark.parametrize("resolution", ["0", "-3"])
@@ -393,11 +512,37 @@ class TestCLI:
             ("initial_states", [[0.0, "a"]], "$.initial_states[0][1]"),
             ("initial_states", [], "$.initial_states"),
             ("sim", {"n_rollouts": 2, "horizon": 61, "gamma": 1.0}, "sim.horizon"),
+            # keys that the section's kind does not read, or that only fit
+            # another env kind
+            ("model", {"kind": "env_analytic", "reward_variant": "accurate"},
+             "model.reward_variant"),
+            ("model", {"kind": "ridge", "reward_variant": "inaccurate"}, "model.reward_variant"),
+            ("model", {"kind": "mlp", "ridge_lambda": 0.1}, "model.ridge_lambda"),
+            ("model", {"kind": "env_analytic", "ridge_lambda": 0.1}, "model.ridge_lambda"),
+            ("model", {"kind": "ridge", "hidden": 8}, "model.hidden"),
+            ("model", {"kind": "ridge", "layers": 2}, "model.layers"),
+            ("model", {"kind": "ridge", "epochs": 10}, "model.epochs"),
+            ("model", {"kind": "ridge", "learning_rate": 0.1}, "model.learning_rate"),
+            ("model", {"kind": "ridge", "seed": 3}, "model.seed"),
+            ("model", {"kind": "env_analytic", "seed": 0}, "model.seed"),
+            ("behavior", {"kind": "env_scripted", "eps": 0.1}, "behavior.eps"),
+            ("behavior", {"kind": "env_scripted", "trigger": None}, "behavior.trigger"),
+            ("eval_policy", {"kind": "env_default", "action": 0}, "eval_policy.action"),
+            ("eval_policy", {}, "$.eval_policy"),
+            ("env", {"kind": "ode", "spec_path": "spec.json", "horizon": 5}, "env.horizon"),
+            ("env", {"kind": "windy2d", "spec_path": "spec.json"}, "env.spec_path"),
+            ("env", {"kind": "planning_toy", "height_filter": None}, "env.height_filter"),
         ],
         ids=["action_out_of_range", "trigger_dim_out_of_range", "metric_weights_length",
              "metric_weights_empty",
              "height_filter_off_acrobot", "initial_state_length", "initial_state_not_a_number",
-             "initial_states_empty", "sim_horizon_beyond_logged_steps"],
+             "initial_states_empty", "sim_horizon_beyond_logged_steps",
+             "reward_variant_off_planning_toy", "reward_variant_on_ridge",
+             "ridge_lambda_on_mlp", "ridge_lambda_on_env_analytic", "hidden_on_ridge",
+             "layers_on_ridge", "epochs_on_ridge", "learning_rate_on_ridge", "seed_on_ridge",
+             "seed_on_env_analytic", "eps_on_env_scripted", "trigger_on_env_scripted",
+             "action_on_env_default", "eval_policy_without_kind", "horizon_on_ode",
+             "spec_path_on_windy2d", "height_filter_on_planning_toy"],
     )
     @pytest.mark.parametrize("command", ["evaluate", "error-maps"])
     def test_values_that_must_fit_the_env_exit_2(
@@ -407,8 +552,7 @@ class TestCLI:
         cfg_path.write_text(json.dumps(tiny_config(**{section: value})))
         assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
-        assert not (tmp_path / "error_maps.csv").exists()
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_runtime_error_exit_code(self, tmp_path):
         # validates against the schema but fails to build: the ODE spec file
@@ -507,7 +651,7 @@ class TestCLI:
         assert cli_main(["schema"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "schema" in payload and "defaults" in payload
-        assert payload["selector_defaults"]["mcts_budget"] == 128
+        assert payload["sections"]["selector"]["mcts_budget"] == 128
 
     def test_diagnostic_logs(self, tmp_path):
         cfg = tiny_config(

@@ -362,7 +362,7 @@ def windy_parts(use_true_errors=False, eval_eps=None):
     """A windy batch and (its dataset, a builder of fresh contexts over it,
     the direct error estimate); `eval_eps` makes the evaluation policy
     eps-greedy, so that planner rollouts draw stochastic actions."""
-    cfg = Windy2DConfig()
+    cfg = Windy2DConfig(horizon=60)
     env = make_windy2d(cfg)
     behavior = make_eps_greedy(windy_eval_policy(cfg), 0.3)
     trajs, _ = generate_trajectories(env, behavior, 12, seed=3)

@@ -22,7 +22,7 @@ from moesim.simulator import (
 
 
 def build_windy_context(seed=7, n_traj=10):
-    cfg = Windy2DConfig()
+    cfg = Windy2DConfig(horizon=60)
     env = make_windy2d(cfg)
     behavior = windy_behavior_policy(cfg)
     eval_policy = windy_eval_policy(cfg)
@@ -206,7 +206,7 @@ class TestEvaluatePolicyTrue:
         assert vals[0] == vals[1] == vals[2]
 
     def test_negative_step_count_on_termination(self):
-        cfg = Windy2DConfig()
+        cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         pol = windy_behavior_policy(cfg)
         rng = np.random.default_rng(0)
