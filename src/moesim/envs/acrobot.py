@@ -11,6 +11,7 @@ fourth-order Runge-Kutta with substeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import cos, isfinite, pi, sin
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from ..core import ActionId, Policy, StateVec
 from .base import Environment
 
 TORQUES = (-1.0, 0.0, 1.0)
+HALF_PI = pi / 2
+TWO_PI = 2 * pi
 
 
 @dataclass(frozen=True)
@@ -39,52 +42,79 @@ class AcrobotConfig:
     init_noise: float = 0.1
 
 
-def _derivatives(cfg: AcrobotConfig, s: np.ndarray, torque: float) -> np.ndarray:
-    theta1, theta2, w1, w2 = s
+def acrobot_step(cfg: AcrobotConfig, x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
+    """One decision step: RK4-integrate the equations of motion for dt with
+    the chosen constant torque, wrap angles, clip velocities; reward -1.
+
+    Runs on Python floats and keeps the operation order of the same
+    equations on numpy float64 scalars, `**` included, so both give the
+    same bits wherever numpy's scalar sin/cos agree with `math`'s.  Raises
+    `ValueError` on a non-finite state, and when the integration overflows
+    (where numpy would return inf or NaN).
+    """
+    start = tuple(map(float, x))
+    if not all(map(isfinite, start)):
+        raise ValueError(f"acrobot state must be finite: {list(start)}")
+    t1, t2, w1, w2 = start
     m1, m2, l1, lc1, lc2, i1, i2, g = (
         cfg.m1, cfg.m2, cfg.l1, cfg.lc1, cfg.lc2, cfg.i1, cfg.i2, cfg.gravity,
     )
-    d1 = m1 * lc1**2 + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * np.cos(theta2)) + i1 + i2
-    d2 = m2 * (lc2**2 + l1 * lc2 * np.cos(theta2)) + i2
-    phi2 = m2 * lc2 * g * np.cos(theta1 + theta2 - np.pi / 2)
-    phi1 = (
-        -m2 * l1 * lc2 * w2**2 * np.sin(theta2)
-        - 2 * m2 * l1 * lc2 * w2 * w1 * np.sin(theta2)
-        + (m1 * lc1 + m2 * l1) * g * np.cos(theta1 - np.pi / 2)
-        + phi2
-    )
-    a2 = (
-        torque + (d2 / d1) * phi1 - m2 * l1 * lc2 * w1**2 * np.sin(theta2) - phi2
-    ) / (m2 * lc2**2 + i2 - d2**2 / d1)
-    a1 = -(d2 * a2 + phi1) / d1
-    return np.array([w1, w2, a1, a2])
-
-
-def _rk4_step(cfg: AcrobotConfig, s: np.ndarray, torque: float, h: float) -> np.ndarray:
-    k1 = _derivatives(cfg, s, torque)
-    k2 = _derivatives(cfg, s + 0.5 * h * k1, torque)
-    k3 = _derivatives(cfg, s + 0.5 * h * k2, torque)
-    k4 = _derivatives(cfg, s + h * k3, torque)
-    return s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _wrap(angle: float) -> float:
-    return float((angle + np.pi) % (2 * np.pi) - np.pi)
-
-
-def acrobot_step(cfg: AcrobotConfig, x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
-    """One decision step: RK4-integrate the equations of motion for dt with
-    the chosen constant torque, wrap angles, clip velocities; reward -1."""
-    s = np.asarray(x, dtype=np.float64).copy()
+    # c_<x>_<k>: the k-th constant part of the equation for x, folded once.
+    # Only a leftmost run of a product or sum is folded: folding constants
+    # further right would reassociate floating-point operations.
+    c_d1_0 = m1 * lc1**2
+    c_d1_1 = l1**2 + lc2**2
+    c_d1_2 = 2 * l1 * lc2
+    c_d2_0 = lc2**2
+    c_d2_1 = l1 * lc2
+    c_phi2_0 = m2 * lc2 * g
+    c_phi1_0 = -m2 * l1 * lc2
+    c_phi1_1 = 2 * m2 * l1 * lc2
+    c_phi1_2 = (m1 * lc1 + m2 * l1) * g
+    c_a2_0 = m2 * l1 * lc2
+    c_a2_1 = m2 * lc2**2 + i2
     torque = TORQUES[a]
+
+    def accelerations(t1: float, t2: float, w1: float, w2: float) -> tuple[float, float]:
+        cos2, sin2 = cos(t2), sin(t2)
+        d1 = c_d1_0 + m2 * (c_d1_1 + c_d1_2 * cos2) + i1 + i2
+        d2 = m2 * (c_d2_0 + c_d2_1 * cos2) + i2
+        phi2 = c_phi2_0 * cos(t1 + t2 - HALF_PI)
+        phi1 = (
+            c_phi1_0 * w2**2 * sin2 - c_phi1_1 * w2 * w1 * sin2
+            + c_phi1_2 * cos(t1 - HALF_PI) + phi2
+        )
+        acc2 = (
+            torque + (d2 / d1) * phi1 - c_a2_0 * w1**2 * sin2 - phi2
+        ) / (c_a2_1 - d2**2 / d1)
+        return -(d2 * acc2 + phi1) / d1, acc2
+
     h = cfg.dt / cfg.n_substeps
-    for _ in range(cfg.n_substeps):
-        s = _rk4_step(cfg, s, torque, h)
-    s[0] = _wrap(s[0])
-    s[1] = _wrap(s[1])
-    s[2] = float(np.clip(s[2], -cfg.max_vel1, cfg.max_vel1))
-    s[3] = float(np.clip(s[3], -cfg.max_vel2, cfg.max_vel2))
-    return s, -1.0
+    half, sixth = 0.5 * h, h / 6.0
+    try:
+        for _ in range(cfg.n_substeps):
+            # classic RK4; stage k's derivative is (its velocities, its accelerations)
+            a1_1, a2_1 = accelerations(t1, t2, w1, w2)
+            w1_2, w2_2 = w1 + half * a1_1, w2 + half * a2_1
+            a1_2, a2_2 = accelerations(t1 + half * w1, t2 + half * w2, w1_2, w2_2)
+            w1_3, w2_3 = w1 + half * a1_2, w2 + half * a2_2
+            a1_3, a2_3 = accelerations(t1 + half * w1_2, t2 + half * w2_2, w1_3, w2_3)
+            w1_4, w2_4 = w1 + h * a1_3, w2 + h * a2_3
+            a1_4, a2_4 = accelerations(t1 + h * w1_3, t2 + h * w2_3, w1_4, w2_4)
+            t1 = t1 + sixth * (w1 + 2 * w1_2 + 2 * w1_3 + w1_4)
+            t2 = t2 + sixth * (w2 + 2 * w2_2 + 2 * w2_3 + w2_4)
+            w1 = w1 + sixth * (a1_1 + 2 * a1_2 + 2 * a1_3 + a1_4)
+            w2 = w2 + sixth * (a2_1 + 2 * a2_2 + 2 * a2_3 + a2_4)
+        if not all(map(isfinite, (t1, t2, w1, w2))):
+            raise OverflowError  # an inf or NaN that no operation raised for
+    except (OverflowError, ValueError) as exc:  # also `**` overflow, cos/sin of inf
+        raise ValueError(f"acrobot step overflowed from state {list(start)}") from exc
+    return np.array([
+        (t1 + pi) % TWO_PI - pi,
+        (t2 + pi) % TWO_PI - pi,
+        min(max(w1, -cfg.max_vel1), cfg.max_vel1),
+        min(max(w2, -cfg.max_vel2), cfg.max_vel2),
+    ]), -1.0
 
 
 def tip_height(x: StateVec) -> float:

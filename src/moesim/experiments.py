@@ -10,6 +10,7 @@ results.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -218,7 +219,7 @@ _DEFAULTS = {
 def schema_reference() -> dict:
     """The config schema, the top-level defaults and every section's keys
     with their defaults, for the CLI's generated documentation."""
-    return {"schema": CONFIG_SCHEMA, "defaults": dict(_DEFAULTS), "sections": SECTIONS}
+    return copy.deepcopy({"schema": CONFIG_SCHEMA, "defaults": _DEFAULTS, "sections": SECTIONS})
 
 
 class ConfigError(ValueError):
@@ -235,8 +236,7 @@ def validate_config(cfg: dict) -> dict:
     if errors:
         msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
         raise ConfigError(msgs)
-    merged = dict(_DEFAULTS)
-    merged.update(cfg)
+    merged = {**copy.deepcopy(_DEFAULTS), **cfg}
     for section in _KINDED:
         kind = merged[section]["kind"]
         reads = SECTIONS[section][kind]

@@ -3,6 +3,7 @@
 import numpy as np
 
 from moesim.core import Metric, Policy
+from moesim.envs.acrobot import TORQUES
 from moesim.envs.base import Environment
 from moesim.errors import (
     BoundParams,
@@ -203,3 +204,52 @@ def serial_rollout(model, policy, x, a, remaining, gamma, is_terminal=None):
         if k + 1 < remaining:
             action = int(np.argmax(policy.probs(state)))
     return total, remaining
+
+
+def _acrobot_derivatives(cfg, s, torque):
+    theta1, theta2, w1, w2 = s
+    m1, m2, l1, lc1, lc2, i1, i2, g = (
+        cfg.m1, cfg.m2, cfg.l1, cfg.lc1, cfg.lc2, cfg.i1, cfg.i2, cfg.gravity,
+    )
+    d1 = m1 * lc1**2 + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * np.cos(theta2)) + i1 + i2
+    d2 = m2 * (lc2**2 + l1 * lc2 * np.cos(theta2)) + i2
+    phi2 = m2 * lc2 * g * np.cos(theta1 + theta2 - np.pi / 2)
+    phi1 = (
+        -m2 * l1 * lc2 * w2**2 * np.sin(theta2)
+        - 2 * m2 * l1 * lc2 * w2 * w1 * np.sin(theta2)
+        + (m1 * lc1 + m2 * l1) * g * np.cos(theta1 - np.pi / 2)
+        + phi2
+    )
+    a2 = (
+        torque + (d2 / d1) * phi1 - m2 * l1 * lc2 * w1**2 * np.sin(theta2) - phi2
+    ) / (m2 * lc2**2 + i2 - d2**2 / d1)
+    a1 = -(d2 * a2 + phi1) / d1
+    return np.array([w1, w2, a1, a2])
+
+
+def _rk4_step(cfg, s, torque, h):
+    k1 = _acrobot_derivatives(cfg, s, torque)
+    k2 = _acrobot_derivatives(cfg, s + 0.5 * h * k1, torque)
+    k3 = _acrobot_derivatives(cfg, s + 0.5 * h * k2, torque)
+    k4 = _acrobot_derivatives(cfg, s + h * k3, torque)
+    return s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _wrap(angle):
+    return float((angle + np.pi) % (2 * np.pi) - np.pi)
+
+
+def numpy_acrobot_step(cfg, x, a):
+    """The acrobot step on numpy float64 scalars and 4-vectors, written
+    straight from the equations of motion: the reference that
+    `acrobot_step` must match bit for bit."""
+    s = np.asarray(x, dtype=np.float64).copy()
+    torque = TORQUES[a]
+    h = cfg.dt / cfg.n_substeps
+    for _ in range(cfg.n_substeps):
+        s = _rk4_step(cfg, s, torque, h)
+    s[0] = _wrap(s[0])
+    s[1] = _wrap(s[1])
+    s[2] = float(np.clip(s[2], -cfg.max_vel1, cfg.max_vel1))
+    s[3] = float(np.clip(s[3], -cfg.max_vel2, cfg.max_vel2))
+    return s, -1.0

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import context_scans, uniform_policy
+from helpers import context_scans, numpy_acrobot_step, uniform_policy
 from moesim.core import Dataset, Metric, Policy, trajectory_return
 from moesim.envs import (
     AcrobotConfig,
@@ -225,6 +227,97 @@ class TestAcrobot:
             assert [(tr.traj_id, tr.t) for tr in kept.transitions] == scan
             assert (len(kept) == len(ds)) == kept_all
             assert len(kept.initial_states) == len(ds.initial_states)
+
+
+ACROBOT = AcrobotConfig(horizon=300)
+# the default constants are powers of two or products of them, so a product
+# folded in another order keeps its bits; these do not
+UNEVEN = replace(ACROBOT, m1=1.3, m2=0.7, l1=1.2, lc1=0.45, lc2=0.55, i1=0.9, i2=1.2)
+ACROBOT_CONFIGS = [
+    replace(base, gravity=gravity, n_substeps=n)
+    for base in (ACROBOT, UNEVEN) for gravity in (ACROBOT.gravity, 0.0) for n in (2, 4, 8)
+]
+# k·π and its two neighbouring doubles: with gravity off, zero velocities and
+# zero torque a state stays put, so these reach the angle wrap exactly
+WRAP_POINTS = sorted(
+    v for k in range(-5, 6) for v in (np.nextafter(k * np.pi, -np.inf), k * np.pi,
+                                      np.nextafter(k * np.pi, np.inf))
+)
+ANGLES = st.one_of(st.floats(-5 * np.pi, 5 * np.pi), st.sampled_from(WRAP_POINTS))
+
+
+def velocities(max_vel):
+    # inside and beyond the clip; about 3x beyond it a step starts to overflow
+    edges = [0.0, -max_vel, max_vel, np.nextafter(max_vel, np.inf), -np.nextafter(max_vel, np.inf)]
+    return st.one_of(st.floats(-5 * max_vel, 5 * max_vel), st.sampled_from(edges))
+
+
+def assert_matches_the_numpy_oracle(cfg, x, a):
+    """Equal bits where the numpy step stays finite; where it overflows, a
+    clear `ValueError` instead of its inf/NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            want, want_r = numpy_acrobot_step(cfg, x, a)
+    except FloatingPointError:
+        with pytest.raises(ValueError, match="acrobot step overflowed from state "):
+            acrobot_step(cfg, x, a)
+        return None
+    got, r = acrobot_step(cfg, x, a)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert r == want_r == -1.0
+    return got
+
+
+class TestAcrobotKernel:
+    """The Python-float `acrobot_step` against its numpy transcription."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        cfg=st.sampled_from(ACROBOT_CONFIGS),
+        t1=ANGLES, t2=ANGLES,
+        w1=velocities(ACROBOT.max_vel1), w2=velocities(ACROBOT.max_vel2),
+        a=st.integers(0, 2),
+    )
+    # states whose step changes bits when one squaring (of w2, w1 or d2) is
+    # written x * x instead of x**2
+    @example(cfg=ACROBOT, t1=1.256, t2=1.339, w1=7.325, w2=-12.812, a=1)
+    @example(cfg=ACROBOT, t1=0.357, t2=-1.09, w1=11.585, w2=-6.387, a=1)
+    @example(cfg=ACROBOT, t1=-0.061, t2=1.215, w1=8.826, w2=-21.997, a=2)
+    # states whose step overflows
+    @example(cfg=ACROBOT, t1=0.0, t2=1.0, w1=0.0, w2=300.0, a=1)
+    @example(cfg=ACROBOT, t1=0.0, t2=1.0, w1=100.0, w2=0.0, a=1)
+    def test_equals_the_numpy_oracle_bit_for_bit(self, cfg, t1, t2, w1, w2, a):
+        assert_matches_the_numpy_oracle(cfg, np.array([t1, t2, w1, w2]), a)
+
+    @pytest.mark.parametrize("angle", WRAP_POINTS)
+    def test_wraps_a_resting_state_like_the_oracle(self, angle):
+        cfg = replace(ACROBOT, gravity=0.0)
+        got = assert_matches_the_numpy_oracle(cfg, np.array([angle, -angle, 0.0, 0.0]), 1)
+        assert np.all(np.abs(got[:2]) <= np.pi)  # rounding can land on +pi itself
+
+    def test_equals_the_oracle_over_a_chained_trajectory(self):
+        # swing-up with random actions mixed in: the chain reaches both
+        # velocity clips and wraps both angles
+        rng = np.random.default_rng(0)
+        x = np.array([0.05, -0.03, 0.02, 0.0])
+        max_vel = {2: ACROBOT.max_vel1, 3: ACROBOT.max_vel2}
+        clipped, wrapped = set(), set()
+        for _ in range(1000):
+            a = int(rng.integers(3)) if rng.random() < 0.2 else (2 if x[3] >= 0 else 0)
+            nxt = assert_matches_the_numpy_oracle(ACROBOT, x, a)
+            clipped |= {i for i in (2, 3) if abs(nxt[i]) == max_vel[i]}
+            wrapped |= {i for i in (0, 1) if abs(nxt[i] - x[i]) > np.pi}
+            x = nxt
+        assert clipped == {2, 3} and wrapped == {0, 1}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i", range(4))
+    def test_rejects_a_non_finite_state(self, bad, i):
+        x = np.zeros(4)
+        x[i] = bad
+        with pytest.raises(ValueError, match=r"^acrobot state must be finite: \["):
+            acrobot_step(ACROBOT, x, 1)
 
 
 class TestEpsGreedy:

@@ -35,6 +35,7 @@ from moesim.reproduce import (
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_report.json"
 MCTS_GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_mcts_report.json"
+ACROBOT_GOLDEN = Path(__file__).parent / "golden" / "tiny_acrobot_report.json"
 
 
 def tiny_config(**overrides):
@@ -94,6 +95,24 @@ class TestConfigValidation:
         assert cfg["n_true_rollouts"] == 4
         assert cfg["metric_weights"] is None
         assert cfg["eval_policy"] == {"kind": "env_default"}
+
+    def test_validated_configs_share_no_default(self):
+        first = validate_config(tiny_config())
+        first["selector"]["mcts_budget"] = 8
+        first["bound"]["l_t"] = 2.0
+        first["eval_policy"]["kind"] = "constant_action"
+        second = validate_config(tiny_config())
+        assert (second["selector"], second["bound"]) == ({}, {})
+        assert second["eval_policy"] == {"kind": "env_default"}
+
+    def test_schema_reference_shares_no_table(self):
+        first = moesim.experiments.schema_reference()
+        first["defaults"]["selector"]["mcts_budget"] = 8
+        first["sections"]["selector"]["mcts_budget"] = 8
+        second = moesim.experiments.schema_reference()
+        assert second["defaults"]["selector"] == {}
+        assert second["sections"]["selector"] == {"mcts_budget": 128}
+        assert validate_config(tiny_config())["selector"] == {}
 
     def test_sections_are_kept_as_written(self):
         # a report embeds the validated config: no section default fills in
@@ -165,6 +184,24 @@ class TestRunExperiment:
         assert report.per_repetition[0]["estimates"]["IS"]["v_hat"] != 0.0
         assert report.per_repetition[0]["estimates"]["WIS"]["v_hat"] != 0.0
         assert report.to_json() == MCTS_GOLDEN.read_text()
+
+    def test_matches_acrobot_golden(self):
+        # pins the acrobot dynamics: the behaviour data (through the radius
+        # and model usage) and every true state (through eps_traj)
+        cfg = {
+            "name": "tiny-acrobot",
+            "env": {"kind": "acrobot", "horizon": 40},
+            "behavior": {"kind": "eps_greedy", "eps": 0.3},
+            "n_behavior_trajectories": 4,
+            "model": {"kind": "ridge"},
+            "sim": {"n_rollouts": 2, "horizon": 40, "gamma": 1.0},
+            "estimators": ["p", "np", "moe", "IS", "WIS", "DR", "WDR"],
+            "n_repetitions": 1,
+            "n_true_rollouts": 4,
+            "eps_traj": True,
+            "seed": 11,
+        }
+        assert run_experiment(cfg).to_json() == ACROBOT_GOLDEN.read_text()
 
     def test_rep_order_permutation_is_invisible(self):
         cfg = tiny_config(n_repetitions=3)
@@ -605,6 +642,23 @@ class TestCLI:
             r"at trajectory step \d+",
             str(err.value),
         )
+
+    @pytest.mark.parametrize("start, message", [
+        ([math.nan, 0.0, 0.0, 0.0], "acrobot state must be finite: [nan, 0.0, 0.0, 0.0]"),
+        ([0.0, 0.0, -math.inf, 0.0], "acrobot state must be finite: [0.0, 0.0, -inf, 0.0]"),
+        ([0.0, 0.0, 0.0, 400.0], "acrobot step overflowed from state [0.0, 0.0, 0.0, 400.0]"),
+    ])
+    def test_oracle_step_on_a_bad_state_names_the_estimator(self, start, message):
+        # moe_true steps the true acrobot from each simulated state, the
+        # first of which is the given start
+        cfg = tiny_config(
+            env={"kind": "acrobot"}, seed=1, n_behavior_trajectories=4, n_repetitions=1,
+            model={"kind": "ridge"}, estimators=["moe_true"], initial_states=[start],
+        )
+        with pytest.raises(RepetitionError) as err:
+            run_repetition(validate_config(cfg), 0)
+        assert str(err.value) == f"repetition 0, estimator moe_true: {message}"
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_error_maps_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
