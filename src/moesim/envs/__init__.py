@@ -19,7 +19,6 @@ from .acrobot import (
     make_acrobot,
     tip_height,
 )
-from .ode import DivergedError, ODESpec, ode_env
 
 __all__ = [
     "Environment",
@@ -39,7 +38,4 @@ __all__ = [
     "acrobot_step",
     "make_acrobot",
     "tip_height",
-    "DivergedError",
-    "ODESpec",
-    "ode_env",
 ]

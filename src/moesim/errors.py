@@ -87,11 +87,13 @@ def _pairwise_max_ratios(
     Row block lo:hi is compared only with columns j >= lo, from exact
     per-dimension differences.  Pairs with i >= j or coincident starts get
     an infinite squared start distance, so their ratios are 0 and they are
-    not counted.
+    not counted.  When every reward is equal, every reward ratio is 0, and
+    the reward pass is skipped.
     """
     n = len(X)
     Xw = X * metric.weights
     Yw = Y * metric.weights
+    rewards_vary = n > 1 and bool(np.any(R[1:] != R[0]))
     best_t = 0.0
     best_r = 0.0
     used = 0
@@ -108,10 +110,11 @@ def _pairwise_max_ratios(
         dx2[dx2 == 0.0] = np.inf
         used += int(np.count_nonzero(dx2 != np.inf))
         best_t = max(best_t, float(np.sqrt(np.divide(dy2, dx2, out=dy2).max())))
-        np.subtract(R[lo:hi, None], R[None, lo:], out=tmp)
-        np.abs(tmp, out=tmp)
-        np.divide(tmp, np.sqrt(dx2, out=dx2), out=tmp)
-        best_r = max(best_r, float(tmp.max()))
+        if rewards_vary:
+            np.subtract(R[lo:hi, None], R[None, lo:], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.divide(tmp, np.sqrt(dx2, out=dx2), out=tmp)
+            best_r = max(best_r, float(tmp.max()))
     return best_t, best_r, used
 
 

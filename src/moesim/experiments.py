@@ -29,14 +29,12 @@ from .baselines import ISInput, ModelValueFunctions, is_estimate
 from .core import Dataset, Metric, Policy, Trajectory
 from .envs import (
     AcrobotConfig,
-    ODESpec,
     Windy2DConfig,
     acrobot_heuristic_policy,
     make_acrobot,
     make_eps_greedy,
     make_planning_toy,
     make_windy2d,
-    ode_env,
     planning_toy_parametric_model,
     planning_toy_policies,
 )
@@ -83,7 +81,6 @@ SECTIONS = {
         "windy2d": {"horizon": 60},
         "planning_toy": {"horizon": 16},
         "acrobot": {"horizon": 300, "height_filter": None},
-        "ode": {"spec_path": REQUIRED},  # the spec sets the horizon
     },
     "behavior": {
         "env_scripted": {},
@@ -129,7 +126,6 @@ CONFIG_SCHEMA = {
         "env": _kinded("env", {
             "horizon": {"type": "integer", "minimum": 1},
             "height_filter": {"type": ["number", "null"]},
-            "spec_path": {"type": "string"},
         }),
         "behavior": _kinded("behavior", {
             "eps": {"type": "number", "minimum": 0, "maximum": 1},
@@ -226,16 +222,27 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message carries the field path."""
 
 
+def _non_finite(value, path: str = "$") -> list[tuple[str, str]]:
+    """(JSON path, message) of every NaN or infinite number in a config
+    value; Python's `json` reads `NaN` and `Infinity`, and the schema's
+    `number` accepts them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return [(path, f"{value} is not a finite number")]
+    if isinstance(value, dict):
+        return [e for key, v in value.items() for e in _non_finite(v, f"{path}.{key}")]
+    if isinstance(value, list):
+        return [e for i, v in enumerate(value) for e in _non_finite(v, f"{path}[{i}]")]
+    return []
+
+
 def validate_config(cfg: dict) -> dict:
     """Validate and return the config with the top-level defaults filled in.
-    A section must give the keys its kind requires, and no key its kind
-    does not read."""
-    errors = sorted(
-        Draft7Validator(CONFIG_SCHEMA).iter_errors(cfg), key=lambda e: e.json_path
-    )
+    Every number must be finite.  A section must give the keys its kind
+    requires, and no key its kind does not read."""
+    errors = [(e.json_path, e.message) for e in Draft7Validator(CONFIG_SCHEMA).iter_errors(cfg)]
+    errors = sorted(errors + _non_finite(cfg), key=lambda e: e[0])
     if errors:
-        msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
-        raise ConfigError(msgs)
+        raise ConfigError("; ".join(f"{path}: {message}" for path, message in errors))
     merged = {**copy.deepcopy(_DEFAULTS), **cfg}
     for section in _KINDED:
         kind = merged[section]["kind"]
@@ -290,13 +297,9 @@ def build_task(env_cfg: dict) -> Task:
             {v: (lambda v=v: planning_toy_parametric_model(v)) for v in REWARD_VARIANTS},
             behavior_starts=BEHAVIOR_STARTS,
         )
-    if kind == "acrobot":
-        env = make_acrobot(AcrobotConfig(horizon=env_cfg["horizon"]))
-        heuristic = acrobot_heuristic_policy()
-        return Task(env, heuristic, heuristic, None, height=tip_heights)
-    env = ode_env(ODESpec.from_json(env_cfg["spec_path"]))
-    first_action = Policy.deterministic(lambda x: 0, env.n_actions)
-    return Task(env, first_action, first_action, None)
+    env = make_acrobot(AcrobotConfig(horizon=env_cfg["horizon"]))
+    heuristic = acrobot_heuristic_policy()
+    return Task(env, heuristic, heuristic, None, height=tip_heights)
 
 
 def _check_fits_env(cfg: dict, task: Task) -> None:

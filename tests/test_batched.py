@@ -2,8 +2,6 @@
 `Policy.probs_many`, the acrobot terminal test, and the lockstep control
 variate rollouts of `ModelValueFunctions`.  Rows must match bit for bit."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,11 +142,6 @@ def built_in_policies():
         {"eval_policy": {"kind": "constant_action", "action": 3}},
         build_task({"kind": "windy2d"}),
     )
-    spec_path = Path(__file__).resolve().parents[1] / "configs" / "linear_decay_ode.json"
-    ode_default = build_eval_policy(
-        {"eval_policy": {"kind": "env_default"}},
-        build_task({"kind": "ode", "spec_path": str(spec_path)}),
-    )
     return [
         ("windy_eval", windy_eval_policy(WINDY), 2),
         ("windy_behavior", windy_behavior_policy(WINDY), 2),
@@ -157,7 +150,6 @@ def built_in_policies():
         ("toy_eval", toy_eval, 2),
         ("toy_behavior", toy_behavior, 2),
         ("constant", constant, 2),
-        ("ode_default", ode_default, 1),
         ("uniform", uniform_policy(3), 4),
         ("acrobot", acrobot_heuristic_policy(), 4),
         ("acrobot_eps", make_eps_greedy(acrobot_heuristic_policy(), 0.1), 4),

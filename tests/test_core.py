@@ -82,6 +82,14 @@ class TestMetric:
         y[5] = 1.0
         assert m.distance(x, y) == 20.0
 
+    def test_weighted_metric_for_six_dim_states(self):
+        # one heavily weighted dimension dominates the distance
+        m = Metric(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 20.0]))
+        a = np.zeros(6)
+        b = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        c = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        assert m.distance(a, c) == 20.0 * m.distance(a, b)
+
     def test_dimension_mismatch(self):
         m = Metric.euclidean(2)
         with pytest.raises(ValueError):

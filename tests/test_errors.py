@@ -57,17 +57,22 @@ def brute_force_ratios(X, Y, A, R, metric):
 def ratio_inputs(draw):
     """One action's (starts, next states, rewards) and a weighted metric,
     with exact and near duplicates of drawn starts, often on either side of
-    a 64-row block boundary of the pair scan."""
+    a 64-row block boundary of the pair scan, and sometimes one reward for
+    every row, as windy's -1 a step, or for all rows but one or two."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(2, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.uniform(-10, 10, size=(n, dim))
     Y = rng.normal(size=(n, dim))
-    R = rng.normal(size=n)
+    constant = draw(st.sampled_from([None, -1.0, 0.0, -0.0, 2.5]))
+    R = rng.normal(size=n) if constant is None else np.full(n, constant)
     row = st.integers(0, n - 1)
     edges = [b + k for b in (64, 128, 192) for k in (-1, 0) if b + k < n]
     if edges:
         row = st.one_of(row, st.sampled_from(edges))
+    if constant is not None:
+        for _ in range(draw(st.integers(0, 2))):
+            R[draw(row)] = constant + 1.0
     for _ in range(draw(st.integers(0, 6))):
         src, dst = draw(row), draw(row)
         X[dst] = X[src]

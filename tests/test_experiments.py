@@ -13,7 +13,6 @@ import moesim.experiments
 from moesim.cli import build_parser
 from moesim.cli import main as cli_main
 from moesim.core import Dataset, Transition
-from moesim.envs import DivergedError
 from moesim.experiments import (
     ConfigError,
     RepetitionError,
@@ -53,22 +52,6 @@ def tiny_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
-
-
-def diverging_ode_config(tmp_path):
-    """An ODE config whose truth rollouts diverge: x' = x^2 from x = 0.1
-    blows up at t = 10, so the 2-step behaviour rollouts stay finite and
-    the 40-step truth rollouts do not."""
-    spec = {
-        "state_names": ["x"], "actions": [[]], "rhs": ["x*x"], "reward": "-x",
-        "dt": 0.05, "steps_per_decision": 20, "initial_states": [[0.1]],
-        "horizon": 2,
-    }
-    (tmp_path / "spec.json").write_text(json.dumps(spec))
-    return tiny_config(
-        env={"kind": "ode", "spec_path": str(tmp_path / "spec.json")},
-        model={"kind": "ridge"}, estimators=["moe"],
-    )
 
 
 class TestConfigValidation:
@@ -302,8 +285,6 @@ def each_kind_config(kind):
         "windy2d": {"kind": "windy2d", "horizon": 30},
         "planning_toy": {"kind": "planning_toy", "horizon": 8},
         "acrobot": {"kind": "acrobot", "horizon": 30, "height_filter": 0.0},
-        "ode": {"kind": "ode", "spec_path": str(
-            Path(__file__).resolve().parents[1] / "configs" / "linear_decay_ode.json")},
     }[kind]
     model = {"kind": "env_analytic", "reward_variant": "inaccurate"} if kind == "planning_toy" \
         else {"kind": "ridge"}
@@ -315,12 +296,12 @@ def each_kind_config(kind):
 
 
 class TestTasks:
-    @pytest.mark.parametrize("kind", ["windy2d", "planning_toy", "acrobot", "ode"])
+    @pytest.mark.parametrize("kind", ["windy2d", "planning_toy", "acrobot"])
     def test_one_repetition_of_each_env_kind(self, kind):
         cfg = validate_config(each_kind_config(kind))
         batch, ctx = build_context(cfg, 0)
         task = batch.task
-        assert (task.analytic is None) == (kind in ("acrobot", "ode"))
+        assert (task.analytic is None) == (kind == "acrobot")
         assert (task.behavior_starts is not None) == (kind == "planning_toy")
         assert (task.height is not None) == ("height_filter" in SECTIONS["env"][kind])
         assert len(batch.trajectories) == 3 and len(batch.dataset) > 0
@@ -566,9 +547,8 @@ class TestCLI:
             ("behavior", {"kind": "env_scripted", "trigger": None}, "behavior.trigger"),
             ("eval_policy", {"kind": "env_default", "action": 0}, "eval_policy.action"),
             ("eval_policy", {}, "$.eval_policy"),
-            ("env", {"kind": "ode", "spec_path": "spec.json", "horizon": 5}, "env.horizon"),
-            ("env", {"kind": "windy2d", "spec_path": "spec.json"}, "env.spec_path"),
             ("env", {"kind": "planning_toy", "height_filter": None}, "env.height_filter"),
+            ("env", {"kind": "ode"}, "$.env.kind"),
         ],
         ids=["action_out_of_range", "trigger_dim_out_of_range", "metric_weights_length",
              "metric_weights_empty",
@@ -578,8 +558,8 @@ class TestCLI:
              "ridge_lambda_on_mlp", "ridge_lambda_on_env_analytic", "hidden_on_ridge",
              "layers_on_ridge", "epochs_on_ridge", "learning_rate_on_ridge", "seed_on_ridge",
              "seed_on_env_analytic", "eps_on_env_scripted", "trigger_on_env_scripted",
-             "action_on_env_default", "eval_policy_without_kind", "horizon_on_ode",
-             "spec_path_on_windy2d", "height_filter_on_planning_toy"],
+             "action_on_env_default", "eval_policy_without_kind",
+             "height_filter_on_planning_toy", "unknown_env_kind"],
     )
     @pytest.mark.parametrize("command", ["evaluate", "error-maps"])
     def test_values_that_must_fit_the_env_exit_2(
@@ -591,28 +571,73 @@ class TestCLI:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
-    def test_runtime_error_exit_code(self, tmp_path):
-        # validates against the schema but fails to build: the ODE spec file
-        # does not exist
-        cfg = tiny_config(env={"kind": "ode", "spec_path": str(tmp_path / "no.json")})
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("initial_states", [[math.nan, 0.0]], "$.initial_states[0][0]"),
+            ("metric_weights", [1.0, math.nan], "$.metric_weights[1]"),
+            ("metric_weights", [math.inf, 1.0], "$.metric_weights[0]"),
+            ("bound", {"l_t": math.nan}, "$.bound.l_t"),
+            ("bound", {"l_t": math.inf}, "$.bound.l_t"),
+            ("behavior", {"kind": "eps_greedy", "eps": math.nan}, "$.behavior.eps"),
+            ("sim", {"n_rollouts": 2, "horizon": 40, "gamma": math.nan}, "$.sim.gamma"),
+            ("model", {"kind": "ridge", "ridge_lambda": math.inf}, "$.model.ridge_lambda"),
+            ("behavior", {"kind": "eps_greedy", "eps": 0.3,
+                          "trigger": {"dim": 1, "greater_than": math.nan}},
+             "$.behavior.trigger.greater_than"),
+        ],
+        ids=["initial_state_nan", "metric_weight_nan", "metric_weight_inf", "l_t_nan",
+             "l_t_inf", "eps_nan", "gamma_nan", "ridge_lambda_inf", "trigger_threshold_nan"],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "error-maps"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, command, section, value, field):
+        # Python's json writes and reads NaN and Infinity
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(**{section: value})))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_runtime_error_exit_code(self, tmp_path, capsys):
+        # validates and builds, but the true acrobot overflows when eps_traj
+        # replays the simulated rollout from this start
+        cfg = tiny_config(
+            env={"kind": "acrobot"}, model={"kind": "ridge"}, estimators=["p"],
+            n_repetitions=1, initial_states=[[0.0, 0.0, 0.0, 400.0]],
+        )
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert "error: repetition 0, estimator p: acrobot step overflowed" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "report.json").exists()
 
-    def test_diverging_truth_rollouts_name_repetition_and_stage(self, tmp_path, capsys):
+    @staticmethod
+    def diverging_truth_rollouts(monkeypatch):
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("diverged: non-finite true state")
+
+        monkeypatch.setattr(moesim.experiments, "evaluate_policy_true", diverge)
+
+    def test_diverging_truth_rollouts_name_repetition_and_stage(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self.diverging_truth_rollouts(monkeypatch)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(diverging_ode_config(tmp_path)))
-        with np.errstate(all="ignore"):
-            code = cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)])
+        cfg_path.write_text(json.dumps(tiny_config(model={"kind": "ridge"}, estimators=["moe"])))
+        code = cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert code == 1
         assert "error: repetition 0, truth rollouts: diverged:" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_repetition_error_chains_the_cause(self, tmp_path):
-        with np.errstate(all="ignore"), pytest.raises(RepetitionError) as err:
-            run_experiment(diverging_ode_config(tmp_path), rep_order=[1, 0])
-        assert str(err.value).startswith("repetition 1, truth rollouts: diverged:")
-        assert isinstance(err.value.__cause__, DivergedError)
+    def test_repetition_error_chains_the_cause(self, monkeypatch):
+        self.diverging_truth_rollouts(monkeypatch)
+        cfg = tiny_config(model={"kind": "ridge"}, estimators=["moe"])
+        with pytest.raises(RepetitionError) as err:
+            run_experiment(cfg, rep_order=[1, 0])
+        assert str(err.value) == "repetition 1, truth rollouts: diverged: non-finite true state"
+        assert isinstance(err.value.__cause__, FloatingPointError)
 
     @pytest.mark.parametrize("env", ["windy2d", "acrobot"])
     def test_diverged_model_fails_dr_rollouts(self, env):
@@ -650,13 +675,15 @@ class TestCLI:
     ])
     def test_oracle_step_on_a_bad_state_names_the_estimator(self, start, message):
         # moe_true steps the true acrobot from each simulated state, the
-        # first of which is the given start
-        cfg = tiny_config(
+        # first of which is the given start; a config file cannot give a
+        # non-finite start, so it is set after validation
+        cfg = validate_config(tiny_config(
             env={"kind": "acrobot"}, seed=1, n_behavior_trajectories=4, n_repetitions=1,
-            model={"kind": "ridge"}, estimators=["moe_true"], initial_states=[start],
-        )
+            model={"kind": "ridge"}, estimators=["moe_true"],
+        ))
+        cfg["initial_states"] = [start]
         with pytest.raises(RepetitionError) as err:
-            run_repetition(validate_config(cfg), 0)
+            run_repetition(cfg, 0)
         assert str(err.value) == f"repetition 0, estimator moe_true: {message}"
         assert isinstance(err.value.__cause__, ValueError)
 

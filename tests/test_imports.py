@@ -1,13 +1,15 @@
-"""Every name a module of the package imports is used in that module, and
-every function, method and class the package defines is used by the package.
+"""Every name a module of the package imports is used in that module,
+every function, method and class the package defines is used by the
+package, and the runtime dependencies are exactly the third-party modules
+the package imports.
 
-`__init__.py` files are skipped: their imports are the package's re-exports,
-and a name only they mention is public API that nothing inside runs.
+The first two checks skip `__init__.py` files: their imports are the
+package's re-exports, and a name only they mention is public API that
+nothing inside runs.
 """
 
 import ast
-import os
-import subprocess
+import re
 import sys
 from pathlib import Path
 
@@ -88,21 +90,33 @@ def test_package_defines_nothing_only_tests_use():
     assert [name for name in found if name not in API_EDGE] == []
 
 
-def test_a_windy_config_does_not_import_sympy():
-    # sympy is only needed to compile ODE specs, and importing it costs more
-    # than the rest of a CLI start-up
-    code = (
-        "import sys\n"
-        "from moesim.experiments import validate_config\n"
-        "validate_config({'name': 'w', 'env': {'kind': 'windy2d'},\n"
-        "    'behavior': {'kind': 'env_scripted'}, 'model': {'kind': 'ridge'},\n"
-        "    'sim': {'n_rollouts': 1, 'horizon': 5, 'gamma': 1.0},\n"
-        "    'estimators': ['moe']})\n"
-        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+def third_party_imports(sources: list[str]) -> set[str]:
+    """Top-level modules that `sources` import, anywhere in a module, that
+    are neither the standard library nor the package itself."""
+    found: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"moesim"}
+
+
+def test_detects_a_third_party_import():
+    source = (
+        "import os.path\nfrom . import core\nfrom numpy import array\n"
+        "def f():\n    import yaml\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    assert third_party_imports([source]) == {"numpy", "yaml"}
+
+
+def test_runtime_dependencies_are_the_imported_modules():
+    # a stale entry in pyproject.toml, or an import it does not declare, fails
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0].lower().replace("-", "_")
+        for req in project["dependencies"]
+    }
+    assert declared == third_party_imports([path.read_text() for path in SRC.rglob("*.py")])
