@@ -83,25 +83,11 @@ def generate_trajectories(
     return trajectories, all_probs
 
 
-def make_eps_greedy(
-    base: Policy,
-    eps: float,
-    trigger: Callable[[StateVec], bool] | None = None,
-) -> Policy:
-    """Epsilon-greedy randomization of a base policy.
-
-    Where the trigger holds (everywhere when absent), each base-policy
+def make_eps_greedy(base: Policy, eps: float) -> Policy:
+    """Epsilon-greedy randomization of a base policy: each base-policy
     action keeps probability (1 - eps) plus a uniform eps / n_actions
-    share; elsewhere the base policy applies unchanged.
-    """
+    share."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     n = base.n_actions
-
-    def probs_fn(x: StateVec) -> np.ndarray:
-        p = base.probs(x)
-        if trigger is not None and not trigger(x):
-            return p
-        return (1.0 - eps) * p + eps / n
-
-    return Policy(n, probs_fn)
+    return Policy(n, lambda x: (1.0 - eps) * base.probs(x) + eps / n)

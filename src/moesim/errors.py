@@ -11,20 +11,23 @@ bound that the planner minimizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import Dataset, Metric, Neighbors
-from .models import DynamicsModel, NoSupportError
+from .models import DynamicsModel
+
 
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Paired transition/reward error estimates for one model at one query.
 
     supported=False means no same-action transition lay within the radius,
-    in which case the caller should fall back to the parametric expert.
+    or an error was not finite; both errors are then infinite, and the
+    caller should fall back to the parametric expert.
     """
 
     eps_t: float
@@ -41,6 +44,14 @@ class ErrorEstimate:
     @staticmethod
     def unsupported() -> "ErrorEstimate":
         return ErrorEstimate(np.inf, np.inf, supported=False)
+
+    @staticmethod
+    def of(eps_t: float, eps_r: float) -> "ErrorEstimate":
+        """Supported errors eps_t and eps_r when both are finite, else an
+        unsupported estimate (an overflowing ratio or prediction)."""
+        if math.isfinite(eps_t) and math.isfinite(eps_r):
+            return ErrorEstimate(eps_t, eps_r)
+        return ErrorEstimate.unsupported()
 
 
 @dataclass(frozen=True)
@@ -163,7 +174,7 @@ def np_error_estimate(
         )
         if n > 0:
             lips = LipschitzEstimates(bt, br, n)
-    return ErrorEstimate(lips.l_t * near.distance, lips.l_r * near.distance)
+    return ErrorEstimate.of(lips.l_t * near.distance, lips.l_r * near.distance)
 
 
 def parametric_residuals(
@@ -174,12 +185,12 @@ def parametric_residuals(
     dataset's rows.  Unfitted actions get infinite residuals."""
     eps_t = np.full(len(ds), np.inf)
     eps_r = np.full(len(ds), np.inf)
+    fitted = [model.fitted(a) for a in range(ds.n_actions)]
     rows = zip(ds.starts, ds.actions.tolist(), ds.nexts, ds.rewards.tolist())
     for i, (x, a, y, r) in enumerate(rows):
-        try:
-            xp, rp = model.predict(x, a)
-        except NoSupportError:
+        if not fitted[a]:
             continue
+        xp, rp = model.predict(x, a)
         eps_t[i] = metric.distance(xp, y)
         eps_r[i] = abs(rp - r)
     return eps_t, eps_r
@@ -197,11 +208,9 @@ def p_error_estimate(
     """
     if near is None or len(near.rows) == 0:
         return ErrorEstimate.unsupported()
-    et = float(residuals[0][near.rows].max())
-    er = float(residuals[1][near.rows].max())
-    if not (np.isfinite(et) and np.isfinite(er)):
-        return ErrorEstimate.unsupported()
-    return ErrorEstimate(et, er)
+    return ErrorEstimate.of(
+        float(residuals[0][near.rows].max()), float(residuals[1][near.rows].max())
+    )
 
 
 def choose_radius(residuals_t: np.ndarray, l_t: float) -> float:

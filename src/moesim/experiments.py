@@ -84,7 +84,7 @@ SECTIONS = {
     },
     "behavior": {
         "env_scripted": {},
-        "eps_greedy": {"eps": REQUIRED, "trigger": None},
+        "eps_greedy": {"eps": REQUIRED},
     },
     "eval_policy": {
         "env_default": {},
@@ -129,15 +129,6 @@ CONFIG_SCHEMA = {
         }),
         "behavior": _kinded("behavior", {
             "eps": {"type": "number", "minimum": 0, "maximum": 1},
-            "trigger": {
-                "type": ["object", "null"],
-                "required": ["dim", "greater_than"],
-                "additionalProperties": False,
-                "properties": {
-                    "dim": {"type": "integer", "minimum": 0},
-                    "greater_than": {"type": "number"},
-                },
-            },
         }),
         "eval_policy": _kinded("eval_policy", {
             "action": {"type": "integer", "minimum": 0},
@@ -177,6 +168,7 @@ CONFIG_SCHEMA = {
         "estimators": {
             "type": "array",
             "minItems": 1,
+            "uniqueItems": True,
             "items": {"enum": list(MODEL_ESTIMATORS) + list(IS_ESTIMATORS)},
         },
         "n_repetitions": {"type": "integer", "minimum": 1},
@@ -317,12 +309,6 @@ def _check_fits_env(cfg: dict, task: Task) -> None:
             f"eval_policy.action: {pol['action']} is not an action of {kind} "
             f"(actions 0..{env.n_actions - 1})"
         )
-    trigger = cfg["behavior"].get("trigger")
-    if trigger and trigger["dim"] >= env.dim:
-        raise ConfigError(
-            f"behavior.trigger.dim: {trigger['dim']} is not a dimension of {kind} "
-            f"(dimensions 0..{env.dim - 1})"
-        )
     weights = cfg["metric_weights"]
     if weights and len(weights) != env.dim:
         raise ConfigError(
@@ -387,11 +373,7 @@ def generate_batch(cfg: dict, rep: int) -> Batch:
     beh = settings("behavior", cfg["behavior"])
     behavior = task.behavior_policy
     if beh["kind"] == "eps_greedy":
-        trigger = None
-        if beh["trigger"]:
-            dim, threshold = beh["trigger"]["dim"], beh["trigger"]["greater_than"]
-            trigger = lambda x: x[dim] > threshold  # noqa: E731
-        behavior = make_eps_greedy(eval_policy, beh["eps"], trigger=trigger)
+        behavior = make_eps_greedy(eval_policy, beh["eps"])
     trajectories, probs = generate_trajectories(
         task.env, behavior, cfg["n_behavior_trajectories"],
         seed=derive_seed(cfg["seed"], rep, 0), starts=task.behavior_starts,
@@ -496,8 +478,8 @@ def run_repetition(cfg: dict, rep: int) -> dict:
     for name in cfg["estimators"]:
         if name in IS_ESTIMATORS:
             continue
-        forced = {"p": PARAMETRIC, "np": NONPARAMETRIC}.get(name)
-        mode = "mcts" if name.startswith("mcts") else "greedy"
+        single = {"p": PARAMETRIC, "np": NONPARAMETRIC}
+        mode = single.get(name, "mcts" if name.startswith("mcts") else "greedy")
         ctx = ctx_true if name.endswith("_true") else ctx_est
         trace = [] if (cfg["mcts_trace"] and mode == "mcts") else None
         with _stage(rep, f"estimator {name}"):
@@ -508,7 +490,6 @@ def run_repetition(cfg: dict, rep: int) -> dict:
                     mode=mode, mcts_budget=budget, seed=derive_seed(cfg["seed"], rep, 3),
                 ),
                 initial_states=cfg["initial_states"],
-                forced_model=forced,
                 mcts_trace=trace,
             )
             entry = {

@@ -27,8 +27,6 @@ class NoSupportError(RuntimeError):
 class DynamicsModel:
     """Deterministic predictor of (next state, reward) given (state, action)."""
 
-    kind: str
-
     def fitted(self, a: ActionId) -> bool:
         """Whether the model can predict for action a."""
         return True
@@ -55,8 +53,6 @@ class NonparametricModel(DynamicsModel):
     row, and both local error estimates read its rows within C.  Each
     prediction still returns a fresh copy of its next state.
     """
-
-    kind = NONPARAMETRIC
 
     def __init__(self, dataset: Dataset, metric: Metric, radius: float):
         self.dataset = dataset
@@ -87,8 +83,6 @@ class FunctionModel(DynamicsModel):
     """Parametric expert given in closed form (used by experiments whose
     approximate model is specified analytically rather than learned)."""
 
-    kind = PARAMETRIC
-
     def __init__(
         self,
         f_t: Callable[[StateVec, ActionId], StateVec],
@@ -105,8 +99,6 @@ class RidgePerActionModel(DynamicsModel):
     """Independent ridge regressions of [x_next, r] on x, one set per action,
     with an unpenalized intercept.  Actions absent from the training data are
     recorded as unfitted and raise on prediction."""
-
-    kind = PARAMETRIC
 
     def __init__(self, dim: int, n_actions: int, ridge_lambda: float):
         self.dim = dim
@@ -256,8 +248,6 @@ class MLPModel(DynamicsModel):
     Only actions seen during training are considered fitted; querying an
     unseen action raises rather than silently extrapolating the one-hot.
     """
-
-    kind = PARAMETRIC
 
     def __init__(self, dim: int, n_actions: int, hidden: int, layers: int, seed: int = 0):
         self.n_actions = n_actions

@@ -28,11 +28,8 @@ from .models import (
     PARAMETRIC,
     DynamicsModel,
     NonparametricModel,
+    NoSupportError,
 )
-
-
-class ModelUnusableError(RuntimeError):
-    """Neither expert can simulate the requested (state, action)."""
 
 
 class Successor(NamedTuple):
@@ -89,7 +86,7 @@ class StepMemo:
 
     def greedy(self, x: StateVec, key: bytes, a: ActionId) -> str:
         """`greedy_select` at (x, a), memoised on (key, a); an action no
-        expert can simulate raises `ModelUnusableError` every time."""
+        expert can simulate raises `NoSupportError` every time."""
         pick = self.greedy_picks.get((key, a))
         if pick is None:
             pick = self.greedy_picks[(key, a)] = greedy_select(self, x, a)
@@ -183,7 +180,7 @@ class SelectionContext(StepMemo):
         if self.use_true_errors:
             true_next, true_r = self.true_step(x, a)
             pred_next, pred_r = self.model(kind).predict(x, a)
-            return ErrorEstimate(
+            return ErrorEstimate.of(
                 npm.metric.distance(true_next, pred_next), abs(true_r - pred_r)
             )
         near = npm.neighbors(x, a)
@@ -205,7 +202,7 @@ def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:
     """
     avail = ctx.available_models(a)
     if not avail:
-        raise ModelUnusableError(
+        raise NoSupportError(
             f"no data for action {a} and the parametric model is unfitted for it"
         )
     if len(avail) == 1:
@@ -358,7 +355,7 @@ class _MctsRun:
         while tau < self.horizon and not terminal:
             try:
                 kind = self.ctx.greedy(state, key, action)
-            except ModelUnusableError:
+            except NoSupportError:
                 break
             succ, action, tau, delta, delta_g = self.step(
                 kind, state, key, action, tau, delta, delta_g

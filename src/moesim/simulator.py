@@ -3,7 +3,7 @@ with the per-step selected expert and averaging discounted returns.
 
 Each rollout starts from a state drawn uniformly from the recorded initial
 states, samples actions from the evaluation policy, and steps with whichever
-expert the selector picks (or a forced single expert, for the standalone
+expert the selector picks (or one fixed expert, for the standalone
 parametric/nonparametric estimators).
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Metric, Policy, StateVec, Trajectory, trajectory_return
 from .envs.base import rollout_with_probs
-from .models import NONPARAMETRIC, PARAMETRIC, NoSupportError
+from .models import NONPARAMETRIC, PARAMETRIC
 from .selection import SelectionContext, greedy_select, mcts_select
 
 
@@ -25,7 +25,9 @@ class SimConfig:
     """Rollout count, horizon, discount, the per-step model choice, and the
     master seed.
 
-    mode:        "greedy" or "mcts"
+    mode:        "greedy" or "mcts" picks the expert per step; PARAMETRIC or
+                 NONPARAMETRIC steps with that expert alone (the
+                 single-expert estimators)
     mcts_budget: rollouts per UCT decision, required in "mcts" mode; the
                  planner always looks ahead to the end of the simulated
                  trajectory, and its randomness is the rollout's generator
@@ -43,7 +45,7 @@ class SimConfig:
             raise ValueError("n_rollouts and horizon must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
-        if self.mode not in ("greedy", "mcts"):
+        if self.mode not in ("greedy", "mcts", PARAMETRIC, NONPARAMETRIC):
             raise ValueError(f"unknown selection mode {self.mode!r}")
         if self.mode == "mcts" and (self.mcts_budget or 0) < 1:
             raise ValueError("mcts mode needs an mcts_budget >= 1")
@@ -76,20 +78,17 @@ def simulate_value(
     ctx: SelectionContext,
     cfg: SimConfig,
     initial_states: Sequence[StateVec] | None = None,
-    forced_model: str | None = None,
     mcts_trace: list | None = None,
 ) -> ValueEstimate:
     """Simulate cfg.n_rollouts trajectories under the evaluation policy and
     return the mean discounted return.
 
     `initial_states` defaults to the dataset's recorded initial states
-    (the empirical initial distribution).  `forced_model` bypasses
-    selection entirely, reproducing the standalone single-expert
-    estimators.  A rollout whose only usable expert cannot step is cut
-    short and counted as not having reached the goal.
+    (the empirical initial distribution).  In a single-expert mode a
+    rollout ends at the first action that expert has no data for, and
+    counts as not having reached the goal; in "greedy" or "mcts" mode an
+    action no expert has data for raises `NoSupportError`.
     """
-    if forced_model not in (None, PARAMETRIC, NONPARAMETRIC):
-        raise ValueError(f"invalid forced model {forced_model!r}")
     starts = list(
         initial_states if initial_states is not None
         else ctx.nonparametric.dataset.initial_states
@@ -110,14 +109,13 @@ def simulate_value(
         rollout_usage = {PARAMETRIC: 0, NONPARAMETRIC: 0}
         for t in range(cfg.horizon):
             a = ctx.policy.sample(x, rng)
-            if forced_model is not None:
-                kind = forced_model
-            elif cfg.mode == "mcts":
+            kind = cfg.mode
+            if kind == "mcts":
                 kind = mcts_select(
                     ctx, x, a, cfg.mcts_budget, rng=rng,
                     remaining=cfg.horizon - t, trace=mcts_trace,
                 )
-            else:
+            elif kind == "greedy":
                 # the context's greedy memo (`StepMemo.greedy`), written out
                 # so that a miss calls this module's `greedy_select`, the
                 # name perfbench's tracer wraps for the simulator's decisions
@@ -125,12 +123,9 @@ def simulate_value(
                 kind = ctx.greedy_picks.get(key)
                 if kind is None:
                     kind = ctx.greedy_picks[key] = greedy_select(ctx, x, a)
-            try:
-                x_next, r = ctx.model(kind).predict(x, a)
-            except NoSupportError:
-                if forced_model is None:
-                    raise  # both experts failed: selection had no way out
+            elif not ctx.usable(kind, a):
                 break
+            x_next, r = ctx.model(kind).predict(x, a)
             rollout_usage[kind] += 1
             states.append(x_next)
             actions.append(a)

@@ -1,19 +1,29 @@
 """Shared test oracles."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from moesim.core import Metric, Policy
+from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs.acrobot import TORQUES
 from moesim.envs.base import Environment
 from moesim.errors import (
     BoundParams,
     InsufficientPairsError,
     LipschitzEstimates,
+    choose_radius,
     global_lipschitz,
     parametric_residuals,
     return_error_bound,
 )
-from moesim.models import MLPParams, mlp_forward
+from moesim.models import (
+    NONPARAMETRIC,
+    PARAMETRIC,
+    MLPParams,
+    NonparametricModel,
+    RidgePerActionModel,
+    mlp_forward,
+)
+from moesim.selection import SelectionContext
 
 
 class DeterministicMDP:
@@ -43,11 +53,6 @@ def uniform_policy(n_actions: int) -> Policy:
     """Every action with probability 1 / n_actions."""
     p = np.full(n_actions, 1.0 / n_actions)
     return Policy(n_actions, lambda x: p)
-
-
-def eps_greedy_of(base: Policy, eps: float) -> Policy:
-    n = base.n_actions
-    return Policy(n, lambda x: (1 - eps) * base.probs(x) + eps / n)
 
 
 def simulate_bound_instance(rng, horizon=5):
@@ -204,6 +209,40 @@ def serial_rollout(model, policy, x, a, remaining, gamma, is_terminal=None):
         if k + 1 < remaining:
             action = int(np.argmax(policy.probs(state)))
     return total, remaining
+
+
+@st.composite
+def gapped_contexts(draw, coordinate=st.floats(-10, 10) | st.floats(-1e-154, 1e-154)):
+    """A small 2-D SelectionContext over three actions with a uniform
+    evaluation policy, a linear true step (for oracle mode) and a terminal
+    region x[0] > 5.  The data has no row of one action, and the ridge
+    expert is fitted without the rows of another, which the data has.
+    Coordinates near 0 give near-coincident starts, whose Lipschitz ratios
+    can overflow.  Returns the context and, per expert, the actions it has
+    data for."""
+    missing, unfit, _ = draw(st.permutations(range(3)))
+    point = st.lists(coordinate, min_size=2, max_size=2)
+    logged = st.sampled_from([a for a in range(3) if a != missing])
+    rows = draw(st.lists(st.tuples(point, logged, st.floats(-2, 2), point), min_size=1,
+                         max_size=10))
+    rows[0] = (rows[0][0], unfit, *rows[0][2:])
+    ds = Dataset(
+        [Transition(x, a, r, y, traj_id=i) for i, (x, a, r, y) in enumerate(rows)],
+        draw(st.lists(point, min_size=1, max_size=3)), 2, 3,
+    )
+    lam = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    ridge = RidgePerActionModel(2, 3, lam).fit(ds.select(ds.actions != unfit))
+    metric = Metric.euclidean(2)
+    lips, residuals = context_scans(ds, ridge, metric)
+    radius = draw(st.sampled_from([choose_radius(residuals[0], lips.l_t), 0.0, 1.0, np.inf]))
+    ctx = SelectionContext(
+        ridge, NonparametricModel(ds, metric, radius), BoundParams(1.0, 1.0, 1.0),
+        uniform_policy(3), lips, residuals,
+        true_step=lambda x, a: (0.5 * np.asarray(x) + a, float(x[0])),
+        is_terminal=lambda x: bool(x[0] > 5.0),
+    )
+    logged_actions = set(ds.actions.tolist())
+    return ctx, {NONPARAMETRIC: logged_actions, PARAMETRIC: logged_actions - {unfit}}
 
 
 def _acrobot_derivatives(cfg, s, torque):

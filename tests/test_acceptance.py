@@ -13,7 +13,6 @@ import pytest
 
 from helpers import (
     DeterministicMDP,
-    eps_greedy_of,
     flatten,
     mlp_loss,
     simulate_bound_instance,
@@ -23,7 +22,7 @@ from helpers import (
 
 from moesim.baselines import ISInput, is_estimate
 from moesim.core import Metric, trajectory_return
-from moesim.envs.base import generate_trajectories
+from moesim.envs.base import generate_trajectories, make_eps_greedy
 from moesim.errors import BoundParams, rollforward_state_error
 from moesim.experiments import run_repetition, validate_config
 from moesim.models import (
@@ -138,7 +137,7 @@ class TestCriterion05OnPolicyExactness:
         for _ in range(50):
             horizon = int(rng.integers(2, 7))
             env = mdp.env(horizon)
-            base = eps_greedy_of(greedy, float(rng.uniform(0.1, 0.9)))
+            base = make_eps_greedy(greedy, float(rng.uniform(0.1, 0.9)))
             trajs, probs = generate_trajectories(
                 env, base, int(rng.integers(5, 40)), seed=int(rng.integers(1e6))
             )
@@ -164,7 +163,7 @@ class TestCriterion06ISConsistency:
         horizon = 5
         env = mdp.env(horizon)
         eval_policy = Policy.deterministic(lambda x: 0 if x[0] < 2 else 1, 2)
-        behavior = eps_greedy_of(eval_policy, 0.4)
+        behavior = make_eps_greedy(eval_policy, 0.4)
         # exhaustive rollout of the deterministic pair: a single trajectory
         rng = np.random.default_rng(0)
         from moesim.simulator import rollout_policy

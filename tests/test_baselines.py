@@ -16,7 +16,7 @@ from moesim.envs.base import generate_trajectories, rollout_with_probs
 from moesim.models import FunctionModel, RidgePerActionModel
 
 
-from helpers import DeterministicMDP, eps_greedy_of
+from helpers import DeterministicMDP
 
 
 def chain(states, rewards, actions=None):
@@ -30,7 +30,7 @@ def random_logged_batch(rng, n_traj=30, horizon=5):
     mdp = DeterministicMDP()
     env = mdp.env(horizon)
     base = Policy.deterministic(lambda x: 0 if x[0] < 2 else 1, 2)
-    behavior = eps_greedy_of(base, float(rng.uniform(0.2, 0.8)))
+    behavior = make_eps_greedy(base, float(rng.uniform(0.2, 0.8)))
     trajs, probs = generate_trajectories(env, behavior, n_traj, seed=int(rng.integers(1e6)))
     return env, base, behavior, trajs, probs
 
@@ -90,7 +90,7 @@ class TestSelfNormalizationBounds:
         rng = np.random.default_rng(3)
         for _ in range(20):
             env, base, behavior, trajs, probs = random_logged_batch(rng)
-            eval_policy = eps_greedy_of(base, 0.05)
+            eval_policy = make_eps_greedy(base, 0.05)
             inp = ISInput.build(trajs, probs, eval_policy, 1.0)
             returns = [trajectory_return(t, 1.0) for t in trajs]
             wis = is_estimate(inp, "WIS")
@@ -102,7 +102,7 @@ class TestSelfNormalizationBounds:
         rng = np.random.default_rng(4)
         for _ in range(20):
             env, base, behavior, trajs, probs = random_logged_batch(rng)
-            eval_policy = eps_greedy_of(base, 0.05)
+            eval_policy = make_eps_greedy(base, 0.05)
             gamma = 0.9
             inp = ISInput.build(trajs, probs, eval_policy, gamma)
             t_max = max(len(t) for t in trajs)
@@ -149,7 +149,7 @@ class TestDoublyRobust:
         horizon = 4
         env = mdp.env(horizon)
         base = Policy.deterministic(lambda x: 0 if x[0] < 2 else 1, 2)
-        behavior = eps_greedy_of(base, 0.4)
+        behavior = make_eps_greedy(base, 0.4)
         trajs, probs = generate_trajectories(env, behavior, 40, seed=5)
         inp = ISInput.build(trajs, probs, behavior, 1.0)
         vm = ExactValueFunctions(env, behavior, 1.0)
@@ -169,7 +169,7 @@ class TestDoublyRobust:
         # parametric model) is an approximation; DR stays well-defined
         rng = np.random.default_rng(6)
         env, base, behavior, trajs, probs = random_logged_batch(rng)
-        eval_policy = eps_greedy_of(base, 0.1)
+        eval_policy = make_eps_greedy(base, 0.1)
         inp = ISInput.build(trajs, probs, eval_policy, 1.0)
         exact_env_model = FunctionModel(lambda x, a: env.step(x, a)[0],
                                         lambda x, a: env.step(x, a)[1])

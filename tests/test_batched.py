@@ -145,8 +145,7 @@ def built_in_policies():
     return [
         ("windy_eval", windy_eval_policy(WINDY), 2),
         ("windy_behavior", windy_behavior_policy(WINDY), 2),
-        ("windy_eps_trigger", make_eps_greedy(
-            windy_eval_policy(WINDY), 0.3, trigger=lambda x: x[1] > WINDY.eval_turn_y), 2),
+        ("windy_eps", make_eps_greedy(windy_eval_policy(WINDY), 0.3), 2),
         ("toy_eval", toy_eval, 2),
         ("toy_behavior", toy_behavior, 2),
         ("constant", constant, 2),

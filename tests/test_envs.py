@@ -38,7 +38,7 @@ from moesim.envs.windy import (
 )
 from moesim.errors import BoundParams, choose_radius
 from moesim.experiments import generate_batch, validate_config
-from moesim.models import NonparametricModel
+from moesim.models import PARAMETRIC, NonparametricModel
 from moesim.selection import SelectionContext
 from moesim.simulator import SimConfig, evaluate_policy_true, rollout_policy, simulate_value
 
@@ -112,7 +112,7 @@ class TestWindy2D:
         )
         sim = SimConfig(6, 60, 1.0, seed=4)
         moe = simulate_value(ctx, sim)
-        par = simulate_value(ctx, sim, forced_model="parametric")
+        par = simulate_value(ctx, replace(sim, mode=PARAMETRIC))
         assert moe.v_hat == par.v_hat
         v_true = evaluate_policy_true(env, windy_eval_policy(cfg), 40, 60, 1.0, seed=1)
         assert abs(moe.v_hat - v_true) < 1.0  # only start-sampling jitter
@@ -333,12 +333,6 @@ class TestEpsGreedy:
         assert p[1] == pytest.approx(0.7)
         assert p[0] == p[2] == p[3] == pytest.approx(0.1)
         assert p.sum() == pytest.approx(1.0)
-
-    def test_trigger_restricts_randomization(self):
-        base = Policy.deterministic(lambda x: 0, 3)
-        pol = make_eps_greedy(base, 0.9, trigger=lambda x: x[0] > 10.0)
-        assert pol.probs(np.array([0.0]))[0] == 1.0
-        assert pol.probs(np.array([11.0]))[0] == pytest.approx(0.1 + 0.9 / 3)
 
     def test_logged_probabilities_match_policy(self):
         cfg = Windy2DConfig(horizon=60)

@@ -521,8 +521,6 @@ class TestCLI:
         "section, value, field",
         [
             ("eval_policy", {"kind": "constant_action", "action": 7}, "eval_policy.action"),
-            ("behavior", {"kind": "eps_greedy", "eps": 0.3,
-                          "trigger": {"dim": 5, "greater_than": 1.0}}, "behavior.trigger.dim"),
             ("metric_weights", [1.0, 1.0, 1.0], "metric_weights"),
             ("metric_weights", [], "$.metric_weights"),
             ("env", {"kind": "windy2d", "height_filter": 0.0}, "env.height_filter"),
@@ -544,13 +542,13 @@ class TestCLI:
             ("model", {"kind": "ridge", "seed": 3}, "model.seed"),
             ("model", {"kind": "env_analytic", "seed": 0}, "model.seed"),
             ("behavior", {"kind": "env_scripted", "eps": 0.1}, "behavior.eps"),
-            ("behavior", {"kind": "env_scripted", "trigger": None}, "behavior.trigger"),
+            ("behavior", {"kind": "env_scripted", "trigger": None}, "$.behavior"),
             ("eval_policy", {"kind": "env_default", "action": 0}, "eval_policy.action"),
             ("eval_policy", {}, "$.eval_policy"),
             ("env", {"kind": "planning_toy", "height_filter": None}, "env.height_filter"),
             ("env", {"kind": "ode"}, "$.env.kind"),
         ],
-        ids=["action_out_of_range", "trigger_dim_out_of_range", "metric_weights_length",
+        ids=["action_out_of_range", "metric_weights_length",
              "metric_weights_empty",
              "height_filter_off_acrobot", "initial_state_length", "initial_state_not_a_number",
              "initial_states_empty", "sim_horizon_beyond_logged_steps",
@@ -582,12 +580,9 @@ class TestCLI:
             ("behavior", {"kind": "eps_greedy", "eps": math.nan}, "$.behavior.eps"),
             ("sim", {"n_rollouts": 2, "horizon": 40, "gamma": math.nan}, "$.sim.gamma"),
             ("model", {"kind": "ridge", "ridge_lambda": math.inf}, "$.model.ridge_lambda"),
-            ("behavior", {"kind": "eps_greedy", "eps": 0.3,
-                          "trigger": {"dim": 1, "greater_than": math.nan}},
-             "$.behavior.trigger.greater_than"),
         ],
         ids=["initial_state_nan", "metric_weight_nan", "metric_weight_inf", "l_t_nan",
-             "l_t_inf", "eps_nan", "gamma_nan", "ridge_lambda_inf", "trigger_threshold_nan"],
+             "l_t_inf", "eps_nan", "gamma_nan", "ridge_lambda_inf"],
     )
     @pytest.mark.parametrize("command", ["evaluate", "error-maps"])
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, command, section, value, field):
@@ -596,6 +591,17 @@ class TestCLI:
         cfg_path.write_text(json.dumps(tiny_config(**{section: value})))
         assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("command", ["evaluate", "error-maps"])
+    def test_duplicate_estimators_exit_2(self, tmp_path, capsys, command):
+        # a repeated estimator would run twice and keep one record entry
+        cfg = windy_table1_config(seed=1, n_repetitions=1)
+        cfg["estimators"] = ["moe", "moe"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: $.estimators: ")
         assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):

@@ -90,6 +90,43 @@ def test_package_defines_nothing_only_tests_use():
     assert [name for name in found if name not in API_EDGE] == []
 
 
+def unread_class_attributes(sources: list[str]) -> list[str]:
+    """Names that a plain assignment in a class body of `sources` binds and
+    that no source reads as an attribute (`obj.name`).  Annotated fields,
+    such as a dataclass's, are out of scope."""
+    bound: set[str] = set()
+    read: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign):
+                        bound.update(
+                            name.id for target in stmt.targets for name in ast.walk(target)
+                            if isinstance(name, ast.Name)
+                        )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(bound - read)
+
+
+def test_detects_an_unread_class_attribute():
+    source = (
+        "class A:\n"
+        "    kind = 'a'\n"
+        "    size = 3\n"
+        "    lo, hi = 0, 1\n"
+        "    field: int = 0\n"
+        "    def grow(self): self.kind = 'b'; return self.size + A.hi\n"
+        "kind = 'c'\n"
+    )
+    assert unread_class_attributes([source]) == ["kind", "lo"]
+
+
+def test_package_reads_every_class_attribute():
+    assert unread_class_attributes([path.read_text() for path in MODULES]) == []
+
+
 def third_party_imports(sources: list[str]) -> set[str]:
     """Top-level modules that `sources` import, anywhere in a module, that
     are neither the standard library nor the package itself."""

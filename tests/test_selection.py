@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import context_scans, path_error_sequences
+from helpers import context_scans, gapped_contexts, path_error_sequences
 from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import make_planning_toy, planning_toy_policies, planning_toy_parametric_model
 from moesim.envs import Windy2DConfig, make_eps_greedy, make_windy2d
@@ -28,9 +28,9 @@ from moesim.models import (
     PARAMETRIC,
     FunctionModel,
     NonparametricModel,
+    NoSupportError,
 )
 from moesim.selection import (
-    ModelUnusableError,
     PlanNode,
     SelectionContext,
     StepMemo,
@@ -125,7 +125,7 @@ class TestGreedy:
 
     def test_both_unusable_raises(self):
         ctx = StubContext({}, unit_bound(), unusable=(NONPARAMETRIC, PARAMETRIC))
-        with pytest.raises(ModelUnusableError):
+        with pytest.raises(NoSupportError, match="no data for action 0"):
             greedy_select(ctx, np.zeros(1), 0)
 
 
@@ -617,3 +617,32 @@ class TestExpertSets:
             assert set(kinds) <= set(ctx.available_models(node.action))
             if node.action == 2 and node.visits > 1:
                 assert kinds == [PARAMETRIC]
+
+
+# near-coincident starts overflow Lipschitz ratios, and far queries overflow
+# ridge predictions: the estimate must then be unsupported
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    case=gapped_contexts(),
+    queries=st.lists(
+        st.tuples(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
+                  st.sampled_from([1.0, 1e3, -1e6])),
+        min_size=1, max_size=4,
+    ),
+)
+def test_every_estimate_is_supported_and_finite_or_unsupported_and_infinite(case, queries):
+    # a query is a point scaled by 1 or pushed far from every logged start
+    ctx, data_actions = case
+    for context in (ctx, ctx.oracle()):
+        for point, scale in queries:
+            x = np.array(point) * scale
+            for kind, a in itertools.product((NONPARAMETRIC, PARAMETRIC), range(3)):
+                est = context.estimate(kind, x, a)
+                finite = math.isfinite(est.eps_t) and math.isfinite(est.eps_r)
+                assert est.supported == finite
+                if est.supported:
+                    assert est.eps_t >= 0 and est.eps_r >= 0
+                assert context.usable(kind, a) == (a in data_actions[kind])
+                if not context.usable(kind, a):
+                    assert not est.supported

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import context_scans
+from helpers import context_scans, gapped_contexts
 from moesim.core import Dataset, Metric, Policy, Trajectory
 from moesim.envs import Windy2DConfig, make_planning_toy, make_windy2d, planning_toy_policies
 from moesim.envs.base import generate_trajectories
@@ -56,8 +58,8 @@ class TestSimulateValue:
             BoundParams(1.0, 1.0, 1.0), eval_policy, *context_scans(ds, exact, m),
         )
         est = simulate_value(
-            ctx, SimConfig(4, horizon, 1.0, seed=0),
-            initial_states=[EVAL_START], forced_model=PARAMETRIC,
+            ctx, SimConfig(4, horizon, 1.0, mode=PARAMETRIC, seed=0),
+            initial_states=[EVAL_START],
         )
         truth = evaluate_policy_true(env, eval_policy, 1, horizon, 1.0, seed=0)
         assert est.v_hat == truth
@@ -76,8 +78,8 @@ class TestSimulateValue:
             BoundParams(1.0, 1.0, 1.0), eval_policy, *context_scans(ds, identity, m),
         )
         est = simulate_value(
-            ctx, SimConfig(1, horizon, 1.0, seed=1),
-            initial_states=[EVAL_START], forced_model=NONPARAMETRIC,
+            ctx, SimConfig(1, horizon, 1.0, mode=NONPARAMETRIC, seed=1),
+            initial_states=[EVAL_START],
         )
         x = EVAL_START.copy()
         expected_states = [tuple(x)]
@@ -98,12 +100,49 @@ class TestSimulateValue:
 
     def test_windy_nonparametric_only_is_capped(self):
         env, ctx, _ = build_windy_context()
-        est = simulate_value(
-            ctx, SimConfig(6, 60, 1.0, seed=2), forced_model=NONPARAMETRIC
-        )
+        est = simulate_value(ctx, SimConfig(6, 60, 1.0, mode=NONPARAMETRIC, seed=2))
         assert est.n_unreached_goal == 6
         assert est.capped
         assert est.v_hat == -60.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=gapped_contexts(),
+        kind=st.sampled_from([PARAMETRIC, NONPARAMETRIC]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_expert_rollout_ends_at_the_first_action_it_has_no_data_for(
+        self, case, kind, seed
+    ):
+        ctx, data_actions = case
+        cfg = SimConfig(4, 8, 0.9, mode=kind, seed=seed)
+        est = simulate_value(ctx, cfg)
+        starts = ctx.nonparametric.dataset.initial_states
+        unreached = 0
+        for n, traj in enumerate(est.trajectories):
+            rng = np.random.default_rng([seed, n])
+            x = np.array(starts[int(rng.integers(len(starts)))])
+            states, actions, rewards, reached = [x], [], [], False
+            for _ in range(cfg.horizon):
+                a = Policy.choose(ctx.policy.probs(x), rng.random())
+                if a not in data_actions[kind]:
+                    break
+                x, r = ctx.model(kind).predict(x, a)
+                states.append(x)
+                actions.append(a)
+                rewards.append(r)
+                if ctx.is_terminal(x):
+                    reached = True
+                    break
+            unreached += not reached
+            assert np.array_equal(traj.states, np.array(states))
+            assert traj.actions.tolist() == actions
+            assert traj.rewards.tolist() == rewards
+            assert traj.terminated == reached
+            assert est.per_rollout_returns[n] == sum(0.9**t * r for t, r in enumerate(rewards))
+            assert est.rollout_records[n]["model_usage"][kind] == len(actions)
+        assert est.n_unreached_goal == unreached
 
     def test_usage_counts_sum_to_steps(self):
         env, ctx, _ = build_windy_context()
@@ -243,5 +282,3 @@ class TestSimConfigValidation:
             SimConfig(1, 5, 1.0, mode="random")
         with pytest.raises(ValueError):
             SimConfig(1, 5, 1.0, mode="mcts", mcts_budget=0)
-        with pytest.raises(ValueError):
-            simulate_value(None, SimConfig(1, 5, 1.0), forced_model="magic")
