@@ -375,6 +375,15 @@ class Policy:
         return last
 
     @staticmethod
+    def choose_many(P: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """`choose` of each row of P at the matching entry of U.  The
+        running sums are `np.cumsum` along the action axis, which adds in
+        `choose`'s order, so each pick is the one `choose` makes."""
+        cum = np.cumsum(P, axis=1)
+        cum[:, -1] = np.inf  # the last action takes every u the others miss
+        return np.argmax(np.asarray(U)[:, None] < cum, axis=1)
+
+    @staticmethod
     def deterministic(
         fn: Callable[[StateVec], ActionId],
         n_actions: int,

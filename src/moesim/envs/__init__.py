@@ -2,7 +2,6 @@ from .base import (
     Environment,
     generate_trajectories,
     make_eps_greedy,
-    rollout_with_probs,
 )
 from .windy import Windy2DConfig, make_windy2d, windy2d_step
 from .planning_toy import (
@@ -24,7 +23,6 @@ __all__ = [
     "Environment",
     "generate_trajectories",
     "make_eps_greedy",
-    "rollout_with_probs",
     "Windy2DConfig",
     "make_windy2d",
     "windy2d_step",

@@ -21,8 +21,10 @@ from ..core import ActionId, Policy, StateVec, Trajectory
 class Environment:
     """A deterministic task: same (state, action) always steps the same way.
 
-    `is_terminal_many`, when given, is the batched form of `is_terminal`:
-    one bool per row of a state matrix, agreeing with it row by row.
+    `step_many_fn` and `is_terminal_many`, when given, are the batched forms
+    of `step` and `is_terminal` over a state matrix (one state per row) and
+    must agree with them row by row; without them `step_many` and
+    `terminal_many` call the one-row forms once per row.
     """
 
     dim: int
@@ -32,33 +34,82 @@ class Environment:
     sample_initial: Callable[[np.random.Generator], StateVec]
     is_terminal: Callable[[StateVec], bool] | None = None
     is_terminal_many: Callable[[np.ndarray], np.ndarray] | None = None
+    step_many_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def step_many(self, X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`step` of each row of X with the action in A: the next states as
+        rows, and the rewards."""
+        if self.step_many_fn is not None:
+            return self.step_many_fn(X, A)
+        pairs = [self.step(x, a) for x, a in zip(X, np.asarray(A).tolist())]
+        if not pairs:
+            return np.zeros(np.shape(X)), np.zeros(0)
+        return np.stack([y for y, _ in pairs]), np.array([r for _, r in pairs])
+
+    def terminal_many(self, X: np.ndarray) -> np.ndarray:
+        """`is_terminal` of each row of X; all False without a terminal
+        region."""
+        if self.is_terminal is None:
+            return np.zeros(len(X), dtype=bool)
+        if self.is_terminal_many is not None:
+            return np.asarray(self.is_terminal_many(X), dtype=bool)
+        return np.array([bool(self.is_terminal(x)) for x in X], dtype=bool)
 
 
-def rollout_with_probs(
+def rollouts(
     env: Environment,
     policy: Policy,
-    x0: StateVec,
     horizon: int,
-    rng: np.random.Generator,
-) -> tuple[Trajectory, np.ndarray]:
-    """Roll the true environment forward from x0 under the policy for at
-    most `horizon` steps, stopping at a terminal state: the trajectory and
-    the probability of each sampled action."""
-    x = np.array(x0, dtype=np.float64)
-    states, actions, rewards, probs = [x], [], [], []
-    reached = False
-    for _ in range(horizon):
-        p = policy.probs(x)
-        a = policy.choose(p, rng.random())
-        probs.append(float(p[a]))
-        x, r = env.step(x, a)
-        states.append(x)
-        actions.append(a)
-        rewards.append(r)
-        if env.is_terminal is not None and env.is_terminal(x):
-            reached = True
+    seed: int,
+    ids: Sequence[int],
+    starts: Sequence[StateVec] | None = None,
+) -> tuple[list[Trajectory], list[np.ndarray]]:
+    """One rollout of the true environment per entry of `ids`, all stepped
+    in lockstep: the trajectories, and the probability of each sampled
+    action.
+
+    Rollout k draws from the generator seeded by [seed, ids[k]]: its start
+    state from `env.sample_initial` when `starts` is None (else it starts
+    at starts[k]), then one uniform per step, from which the policy's
+    action is chosen.  It runs for at most `horizon` steps and stops after
+    the first step that lands in a terminal state; a start that is already
+    terminal is still stepped once.  Each step makes one `probs_many`, one
+    `choose_many`, one `step_many` and one terminal test over the rollouts
+    still running, and no rollout reads another, so each one is the same
+    as a rollout of its own.
+    """
+    rngs = [np.random.default_rng([seed, i]) for i in ids]
+    if starts is None:
+        starts = [env.sample_initial(rng) for rng in rngs]
+    n = len(rngs)
+    draws = np.array([rng.random(horizon) for rng in rngs]).reshape(n, horizon)
+    states = np.empty((n, horizon + 1, env.dim))
+    if n:
+        states[:, 0] = np.array(starts, dtype=np.float64)
+    actions = np.zeros((n, horizon), dtype=np.intp)
+    rewards = np.zeros((n, horizon))
+    probs = np.zeros((n, horizon))
+    lengths = np.zeros(n, dtype=np.intp)
+    terminated = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for t in range(horizon):
+        if not len(live):
             break
-    return Trajectory(states, actions, rewards, terminated=reached), np.array(probs)
+        X = states[live, t]
+        P = policy.probs_many(X)
+        A = Policy.choose_many(P, draws[live, t])
+        probs[live, t] = P[np.arange(len(live)), A]
+        states[live, t + 1], rewards[live, t] = env.step_many(X, A)
+        actions[live, t] = A
+        lengths[live] = t + 1
+        done = env.terminal_many(states[live, t + 1])
+        terminated[live[done]] = True
+        live = live[~done]
+    trajectories = [
+        Trajectory(states[k, : m + 1], actions[k, :m], rewards[k, :m], bool(terminated[k]))
+        for k, m in enumerate(lengths.tolist())
+    ]
+    return trajectories, [probs[k, :m].copy() for k, m in enumerate(lengths.tolist())]
 
 
 def generate_trajectories(
@@ -68,19 +119,14 @@ def generate_trajectories(
     seed: int,
     starts: Sequence[StateVec] | None = None,
 ) -> tuple[list[Trajectory], list[np.ndarray]]:
-    """n seeded rollouts; trajectory i uses generator seeded by [seed, i].
+    """n seeded rollouts of `env.horizon` steps (`rollouts` with ids
+    0..n-1): the trajectories and the logged action probabilities.
 
     `starts` fixes the initial states (cycled) instead of sampling them.
     """
-    trajectories = []
-    all_probs = []
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
-        x0 = env.sample_initial(rng) if starts is None else starts[i % len(starts)]
-        traj, probs = rollout_with_probs(env, policy, x0, env.horizon, rng)
-        trajectories.append(traj)
-        all_probs.append(probs)
-    return trajectories, all_probs
+    if starts is not None:
+        starts = [starts[i % len(starts)] for i in range(n)]
+    return rollouts(env, policy, env.horizon, seed, range(n), starts)
 
 
 def make_eps_greedy(base: Policy, eps: float) -> Policy:
@@ -90,4 +136,8 @@ def make_eps_greedy(base: Policy, eps: float) -> Policy:
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     n = base.n_actions
-    return Policy(n, lambda x: (1.0 - eps) * base.probs(x) + eps / n)
+    return Policy(
+        n,
+        lambda x: (1.0 - eps) * base.probs(x) + eps / n,
+        lambda X: (1.0 - eps) * base.probs_many(X) + eps / n,
+    )

@@ -25,12 +25,7 @@ from ..models import FunctionModel
 from .base import Environment
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
-_UNIT = {
-    UP: np.array([0.0, 1.0]),
-    DOWN: np.array([0.0, -1.0]),
-    LEFT: np.array([-1.0, 0.0]),
-    RIGHT: np.array([1.0, 0.0]),
-}
+_UNIT = np.array([[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 0.0]])  # row a: action a's move
 
 
 @dataclass(frozen=True)
@@ -71,9 +66,26 @@ def windy2d_step(cfg: Windy2DConfig, x: StateVec, a: ActionId) -> tuple[StateVec
     return np.asarray(x, dtype=np.float64) + cfg.step_size * _UNIT[a] + wind, -1.0
 
 
+def windy2d_step_many(
+    cfg: Windy2DConfig, X: np.ndarray, A: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`windy2d_step` of each row of X with the action in A, in its
+    operation order, so each row gets the same bits."""
+    X = np.asarray(X, dtype=np.float64)
+    wind = np.zeros_like(X)
+    wind[:, 0] = -cfg.wind_slope * X[:, 1]
+    return X + cfg.step_size * _UNIT[A] + wind, np.full(len(X), -1.0)
+
+
 def in_goal(cfg: Windy2DConfig, x: StateVec) -> bool:
     (x0, x1), (y0, y1) = cfg.goal_box
     return bool(x0 <= x[0] <= x1 and y0 <= x[1] <= y1)
+
+
+def in_goal_many(cfg: Windy2DConfig, X: np.ndarray) -> np.ndarray:
+    """`in_goal` of each row of X."""
+    (x0, x1), (y0, y1) = cfg.goal_box
+    return (x0 <= X[:, 0]) & (X[:, 0] <= x1) & (y0 <= X[:, 1]) & (X[:, 1] <= y1)
 
 
 def make_windy2d(cfg: Windy2DConfig) -> Environment:
@@ -88,6 +100,8 @@ def make_windy2d(cfg: Windy2DConfig) -> Environment:
         step=lambda x, a: windy2d_step(cfg, x, a),
         sample_initial=sample_initial,
         is_terminal=lambda x: in_goal(cfg, x),
+        is_terminal_many=lambda X: in_goal_many(cfg, X),
+        step_many_fn=lambda X, A: windy2d_step_many(cfg, X, A),
     )
 
 
@@ -113,7 +127,12 @@ def windy_behavior_policy(cfg: Windy2DConfig) -> Policy:
             return RIGHT
         return DOWN
 
-    return Policy.deterministic(act, 4)
+    def act_many(X: np.ndarray) -> np.ndarray:
+        up = (X[:, 1] < cfg.behavior_climb_y) & (X[:, 0] < cfg.behavior_climb_x)
+        right = (X[:, 1] >= cfg.behavior_climb_y) & (X[:, 0] < cfg.behavior_band_x)
+        return np.where(up, UP, np.where(right, RIGHT, DOWN))
+
+    return Policy.deterministic(act, 4, act_many)
 
 
 def windy_no_wind_model(cfg: Windy2DConfig) -> FunctionModel:
@@ -123,4 +142,7 @@ def windy_no_wind_model(cfg: Windy2DConfig) -> FunctionModel:
     def f_t(x: StateVec, a: ActionId) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) + cfg.step_size * _UNIT[a]
 
-    return FunctionModel(f_t, lambda x, a: -1.0)
+    def predict_many(X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return f_t(X, A), np.full(len(X), -1.0)
+
+    return FunctionModel(f_t, lambda x, a: -1.0, predict_many)

@@ -86,9 +86,19 @@ class InsufficientPairsError(RuntimeError):
     """No transition pair with nonzero start distance was available."""
 
 
+class LipschitzOverflowError(ValueError):
+    """A same-action pair's ratio overflowed to inf.  `estimates` holds the
+    whole scan's result, with the overflowed constant infinite."""
+
+    def __init__(self, message: str, estimates: LipschitzEstimates):
+        super().__init__(message)
+        self.estimates = estimates
+
+
 _BLOCK = 64  # rows per block of the pair scan; small blocks stay in cache
 
 
+@np.errstate(over="ignore")
 def _pairwise_max_ratios(
     X: np.ndarray, Y: np.ndarray, R: np.ndarray, metric: Metric
 ) -> tuple[float, float, int]:
@@ -99,7 +109,8 @@ def _pairwise_max_ratios(
     per-dimension differences.  Pairs with i >= j or coincident starts get
     an infinite squared start distance, so their ratios are 0 and they are
     not counted.  When every reward is equal, every reward ratio is 0, and
-    the reward pass is skipped.
+    the reward pass is skipped.  Starts so close that their squared
+    distance is subnormal can overflow a ratio to inf, without a warning.
     """
     n = len(X)
     Xw = X * metric.weights
@@ -133,21 +144,33 @@ def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
     """Max ratios over all same-action transition pairs in the dataset.
 
     Cross-action pairs are excluded: they would mix different dynamics.
+    Raises `LipschitzOverflowError`, naming the first action and constant,
+    when a ratio overflows to inf.
     """
     best_t = 0.0
     best_r = 0.0
     used = 0
+    overflow = None
     for a in range(ds.n_actions):
         X, Y, R = ds.action_arrays(a)
         if len(R) < 2:
             continue
         bt, br, n = _pairwise_max_ratios(X, Y, R, metric)
+        if overflow is None and math.isinf(bt + br):
+            which, key = ("transition", "l_t") if math.isinf(bt) else ("reward", "l_r")
+            overflow = (
+                f"the global {which} Lipschitz ratio of action {a} overflows to inf: two "
+                f"of its starts nearly coincide; give bound.{key} in the config instead"
+            )
         best_t = max(best_t, bt)
         best_r = max(best_r, br)
         used += n
     if used == 0:
         raise InsufficientPairsError("dataset holds no usable same-action pair")
-    return LipschitzEstimates(best_t, best_r, used)
+    lips = LipschitzEstimates(best_t, best_r, used)
+    if overflow is not None:
+        raise LipschitzOverflowError(overflow, lips)
+    return lips
 
 
 def np_error_estimate(
@@ -182,17 +205,25 @@ def parametric_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row residuals of the parametric model on the whole batch:
     (state-prediction distances, absolute reward errors), aligned with the
-    dataset's rows.  Unfitted actions get infinite residuals."""
+    dataset's rows.  Unfitted actions get infinite residuals.
+
+    One `predict_many` over the fitted rows; each distance is
+    `Metric.distance`'s weighted difference and dot product, so a row gets
+    the same bits as it would alone."""
     eps_t = np.full(len(ds), np.inf)
     eps_r = np.full(len(ds), np.inf)
-    fitted = [model.fitted(a) for a in range(ds.n_actions)]
-    rows = zip(ds.starts, ds.actions.tolist(), ds.nexts, ds.rewards.tolist())
-    for i, (x, a, y, r) in enumerate(rows):
-        if not fitted[a]:
-            continue
-        xp, rp = model.predict(x, a)
-        eps_t[i] = metric.distance(xp, y)
-        eps_r[i] = abs(rp - r)
+    fitted = np.array([model.fitted(a) for a in range(ds.n_actions)], dtype=bool)
+    rows = np.flatnonzero(fitted[ds.actions])
+    if len(rows):
+        predicted, rewards = model.predict_many(ds.starts[rows], ds.actions[rows])
+        if predicted.shape != (len(rows), metric.dim) or ds.dim != metric.dim:
+            raise ValueError(
+                f"dimension mismatch: metric is {metric.dim}-D, "
+                f"points are {predicted.shape[-1]}-D and {ds.dim}-D"
+            )
+        diff = (predicted - ds.nexts[rows]) * metric.weights
+        eps_t[rows] = np.sqrt(np.vecdot(diff, diff))
+        eps_r[rows] = np.abs(rewards - ds.rewards[rows])
     return eps_t, eps_r
 
 

@@ -43,7 +43,7 @@ from .envs.base import Environment, generate_trajectories
 from .envs.planning_toy import BEHAVIOR_STARTS, REWARD_VARIANTS
 from .envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
 from .errors import BoundParams, choose_radius, global_lipschitz, parametric_residuals
-from .errors import InsufficientPairsError, LipschitzEstimates
+from .errors import InsufficientPairsError, LipschitzEstimates, LipschitzOverflowError
 from .models import (
     NONPARAMETRIC,
     PARAMETRIC,
@@ -405,12 +405,16 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
     else:
         parametric = fit_parametric(batch.dataset, cfg["model"])
     residuals = parametric_residuals(ds, parametric, metric)
+    override = settings("bound", cfg["bound"])
     try:
         lips = global_lipschitz(ds, metric)
     except InsufficientPairsError:
         lips = LipschitzEstimates(0.0, 0.0, 0)
+    except LipschitzOverflowError as exc:
+        lips = exc.estimates
+        if any(override[k] is None and math.isinf(getattr(lips, k)) for k in override):
+            raise
     radius = choose_radius(residuals[0], lips.l_t)
-    override = settings("bound", cfg["bound"])
     bound = BoundParams(
         l_t=lips.l_t if override["l_t"] is None else override["l_t"],
         l_r=lips.l_r if override["l_r"] is None else override["l_r"],
@@ -536,13 +540,14 @@ def run_repetition(cfg: dict, rep: int) -> dict:
 
 
 def _mean_traj_error(env, policy, sim_trajectories, metric, horizon, seed) -> float:
-    errs = []
-    for i, sim in enumerate(sim_trajectories):
-        if not len(sim):
-            continue
-        rng = np.random.default_rng([seed, i])
-        truth = rollout_policy(env, policy, sim.states[0], horizon, rng)
-        errs.append(trajectory_error(sim, truth, metric))
+    """Mean trajectory error of the nonempty simulated rollouts against
+    true rollouts from their starts; simulated rollout i is replayed with
+    the generator seeded by [seed, i]."""
+    ids = [i for i, sim in enumerate(sim_trajectories) if len(sim)]
+    truths = rollout_policy(
+        env, policy, [sim_trajectories[i].states[0] for i in ids], horizon, seed, ids
+    )
+    errs = [trajectory_error(sim_trajectories[i], truth, metric) for i, truth in zip(ids, truths)]
     return float(np.mean(errs)) if errs else 0.0
 
 

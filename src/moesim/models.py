@@ -81,18 +81,30 @@ class NonparametricModel(DynamicsModel):
 
 class FunctionModel(DynamicsModel):
     """Parametric expert given in closed form (used by experiments whose
-    approximate model is specified analytically rather than learned)."""
+    approximate model is specified analytically rather than learned).
+
+    `predict_many_fn`, when given, is the batched form of `predict` and must
+    agree with it row by row; without it `predict_many` calls `predict`
+    once per row."""
 
     def __init__(
         self,
         f_t: Callable[[StateVec, ActionId], StateVec],
         f_r: Callable[[StateVec, ActionId], float],
+        predict_many_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+        | None = None,
     ):
         self._f_t = f_t
         self._f_r = f_r
+        self._predict_many = predict_many_fn
 
     def predict(self, x: StateVec, a: ActionId) -> tuple[StateVec, float]:
         return np.asarray(self._f_t(x, a), dtype=np.float64), float(self._f_r(x, a))
+
+    def predict_many(self, X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._predict_many is None:
+            return super().predict_many(X, A)
+        return self._predict_many(np.asarray(X, dtype=np.float64), np.asarray(A))
 
 
 class RidgePerActionModel(DynamicsModel):

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Metric, Policy, StateVec, Trajectory, trajectory_return
-from .envs.base import rollout_with_probs
+from .envs.base import rollouts
 from .models import NONPARAMETRIC, PARAMETRIC
 from .selection import SelectionContext, greedy_select, mcts_select
 
@@ -173,12 +173,15 @@ def trajectory_error(sim: Trajectory, truth: Trajectory, metric: Metric) -> floa
 def rollout_policy(
     env,
     policy: Policy,
-    x0: StateVec,
+    starts: Sequence[StateVec],
     horizon: int,
-    rng: np.random.Generator,
-) -> Trajectory:
-    """Roll the true environment forward from x0 under the policy."""
-    return rollout_with_probs(env, policy, x0, horizon, rng)[0]
+    seed: int,
+    ids: Sequence[int],
+) -> list[Trajectory]:
+    """Roll the true environment forward under the policy from each start,
+    in lockstep; rollout k draws from the generator seeded by
+    [seed, ids[k]] (`envs.base.rollouts`)."""
+    return rollouts(env, policy, horizon, seed, ids, starts)[0]
 
 
 def evaluate_policy_true(
@@ -190,11 +193,9 @@ def evaluate_policy_true(
     seed: int = 0,
 ) -> float:
     """Ground-truth value: mean return of n on-policy rollouts in the true
-    environment.  This is the reference for all RMSE metrics."""
+    environment, rollout i from the generator seeded by [seed, i], which
+    draws its start.  This is the reference for all RMSE metrics."""
     total = 0.0
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
-        x0 = env.sample_initial(rng)
-        traj = rollout_policy(env, policy, x0, horizon, rng)
+    for traj in rollouts(env, policy, horizon, seed, range(n))[0]:
         total += trajectory_return(traj, gamma)
     return total / n

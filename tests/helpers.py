@@ -3,13 +3,14 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from moesim.core import Dataset, Metric, Policy, Transition
+from moesim.core import Dataset, Metric, Policy, Trajectory, Transition
 from moesim.envs.acrobot import TORQUES
 from moesim.envs.base import Environment
 from moesim.errors import (
     BoundParams,
     InsufficientPairsError,
     LipschitzEstimates,
+    LipschitzOverflowError,
     choose_radius,
     global_lipschitz,
     parametric_residuals,
@@ -108,13 +109,40 @@ def simulate_bound_instance(rng, horizon=5):
 
 def context_scans(ds, model, metric):
     """The two whole-batch scans a SelectionContext takes, computed the way
-    `experiments.build_context` computes them: (global Lipschitz ratios,
-    parametric residuals).  A dataset without a usable pair gets ratios 0."""
+    `experiments.build_context` computes them for a config that gives both
+    bound constants: (global Lipschitz ratios, parametric residuals).  A
+    dataset without a usable pair gets ratios 0, and an overflowed ratio
+    stays inf."""
     try:
         lips = global_lipschitz(ds, metric)
     except InsufficientPairsError:
         lips = LipschitzEstimates(0.0, 0.0, 0)
+    except LipschitzOverflowError as exc:
+        lips = exc.estimates
     return lips, parametric_residuals(ds, model, metric)
+
+
+def rollout_with_probs(env, policy, x0, horizon, rng):
+    """One rollout of the true environment, stepped alone: from x0 under
+    the policy for at most `horizon` steps, stopping after the first step
+    into a terminal state, with one `rng.random()` per step.  Returns the
+    trajectory and the probability of each sampled action.  The oracle of
+    the lockstep `envs.base.rollouts`."""
+    x = np.array(x0, dtype=np.float64)
+    states, actions, rewards, probs = [x], [], [], []
+    reached = False
+    for _ in range(horizon):
+        p = policy.probs(x)
+        a = policy.choose(p, rng.random())
+        probs.append(float(p[a]))
+        x, r = env.step(x, a)
+        states.append(x)
+        actions.append(a)
+        rewards.append(r)
+        if env.is_terminal is not None and env.is_terminal(x):
+            reached = True
+            break
+    return Trajectory(states, actions, rewards, terminated=reached), np.array(probs)
 
 
 _RATIO_EPS = 0.0  # pairs with zero start distance are skipped outright

@@ -165,12 +165,10 @@ class TestCriterion06ISConsistency:
         eval_policy = Policy.deterministic(lambda x: 0 if x[0] < 2 else 1, 2)
         behavior = make_eps_greedy(eval_policy, 0.4)
         # exhaustive rollout of the deterministic pair: a single trajectory
-        rng = np.random.default_rng(0)
         from moesim.simulator import rollout_policy
 
-        v_true = trajectory_return(
-            rollout_policy(env, eval_policy, np.array([0.0]), horizon, rng), 1.0
-        )
+        (truth,) = rollout_policy(env, eval_policy, [np.array([0.0])], horizon, seed=0, ids=[0])
+        v_true = trajectory_return(truth, 1.0)
         trajs, probs = generate_trajectories(env, behavior, 10_000, seed=99)
         inp = ISInput.build(trajs, probs, eval_policy, 1.0)
         estimate = is_estimate(inp, "IS")

@@ -12,7 +12,7 @@ from moesim.baselines import (
 )
 from moesim.core import Dataset, Metric, Policy, Trajectory, trajectory_return
 from moesim.envs import AcrobotConfig, acrobot_heuristic_policy, make_acrobot, make_eps_greedy
-from moesim.envs.base import generate_trajectories, rollout_with_probs
+from moesim.envs.base import generate_trajectories
 from moesim.models import FunctionModel, RidgePerActionModel
 
 

@@ -1,6 +1,10 @@
 """Batched entry points against their one-row forms: `predict_many`,
-`Policy.probs_many`, the acrobot terminal test, and the lockstep control
-variate rollouts of `ModelValueFunctions`.  Rows must match bit for bit."""
+`Policy.probs_many`, `Policy.choose_many`, the windy step and the terminal
+tests, the lockstep true-environment rollouts, the parametric residuals,
+and the lockstep control variate rollouts of `ModelValueFunctions`.  Rows
+must match bit for bit."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,25 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import serial_rollout, uniform_policy
+from helpers import rollout_with_probs, serial_rollout, uniform_policy
 from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
-from moesim.core import Dataset, Policy
+from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import (
     AcrobotConfig,
     Windy2DConfig,
     acrobot_heuristic_policy,
     make_acrobot,
     make_eps_greedy,
+    make_planning_toy,
     make_windy2d,
     planning_toy_parametric_model,
     planning_toy_policies,
     tip_height,
 )
 from moesim.envs.acrobot import tip_heights
-from moesim.envs.base import generate_trajectories
+from moesim.envs.base import generate_trajectories, rollouts
 from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
+from moesim.errors import parametric_residuals
 from moesim.experiments import build_eval_policy, build_task
-from moesim.models import MLPModel, NoSupportError, RidgePerActionModel
+from moesim.models import FunctionModel, MLPModel, NoSupportError, RidgePerActionModel
 
 PROPERTY = settings(max_examples=60, deadline=None)
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -349,3 +355,210 @@ def test_is_input_eval_probs_equal_per_step_probs(acrobot_batch):
         for traj, pe in zip(trajs, inp.eval_probs):
             want = np.array([policy.probs(tr.x)[tr.a] for tr in traj.transitions])
             assert bits(pe) == bits(want)
+
+
+# ---------------------------------------------------------------------------
+# choose_many and the windy step
+# ---------------------------------------------------------------------------
+
+
+def running_sums(p):
+    """The running sums `Policy.choose` compares u with."""
+    cum, out = 0.0, []
+    for q in p:
+        cum += q
+        out.append(cum)
+    return out
+
+
+@st.composite
+def choice_rows(draw):
+    """Probability rows (zero-probability actions included) and one u per
+    row: a uniform draw, or a running sum itself or a neighbouring double."""
+    n_actions = draw(st.integers(1, 5))
+    weight = st.sampled_from([0.0, 1.0, 0.1, 1 / 3]) | st.floats(0, 1)
+    rows, draws = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        w = np.array(draw(st.lists(weight, min_size=n_actions, max_size=n_actions)))
+        p = w / w.sum() if w.sum() > 0 else np.eye(n_actions)[0]
+        sums = running_sums(p)
+        u = draw(st.floats(0, 1, exclude_max=True) | st.sampled_from(sums))
+        u = float(np.nextafter(u, draw(st.sampled_from([-1.0, u, 2.0]))))
+        rows.append(p)
+        draws.append(u)
+    return np.array(rows), np.array(draws)
+
+
+@PROPERTY
+@given(choice_rows())
+def test_choose_many_equals_choose(case):
+    P, U = case
+    assert Policy.choose_many(P, U).tolist() == [Policy.choose(p, u) for p, u in zip(P, U)]
+
+
+GOAL_TIES = (WINDY.goal_box[0][0], WINDY.goal_box[0][1], WINDY.goal_box[1][0],
+             WINDY.goal_box[1][1])
+windy_coordinate = st.one_of(
+    st.sampled_from(TIES + GOAL_TIES),
+    st.sampled_from(GOAL_TIES).map(lambda v: float(np.nextafter(v, 0.0))),
+    st.floats(-1e6, 1e6),
+)
+
+
+@PROPERTY
+@given(
+    rows=st.lists(st.tuples(windy_coordinate, windy_coordinate, st.integers(0, 3)),
+                  max_size=12),
+    slope=st.sampled_from([0.0, 0.03, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windy_step_many_equals_step(rows, slope, seed):
+    # the drawn rows, then 20 uniform ones, whose sums round at random
+    env = make_windy2d(Windy2DConfig(horizon=60, wind_slope=slope))
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([np.array([r[:2] for r in rows]).reshape(len(rows), 2),
+                        rng.uniform(-20, 20, size=(20, 2))])
+    A = np.concatenate([np.array([r[2] for r in rows], dtype=np.intp),
+                        rng.integers(0, 4, size=20)])
+    Y, R = env.step_many(X, A)
+    assert Y.shape == X.shape and R.shape == (len(X),)
+    for x, a, y, r in zip(X, A.tolist(), Y, R):
+        y1, r1 = env.step(x, a)
+        assert bits(y) == bits(y1) and bits(r) == bits(r1)
+    assert env.terminal_many(X).tolist() == [env.is_terminal(x) for x in X]
+
+
+# ---------------------------------------------------------------------------
+# Lockstep true-environment rollouts
+# ---------------------------------------------------------------------------
+
+# A state that is terminal before any step: inside the windy goal, and an
+# acrobot with its tip at height 2.  The planning toy has no terminal state.
+TERMINAL_START = {"windy": (10.0, 10.0), "acrobot": (np.pi, 0.0, 0.0, 0.0)}
+
+
+@st.composite
+def rollout_cases(draw):
+    """An environment, a policy (eps-greedy at eps 0, 1 or between, or
+    not), a horizon from 1, a seed, rollout ids, and fixed starts (some
+    already terminal) or None for sampled ones."""
+    kind = draw(st.sampled_from(["windy", "acrobot", "toy"]))
+    horizon = draw(st.integers(1, 12 if kind == "acrobot" else 45))
+    if kind == "windy":
+        env = make_windy2d(Windy2DConfig(horizon=horizon))
+        base = draw(st.sampled_from([windy_eval_policy(WINDY), windy_behavior_policy(WINDY)]))
+        point = st.tuples(st.floats(-2, 14), st.floats(-2, 14))
+    elif kind == "acrobot":
+        env = make_acrobot(AcrobotConfig(horizon=horizon))
+        base = acrobot_heuristic_policy()
+        point = st.tuples(*[st.floats(-4, 4)] * 2, *[st.floats(-20, 20)] * 2)
+    else:
+        env = make_planning_toy(horizon)
+        base = draw(st.sampled_from(planning_toy_policies()))
+        point = st.tuples(st.floats(-3, 14), st.floats(-3, 3))
+    if kind in TERMINAL_START:
+        point = point | st.just(TERMINAL_START[kind])
+    eps = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    policy = draw(st.sampled_from([base, make_eps_greedy(base, eps)]))
+    n = draw(st.integers(0, 6))
+    ids = draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n))
+    starts = draw(st.none() | st.lists(point, min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return env, policy, horizon, seed, ids, starts
+
+
+def assert_same_rollout(got, got_probs, want, want_probs):
+    assert bits(got.states) == bits(want.states)
+    assert got.actions.tolist() == want.actions.tolist()
+    assert bits(got.rewards) == bits(want.rewards)
+    assert bits(got_probs) == bits(want_probs)
+    assert got.terminated == want.terminated
+
+
+@settings(max_examples=150, deadline=None)
+@given(rollout_cases())
+def test_lockstep_rollouts_equal_the_serial_oracle(case):
+    env, policy, horizon, seed, ids, starts = case
+    trajs, probs = rollouts(env, policy, horizon, seed, ids, starts)
+    assert len(trajs) == len(probs) == len(ids)
+    for k, i in enumerate(ids):
+        rng = np.random.default_rng([seed, i])
+        x0 = env.sample_initial(rng) if starts is None else starts[k]
+        assert_same_rollout(trajs[k], probs[k], *rollout_with_probs(env, policy, x0, horizon, rng))
+    if starts:
+        # generate_trajectories rolls ids 0..n-1 over env.horizon, cycling starts
+        n = len(starts) + 2
+        trajs, probs = generate_trajectories(env, policy, n, seed, starts=starts)
+        for i in range(n):
+            want = rollout_with_probs(
+                env, policy, starts[i % len(starts)], horizon, np.random.default_rng([seed, i])
+            )
+            assert_same_rollout(trajs[i], probs[i], *want)
+
+
+def test_one_lockstep_batch_ends_rollouts_at_every_point():
+    """In one batch, a terminal start is stepped once, another rollout
+    reaches the goal mid-way, and a third runs to the horizon."""
+    env = make_windy2d(Windy2DConfig(horizon=40))
+    policy = make_eps_greedy(windy_eval_policy(WINDY), 0.3)
+    starts = [TERMINAL_START["windy"], (0.2, 0.3), (0.0, -30.0)]
+    trajs, _ = rollouts(env, policy, 40, 5, [0, 1, 2], starts)
+    assert [(len(t), t.terminated) for t in trajs] == [(1, True), (32, True), (40, False)]
+
+
+def test_acrobot_overflow_in_a_lockstep_batch_names_the_state():
+    env = make_acrobot(AcrobotConfig(horizon=20))
+    starts = [(0.1, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 400.0), (0.0, 0.0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match=re.escape(
+        "acrobot step overflowed from state [0.0, 0.0, 0.0, 400.0]"
+    )):
+        rollouts(env, acrobot_heuristic_policy(), 20, 1, [0, 1, 2], starts)
+
+
+# ---------------------------------------------------------------------------
+# Parametric residuals
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def residual_cases(draw):
+    """A dataset of 1- to 6-D rows over three actions (drawn rows, then 30
+    normal ones, whose sums round at random), a weighted metric, and a
+    model: ridge with some actions unfitted, a closed-form model with no
+    batched form, or (in 2-D) the windy analytic expert."""
+    dim = draw(st.integers(1, 6))
+    point = st.lists(finite, min_size=dim, max_size=dim)
+    rows = draw(st.lists(st.tuples(point, st.integers(0, 2), finite, point), max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows += zip(rng.normal(size=(30, dim)), rng.integers(0, 3, size=30).tolist(),
+                rng.normal(size=30).tolist(), rng.normal(size=(30, dim)))
+    ds = Dataset([Transition(x, a, r, y, 0, t) for t, (x, a, r, y) in enumerate(rows)],
+                 [rows[0][0]], dim, 3)
+    weights = draw(st.lists(st.floats(0.01, 100), min_size=dim, max_size=dim))
+    kind = draw(st.sampled_from(["ridge", "closed_form"] + (["windy"] if dim == 2 else [])))
+    if kind == "ridge":
+        model = RidgePerActionModel(dim, 3, 0.0)
+        for a in range(3):
+            if draw(st.booleans()):
+                model.coefs[a] = np.array(draw(st.lists(
+                    finite, min_size=(dim + 1) ** 2, max_size=(dim + 1) ** 2,
+                ))).reshape(dim + 1, dim + 1)
+    elif kind == "closed_form":
+        model = FunctionModel(lambda x, a: 0.7 * x + a, lambda x, a: float(x[0]) - a)
+    else:
+        model = windy_no_wind_model(WINDY)
+    return ds, Metric(np.array(weights)), model
+
+
+@PROPERTY
+@given(residual_cases())
+def test_residuals_equal_a_per_row_distance(case):
+    ds, metric, model = case
+    eps_t, eps_r = parametric_residuals(ds, model, metric)
+    for i, (x, a, r, y) in enumerate(zip(ds.starts, ds.actions.tolist(), ds.rewards, ds.nexts)):
+        if not model.fitted(a):
+            assert eps_t[i] == eps_r[i] == np.inf
+            continue
+        xp, rp = model.predict(x, a)
+        assert bits(eps_t[i]) == bits(metric.distance(xp, y))
+        assert bits(eps_r[i]) == bits(abs(rp - r))

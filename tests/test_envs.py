@@ -24,7 +24,7 @@ from moesim.envs import (
     planning_toy_step,
     tip_height,
 )
-from moesim.envs.base import generate_trajectories, rollout_with_probs
+from moesim.envs.base import generate_trajectories
 from moesim.envs.planning_toy import BEHAVIOR_STARTS, DIAG_ACTION, RIGHT_ACTION
 from moesim.envs.windy import (
     DOWN,
@@ -58,7 +58,9 @@ class TestWindy2D:
         cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         rng = np.random.default_rng(1)
-        traj = rollout_policy(env, windy_behavior_policy(cfg), env.sample_initial(rng), 60, rng)
+        (traj,) = rollout_policy(
+            env, windy_behavior_policy(cfg), [env.sample_initial(rng)], 60, seed=1, ids=[0]
+        )
         assert traj.terminated
         assert trajectory_return(traj, 1.0) == -float(len(traj))
         assert in_goal(cfg, traj.states[-1])
@@ -89,8 +91,8 @@ class TestWindy2D:
         env = make_windy2d(cfg)
         pol = windy_eval_policy(cfg)
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            traj = rollout_policy(env, pol, env.sample_initial(rng), 60, rng)
+        starts = [env.sample_initial(rng) for _ in range(5)]
+        for traj in rollout_policy(env, pol, starts, 60, seed=5, ids=range(5)):
             assert traj.terminated
             assert set(traj.actions) <= {UP, RIGHT}
 
@@ -200,7 +202,9 @@ class TestAcrobot:
         cfg = AcrobotConfig(goal_height=1.0, horizon=400)
         env = make_acrobot(cfg)
         rng = np.random.default_rng(3)
-        traj = rollout_policy(env, acrobot_heuristic_policy(), env.sample_initial(rng), 400, rng)
+        (traj,) = rollout_policy(
+            env, acrobot_heuristic_policy(), [env.sample_initial(rng)], 400, seed=3, ids=[0]
+        )
         assert traj.terminated
 
     def test_height_filter(self):
@@ -338,10 +342,10 @@ class TestEpsGreedy:
         cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         pol = make_eps_greedy(windy_eval_policy(cfg), 0.3)
-        rng = np.random.default_rng(2)
-        traj, probs = rollout_with_probs(env, pol, env.sample_initial(rng), env.horizon, rng)
-        for tr, pb in zip(traj.transitions, probs):
-            assert pb == pytest.approx(pol.probs(tr.x)[tr.a], abs=0)
+        trajs, probs = generate_trajectories(env, pol, 4, seed=2)
+        for traj, logged in zip(trajs, probs):
+            for tr, pb in zip(traj.transitions, logged):
+                assert pb == pytest.approx(pol.probs(tr.x)[tr.a], abs=0)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Error estimation and return-error bound arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from moesim.errors import (
     ErrorEstimate,
     InsufficientPairsError,
     LipschitzEstimates,
+    LipschitzOverflowError,
     _pairwise_max_ratios,
     choose_radius,
     global_lipschitz,
@@ -169,6 +172,30 @@ class TestLipschitzEstimation:
                 vals.append(got.l_t)
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
+
+    def test_overflowing_ratio_names_the_action_without_a_warning(self):
+        # two action-1 starts 1e-160 apart with distinct next states: their
+        # squared distance is subnormal and the squared ratio overflows
+        ds = Dataset([
+            tr([0.0, 0.0], 0, -1.0, [1.0, 0.0]), tr([3.0, 0.0], 0, -1.0, [4.0, 0.0], 0, 1),
+            tr([0.0, 0.0], 1, -1.0, [0.0, 1.0], 1, 0), tr([1e-160, 0.0], 1, -1.0, [0.0, 2.0], 2),
+        ], [[0.0, 0.0]], 2, 2)
+        m = Metric.euclidean(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LipschitzOverflowError) as err:
+                global_lipschitz(ds, m)
+            assert str(err.value) == (
+                "the global transition Lipschitz ratio of action 1 overflows to inf: two of "
+                "its starts nearly coincide; give bound.l_t in the config instead"
+            )
+            assert err.value.estimates == LipschitzEstimates(np.inf, 0.0, 2)
+            # the scans of a config that gives the bound keep the inf ratio
+            lips, _ = context_scans(ds, windy_no_wind_model(Windy2DConfig(horizon=9)), m)
+            assert lips == err.value.estimates
+            # and the local scan around those starts comes back unsupported
+            near = ds.neighbor_rows(np.array([0.0, 0.0]), 1, 1.0, m)
+            assert not np_error_estimate(ds, near, m, lips).supported
 
 
 class TestNonparametricErrorEstimate:

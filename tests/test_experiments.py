@@ -12,7 +12,7 @@ import pytest
 import moesim.experiments
 from moesim.cli import build_parser
 from moesim.cli import main as cli_main
-from moesim.core import Dataset, Transition
+from moesim.core import Dataset, Policy, Trajectory, Transition
 from moesim.experiments import (
     ConfigError,
     RepetitionError,
@@ -263,6 +263,32 @@ class TestBuildContext:
         _, ctx = build_context(validate_config(cfg), 0)
         assert ctx.bound.l_t == 1.0
         assert ctx.bound.l_r == math.sqrt(2.0)
+
+    @pytest.mark.parametrize("bound", [{}, {"l_t": 1.5}])
+    def test_an_overflowing_global_ratio_needs_a_given_l_t(self, monkeypatch, bound):
+        # two behaviour starts 1e-160 apart, both moving right, to distinct
+        # next states: the estimated transition ratio overflows
+        trajectories = [
+            Trajectory([[0.0, 0.0], [1.0, 0.0]], [3], [-1.0]),
+            Trajectory([[1e-160, 0.0], [2.0, 0.0]], [3], [-1.0]),
+        ]
+        monkeypatch.setattr(moesim.experiments, "generate_trajectories",
+                            lambda *a, **k: (trajectories, [np.ones(1)] * 2))
+        cfg = validate_config(tiny_config(bound=bound, estimators=["p", "np", "moe"]))
+        if not bound:
+            with pytest.raises(RepetitionError) as err:
+                run_repetition(cfg, 0)
+            assert str(err.value) == (
+                "repetition 0, data and context: the global transition Lipschitz ratio of "
+                "action 3 overflows to inf: two of its starts nearly coincide; give bound.l_t "
+                "in the config instead"
+            )
+            return
+        _, ctx = build_context(cfg, 0)
+        # the radius still divides by the inf estimate: C = mean residual / inf = 0
+        assert ctx.bound.l_t == 1.5 and ctx.nonparametric.radius == 0.0
+        rec = run_repetition(cfg, 0)
+        assert all(math.isfinite(e["v_hat"]) for e in rec["estimates"].values())
 
     def test_one_scan_serves_estimated_and_oracle_errors(self, monkeypatch):
         calls = []
@@ -644,6 +670,39 @@ class TestCLI:
             run_experiment(cfg, rep_order=[1, 0])
         assert str(err.value) == "repetition 1, truth rollouts: diverged: non-finite true state"
         assert isinstance(err.value.__cause__, FloatingPointError)
+
+    @staticmethod
+    def invalid_eval_policy_partway(monkeypatch):
+        """The evaluation policy's probabilities sum to 2 above height 3:
+        valid at the windy starts, invalid partway through a rollout."""
+        build = moesim.experiments.build_eval_policy
+
+        def invalid_partway(cfg, task):
+            policy = build(cfg, task)
+            return Policy(policy.n_actions,
+                          lambda x: policy.probs(x) * (2.0 if x[1] > 3.0 else 1.0))
+
+        monkeypatch.setattr(moesim.experiments, "build_eval_policy", invalid_partway)
+
+    @pytest.mark.parametrize("behavior, stage", [
+        ({"kind": "eps_greedy", "eps": 0.3}, "data and context"),  # the behaviour rollouts
+        ({"kind": "env_scripted"}, "truth rollouts"),
+    ])
+    def test_invalid_policy_probabilities_name_repetition_and_stage(
+        self, tmp_path, capsys, monkeypatch, behavior, stage
+    ):
+        self.invalid_eval_policy_partway(monkeypatch)
+        cfg = tiny_config(behavior=behavior, estimators=["moe"], n_repetitions=1)
+        message = f"repetition 0, {stage}: policy probabilities must be nonnegative and sum to 1"
+        with pytest.raises(RepetitionError) as err:
+            run_repetition(validate_config(cfg), 0)
+        assert str(err.value) == message
+        assert isinstance(err.value.__cause__, ValueError)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("env", ["windy2d", "acrobot"])
     def test_diverged_model_fails_dr_rollouts(self, env):

@@ -220,8 +220,7 @@ class TestTrajectoryError:
             ctx, SimConfig(1, horizon, 1.0, seed=0), initial_states=[EVAL_START]
         )
         sim = est.trajectories[0]
-        truth = rollout_policy(env, eval_policy, EVAL_START, horizon,
-                               np.random.default_rng(0))
+        (truth,) = rollout_policy(env, eval_policy, [EVAL_START], horizon, seed=0, ids=[0])
         got = trajectory_error(sim, truth, m)
         sim_states = sim.states
         true_states = truth.states
@@ -248,9 +247,8 @@ class TestEvaluatePolicyTrue:
         cfg = Windy2DConfig(horizon=60)
         env = make_windy2d(cfg)
         pol = windy_behavior_policy(cfg)
-        rng = np.random.default_rng(0)
-        x0 = env.sample_initial(rng)
-        traj = rollout_policy(env, pol, x0, 60, rng)
+        x0 = env.sample_initial(np.random.default_rng(0))
+        (traj,) = rollout_policy(env, pol, [x0], 60, seed=0, ids=[0])
         assert traj.terminated
         from moesim.core import trajectory_return
 
