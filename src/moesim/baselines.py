@@ -84,8 +84,8 @@ class ModelValueFunctions:
     Stochastic policies are rolled along their argmax action (an
     approximation; control variates need not be exact to keep the doubly
     robust estimators unbiased).  When the task has a known terminal
-    region, rollouts stop there; `is_terminal_many` is its batched form,
-    and without it the rollouts call `is_terminal` once per row.
+    region, rollouts stop there: `terminal_many` tests a batch of states
+    (`Environment.terminal_many`).
 
     `q` is an exact memo keyed on (float64 bytes of x, a, remaining).  The
     keys it is missing are rolled in lockstep: `q_many` rolls all of its
@@ -103,8 +103,7 @@ class ModelValueFunctions:
     policy: Policy
     horizon: int
     gamma: float
-    is_terminal: Callable[[StateVec], bool] | None = None
-    is_terminal_many: Callable[[np.ndarray], np.ndarray] | None = None
+    terminal_many: Callable[[np.ndarray], np.ndarray] | None = None
     _q_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _probs_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -167,8 +166,8 @@ class ModelValueFunctions:
         remaining = np.array([r for _, _, r in keys])
         totals = np.zeros(len(keys))
         live = np.flatnonzero(remaining > 0)
-        if self.is_terminal is not None:
-            live = live[~self._terminal(state[live])]
+        if self.terminal_many is not None:
+            live = live[~self.terminal_many(state[live])]
         k = 0
         while len(live):
             state_next, r = self.model.predict_many(state[live], action[live])
@@ -180,17 +179,12 @@ class ModelValueFunctions:
             state[live] = state_next
             k += 1
             go_on = remaining[live] > k
-            if self.is_terminal is not None:
-                go_on &= ~self._terminal(state_next)
+            if self.terminal_many is not None:
+                go_on &= ~self.terminal_many(state_next)
             live = live[go_on]
             if len(live):
                 action[live] = np.argmax(self.policy.probs_many(state[live]), axis=1)
         self._q_memo.update(zip(keys, totals.tolist()))
-
-    def _terminal(self, X: np.ndarray) -> np.ndarray:
-        if self.is_terminal_many is not None:
-            return np.asarray(self.is_terminal_many(X), dtype=bool)
-        return np.array([bool(self.is_terminal(x)) for x in X], dtype=bool)
 
 
 def _ratio_table(inp: ISInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -57,11 +57,30 @@ class ErrorEstimate:
 @dataclass(frozen=True)
 class LipschitzEstimates:
     """Max observed output-change / input-distance ratios for the transition
-    map (l_t) and the reward map (l_r), over n_pairs usable pairs."""
+    map (l_t) and the reward map (l_r), over n_pairs usable pairs.
+
+    When two same-action starts nearly coincide a ratio can overflow to
+    inf; `global_lipschitz` then records the first such action of each map
+    in inf_t / inf_r."""
 
     l_t: float
     l_r: float
     n_pairs: int
+    inf_t: int | None = None
+    inf_r: int | None = None
+
+    def check_finite(self, given: Container[str] = ()) -> None:
+        """Raise ValueError, naming the action, for the first overflowed
+        constant ("l_t", "l_r") that is not in `given`."""
+        for key, which, action in (
+            ("l_t", "transition", self.inf_t), ("l_r", "reward", self.inf_r)
+        ):
+            if action is not None and key not in given:
+                raise ValueError(
+                    f"the global {which} Lipschitz ratio of action {action} overflows to "
+                    f"inf: two of its starts nearly coincide; give bound.{key} in the "
+                    "config instead"
+                )
 
 
 @dataclass(frozen=True)
@@ -84,15 +103,6 @@ class BoundParams:
 
 class InsufficientPairsError(RuntimeError):
     """No transition pair with nonzero start distance was available."""
-
-
-class LipschitzOverflowError(ValueError):
-    """A same-action pair's ratio overflowed to inf.  `estimates` holds the
-    whole scan's result, with the overflowed constant infinite."""
-
-    def __init__(self, message: str, estimates: LipschitzEstimates):
-        super().__init__(message)
-        self.estimates = estimates
 
 
 _BLOCK = 64  # rows per block of the pair scan; small blocks stay in cache
@@ -143,34 +153,29 @@ def _pairwise_max_ratios(
 def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
     """Max ratios over all same-action transition pairs in the dataset.
 
-    Cross-action pairs are excluded: they would mix different dynamics.
-    Raises `LipschitzOverflowError`, naming the first action and constant,
-    when a ratio overflows to inf.
+    Cross-action pairs are excluded: they would mix different dynamics.  A
+    ratio that overflows comes back inf, with the first action whose ratio
+    overflowed in `inf_t` / `inf_r`.
     """
     best_t = 0.0
     best_r = 0.0
     used = 0
-    overflow = None
+    inf_t = inf_r = None
     for a in range(ds.n_actions):
         X, Y, R = ds.action_arrays(a)
         if len(R) < 2:
             continue
         bt, br, n = _pairwise_max_ratios(X, Y, R, metric)
-        if overflow is None and math.isinf(bt + br):
-            which, key = ("transition", "l_t") if math.isinf(bt) else ("reward", "l_r")
-            overflow = (
-                f"the global {which} Lipschitz ratio of action {a} overflows to inf: two "
-                f"of its starts nearly coincide; give bound.{key} in the config instead"
-            )
+        if inf_t is None and math.isinf(bt):
+            inf_t = a
+        if inf_r is None and math.isinf(br):
+            inf_r = a
         best_t = max(best_t, bt)
         best_r = max(best_r, br)
         used += n
     if used == 0:
         raise InsufficientPairsError("dataset holds no usable same-action pair")
-    lips = LipschitzEstimates(best_t, best_r, used)
-    if overflow is not None:
-        raise LipschitzOverflowError(overflow, lips)
-    return lips
+    return LipschitzEstimates(best_t, best_r, used, inf_t, inf_r)
 
 
 def np_error_estimate(

@@ -43,7 +43,7 @@ from .envs.base import Environment, generate_trajectories
 from .envs.planning_toy import BEHAVIOR_STARTS, REWARD_VARIANTS
 from .envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
 from .errors import BoundParams, choose_radius, global_lipschitz, parametric_residuals
-from .errors import InsufficientPairsError, LipschitzEstimates, LipschitzOverflowError
+from .errors import InsufficientPairsError, LipschitzEstimates
 from .models import (
     NONPARAMETRIC,
     PARAMETRIC,
@@ -410,10 +410,7 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
         lips = global_lipschitz(ds, metric)
     except InsufficientPairsError:
         lips = LipschitzEstimates(0.0, 0.0, 0)
-    except LipschitzOverflowError as exc:
-        lips = exc.estimates
-        if any(override[k] is None and math.isinf(getattr(lips, k)) for k in override):
-            raise
+    lips.check_finite([k for k, v in override.items() if v is not None])
     radius = choose_radius(residuals[0], lips.l_t)
     bound = BoundParams(
         l_t=lips.l_t if override["l_t"] is None else override["l_t"],
@@ -529,7 +526,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
             if any(name in ("DR", "WDR") for name in requested_is):
                 value_model = ModelValueFunctions(
                     ctx_est.parametric, eval_policy, horizon, gamma,
-                    is_terminal=env.is_terminal, is_terminal_many=env.is_terminal_many,
+                    terminal_many=env.terminal_many,
                 )
         for name in requested_is:
             with _stage(rep, f"estimator {name}"):

@@ -10,7 +10,6 @@ from moesim.errors import (
     BoundParams,
     InsufficientPairsError,
     LipschitzEstimates,
-    LipschitzOverflowError,
     choose_radius,
     global_lipschitz,
     parametric_residuals,
@@ -117,8 +116,6 @@ def context_scans(ds, model, metric):
         lips = global_lipschitz(ds, metric)
     except InsufficientPairsError:
         lips = LipschitzEstimates(0.0, 0.0, 0)
-    except LipschitzOverflowError as exc:
-        lips = exc.estimates
     return lips, parametric_residuals(ds, model, metric)
 
 

@@ -210,7 +210,7 @@ class TestValueFunctionMemo:
 
         def fresh():
             return ModelValueFunctions(
-                model, eval_policy, horizon, 0.99, is_terminal=env.is_terminal
+                model, eval_policy, horizon, 0.99, terminal_many=env.terminal_many
             )
 
         vm = fresh()

@@ -5,6 +5,7 @@ and the lockstep control variate rollouts of `ModelValueFunctions`.  Rows
 must match bit for bit."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,12 +252,16 @@ def acrobot_batch():
     return trajs, probs, model, starts
 
 
-def value_functions(model, policy, goal_height, batched_terminal, gamma=0.97):
+def acrobot_env(goal_height, batched_terminal=True):
+    """Acrobot at HORIZON; without `batched_terminal` its terminal test runs
+    one row at a time."""
     env = make_acrobot(AcrobotConfig(horizon=HORIZON, goal_height=goal_height))
-    return ModelValueFunctions(
-        model, policy, HORIZON, gamma, is_terminal=env.is_terminal,
-        is_terminal_many=env.is_terminal_many if batched_terminal else None,
-    )
+    return env if batched_terminal else replace(env, is_terminal_many=None)
+
+
+def value_functions(model, policy, goal_height, batched_terminal, gamma=0.97):
+    env = acrobot_env(goal_height, batched_terminal)
+    return ModelValueFunctions(model, policy, HORIZON, gamma, terminal_many=env.terminal_many)
 
 
 @st.composite
@@ -296,7 +301,7 @@ def test_lockstep_q_equals_one_key_rollouts(
         assert bits(value) == bits(one_key.q(x, a, rem))
         assert bits(value) == bits(lockstep.q(x.copy(), a, rem))
         reference, _ = serial_rollout(
-            model, policy, x, a, rem, 0.97, one_key.is_terminal
+            model, policy, x, a, rem, 0.97, acrobot_env(goal_height).is_terminal
         )
         assert bits(value) == bits(reference)
 
@@ -308,9 +313,9 @@ def test_lockstep_cases_cover_every_way_a_rollout_ends(acrobot_batch):
     policy = acrobot_heuristic_policy()
     seen = set()
     for goal_height in GOAL_HEIGHTS:
-        vm = value_functions(model, policy, goal_height, True)
+        is_terminal = acrobot_env(goal_height).is_terminal
         for x in starts:
-            _, steps = serial_rollout(model, policy, x, 0, HORIZON, 0.97, vm.is_terminal)
+            _, steps = serial_rollout(model, policy, x, 0, HORIZON, 0.97, is_terminal)
             seen.add("start" if steps == 0 else "full" if steps == HORIZON else "mid-way")
     assert seen == {"start", "mid-way", "full"}
 

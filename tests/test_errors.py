@@ -17,7 +17,6 @@ from moesim.errors import (
     ErrorEstimate,
     InsufficientPairsError,
     LipschitzEstimates,
-    LipschitzOverflowError,
     _pairwise_max_ratios,
     choose_radius,
     global_lipschitz,
@@ -183,16 +182,17 @@ class TestLipschitzEstimation:
         m = Metric.euclidean(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(LipschitzOverflowError) as err:
-                global_lipschitz(ds, m)
+            lips = global_lipschitz(ds, m)
+            assert lips == LipschitzEstimates(np.inf, 0.0, 2, inf_t=1)
+            with pytest.raises(ValueError) as err:
+                lips.check_finite()
             assert str(err.value) == (
                 "the global transition Lipschitz ratio of action 1 overflows to inf: two of "
                 "its starts nearly coincide; give bound.l_t in the config instead"
             )
-            assert err.value.estimates == LipschitzEstimates(np.inf, 0.0, 2)
+            lips.check_finite(["l_t"])  # a given l_t stands in for the inf ratio
             # the scans of a config that gives the bound keep the inf ratio
-            lips, _ = context_scans(ds, windy_no_wind_model(Windy2DConfig(horizon=9)), m)
-            assert lips == err.value.estimates
+            assert context_scans(ds, windy_no_wind_model(Windy2DConfig(horizon=9)), m)[0] == lips
             # and the local scan around those starts comes back unsupported
             near = ds.neighbor_rows(np.array([0.0, 0.0]), 1, 1.0, m)
             assert not np_error_estimate(ds, near, m, lips).supported

@@ -285,8 +285,7 @@ class TestBuildContext:
             )
             return
         _, ctx = build_context(cfg, 0)
-        # the radius still divides by the inf estimate: C = mean residual / inf = 0
-        assert ctx.bound.l_t == 1.5 and ctx.nonparametric.radius == 0.0
+        assert ctx.bound.l_t == 1.5
         rec = run_repetition(cfg, 0)
         assert all(math.isfinite(e["v_hat"]) for e in rec["estimates"].values())
 
