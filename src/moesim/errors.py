@@ -12,8 +12,11 @@ bound that the planner minimizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Container, Sequence
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,18 +72,24 @@ class LipschitzEstimates:
     inf_t: int | None = None
     inf_r: int | None = None
 
-    def check_finite(self, given: Container[str] = ()) -> None:
-        """Raise ValueError, naming the action, for the first overflowed
-        constant ("l_t", "l_r") that is not in `given`."""
+    def with_given(self, given: Mapping[str, float]) -> "LipschitzEstimates":
+        """These estimates with each overflowed constant ("l_t", "l_r")
+        replaced by its value in `given`.  Raise ValueError, naming the
+        action, for the first overflowed constant that `given` lacks."""
+        out = self
         for key, which, action in (
             ("l_t", "transition", self.inf_t), ("l_r", "reward", self.inf_r)
         ):
-            if action is not None and key not in given:
+            if action is None:
+                continue
+            if key not in given:
                 raise ValueError(
                     f"the global {which} Lipschitz ratio of action {action} overflows to "
                     f"inf: two of its starts nearly coincide; give bound.{key} in the "
                     "config instead"
                 )
+            out = replace(out, **{key: given[key]})
+        return out
 
 
 @dataclass(frozen=True)
@@ -105,49 +114,140 @@ class InsufficientPairsError(RuntimeError):
     """No transition pair with nonzero start distance was available."""
 
 
-_BLOCK = 64  # rows per block of the pair scan; small blocks stay in cache
+_ROWS, _COLS = 128, 256  # pairs per tile of the pair scan; a tile's buffers stay in cache
+_LOWER = np.tri(_ROWS, dtype=bool)  # the j <= i pairs of a tile on the diagonal
+_PLAIN = 1e150  # below this, no squared difference of weighted coordinates overflows
+_THREADED_PAIRS = 1 << 22  # a global scan of more pairs runs on a thread pool
 
 
-@np.errstate(over="ignore")
+class _Rows(NamedTuple):
+    """One action's rows for the pair scan: the weighted starts then the
+    weighted next states as contiguous per-dimension rows of `P`, the
+    rewards, whether every |weighted coordinate| is below _PLAIN, and
+    whether the rewards vary."""
+
+    P: np.ndarray
+    R: np.ndarray
+    plain: bool
+    rewards_vary: bool
+
+    @staticmethod
+    @np.errstate(over="ignore")
+    def of(X: np.ndarray, Y: np.ndarray, R: np.ndarray, metric: Metric) -> "_Rows":
+        n, dim = X.shape
+        P = np.empty((2 * dim, n))
+        np.multiply(X.T, metric.weights[:, None], out=P[:dim])
+        np.multiply(Y.T, metric.weights[:, None], out=P[dim:])
+        return _Rows(
+            P, R, bool(np.abs(P).max(initial=0.0) < _PLAIN),
+            n > 1 and bool(np.any(R[1:] != R[0])),
+        )
+
+    @property
+    def n(self) -> int:
+        return self.P.shape[1]
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _scan_tiles(
+    tiles: Iterator[tuple[int, _Rows, int]], shape: tuple[int, int, int]
+) -> dict[int, tuple[float, float, int]]:
+    """Max ratios and usable pair counts, per key, over the row tiles
+    (key, rows, i0) drawn from `tiles`: rows i0 to i0 + _ROWS against every
+    column j >= i0, _COLS columns at a time, in one buffer of `shape`
+    (squared differences of each row of P, then the ratios) allocated once.
+
+    The tile on the diagonal gives its j <= i pairs an infinite squared
+    start distance, so their ratios are 0 and they are not counted.  When
+    the tile's max squared ratio is finite and its rows are plain, no two
+    starts coincide and no distance overflowed: every other pair is usable.
+    Otherwise coincident starts also get an infinite distance, and the
+    pairs with a finite one are counted; a ratio of two infinite squares is
+    not a pair and is skipped.  Starts so close that their squared distance
+    is subnormal can overflow a ratio to inf, without a warning."""
+    buf = np.empty(math.prod(shape))
+    found: dict[int, tuple[float, float, int]] = {}
+    for key, rows, i0 in tiles:
+        P, R = rows.P, rows.R
+        dim = len(P) // 2
+        best_t, best_r, used = found.get(key, (0.0, 0.0, 0))
+        i1 = min(i0 + _ROWS, rows.n)
+        h = i1 - i0
+        for j0 in range(i0, rows.n, _COLS):
+            j1 = min(j0 + _COLS, rows.n)
+            m = j1 - j0
+            # contiguous views, so that each pass is one loop over the tile
+            sq = buf[: 2 * dim * h * m].reshape(2 * dim, h, m)
+            tmp = buf[2 * dim * h * m : (2 * dim + 1) * h * m].reshape(h, m)
+            np.subtract(P[:, i0:i1, None], P[:, None, j0:j1], out=sq)
+            np.multiply(sq, sq, out=sq)
+            dx2, dy2 = sq[0], sq[dim]
+            for k in range(1, dim):
+                dx2 += sq[k]
+                dy2 += sq[dim + k]
+            masked = 0
+            if j0 == i0:
+                np.copyto(dx2[:, :h], np.inf, where=_LOWER[:h, :h])
+                masked = h * (h + 1) // 2
+            top = np.divide(dy2, dx2, out=tmp).max()
+            if rows.plain and top < np.inf:
+                used += h * m - masked
+            else:
+                dx2[dx2 == 0.0] = np.inf
+                used += int(np.count_nonzero(dx2 != np.inf))
+                top = np.fmax.reduce(np.divide(dy2, dx2, out=tmp), axis=None, initial=0.0)
+            best_t = max(best_t, math.sqrt(top))
+            if rows.rewards_vary:
+                np.subtract(R[i0:i1, None], R[None, j0:j1], out=tmp)
+                np.abs(tmp, out=tmp)
+                np.divide(tmp, np.sqrt(dx2, out=dx2), out=tmp)
+                best_r = max(best_r, float(np.fmax.reduce(tmp, axis=None, initial=0.0)))
+        found[key] = (best_t, best_r, used)
+    return found
+
+
+def _scan(
+    actions: dict[int, _Rows], workers: int = 1
+) -> dict[int, tuple[float, float, int]]:
+    """(max transition ratio, max reward ratio, usable pairs) per key of
+    `actions`, over all its pairs i < j.  With more than one worker, the
+    worker threads draw the row tiles, longest first, from one queue; numpy
+    releases the GIL inside each tile's passes.  Max and count are exact in
+    any order, so the result does not depend on the number of workers."""
+    n = max((rows.n for rows in actions.values()), default=0)
+    depth = max((len(rows.P) for rows in actions.values()), default=0) + 1
+    shape = (depth, min(_ROWS, n), min(_COLS, n))
+    tiles = [(key, rows, i0) for key, rows in actions.items() for i0 in range(0, rows.n, _ROWS)]
+    workers = min(workers, len(tiles))
+    if workers <= 1:
+        return _scan_tiles(iter(tiles), shape)
+    tiles.sort(key=lambda tile: tile[2] - tile[1].n)
+    todo: queue.SimpleQueue = queue.SimpleQueue()
+    for tile in tiles + [None] * workers:
+        todo.put(tile)
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(lambda _: _scan_tiles(iter(todo.get, None), shape), range(workers)))
+    found: dict[int, tuple[float, float, int]] = {}
+    for part in parts:
+        for key, (t, r, u) in part.items():
+            best_t, best_r, used = found.get(key, (0.0, 0.0, 0))
+            found[key] = (max(best_t, t), max(best_r, r), used + u)
+    return found
+
+
 def _pairwise_max_ratios(
     X: np.ndarray, Y: np.ndarray, R: np.ndarray, metric: Metric
 ) -> tuple[float, float, int]:
     """Exact max ratios over all pairs i < j with distinct starts, for one
-    action's stacked arrays.
+    action's stacked arrays, in this thread (see _scan_tiles)."""
+    return _scan({0: _Rows.of(X, Y, R, metric)})[0]
 
-    Row block lo:hi is compared only with columns j >= lo, from exact
-    per-dimension differences.  Pairs with i >= j or coincident starts get
-    an infinite squared start distance, so their ratios are 0 and they are
-    not counted.  When every reward is equal, every reward ratio is 0, and
-    the reward pass is skipped.  Starts so close that their squared
-    distance is subnormal can overflow a ratio to inf, without a warning.
-    """
-    n = len(X)
-    Xw = X * metric.weights
-    Yw = Y * metric.weights
-    rewards_vary = n > 1 and bool(np.any(R[1:] != R[0]))
-    best_t = 0.0
-    best_r = 0.0
-    used = 0
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        dx2, dy2 = np.zeros((2, hi - lo, n - lo))
-        tmp = np.empty_like(dx2)
-        for out, A in ((dx2, Xw), (dy2, Yw)):
-            for k in range(A.shape[1]):
-                np.subtract(A[lo:hi, k, None], A[None, lo:, k], out=tmp)
-                np.multiply(tmp, tmp, out=tmp)
-                out += tmp
-        dx2[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = np.inf
-        dx2[dx2 == 0.0] = np.inf
-        used += int(np.count_nonzero(dx2 != np.inf))
-        best_t = max(best_t, float(np.sqrt(np.divide(dy2, dx2, out=dy2).max())))
-        if rewards_vary:
-            np.subtract(R[lo:hi, None], R[None, lo:], out=tmp)
-            np.abs(tmp, out=tmp)
-            np.divide(tmp, np.sqrt(dx2, out=dx2), out=tmp)
-            best_r = max(best_r, float(tmp.max()))
-    return best_t, best_r, used
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
@@ -155,26 +255,23 @@ def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
 
     Cross-action pairs are excluded: they would mix different dynamics.  A
     ratio that overflows comes back inf, with the first action whose ratio
-    overflowed in `inf_t` / `inf_r`.
+    overflowed in `inf_t` / `inf_r`.  Above _THREADED_PAIRS pairs the scan
+    runs on one thread per CPU, in a pool that is shut down before return.
     """
-    best_t = 0.0
-    best_r = 0.0
-    used = 0
-    inf_t = inf_r = None
+    actions = {}
     for a in range(ds.n_actions):
         X, Y, R = ds.action_arrays(a)
-        if len(R) < 2:
-            continue
-        bt, br, n = _pairwise_max_ratios(X, Y, R, metric)
-        if inf_t is None and math.isinf(bt):
-            inf_t = a
-        if inf_r is None and math.isinf(br):
-            inf_r = a
-        best_t = max(best_t, bt)
-        best_r = max(best_r, br)
-        used += n
+        if len(R) >= 2:
+            actions[a] = _Rows.of(X, Y, R, metric)
+    pairs = sum(rows.n * (rows.n - 1) // 2 for rows in actions.values())
+    found = _scan(actions, _cpus() if pairs > _THREADED_PAIRS else 1)
+    best_t = max((t for t, _, _ in found.values()), default=0.0)
+    best_r = max((r for _, r, _ in found.values()), default=0.0)
+    used = sum(u for _, _, u in found.values())
     if used == 0:
         raise InsufficientPairsError("dataset holds no usable same-action pair")
+    inf_t = min((a for a, (t, _, _) in found.items() if math.isinf(t)), default=None)
+    inf_r = min((a for a, (_, r, _) in found.items() if math.isinf(r)), default=None)
     return LipschitzEstimates(best_t, best_r, used, inf_t, inf_r)
 
 

@@ -405,16 +405,17 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
     else:
         parametric = fit_parametric(batch.dataset, cfg["model"])
     residuals = parametric_residuals(ds, parametric, metric)
-    override = settings("bound", cfg["bound"])
+    given = {k: v for k, v in settings("bound", cfg["bound"]).items() if v is not None}
     try:
         lips = global_lipschitz(ds, metric)
     except InsufficientPairsError:
         lips = LipschitzEstimates(0.0, 0.0, 0)
-    lips.check_finite([k for k, v in override.items() if v is not None])
+    # an overflowed ratio must be given, and the given value then also sets
+    # the radius and the nonparametric fallback ratios
+    lips = lips.with_given(given)
     radius = choose_radius(residuals[0], lips.l_t)
     bound = BoundParams(
-        l_t=lips.l_t if override["l_t"] is None else override["l_t"],
-        l_r=lips.l_r if override["l_r"] is None else override["l_r"],
+        l_t=given.get("l_t", lips.l_t), l_r=given.get("l_r", lips.l_r),
         gamma=cfg["sim"]["gamma"],
     )
     ctx = SelectionContext(

@@ -142,6 +142,44 @@ def rollout_with_probs(env, policy, x0, horizon, rng):
     return Trajectory(states, actions, rewards, terminated=reached), np.array(probs)
 
 
+@np.errstate(over="ignore")
+def block_pair_scan(X, Y, R, metric, block=64):
+    """The pair scan as it was before tiling, the oracle of
+    `errors._pairwise_max_ratios`: exact max ratios over all pairs i < j
+    with distinct starts, for one action's stacked arrays.
+
+    Row block lo:hi is compared only with columns j >= lo, from exact
+    per-dimension differences.  Pairs with i >= j or coincident starts get
+    an infinite squared start distance, so their ratios are 0 and they are
+    not counted.  When every reward is equal, the reward pass is skipped."""
+    n = len(X)
+    Xw = X * metric.weights
+    Yw = Y * metric.weights
+    rewards_vary = n > 1 and bool(np.any(R[1:] != R[0]))
+    best_t = 0.0
+    best_r = 0.0
+    used = 0
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        dx2, dy2 = np.zeros((2, hi - lo, n - lo))
+        tmp = np.empty_like(dx2)
+        for out, A in ((dx2, Xw), (dy2, Yw)):
+            for k in range(A.shape[1]):
+                np.subtract(A[lo:hi, k, None], A[None, lo:, k], out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                out += tmp
+        dx2[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = np.inf
+        dx2[dx2 == 0.0] = np.inf
+        used += int(np.count_nonzero(dx2 != np.inf))
+        best_t = max(best_t, float(np.sqrt(np.divide(dy2, dx2, out=dy2).max())))
+        if rewards_vary:
+            np.subtract(R[lo:hi, None], R[None, lo:], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.divide(tmp, np.sqrt(dx2, out=dx2), out=tmp)
+            best_r = max(best_r, float(tmp.max()))
+    return best_t, best_r, used
+
+
 _RATIO_EPS = 0.0  # pairs with zero start distance are skipped outright
 
 

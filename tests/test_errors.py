@@ -1,5 +1,6 @@
 """Error estimation and return-error bound arithmetic."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import context_scans, estimate_lipschitz, state_error_closed_form
+from helpers import block_pair_scan, context_scans, estimate_lipschitz, state_error_closed_form
+from moesim import errors
 from moesim.core import Dataset, Metric, Transition
 from moesim.envs import Windy2DConfig, make_windy2d
 from moesim.envs.base import generate_trajectories
@@ -18,6 +20,8 @@ from moesim.errors import (
     InsufficientPairsError,
     LipschitzEstimates,
     _pairwise_max_ratios,
+    _Rows,
+    _scan,
     choose_radius,
     global_lipschitz,
     np_error_estimate,
@@ -56,31 +60,43 @@ def brute_force_ratios(X, Y, A, R, metric):
 
 
 @st.composite
-def ratio_inputs(draw):
-    """One action's (starts, next states, rewards) and a weighted metric,
-    with exact and near duplicates of drawn starts, often on either side of
-    a 64-row block boundary of the pair scan, and sometimes one reward for
-    every row, as windy's -1 a step, or for all rows but one or two."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.integers(2, 200))
+def ratio_inputs(draw, scales=(1.0, 1.0, 1.0, 1e151), subnormal=False):
+    """One action's (starts, next states, rewards) and a weighted metric.
+
+    Up to 700 rows, so up to six row tiles and three column tiles of the
+    pair scan, in one to four dimensions.  Exact and near duplicates of
+    drawn starts, often on either side of a 64-row block boundary of the
+    old scan or a tile edge of the new one; if `subnormal`, a start at the
+    origin and one 1e-160 or 5e-324 from it, whose squared distance is
+    subnormal or 0 (a ratio over it may overflow); all starts scaled by
+    one of `scales`: 1e151 leaves the plain range of the tiled scan, and
+    1e160 overflows some squared start distances; and sometimes one reward
+    for every row, as windy's -1 a step, or for all rows but one or two."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(2, 200), st.integers(201, 700)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.uniform(-10, 10, size=(n, dim))
     Y = rng.normal(size=(n, dim))
     constant = draw(st.sampled_from([None, -1.0, 0.0, -0.0, 2.5]))
     R = rng.normal(size=n) if constant is None else np.full(n, constant)
     row = st.integers(0, n - 1)
-    edges = [b + k for b in (64, 128, 192) for k in (-1, 0) if b + k < n]
+    edges = [b + k for b in (64, 128, 192, 256, 384, 512, 640) for k in (-1, 0) if b + k < n]
     if edges:
         row = st.one_of(row, st.sampled_from(edges))
     if constant is not None:
         for _ in range(draw(st.integers(0, 2))):
             R[draw(row)] = constant + 1.0
-    for _ in range(draw(st.integers(0, 6))):
-        src, dst = draw(row), draw(row)
-        X[dst] = X[src]
-        X[dst, draw(st.integers(0, dim - 1))] += draw(
-            st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 3e-6])
-        )
+    for tiny in (False, True)[: 1 + subnormal]:
+        for _ in range(draw(st.integers(0, 6 if not tiny else 2))):
+            src = draw(row)
+            dst = draw(row.filter(lambda r: r != src))
+            if tiny:  # a start at the origin and one a subnormal distance from it
+                X[src] = 0.0
+            X[dst] = X[src]
+            X[dst, draw(st.integers(0, dim - 1))] += draw(st.sampled_from(
+                [1e-160, 5e-324] if tiny else [0.0, 1e-12, 1e-9, 1e-7, 3e-6]
+            ))
+    X *= draw(st.sampled_from(scales))
     weights = draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim))
     return X, Y, R, Metric(np.array(weights))
 
@@ -120,6 +136,33 @@ class TestLipschitzEstimation:
         assert used == want_used
         assert bt == pytest.approx(want_t, rel=1e-9)
         assert br == pytest.approx(want_r, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratio_inputs(scales=(1.0, 1.0, 1e151, 1e160), subnormal=True), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_tiled_scan_equals_the_block_scan(self, case, n_actions, seed):
+        # the rows split among up to three actions, scanned serially and by
+        # two workers: every max and count equals the old 64-row block
+        # scan's, bit for bit
+        X, Y, R, m = case
+        A = np.random.default_rng(seed).integers(0, n_actions, size=len(X))
+        want = {a: block_pair_scan(X[A == a], Y[A == a], R[A == a], m)
+                for a in range(n_actions) if np.count_nonzero(A == a) >= 2}
+        actions = {a: _Rows.of(X[A == a], Y[A == a], R[A == a], m) for a in want}
+        assert _scan(actions) == want
+        assert _scan(actions, workers=2) == want
+        assert _pairwise_max_ratios(X, Y, R, m) == block_pair_scan(X, Y, R, m)
+
+    def test_an_overflowing_next_state_difference_gives_inf(self):
+        # the squared next-state difference of rows 0 and 1 overflows, so
+        # their ratio is inf; the ratios of two infinite squares among the
+        # j <= i pairs of the tile are no pairs and do not hide it (the
+        # old block scan's NaN max dropped the whole block)
+        X = np.array([[0.0], [1.0], [2.0]])
+        Y = np.array([[-1e200], [1e200], [0.0]])
+        assert _pairwise_max_ratios(X, Y, np.zeros(3), Metric.euclidean(1)) == (np.inf, 0.0, 3)
+        with np.errstate(invalid="ignore"):
+            assert block_pair_scan(X, Y, np.zeros(3), Metric.euclidean(1)) == (0.0, 0.0, 3)
 
     def test_global_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -172,7 +215,7 @@ class TestLipschitzEstimation:
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
 
-    def test_overflowing_ratio_names_the_action_without_a_warning(self):
+    def test_overflowing_ratio_names_the_action_without_a_warning(self, monkeypatch):
         # two action-1 starts 1e-160 apart with distinct next states: their
         # squared distance is subnormal and the squared ratio overflows
         ds = Dataset([
@@ -184,18 +227,44 @@ class TestLipschitzEstimation:
             warnings.simplefilter("error")
             lips = global_lipschitz(ds, m)
             assert lips == LipschitzEstimates(np.inf, 0.0, 2, inf_t=1)
+            with monkeypatch.context() as threaded:  # each action's tile on its own worker
+                threaded.setattr(errors, "_THREADED_PAIRS", 0)
+                threaded.setattr(errors, "_cpus", lambda: 2)
+                assert global_lipschitz(ds, m) == lips
             with pytest.raises(ValueError) as err:
-                lips.check_finite()
+                lips.with_given({})
             assert str(err.value) == (
                 "the global transition Lipschitz ratio of action 1 overflows to inf: two of "
                 "its starts nearly coincide; give bound.l_t in the config instead"
             )
-            lips.check_finite(["l_t"])  # a given l_t stands in for the inf ratio
+            # a given l_t stands in for the inf ratio
+            assert lips.with_given({"l_t": 1.5}) == LipschitzEstimates(1.5, 0.0, 2, inf_t=1)
             # the scans of a config that gives the bound keep the inf ratio
             assert context_scans(ds, windy_no_wind_model(Windy2DConfig(horizon=9)), m)[0] == lips
             # and the local scan around those starts comes back unsupported
             near = ds.neighbor_rows(np.array([0.0, 0.0]), 1, 1.0, m)
             assert not np_error_estimate(ds, near, m, lips).supported
+
+    def test_a_scan_above_the_pair_threshold_leaves_no_thread_alive(self, monkeypatch):
+        # 2,900 rows of one action: 4,203,550 pairs, above the threshold;
+        # two workers scan them, and both are gone when the call returns,
+        # so no thread is alive when `--jobs` forks
+        rng = np.random.default_rng(5)
+        n = 2900
+        assert n * (n - 1) // 2 > errors._THREADED_PAIRS
+        X = rng.uniform(-5, 5, size=(n, 2))
+        ds = Dataset([tr(X[i], 0, -1.0, 2.0 * X[i], 0, i) for i in range(n)], [X[0]], 2, 1)
+        m = Metric.euclidean(2)
+        monkeypatch.setattr(errors, "_cpus", lambda: 2)
+        threads = set()
+        scan_tiles = errors._scan_tiles
+        monkeypatch.setattr(errors, "_scan_tiles", lambda *a: threads.add(
+            threading.get_ident()) or scan_tiles(*a))
+        before = threading.active_count()
+        got = global_lipschitz(ds, m)
+        assert threading.active_count() == before
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert got == LipschitzEstimates(*block_pair_scan(X, 2.0 * X, np.full(n, -1.0), m))
 
 
 class TestNonparametricErrorEstimate:
@@ -429,11 +498,13 @@ from helpers import simulate_bound_instance
 
 
 class TestBoundSoundness:
-    def test_gap_never_exceeds_bound(self):
-        rng = np.random.default_rng(100)
-        for _ in range(200):
-            gap, bound = simulate_bound_instance(rng)
-            assert gap <= bound + 1e-9
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 30))
+    def test_gap_never_exceeds_bound(self, seed, horizon):
+        # a random linear task and an imperfect model: the actual return gap
+        # stays within the bound, up to the rounding slack of criterion 1
+        gap, bound = simulate_bound_instance(np.random.default_rng(seed), horizon)
+        assert gap <= bound + 1e-12 * max(1.0, bound)
 
 
 class TestErrorEstimateType:

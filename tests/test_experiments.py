@@ -24,6 +24,7 @@ from moesim.experiments import (
     run_repetition,
     validate_config,
 )
+from moesim.errors import parametric_residuals
 from moesim.models import NONPARAMETRIC, PARAMETRIC, MLPModel, RidgePerActionModel
 from moesim.reproduce import (
     planning_toy_config,
@@ -284,8 +285,11 @@ class TestBuildContext:
                 "in the config instead"
             )
             return
-        _, ctx = build_context(cfg, 0)
+        batch, ctx = build_context(cfg, 0)
         assert ctx.bound.l_t == 1.5
+        # the given l_t also sets the radius, C = mean finite residual / l_t
+        residuals, _ = parametric_residuals(batch.visible, ctx.parametric, ctx.nonparametric.metric)
+        assert ctx.nonparametric.radius == float(residuals[np.isfinite(residuals)].mean()) / 1.5 > 0
         rec = run_repetition(cfg, 0)
         assert all(math.isfinite(e["v_hat"]) for e in rec["estimates"].values())
 
@@ -686,12 +690,22 @@ class TestCLI:
     @pytest.mark.parametrize("behavior, stage", [
         ({"kind": "eps_greedy", "eps": 0.3}, "data and context"),  # the behaviour rollouts
         ({"kind": "env_scripted"}, "truth rollouts"),
+        # the scripted behaviour never asks the evaluation policy, and a
+        # stand-in truth value skips the truth rollouts, so the invalid
+        # probabilities first meet the estimator's simulated rollouts
+        ({"kind": "env_scripted"}, "estimator p"),
+        ({"kind": "env_scripted"}, "estimator moe"),
+        ({"kind": "env_scripted"}, "estimator mcts_moe"),
     ])
     def test_invalid_policy_probabilities_name_repetition_and_stage(
         self, tmp_path, capsys, monkeypatch, behavior, stage
     ):
         self.invalid_eval_policy_partway(monkeypatch)
-        cfg = tiny_config(behavior=behavior, estimators=["moe"], n_repetitions=1)
+        estimator = "moe"
+        if stage.startswith("estimator "):
+            estimator = stage.removeprefix("estimator ")
+            monkeypatch.setattr(moesim.experiments, "evaluate_policy_true", lambda *a, **k: -10.0)
+        cfg = tiny_config(behavior=behavior, estimators=[estimator], n_repetitions=1)
         message = f"repetition 0, {stage}: policy probabilities must be nonnegative and sum to 1"
         with pytest.raises(RepetitionError) as err:
             run_repetition(validate_config(cfg), 0)

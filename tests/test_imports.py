@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every function, method and class the package defines is used by the
-package, and the runtime dependencies are exactly the third-party modules
-the package imports.
+package, the runtime dependencies are exactly the third-party modules
+the package imports, and importing the package starts no thread.
 
 The first two checks skip `__init__.py` files: their imports are the
 package's re-exports, and a name only they mention is public API that
@@ -9,7 +9,9 @@ nothing inside runs.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -157,3 +159,21 @@ def test_runtime_dependencies_are_the_imported_modules():
         for req in project["dependencies"]
     }
     assert declared == third_party_imports([path.read_text() for path in SRC.rglob("*.py")])
+
+
+def test_importing_the_package_starts_no_thread():
+    # a thread alive at import would be alive when `--jobs` forks workers
+    modules = sorted(
+        "moesim." + ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for path in MODULES
+    )
+    code = (
+        "import threading\n"
+        f"import {', '.join(modules)}\n"
+        "print(threading.active_count())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.strip() == "1"
