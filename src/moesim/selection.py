@@ -32,17 +32,35 @@ from .models import (
 )
 
 
+# the largest double `Generator.random` returns
+_LAST_U = 1.0 - 2.0**-53
+
+
 class Successor(NamedTuple):
     """One simulated step of (state, action) by one expert, as the planner
     reads it: the expert's error estimate, the read-only next state with
     its float64 bytes, the evaluation policy's probabilities there as
-    Python floats, and whether the next state is terminal."""
+    Python floats, whether the next state is terminal, and `fixed`, the
+    action `Policy.choose` picks there for every uniform draw (None when
+    the draw decides).  `choose` is monotone in u, so `fixed` is its pick
+    when the smallest and the largest draw agree."""
 
     estimate: ErrorEstimate
     state: np.ndarray
     key: bytes
     probs: tuple[float, ...]
     terminal: bool
+    fixed: ActionId | None
+
+
+class Chain(NamedTuple):
+    """A greedy path through fixed-action successors: per step the
+    estimate's (supported, eps_t, eps_r) and the running maximum of the
+    supported eps_t (from 0), and the last step's successor."""
+
+    steps: list[tuple[bool, float, float]]
+    peaks: list[float]
+    end: Successor
 
 
 class StepMemo:
@@ -58,11 +76,20 @@ class StepMemo:
     each once; a memoised step then costs a dict lookup and
     `Policy.choose` on one `rng.random()`, which is exact for stochastic
     policies too.
+
+    Where a successor's next action does not depend on the draw (`fixed`),
+    a greedy rollout's next step does not either, so `chain` memoises the
+    greedy path through such successors.  And a planning decision none of
+    whose draws picked an action is a function of its (state bytes,
+    action, remaining horizon, budget): `decisions` holds its number of
+    draws and its trace record, which names its answer (`mcts_select`).
     """
 
     def __init__(self) -> None:
         self._successors: dict[tuple[str, bytes, ActionId], Successor] = {}
         self.greedy_picks: dict[tuple[bytes, ActionId], str] = {}
+        self._chains: dict[tuple[bytes, ActionId], Chain] = {}
+        self.decisions: dict[tuple[bytes, ActionId, int, int], tuple[int, dict]] = {}
 
     def successor(self, kind: str, x: StateVec, key: bytes, a: ActionId) -> Successor:
         """The step of (x, a) by expert `kind`; `key` is x's float64 bytes."""
@@ -76,12 +103,15 @@ class StepMemo:
         next_state = np.array(self.model(kind).predict(x, a)[0], dtype=np.float64)
         next_state.flags.writeable = False
         term = self.is_terminal
+        probs = tuple(self.policy.probs(next_state).tolist())
+        fixed = Policy.choose(probs, 0.0)
         return Successor(
             est,
             next_state,
             next_state.tobytes(),
-            tuple(self.policy.probs(next_state).tolist()),
+            probs,
             bool(term(next_state)) if term is not None else False,
+            fixed if Policy.choose(probs, _LAST_U) == fixed else None,
         )
 
     def greedy(self, x: StateVec, key: bytes, a: ActionId) -> str:
@@ -91,6 +121,41 @@ class StepMemo:
         if pick is None:
             pick = self.greedy_picks[(key, a)] = greedy_select(self, x, a)
         return pick
+
+    def chain(self, x: StateVec, key: bytes, a: ActionId, limit: int) -> Chain:
+        """The greedy path from (x, a), memoised on (key, a).  A new chain
+        takes at most `limit` steps (the rollout's remaining horizon), and
+        ends after a terminal or stochastic successor, or before a step
+        whose action no expert can simulate or where a chain starts.  An
+        action at x that no expert can simulate raises `NoSupportError`."""
+        chain = self._chains.get((key, a))
+        if chain is None:
+            chain = self._chains[(key, a)] = self._build_chain(x, key, a, limit)
+        return chain
+
+    def _build_chain(self, x: StateVec, key: bytes, a: ActionId, limit: int) -> Chain:
+        steps: list[tuple[bool, float, float]] = []
+        peaks: list[float] = []
+        peak = 0.0
+        kind = self.greedy(x, key, a)
+        while True:
+            succ = self.successor(kind, x, key, a)
+            est = succ.estimate
+            if est.supported:
+                peak = max(peak, est.eps_t)
+            steps.append((est.supported, est.eps_t, est.eps_r))
+            peaks.append(peak)
+            x, key, a = succ.state, succ.key, succ.fixed
+            if (
+                len(steps) == limit or succ.terminal or a is None
+                or (key, a) in self._chains
+            ):
+                break
+            try:
+                kind = self.greedy(x, key, a)
+            except NoSupportError:
+                break
+        return Chain(steps, peaks, succ)
 
 
 class SelectionContext(StepMemo):
@@ -246,13 +311,16 @@ class PlanNode:
 
 class _MctsRun:
     """One planning decision: a fresh tree, a shared exploration constant,
-    and the rollout machinery."""
+    the rollout machinery, and the decision's count of uniform draws and
+    whether any of them picked an action (a stochastic successor's)."""
 
     def __init__(self, ctx: SelectionContext, horizon: int, rng: np.random.Generator):
         self.ctx = ctx
         self.horizon = horizon
         self.rng = rng
         self.max_eps_t = 0.0
+        self.n_draws = 0
+        self.picked = False
 
     @property
     def c_e(self) -> float:
@@ -303,6 +371,8 @@ class _MctsRun:
         if est.supported:
             self.max_eps_t = max(self.max_eps_t, est.eps_t)
         next_action = Policy.choose(succ.probs, self.rng.random())
+        self.n_draws += 1
+        self.picked = self.picked or succ.fixed is None
         tau += 1
         if not est.supported or delta_g == math.inf:
             return succ, next_action, tau, math.inf, math.inf
@@ -337,11 +407,12 @@ class _MctsRun:
         return child
 
     def uct_child(self, node: PlanNode) -> PlanNode:
-        log_n = math.log(node.visits)
+        c_e = self.c_e
+        two_log_n = 2.0 * math.log(node.visits)
         best = None
         best_key: tuple[float, int, int] | None = None
         for i, child in enumerate(node.children):
-            score = child.mean_value() + self.c_e * math.sqrt(2.0 * log_n / child.visits)
+            score = child.mean_value() + c_e * math.sqrt(two_log_n / child.visits)
             key = (score, 1 if child.model_choice == NONPARAMETRIC else 0, -i)
             if best_key is None or key > best_key:
                 best, best_key = child, key
@@ -349,18 +420,40 @@ class _MctsRun:
 
     def default_policy(self, node: PlanNode) -> float:
         """Complete the rollout to the horizon with greedy choices; the
-        rollout's value is minus the accumulated return-error bound."""
+        rollout's value is minus the accumulated return-error bound.
+
+        It walks memoised greedy chains (`StepMemo.chain`), cut at the
+        horizon, with `step`'s arithmetic in `step`'s order and one uniform
+        draw per step, of which only a chain's last can pick an action."""
+        ctx, horizon = self.ctx, self.horizon
+        bound = ctx.bound
+        l_t, l_r, gamma = bound.l_t, bound.l_r, bound.gamma
         state, key, action, terminal = node.state, node.key, node.action, node.terminal
         tau, delta, delta_g = node.tau, node.delta, node.delta_g
-        while tau < self.horizon and not terminal:
+        while tau < horizon and not terminal:
             try:
-                kind = self.ctx.greedy(state, key, action)
+                chain = ctx.chain(state, key, action, horizon - tau)
             except NoSupportError:
                 break
-            succ, action, tau, delta, delta_g = self.step(
-                kind, state, key, action, tau, delta, delta_g
-            )
-            state, key, terminal = succ.state, succ.key, succ.terminal
+            steps = chain.steps
+            m = min(len(steps), horizon - tau)
+            u = self.rng.random(m)[-1]
+            self.n_draws += m
+            self.max_eps_t = max(self.max_eps_t, chain.peaks[m - 1])
+            for supported, eps_t, eps_r in steps if m == len(steps) else steps[:m]:
+                tau += 1
+                if not supported or delta_g == math.inf:
+                    delta = delta_g = math.inf
+                else:
+                    delta = l_t * delta + eps_t
+                    delta_g = delta_g + gamma**tau * (eps_r + l_r * delta)
+            if m < len(steps):
+                break
+            end = chain.end
+            state, key, terminal, action = end.state, end.key, end.terminal, end.fixed
+            if action is None:
+                self.picked = True
+                action = Policy.choose(end.probs, float(u))
         return -delta_g
 
     @staticmethod
@@ -394,29 +487,48 @@ def mcts_select(
     and return minus the accumulated bound; the answer is the model of the
     root child with the best single rollout, preferring nonparametric on
     exact ties.  If no rollout completes, the greedy rule decides.
+
+    A decision none of whose draws picked an action is memoised on the
+    context (`StepMemo.decisions`); asked again, it advances `rng` by the
+    same number of draws and appends a copy of the same trace record.
     """
-    run = _MctsRun(ctx, remaining, rng)
-    root = run.root(x, a)
-    for _ in range(budget):
-        leaf = run.tree_policy(root)
-        value = run.default_policy(leaf)
-        run.backup(leaf, value)
-    candidates = [
-        c for c in root.children if c.visits > 0 and c.best_value > -math.inf
-    ]
-    chosen = None
-    if candidates:
-        chosen = max(
-            enumerate(candidates),
-            key=lambda ic: (
-                ic[1].best_value,
-                1 if ic[1].model_choice == NONPARAMETRIC else 0,
-                -ic[0],
-            ),
-        )[1].model_choice
+    state = np.asarray(x, dtype=np.float64)
+    key = (state.tobytes(), a, remaining, budget)
+    memo = ctx.decisions.get(key)
+    if memo is None:
+        run = _MctsRun(ctx, remaining, rng)
+        root = run.root(state, a)
+        for _ in range(budget):
+            leaf = run.tree_policy(root)
+            value = run.default_policy(leaf)
+            run.backup(leaf, value)
+        candidates = [
+            c for c in root.children if c.visits > 0 and c.best_value > -math.inf
+        ]
+        chosen = None
+        if candidates:
+            chosen = max(
+                enumerate(candidates),
+                key=lambda ic: (
+                    ic[1].best_value,
+                    1 if ic[1].model_choice == NONPARAMETRIC else 0,
+                    -ic[0],
+                ),
+            )[1].model_choice
+        memo = (run.n_draws, _trace_record(root, run, chosen))
+        if not run.picked:
+            ctx.decisions[key] = memo
+    else:
+        rng.random(memo[0])
+    record = memo[1]
     if trace is not None:
-        trace.append(_trace_record(root, run, chosen))
-    return chosen if chosen is not None else ctx.greedy(root.state, root.key, a)
+        trace.append({
+            **record,
+            "state": list(record["state"]),
+            "children": [dict(c) for c in record["children"]],
+        })
+    chosen = record["chosen"]
+    return chosen if chosen is not None else ctx.greedy(state, key[0], a)
 
 
 def _trace_record(root: PlanNode, run: _MctsRun, chosen: str | None) -> dict:

@@ -87,7 +87,10 @@ def simulate_value(
     (the empirical initial distribution).  In a single-expert mode a
     rollout ends at the first action that expert has no data for, and
     counts as not having reached the goal; in "greedy" or "mcts" mode an
-    action no expert has data for raises `NoSupportError`.
+    action no expert has data for raises `NoSupportError`.  A `ValueError`
+    inside a simulated step (invalid policy probabilities, a bad oracle
+    step) is raised again as a `ValueError` that names the rollout and the
+    step first.
     """
     starts = list(
         initial_states if initial_states is not None
@@ -107,34 +110,37 @@ def simulate_value(
         reached = False
         states, actions, rewards = [x], [], []
         rollout_usage = {PARAMETRIC: 0, NONPARAMETRIC: 0}
-        for t in range(cfg.horizon):
-            a = ctx.policy.sample(x, rng)
-            kind = cfg.mode
-            if kind == "mcts":
-                kind = mcts_select(
-                    ctx, x, a, cfg.mcts_budget, rng=rng,
-                    remaining=cfg.horizon - t, trace=mcts_trace,
-                )
-            elif kind == "greedy":
-                # the context's greedy memo (`StepMemo.greedy`), written out
-                # so that a miss calls this module's `greedy_select`, the
-                # name perfbench's tracer wraps for the simulator's decisions
-                key = (np.asarray(x, dtype=np.float64).tobytes(), a)
-                kind = ctx.greedy_picks.get(key)
-                if kind is None:
-                    kind = ctx.greedy_picks[key] = greedy_select(ctx, x, a)
-            elif not ctx.usable(kind, a):
-                break
-            x_next, r = ctx.model(kind).predict(x, a)
-            rollout_usage[kind] += 1
-            states.append(x_next)
-            actions.append(a)
-            rewards.append(r)
-            ret += (cfg.gamma**t) * r
-            x = x_next
-            if ctx.is_terminal is not None and ctx.is_terminal(x):
-                reached = True
-                break
+        try:
+            for t in range(cfg.horizon):
+                a = ctx.policy.sample(x, rng)
+                kind = cfg.mode
+                if kind == "mcts":
+                    kind = mcts_select(
+                        ctx, x, a, cfg.mcts_budget, rng=rng,
+                        remaining=cfg.horizon - t, trace=mcts_trace,
+                    )
+                elif kind == "greedy":
+                    # the context's greedy memo (`StepMemo.greedy`), written out
+                    # so that a miss calls this module's `greedy_select`, the
+                    # name perfbench's tracer wraps for the simulator's decisions
+                    key = (np.asarray(x, dtype=np.float64).tobytes(), a)
+                    kind = ctx.greedy_picks.get(key)
+                    if kind is None:
+                        kind = ctx.greedy_picks[key] = greedy_select(ctx, x, a)
+                elif not ctx.usable(kind, a):
+                    break
+                x_next, r = ctx.model(kind).predict(x, a)
+                rollout_usage[kind] += 1
+                states.append(x_next)
+                actions.append(a)
+                rewards.append(r)
+                ret += (cfg.gamma**t) * r
+                x = x_next
+                if ctx.is_terminal is not None and ctx.is_terminal(x):
+                    reached = True
+                    break
+        except ValueError as exc:
+            raise ValueError(f"rollout {n}, step {t}: {exc}") from exc
         if ctx.is_terminal is not None and not reached:
             unreached += 1
         returns.append(ret)

@@ -1,5 +1,7 @@
 """Shared test oracles."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -20,10 +22,11 @@ from moesim.models import (
     PARAMETRIC,
     MLPParams,
     NonparametricModel,
+    NoSupportError,
     RidgePerActionModel,
     mlp_forward,
 )
-from moesim.selection import SelectionContext
+from moesim.selection import SelectionContext, _MctsRun, _trace_record
 
 
 class DeterministicMDP:
@@ -355,3 +358,43 @@ def numpy_acrobot_step(cfg, x, a):
     s[2] = float(np.clip(s[2], -cfg.max_vel1, cfg.max_vel1))
     s[3] = float(np.clip(s[3], -cfg.max_vel2, cfg.max_vel2))
     return s, -1.0
+
+
+class _StepByStepRun(_MctsRun):
+    """A planning decision whose rollouts take the context's memoised
+    successor and one `rng.random()` per simulated step, the way the
+    planner completed rollouts before greedy chains."""
+
+    def default_policy(self, node):
+        state, key, action, terminal = node.state, node.key, node.action, node.terminal
+        tau, delta, delta_g = node.tau, node.delta, node.delta_g
+        while tau < self.horizon and not terminal:
+            try:
+                kind = self.ctx.greedy(state, key, action)
+            except NoSupportError:
+                break
+            succ, action, tau, delta, delta_g = self.step(
+                kind, state, key, action, tau, delta, delta_g
+            )
+            state, key, terminal = succ.state, succ.key, succ.terminal
+        return -delta_g
+
+
+def reference_mcts_select(ctx, x, a, budget, rng, remaining, trace=None):
+    """`mcts_select` rolled out step by step and without the decision
+    memo: the oracle of the planner's greedy chains and decision memo."""
+    run = _StepByStepRun(ctx, remaining, rng)
+    root = run.root(x, a)
+    for _ in range(budget):
+        leaf = run.tree_policy(root)
+        run.backup(leaf, run.default_policy(leaf))
+    candidates = [c for c in root.children if c.visits > 0 and c.best_value > -math.inf]
+    chosen = None
+    if candidates:
+        chosen = max(
+            enumerate(candidates),
+            key=lambda ic: (ic[1].best_value, ic[1].model_choice == NONPARAMETRIC, -ic[0]),
+        )[1].model_choice
+    if trace is not None:
+        trace.append(_trace_record(root, run, chosen))
+    return chosen if chosen is not None else ctx.greedy(root.state, root.key, a)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesim.baselines import (
     CoverageError,
@@ -36,16 +38,22 @@ def random_logged_batch(rng, n_traj=30, horizon=5):
 
 
 class TestOnPolicyReduction:
-    def test_all_ratio_variants_equal_mean_return(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            env, base, behavior, trajs, probs = random_logged_batch(rng)
-            gamma = float(rng.uniform(0.5, 1.0))
-            inp = ISInput.build(trajs, probs, behavior, gamma)  # pi_e == pi_b
-            mean_return = float(np.mean([trajectory_return(t, gamma) for t in trajs]))
-            for variant in ("IS", "WIS", "PDIS", "CWPDIS"):
-                got = is_estimate(inp, variant)
-                assert got == pytest.approx(mean_return, abs=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(0.0, 1.0),
+        n_traj=st.integers(1, 40),
+        gamma=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_all_ratio_variants_equal_mean_return(self, seed, eps, n_traj, gamma):
+        # acceptance criterion 5 keeps its fixed loop over 50 datasets
+        env = DeterministicMDP().env(5)
+        behavior = make_eps_greedy(Policy.deterministic(lambda x: 0 if x[0] < 2 else 1, 2), eps)
+        trajs, probs = generate_trajectories(env, behavior, n_traj, seed=seed)
+        inp = ISInput.build(trajs, probs, behavior, gamma)  # pi_e == pi_b
+        mean_return = float(np.mean([trajectory_return(t, gamma) for t in trajs]))
+        for variant in ("IS", "WIS", "PDIS", "CWPDIS"):
+            assert is_estimate(inp, variant) == pytest.approx(mean_return, abs=1e-12)
 
     def test_dr_wdr_on_policy_with_zero_value_model(self):
         rng = np.random.default_rng(1)

@@ -693,9 +693,12 @@ class TestCLI:
         # the scripted behaviour never asks the evaluation policy, and a
         # stand-in truth value skips the truth rollouts, so the invalid
         # probabilities first meet the estimator's simulated rollouts
-        ({"kind": "env_scripted"}, "estimator p"),
-        ({"kind": "env_scripted"}, "estimator moe"),
-        ({"kind": "env_scripted"}, "estimator mcts_moe"),
+        # a simulated rollout also names the rollout and the step: the first
+        # state above height 3 is reached on step 3, where the policy samples
+        # (p, moe) or a planning decision steps past it (mcts_moe)
+        ({"kind": "env_scripted"}, "estimator p: rollout 0, step 3"),
+        ({"kind": "env_scripted"}, "estimator moe: rollout 0, step 3"),
+        ({"kind": "env_scripted"}, "estimator mcts_moe: rollout 0, step 0"),
     ])
     def test_invalid_policy_probabilities_name_repetition_and_stage(
         self, tmp_path, capsys, monkeypatch, behavior, stage
@@ -703,7 +706,7 @@ class TestCLI:
         self.invalid_eval_policy_partway(monkeypatch)
         estimator = "moe"
         if stage.startswith("estimator "):
-            estimator = stage.removeprefix("estimator ")
+            estimator = stage.removeprefix("estimator ").partition(":")[0]
             monkeypatch.setattr(moesim.experiments, "evaluate_policy_true", lambda *a, **k: -10.0)
         cfg = tiny_config(behavior=behavior, estimators=[estimator], n_repetitions=1)
         message = f"repetition 0, {stage}: policy probabilities must be nonnegative and sum to 1"
@@ -762,7 +765,7 @@ class TestCLI:
         cfg["initial_states"] = [start]
         with pytest.raises(RepetitionError) as err:
             run_repetition(cfg, 0)
-        assert str(err.value) == f"repetition 0, estimator moe_true: {message}"
+        assert str(err.value) == f"repetition 0, estimator moe_true: rollout 0, step 0: {message}"
         assert isinstance(err.value.__cause__, ValueError)
 
     def test_error_maps_subcommand(self, tmp_path):

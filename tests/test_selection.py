@@ -1,5 +1,6 @@
 """Greedy and UCT model selection."""
 
+import functools
 import itertools
 import math
 
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import context_scans, gapped_contexts, path_error_sequences
+from helpers import (
+    context_scans,
+    gapped_contexts,
+    path_error_sequences,
+    reference_mcts_select,
+)
 from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import make_planning_toy, planning_toy_policies, planning_toy_parametric_model
 from moesim.envs import Windy2DConfig, make_eps_greedy, make_windy2d
@@ -49,16 +55,19 @@ class StubContext(StepMemo):
     experts share simple integer-lattice dynamics so tree states stay on
     known keys.  The planner's step and greedy memos are the real ones,
     inherited from `StepMemo`, so script the errors before the first call.
+    `policy` defaults to always taking action 0, and no expert can
+    simulate an action in `unfitted_actions`.
     """
 
     def __init__(self, errors, bound, n_actions=1, horizon_terminal=None,
-                 unusable=()):
+                 unusable=(), policy=None, unfitted_actions=()):
         super().__init__()
         self.errors = errors
         self.bound = bound
-        self.policy = Policy.deterministic(lambda x: 0, n_actions)
+        self.policy = policy or Policy.deterministic(lambda x: 0, n_actions)
         self.is_terminal = horizon_terminal
         self._unusable = set(unusable)
+        self._unfitted_actions = set(unfitted_actions)
         self.np_model = FunctionModel(
             lambda x, a: np.asarray(x) + np.array([1.0]), lambda x, a: 0.0
         )
@@ -70,6 +79,8 @@ class StubContext(StepMemo):
         return self.np_model if kind == NONPARAMETRIC else self.p_model
 
     def available_models(self, a):
+        if a in self._unfitted_actions:
+            return ()
         return tuple(k for k in (NONPARAMETRIC, PARAMETRIC) if k not in self._unusable)
 
     def estimate(self, kind, x, a):
@@ -420,23 +431,13 @@ class TestStepMemo:
     state it leaves behind.  Every state is planned from with every action,
     so a memo entry of one action is there when another is asked."""
 
-    @staticmethod
-    def _decide(ctx, x, a, seed, remaining, budget):
-        rng = np.random.default_rng(seed)
-        trace = []
-        chosen = mcts_select(
-            ctx, x, a, budget, rng,
-            remaining=remaining, trace=trace,
-        )
-        return chosen, trace, rng.bit_generator.state
-
     def _check_warm_equals_fresh(self, build, states, n_actions, remaining, budget):
         warm = build()
         for i, x in enumerate(states):
             for a in range(n_actions):
                 seed = [i, a]
-                got = self._decide(warm, x, a, seed, remaining, budget)
-                assert got == self._decide(build(), x, a, seed, remaining, budget)
+                got = _decide(mcts_select, warm, x, a, remaining, budget, seed)
+                assert got == _decide(mcts_select, build(), x, a, remaining, budget, seed)
 
     @pytest.mark.parametrize("eval_eps", [None, 0.3], ids=["deterministic", "eps_greedy"])
     def test_windy_decisions_on_a_warm_memo_equal_fresh_ones(self, eval_eps):
@@ -468,20 +469,24 @@ class TestStepMemo:
             assert trace[0]["c_e"] == want
 
     def test_each_simulated_step_draws_one_uniform(self):
-        # memo hits and misses alike take the next action from one draw of
-        # the decision's generator, as `Policy.sample` would
+        # memo hits and misses and greedy chains alike leave the decision's
+        # generator where the step-by-step oracle leaves it, which takes one
+        # draw per simulated step (counted at its context's successor), as
+        # `Policy.sample` would
         ds, build, _ = windy_parts(eval_eps=0.3)
-        ctx = build()
+        ctx, ref_ctx = build(), build()
         steps = []
-        successor = ctx.successor
-        ctx.successor = lambda *args: steps.append(args) or successor(*args)
+        successor = ref_ctx.successor
+        ref_ctx.successor = lambda *args: steps.append(args) or successor(*args)
         for x in (ds.transitions[0].x, ds.transitions[0].x, ds.transitions[7].x):
             steps.clear()
-            rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-            mcts_select(ctx, x, 1, 16, rng,
-                        remaining=10)
-            ref.random(len(steps))
-            assert steps and rng.bit_generator.state == ref.bit_generator.state
+            rng, ref, count = (np.random.default_rng(4) for _ in range(3))
+            mcts_select(ctx, x, 1, 16, rng, remaining=10)
+            reference_mcts_select(ref_ctx, x, 1, 16, ref, remaining=10)
+            count.random(len(steps))
+            assert steps
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert ref.bit_generator.state == count.bit_generator.state
 
     def test_greedy_memo_equals_greedy_select_on_a_fresh_context(self):
         ds, build, _ = windy_parts()
@@ -510,6 +515,110 @@ class TestStepMemo:
         for child in root.children:
             with pytest.raises(ValueError):
                 child.state += 1.0
+
+
+@functools.cache
+def _windy_planner(eval_eps):
+    ds, build, _ = windy_parts(eval_eps=eval_eps)
+    starts = [ds.transitions[i].x for i in (0, 7, 31)] + [np.array([0.0, 0.0])]
+    return build, starts, ds.n_actions
+
+
+@functools.cache
+def _toy_planner():
+    # past the logged data the copying expert cycles at the ribbons' ends
+    ds, build = planning_toy_context(horizon=10)
+    starts = [np.array(EVAL_START, dtype=np.float64), np.array([1.0, 1.0]),
+              np.array([30.0, 4.0])] + [ds.transitions[i].x for i in (0, 3, 5)]
+    return build, starts, ds.n_actions
+
+
+@st.composite
+def stub_planners(draw):
+    """A two-action `StubContext` with scripted (some unsupported) errors,
+    a policy that takes action 0 or 1 or mixes them by state, bound
+    constants, maybe a terminal region, and maybe no expert for action 1."""
+    errors = draw(st.dictionaries(
+        st.tuples(st.integers(0, 20).map(float), st.sampled_from([0, 1]),
+                  st.sampled_from([NONPARAMETRIC, PARAMETRIC])),
+        step_errors, max_size=16,
+    ))
+    mixed, second = draw(st.sets(st.integers(0, 12))), draw(st.sets(st.integers(0, 12)))
+
+    def probs(x):
+        k = int(x[0]) % 13
+        if k in mixed:
+            return np.array([0.5, 0.5])
+        return np.array([0.0, 1.0]) if k in second else np.array([1.0, 0.0])
+
+    bound = BoundParams(
+        draw(st.sampled_from([0.0, 0.5, 1.0, 1.3])), draw(st.sampled_from([0.0, 0.5, 1.0])),
+        draw(st.sampled_from([0.9, 1.0])),
+    )
+    terminal_at = draw(st.none() | st.integers(3, 40))
+    unfitted = draw(st.sampled_from([(), (1,)]))
+
+    def build():
+        return StubContext(
+            errors, bound, policy=Policy(2, probs), unfitted_actions=unfitted,
+            horizon_terminal=None if terminal_at is None else lambda x: x[0] >= terminal_at,
+        )
+
+    return build, [np.array([float(k)]) for k in (0, 1, 5)], 2
+
+
+@st.composite
+def planner_cases(draw):
+    """A builder of fresh contexts, start states, and a sequence of
+    decisions (start, action, remaining, budget; seed; on a fresh context
+    or the shared warm one), drawn from up to three templates so that
+    decisions repeat, with their own seeds."""
+    source = draw(st.sampled_from(["windy", "windy_eps_greedy", "planning_toy", "stub"]))
+    if source == "stub":
+        build, starts, n_actions = draw(stub_planners())
+    elif source == "planning_toy":
+        build, starts, n_actions = _toy_planner()
+    else:
+        build, starts, n_actions = _windy_planner(0.3 if source == "windy_eps_greedy" else None)
+    template = st.tuples(
+        st.integers(0, len(starts) - 1), st.integers(0, n_actions - 1),
+        st.integers(1, 30), st.integers(1, 40),
+    )
+    templates = draw(st.lists(template, min_size=1, max_size=3))
+    decisions = draw(st.lists(
+        st.tuples(st.sampled_from(templates), st.integers(0, 3), st.booleans()),
+        min_size=1, max_size=6,
+    ))
+    return build, starts, decisions
+
+
+def _decide(select, ctx, x, a, remaining, budget, seed):
+    """One decision by `select` (the planner or its oracle): its answer
+    (or the `NoSupportError` it raised), trace and generator state after."""
+    rng = np.random.default_rng(seed)
+    trace = []
+    try:
+        chosen = select(ctx, x, a, budget, rng, remaining=remaining, trace=trace)
+    except NoSupportError as exc:
+        chosen = f"NoSupportError: {exc}"
+    return chosen, trace, rng.bit_generator.state
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=planner_cases())
+def test_planner_equals_the_step_by_step_oracle(case):
+    # greedy chains and the decision memo change no answer, trace record
+    # or generator state, and the planner computes the very steps and
+    # greedy picks the oracle computes: none past the remaining horizon
+    build, starts, decisions = case
+    warm = build(), build()
+    for (i, a, remaining, budget), seed, fresh in decisions:
+        ctx, ref_ctx = (build(), build()) if fresh else warm
+        got = _decide(mcts_select, ctx, starts[i], a, remaining, budget, seed)
+        assert got == _decide(reference_mcts_select, ref_ctx, starts[i], a, remaining,
+                              budget, seed)
+        assert ctx._successors.keys() == ref_ctx._successors.keys()
+        assert ctx.greedy_picks.keys() == ref_ctx.greedy_picks.keys()
 
 
 class TestEstimateMemo:
