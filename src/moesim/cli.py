@@ -31,11 +31,14 @@ from .reproduce import (
 
 def _load_config(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"$: {cfg!r} is not of type 'object'")
+    return cfg
 
 
 def _check_jobs(jobs: int) -> None:
@@ -69,24 +72,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 def _write_diagnostic_jsonl(report, out: Path) -> None:
     """Per-rollout and per-decision JSON lines, when the config asked for
     them to be collected."""
-    rollout_lines = []
-    trace_lines = []
-    for rec in report.per_repetition:
-        for name, est in rec["estimates"].items():
-            for row in est.get("rollouts", []):
-                rollout_lines.append({"rep": rec["rep"], "estimator": name, **row})
-            for row in est.get("mcts_trace", []):
-                trace_lines.append({"rep": rec["rep"], "estimator": name, **row})
-    if rollout_lines:
-        with (out / "rollouts.jsonl").open("w") as fh:
-            for row in rollout_lines:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        print(f"wrote {out / 'rollouts.jsonl'}")
-    if trace_lines:
-        with (out / "mcts_trace.jsonl").open("w") as fh:
-            for row in trace_lines:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        print(f"wrote {out / 'mcts_trace.jsonl'}")
+    for key in ("rollouts", "mcts_trace"):
+        lines = [
+            {"rep": rec["rep"], "estimator": name, **row}
+            for rec in report.per_repetition
+            for name, est in rec["estimates"].items()
+            for row in est.get(key, [])
+        ]
+        if lines:
+            path = out / f"{key}.jsonl"
+            with path.open("w") as fh:
+                for row in lines:
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+            print(f"wrote {path}")
 
 
 def _cmd_schema(args: argparse.Namespace) -> None:

@@ -3,7 +3,7 @@ from .base import (
     generate_trajectories,
     make_eps_greedy,
 )
-from .windy import Windy2DConfig, make_windy2d, windy2d_step
+from .windy import make_windy2d, windy2d_step
 from .planning_toy import (
     make_planning_toy,
     planning_toy_policies,
@@ -23,7 +23,6 @@ __all__ = [
     "Environment",
     "generate_trajectories",
     "make_eps_greedy",
-    "Windy2DConfig",
     "make_windy2d",
     "windy2d_step",
     "make_planning_toy",

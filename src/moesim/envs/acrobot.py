@@ -21,6 +21,10 @@ from .base import Environment
 TORQUES = (-1.0, 0.0, 1.0)
 HALF_PI = pi / 2
 TWO_PI = 2 * pi
+DT = 0.2  # seconds per decision step
+MAX_VEL1 = 4.0 * pi
+MAX_VEL2 = 9.0 * pi
+INIT_NOISE = 0.1
 
 
 @dataclass(frozen=True)
@@ -34,12 +38,8 @@ class AcrobotConfig:
     i1: float = 1.0
     i2: float = 1.0
     gravity: float = 9.8
-    dt: float = 0.2
     n_substeps: int = 4
-    max_vel1: float = 4.0 * np.pi
-    max_vel2: float = 9.0 * np.pi
     goal_height: float = 1.0
-    init_noise: float = 0.1
 
 
 def acrobot_step(cfg: AcrobotConfig, x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
@@ -89,7 +89,7 @@ def acrobot_step(cfg: AcrobotConfig, x: StateVec, a: ActionId) -> tuple[np.ndarr
         ) / (c_a2_1 - d2**2 / d1)
         return -(d2 * acc2 + phi1) / d1, acc2
 
-    h = cfg.dt / cfg.n_substeps
+    h = DT / cfg.n_substeps
     half, sixth = 0.5 * h, h / 6.0
     try:
         for _ in range(cfg.n_substeps):
@@ -112,8 +112,8 @@ def acrobot_step(cfg: AcrobotConfig, x: StateVec, a: ActionId) -> tuple[np.ndarr
     return np.array([
         (t1 + pi) % TWO_PI - pi,
         (t2 + pi) % TWO_PI - pi,
-        min(max(w1, -cfg.max_vel1), cfg.max_vel1),
-        min(max(w2, -cfg.max_vel2), cfg.max_vel2),
+        min(max(w1, -MAX_VEL1), MAX_VEL1),
+        min(max(w2, -MAX_VEL2), MAX_VEL2),
     ]), -1.0
 
 
@@ -126,16 +126,17 @@ def tip_heights(X: np.ndarray) -> np.ndarray:
     return -np.cos(X[:, 0]) - np.cos(X[:, 0] + X[:, 1])
 
 
-def make_acrobot(cfg: AcrobotConfig) -> Environment:
-    def sample_initial(rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-cfg.init_noise, cfg.init_noise, size=4)
+def _sample_initial(rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(-INIT_NOISE, INIT_NOISE, size=4)
 
+
+def make_acrobot(cfg: AcrobotConfig) -> Environment:
     return Environment(
         dim=4,
         n_actions=3,
         horizon=cfg.horizon,
         step=lambda x, a: acrobot_step(cfg, x, a),
-        sample_initial=sample_initial,
+        sample_initial=_sample_initial,
         is_terminal=lambda x: tip_height(x) >= cfg.goal_height,
         is_terminal_many=lambda X: tip_heights(X) >= cfg.goal_height,
     )

@@ -28,33 +28,31 @@ from .models import DynamicsModel
 class ErrorEstimate:
     """Paired transition/reward error estimates for one model at one query.
 
-    supported=False means no same-action transition lay within the radius,
-    or an error was not finite; both errors are then infinite, and the
-    caller should fall back to the parametric expert.
+    An estimate is supported when both errors are finite.  The constructor
+    maps any pair with a non-finite error (no same-action transition within
+    the radius, an overflowing ratio or prediction) to (inf, inf), and the
+    caller should then fall back to the parametric expert.
     """
 
     eps_t: float
     eps_r: float
-    supported: bool = True
 
     def __post_init__(self) -> None:
-        if self.supported:
-            if not (np.isfinite(self.eps_t) and np.isfinite(self.eps_r)):
-                raise ValueError("supported estimates must be finite")
-            if self.eps_t < 0 or self.eps_r < 0:
-                raise ValueError("error estimates must be nonnegative")
+        if not (math.isfinite(self.eps_t) and math.isfinite(self.eps_r)):
+            object.__setattr__(self, "eps_t", math.inf)
+            object.__setattr__(self, "eps_r", math.inf)
+        elif self.eps_t < 0 or self.eps_r < 0:
+            raise ValueError("error estimates must be nonnegative")
+
+    @property
+    def supported(self) -> bool:
+        """Both errors are finite; the constructor leaves them both finite
+        or both infinite."""
+        return math.isfinite(self.eps_t)
 
     @staticmethod
     def unsupported() -> "ErrorEstimate":
-        return ErrorEstimate(np.inf, np.inf, supported=False)
-
-    @staticmethod
-    def of(eps_t: float, eps_r: float) -> "ErrorEstimate":
-        """Supported errors eps_t and eps_r when both are finite, else an
-        unsupported estimate (an overflowing ratio or prediction)."""
-        if math.isfinite(eps_t) and math.isfinite(eps_r):
-            return ErrorEstimate(eps_t, eps_r)
-        return ErrorEstimate.unsupported()
+        return ErrorEstimate(math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,7 @@ def np_error_estimate(
         )
         if n > 0:
             lips = LipschitzEstimates(bt, br, n)
-    return ErrorEstimate.of(lips.l_t * near.distance, lips.l_r * near.distance)
+    return ErrorEstimate(lips.l_t * near.distance, lips.l_r * near.distance)
 
 
 def parametric_residuals(
@@ -341,7 +339,7 @@ def p_error_estimate(
     """
     if near is None or len(near.rows) == 0:
         return ErrorEstimate.unsupported()
-    return ErrorEstimate.of(
+    return ErrorEstimate(
         float(residuals[0][near.rows].max()), float(residuals[1][near.rows].max())
     )
 

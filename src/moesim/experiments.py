@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from jsonschema import Draft7Validator
@@ -29,7 +29,6 @@ from .baselines import ISInput, ModelValueFunctions, is_estimate
 from .core import Dataset, Metric, Policy, Trajectory
 from .envs import (
     AcrobotConfig,
-    Windy2DConfig,
     acrobot_heuristic_policy,
     make_acrobot,
     make_eps_greedy,
@@ -278,10 +277,10 @@ def build_task(env_cfg: dict) -> Task:
     env_cfg = settings("env", env_cfg)
     kind = env_cfg["kind"]
     if kind == "windy2d":
-        geometry = Windy2DConfig(horizon=env_cfg["horizon"])
         return Task(  # one analytic expert, whose reward of -1 a step is exact
-            make_windy2d(geometry), windy_eval_policy(geometry), windy_behavior_policy(geometry),
-            {"accurate": lambda: windy_no_wind_model(geometry)},
+            make_windy2d(env_cfg["horizon"]), windy_eval_policy(), windy_behavior_policy(),
+            # called through this module's global, which the benchmark's tracer wraps
+            {"accurate": lambda: windy_no_wind_model()},
         )
     if kind == "planning_toy":
         return Task(
@@ -390,8 +389,8 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
     selection context over it: both experts, the parametric residuals, the
     global Lipschitz ratios, the radius C = mean residual / l_t, and the
     bound constants (the config's `bound` entries override the estimated
-    ratios).  The context estimates errors; `ctx.oracle()` shares its scans
-    for the oracle estimators."""
+    ratios).  The context estimates errors; `ctx.oracle(env.step)` shares
+    its scans for the oracle estimators."""
     batch = generate_batch(cfg, rep)
     env, ds = batch.task.env, batch.visible
     metric = (
@@ -420,8 +419,7 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
     )
     ctx = SelectionContext(
         parametric, NonparametricModel(ds, metric, radius), bound,
-        batch.eval_policy, lips, residuals,
-        true_step=env.step, is_terminal=env.is_terminal,
+        batch.eval_policy, lips, residuals, is_terminal=env.is_terminal,
     )
     return batch, ctx
 
@@ -465,7 +463,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
     sim_cfg = cfg["sim"]
     gamma = sim_cfg["gamma"]
     horizon = sim_cfg["horizon"]
-    ctx_true = ctx_est.oracle() if any(
+    ctx_true = ctx_est.oracle(env.step) if any(
         name.endswith("_true") for name in cfg["estimators"]
     ) else None
 
@@ -579,27 +577,23 @@ def _worker(args: tuple[str, int]) -> dict:
     return run_repetition(json.loads(cfg_json), rep)
 
 
-def run_experiment(
-    cfg: dict, jobs: int = 1, rep_order: Sequence[int] | None = None
-) -> ExperimentReport:
+def run_experiment(cfg: dict, jobs: int = 1) -> ExperimentReport:
     """Run all repetitions and aggregate RMSEs.
 
-    `rep_order` only reorders execution; the report is always sorted by
-    repetition index and identical for any order (seed isolation).
+    The report lists the repetitions by index; each is a pure function of
+    the config and its index, so serial and parallel runs give the same
+    report.
     """
     if jobs < 1:
         raise ConfigError(f"jobs: {jobs} parallel repetitions; give at least 1")
     cfg = validate_config(cfg)
-    order = list(rep_order) if rep_order is not None else list(range(cfg["n_repetitions"]))
-    if sorted(order) != list(range(cfg["n_repetitions"])):
-        raise ValueError("rep_order must be a permutation of the repetitions")
+    reps = range(cfg["n_repetitions"])
     if jobs > 1:
         cfg_json = json.dumps(cfg)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_worker, [(cfg_json, r) for r in order]))
+            records = list(pool.map(_worker, [(cfg_json, r) for r in reps]))
     else:
-        records = [run_repetition(cfg, r) for r in order]
-    records.sort(key=lambda r: r["rep"])
+        records = [run_repetition(cfg, r) for r in reps]
     return ExperimentReport(
         name=cfg["name"],
         config=cfg,
@@ -651,7 +645,8 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     if build_task(cfg["env"]).env.dim != 2:
         raise ConfigError("env.kind: error maps need a 2-D environment")
     batch, ctx = build_context(cfg, 0)
-    env, oracle = batch.task.env, ctx.oracle()
+    env = batch.task.env
+    oracle = ctx.oracle(env.step)
 
     (x_lo, x_hi) = grid["x_range"]
     (y_lo, y_hi) = grid["y_range"]

@@ -198,6 +198,8 @@ def reproduce_consistency(
     n_repetitions: int = 20,
 ) -> dict:
     """Median value-RMSE of the greedy mixture as the behavior batch grows."""
+    # each batch's config seed is derived from the master seed, so check that first
+    validate_config(windy_consistency_config(seed, n_repetitions))
     medians = {}
     details = {}
     for n_traj in batch_sizes:

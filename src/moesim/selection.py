@@ -160,10 +160,11 @@ class StepMemo:
 
 class SelectionContext(StepMemo):
     """Everything one model choice needs: both experts, bound constants,
-    the evaluation policy, and (for oracle mode, which scores each expert
-    by its actual one-step error) the true step function.  The batch data,
-    metric and neighbourhood radius are the nonparametric expert's, whose
-    memoised neighbour scan both local error estimates read.
+    the evaluation policy, and, in oracle mode only, the true step
+    function, against which each expert is scored by its actual one-step
+    error.  The batch data, metric and neighbourhood radius are the
+    nonparametric expert's, whose memoised neighbour scan both local error
+    estimates read.
 
     Complete once built: it takes the repetition's global Lipschitz ratios
     (the nonparametric estimate's fallback) and the parametric model's
@@ -188,10 +189,7 @@ class SelectionContext(StepMemo):
         residuals: tuple[np.ndarray, np.ndarray],
         true_step: Callable[[StateVec, ActionId], tuple[StateVec, float]] | None = None,
         is_terminal: Callable[[StateVec], bool] | None = None,
-        use_true_errors: bool = False,
     ):
-        if use_true_errors and true_step is None:
-            raise ValueError("oracle error mode needs the true step function")
         super().__init__()
         self.parametric = parametric
         self.nonparametric = nonparametric
@@ -199,7 +197,6 @@ class SelectionContext(StepMemo):
         self.policy = policy
         self.true_step = true_step
         self.is_terminal = is_terminal
-        self.use_true_errors = use_true_errors
         self._global_lips = global_lips
         self._residuals = residuals
         self._available = [
@@ -208,14 +205,16 @@ class SelectionContext(StepMemo):
         ]
         self._estimates: dict[tuple[str, bytes, ActionId], ErrorEstimate] = {}
 
-    def oracle(self) -> "SelectionContext":
+    def oracle(
+        self, true_step: Callable[[StateVec, ActionId], tuple[StateVec, float]]
+    ) -> "SelectionContext":
         """This context in oracle mode: the same experts, bound and cached
-        scans, scoring each expert by its actual one-step error.  Its
-        estimate and step memos start empty."""
+        scans, scoring each expert by its actual one-step error against
+        `true_step`.  Its estimate and step memos start empty."""
         return SelectionContext(
             self.parametric, self.nonparametric, self.bound, self.policy,
-            self._global_lips, self._residuals, true_step=self.true_step,
-            is_terminal=self.is_terminal, use_true_errors=True,
+            self._global_lips, self._residuals, true_step=true_step,
+            is_terminal=self.is_terminal,
         )
 
     def model(self, kind: str) -> DynamicsModel:
@@ -242,10 +241,10 @@ class SelectionContext(StepMemo):
         if not self.usable(kind, a):
             return ErrorEstimate.unsupported()
         npm = self.nonparametric
-        if self.use_true_errors:
+        if self.true_step is not None:
             true_next, true_r = self.true_step(x, a)
             pred_next, pred_r = self.model(kind).predict(x, a)
-            return ErrorEstimate.of(
+            return ErrorEstimate(
                 npm.metric.distance(true_next, pred_next), abs(true_r - pred_r)
             )
         near = npm.neighbors(x, a)

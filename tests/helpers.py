@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from moesim.core import Dataset, Metric, Policy, Trajectory, Transition
-from moesim.envs.acrobot import TORQUES
+from moesim.envs.acrobot import DT, MAX_VEL1, MAX_VEL2, TORQUES
 from moesim.envs.base import Environment
 from moesim.errors import (
     BoundParams,
@@ -277,11 +277,15 @@ def serial_rollout(model, policy, x, a, remaining, gamma, is_terminal=None):
     return total, remaining
 
 
+def gapped_true_step(x, a):
+    """The true step of `gapped_contexts`' task, for their oracle mode."""
+    return 0.5 * np.asarray(x) + a, float(x[0])
+
+
 @st.composite
 def gapped_contexts(draw, coordinate=st.floats(-10, 10) | st.floats(-1e-154, 1e-154)):
     """A small 2-D SelectionContext over three actions with a uniform
-    evaluation policy, a linear true step (for oracle mode) and a terminal
-    region x[0] > 5.  The data has no row of one action, and the ridge
+    evaluation policy and a terminal region x[0] > 5.  The data has no row of one action, and the ridge
     expert is fitted without the rows of another, which the data has.
     Coordinates near 0 give near-coincident starts, whose Lipschitz ratios
     can overflow.  Returns the context and, per expert, the actions it has
@@ -303,9 +307,7 @@ def gapped_contexts(draw, coordinate=st.floats(-10, 10) | st.floats(-1e-154, 1e-
     radius = draw(st.sampled_from([choose_radius(residuals[0], lips.l_t), 0.0, 1.0, np.inf]))
     ctx = SelectionContext(
         ridge, NonparametricModel(ds, metric, radius), BoundParams(1.0, 1.0, 1.0),
-        uniform_policy(3), lips, residuals,
-        true_step=lambda x, a: (0.5 * np.asarray(x) + a, float(x[0])),
-        is_terminal=lambda x: bool(x[0] > 5.0),
+        uniform_policy(3), lips, residuals, is_terminal=lambda x: bool(x[0] > 5.0),
     )
     logged_actions = set(ds.actions.tolist())
     return ctx, {NONPARAMETRIC: logged_actions, PARAMETRIC: logged_actions - {unfit}}
@@ -350,13 +352,13 @@ def numpy_acrobot_step(cfg, x, a):
     `acrobot_step` must match bit for bit."""
     s = np.asarray(x, dtype=np.float64).copy()
     torque = TORQUES[a]
-    h = cfg.dt / cfg.n_substeps
+    h = DT / cfg.n_substeps
     for _ in range(cfg.n_substeps):
         s = _rk4_step(cfg, s, torque, h)
     s[0] = _wrap(s[0])
     s[1] = _wrap(s[1])
-    s[2] = float(np.clip(s[2], -cfg.max_vel1, cfg.max_vel1))
-    s[3] = float(np.clip(s[3], -cfg.max_vel2, cfg.max_vel2))
+    s[2] = float(np.clip(s[2], -MAX_VEL1, MAX_VEL1))
+    s[3] = float(np.clip(s[3], -MAX_VEL2, MAX_VEL2))
     return s, -1.0
 
 

@@ -18,7 +18,6 @@ from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
 from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import (
     AcrobotConfig,
-    Windy2DConfig,
     acrobot_heuristic_policy,
     make_acrobot,
     make_eps_greedy,
@@ -30,7 +29,16 @@ from moesim.envs import (
 )
 from moesim.envs.acrobot import tip_heights
 from moesim.envs.base import generate_trajectories, rollouts
-from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
+from moesim.envs.windy import (
+    BEHAVIOR_BAND_X,
+    BEHAVIOR_CLIMB_X,
+    BEHAVIOR_CLIMB_Y,
+    EVAL_TURN_Y,
+    GOAL_BOX,
+    windy_behavior_policy,
+    windy_eval_policy,
+    windy_no_wind_model,
+)
 from moesim.errors import parametric_residuals
 from moesim.experiments import build_eval_policy, build_task
 from moesim.models import FunctionModel, MLPModel, NoSupportError, RidgePerActionModel
@@ -108,8 +116,8 @@ def test_ridge_rejects_wrong_state_dimension():
 
 @pytest.fixture(scope="module")
 def fitted_mlp():
-    env = make_windy2d(WINDY)
-    trajs, _ = generate_trajectories(env, windy_behavior_policy(WINDY), 2, seed=4)
+    env = make_windy2d(60)
+    trajs, _ = generate_trajectories(env, windy_behavior_policy(), 2, seed=4)
     ds = Dataset.from_trajectories(trajs, env.n_actions)
     return MLPModel(ds.dim, ds.n_actions, 8, 1, seed=1).fit(ds, 20, 0.05)
 
@@ -121,7 +129,7 @@ def fitted_mlp():
 )
 def test_mlp_and_analytic_predict_many_rows_equal_predict(fitted_mlp, X, seed):
     A = np.random.default_rng(seed).integers(0, 4, size=len(X))
-    for model in (windy_no_wind_model(WINDY), planning_toy_parametric_model("accurate")):
+    for model in (windy_no_wind_model(), planning_toy_parametric_model("accurate")):
         assert_rows_match(model, X, A)
     fitted = np.array([fitted_mlp.fitted(int(a)) for a in A], dtype=bool)
     assert_rows_match(fitted_mlp, X[fitted], A[fitted])
@@ -134,10 +142,9 @@ def test_mlp_and_analytic_predict_many_rows_equal_predict(fitted_mlp, X, seed):
 # probs_many
 # ---------------------------------------------------------------------------
 
-WINDY = Windy2DConfig(horizon=60)
 TIES = (
-    0.0, -0.0, 1.0, 11.0, WINDY.eval_turn_y, WINDY.behavior_climb_y,
-    WINDY.behavior_climb_x, WINDY.behavior_band_x, 1e-12, -1e-300,
+    0.0, -0.0, 1.0, 11.0, EVAL_TURN_Y, BEHAVIOR_CLIMB_Y, BEHAVIOR_CLIMB_X, BEHAVIOR_BAND_X,
+    1e-12, -1e-300,
 )
 coordinate = st.one_of(st.sampled_from(TIES), st.floats(-20, 20))
 
@@ -150,9 +157,9 @@ def built_in_policies():
         build_task({"kind": "windy2d"}),
     )
     return [
-        ("windy_eval", windy_eval_policy(WINDY), 2),
-        ("windy_behavior", windy_behavior_policy(WINDY), 2),
-        ("windy_eps", make_eps_greedy(windy_eval_policy(WINDY), 0.3), 2),
+        ("windy_eval", windy_eval_policy(), 2),
+        ("windy_behavior", windy_behavior_policy(), 2),
+        ("windy_eps", make_eps_greedy(windy_eval_policy(), 0.3), 2),
         ("toy_eval", toy_eval, 2),
         ("toy_behavior", toy_behavior, 2),
         ("constant", constant, 2),
@@ -180,8 +187,8 @@ def test_probs_many_threshold_ties():
     acro = acrobot_heuristic_policy()
     X = np.array([[0, 0, 0, 0.0], [0, 0, 0, -0.0], [0, 0, 0, -1e-300]])
     assert np.argmax(acro.probs_many(X), axis=1).tolist() == [2, 2, 0]
-    windy = windy_eval_policy(WINDY)
-    Y = np.array([[0.0, WINDY.eval_turn_y], [0.0, np.nextafter(WINDY.eval_turn_y, 0)]])
+    windy = windy_eval_policy()
+    Y = np.array([[0.0, EVAL_TURN_Y], [0.0, np.nextafter(EVAL_TURN_Y, 0)]])
     assert np.argmax(windy.probs_many(Y), axis=1).tolist() == [3, 0]
 
 
@@ -401,8 +408,7 @@ def test_choose_many_equals_choose(case):
     assert Policy.choose_many(P, U).tolist() == [Policy.choose(p, u) for p, u in zip(P, U)]
 
 
-GOAL_TIES = (WINDY.goal_box[0][0], WINDY.goal_box[0][1], WINDY.goal_box[1][0],
-             WINDY.goal_box[1][1])
+GOAL_TIES = (*GOAL_BOX[0], *GOAL_BOX[1])
 windy_coordinate = st.one_of(
     st.sampled_from(TIES + GOAL_TIES),
     st.sampled_from(GOAL_TIES).map(lambda v: float(np.nextafter(v, 0.0))),
@@ -414,12 +420,11 @@ windy_coordinate = st.one_of(
 @given(
     rows=st.lists(st.tuples(windy_coordinate, windy_coordinate, st.integers(0, 3)),
                   max_size=12),
-    slope=st.sampled_from([0.0, 0.03, 0.1]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_windy_step_many_equals_step(rows, slope, seed):
+def test_windy_step_many_equals_step(rows, seed):
     # the drawn rows, then 20 uniform ones, whose sums round at random
-    env = make_windy2d(Windy2DConfig(horizon=60, wind_slope=slope))
+    env = make_windy2d(60)
     rng = np.random.default_rng(seed)
     X = np.concatenate([np.array([r[:2] for r in rows]).reshape(len(rows), 2),
                         rng.uniform(-20, 20, size=(20, 2))])
@@ -450,8 +455,8 @@ def rollout_cases(draw):
     kind = draw(st.sampled_from(["windy", "acrobot", "toy"]))
     horizon = draw(st.integers(1, 12 if kind == "acrobot" else 45))
     if kind == "windy":
-        env = make_windy2d(Windy2DConfig(horizon=horizon))
-        base = draw(st.sampled_from([windy_eval_policy(WINDY), windy_behavior_policy(WINDY)]))
+        env = make_windy2d(horizon)
+        base = draw(st.sampled_from([windy_eval_policy(), windy_behavior_policy()]))
         point = st.tuples(st.floats(-2, 14), st.floats(-2, 14))
     elif kind == "acrobot":
         env = make_acrobot(AcrobotConfig(horizon=horizon))
@@ -504,8 +509,8 @@ def test_lockstep_rollouts_equal_the_serial_oracle(case):
 def test_one_lockstep_batch_ends_rollouts_at_every_point():
     """In one batch, a terminal start is stepped once, another rollout
     reaches the goal mid-way, and a third runs to the horizon."""
-    env = make_windy2d(Windy2DConfig(horizon=40))
-    policy = make_eps_greedy(windy_eval_policy(WINDY), 0.3)
+    env = make_windy2d(40)
+    policy = make_eps_greedy(windy_eval_policy(), 0.3)
     starts = [TERMINAL_START["windy"], (0.2, 0.3), (0.0, -30.0)]
     trajs, _ = rollouts(env, policy, 40, 5, [0, 1, 2], starts)
     assert [(len(t), t.terminated) for t in trajs] == [(1, True), (32, True), (40, False)]
@@ -551,7 +556,7 @@ def residual_cases(draw):
     elif kind == "closed_form":
         model = FunctionModel(lambda x, a: 0.7 * x + a, lambda x, a: float(x[0]) - a)
     else:
-        model = windy_no_wind_model(WINDY)
+        model = windy_no_wind_model()
     return ds, Metric(np.array(weights)), model
 
 

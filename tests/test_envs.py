@@ -11,7 +11,6 @@ from helpers import context_scans, numpy_acrobot_step, uniform_policy
 from moesim.core import Dataset, Metric, Policy, trajectory_return
 from moesim.envs import (
     AcrobotConfig,
-    Windy2DConfig,
     acrobot_heuristic_policy,
     acrobot_step,
     make_acrobot,
@@ -24,6 +23,7 @@ from moesim.envs import (
     planning_toy_step,
     tip_height,
 )
+from moesim.envs.acrobot import MAX_VEL1, MAX_VEL2
 from moesim.envs.base import generate_trajectories
 from moesim.envs.planning_toy import BEHAVIOR_STARTS, DIAG_ACTION, RIGHT_ACTION
 from moesim.envs.windy import (
@@ -32,91 +32,87 @@ from moesim.envs.windy import (
     UP,
     in_goal,
     windy2d_step,
+    windy2d_step_many,
     windy_behavior_policy,
     windy_eval_policy,
-    windy_no_wind_model,
 )
 from moesim.errors import BoundParams, choose_radius
 from moesim.experiments import generate_batch, validate_config
-from moesim.models import PARAMETRIC, NonparametricModel
+from moesim.models import PARAMETRIC, FunctionModel, NonparametricModel
 from moesim.selection import SelectionContext
 from moesim.simulator import SimConfig, evaluate_policy_true, rollout_policy, simulate_value
 
 
 class TestWindy2D:
     def test_step_without_wind_at_ground_level(self):
-        cfg = Windy2DConfig(horizon=60, step_size=1.0, wind_slope=0.1)
-        x_next, r = windy2d_step(cfg, np.array([0.0, 0.0]), UP)
+        x_next, r = windy2d_step(np.array([0.0, 0.0]), UP)
         assert np.allclose(x_next, [0.0, 1.0]) and r == -1.0
 
     def test_wind_subtracts_from_rightward_motion(self):
-        cfg = Windy2DConfig(horizon=60, step_size=1.0, wind_slope=0.1)
-        x_next, _ = windy2d_step(cfg, np.array([0.0, 2.0]), RIGHT)
-        assert np.allclose(x_next, [0.8, 2.0])
+        x_next, _ = windy2d_step(np.array([0.0, 2.0]), RIGHT)
+        assert np.allclose(x_next, [0.94, 2.0])
 
     def test_goal_gives_negative_step_count(self):
-        cfg = Windy2DConfig(horizon=60)
-        env = make_windy2d(cfg)
+        env = make_windy2d(60)
         rng = np.random.default_rng(1)
         (traj,) = rollout_policy(
-            env, windy_behavior_policy(cfg), [env.sample_initial(rng)], 60, seed=1, ids=[0]
+            env, windy_behavior_policy(), [env.sample_initial(rng)], 60, seed=1, ids=[0]
         )
         assert traj.terminated
         assert trajectory_return(traj, 1.0) == -float(len(traj))
-        assert in_goal(cfg, traj.states[-1])
+        assert in_goal(traj.states[-1])
 
     def test_step_determinism(self):
-        cfg = Windy2DConfig(horizon=60)
         x = np.array([1.234, 5.678])
-        a1 = windy2d_step(cfg, x, DOWN)
-        a2 = windy2d_step(cfg, x, DOWN)
+        a1 = windy2d_step(x, DOWN)
+        a2 = windy2d_step(x, DOWN)
         assert np.array_equal(a1[0], a2[0]) and a1[1] == a2[1]
 
     def test_behavior_enters_goal_moving_down_only(self):
         # the data-side guarantee behind the capped nonparametric estimator:
         # the only transitions ending inside the goal carry the down action
-        cfg = Windy2DConfig(horizon=60)
-        env = make_windy2d(cfg)
-        trajs, _ = generate_trajectories(env, windy_behavior_policy(cfg), 25, seed=3)
+        env = make_windy2d(60)
+        trajs, _ = generate_trajectories(env, windy_behavior_policy(), 25, seed=3)
         entries = []
         for traj in trajs:
             assert traj.terminated
             for tr in traj.transitions:
-                if in_goal(cfg, tr.x_next):
+                if in_goal(tr.x_next):
                     entries.append(tr.a)
         assert entries and set(entries) == {DOWN}
 
     def test_eval_policy_uses_up_and_right_only(self):
-        cfg = Windy2DConfig(horizon=60)
-        env = make_windy2d(cfg)
-        pol = windy_eval_policy(cfg)
+        env = make_windy2d(60)
+        pol = windy_eval_policy()
         rng = np.random.default_rng(5)
         starts = [env.sample_initial(rng) for _ in range(5)]
         for traj in rollout_policy(env, pol, starts, 60, seed=5, ids=range(5)):
             assert traj.terminated
             assert set(traj.actions) <= {UP, RIGHT}
 
-    def test_no_wind_case_makes_all_estimators_coincide(self):
-        # with zero wind the analytic expert is exact, so the mixture, the
+    def test_exact_expert_makes_all_estimators_coincide(self):
+        # an exact parametric expert has zero residuals, so the radius is 0,
+        # the mixture never copies a neighbour, and the mixture, the
         # parametric-only and the true value all agree
-        cfg = Windy2DConfig(horizon=60, wind_slope=0.0)
-        env = make_windy2d(cfg)
-        trajs, _ = generate_trajectories(env, windy_behavior_policy(cfg), 6, seed=9)
+        env = make_windy2d(60)
+        trajs, _ = generate_trajectories(env, windy_behavior_policy(), 6, seed=9)
         ds = Dataset.from_trajectories(trajs, 4)
         m = Metric.euclidean(2)
-        pmodel = windy_no_wind_model(cfg)
+        pmodel = FunctionModel(
+            lambda x, a: windy2d_step(x, a)[0], lambda x, a: -1.0, windy2d_step_many
+        )
         lips, residuals = context_scans(ds, pmodel, m)
         radius = choose_radius(residuals[0], lips.l_t)
         ctx = SelectionContext(
             pmodel, NonparametricModel(ds, m, radius),
-            BoundParams(lips.l_t, lips.l_r, 1.0), windy_eval_policy(cfg),
+            BoundParams(lips.l_t, lips.l_r, 1.0), windy_eval_policy(),
             lips, residuals, is_terminal=env.is_terminal,
         )
         sim = SimConfig(6, 60, 1.0, seed=4)
         moe = simulate_value(ctx, sim)
         par = simulate_value(ctx, replace(sim, mode=PARAMETRIC))
         assert moe.v_hat == par.v_hat
-        v_true = evaluate_policy_true(env, windy_eval_policy(cfg), 40, 60, 1.0, seed=1)
+        v_true = evaluate_policy_true(env, windy_eval_policy(), 40, 60, 1.0, seed=1)
         assert abs(moe.v_hat - v_true) < 1.0  # only start-sampling jitter
 
 
@@ -275,7 +271,7 @@ class TestAcrobotKernel:
     @given(
         cfg=st.sampled_from(ACROBOT_CONFIGS),
         t1=ANGLES, t2=ANGLES,
-        w1=velocities(ACROBOT.max_vel1), w2=velocities(ACROBOT.max_vel2),
+        w1=velocities(MAX_VEL1), w2=velocities(MAX_VEL2),
         a=st.integers(0, 2),
     )
     # states whose step changes bits when one squaring (of w2, w1 or d2) is
@@ -300,7 +296,7 @@ class TestAcrobotKernel:
         # velocity clips and wraps both angles
         rng = np.random.default_rng(0)
         x = np.array([0.05, -0.03, 0.02, 0.0])
-        max_vel = {2: ACROBOT.max_vel1, 3: ACROBOT.max_vel2}
+        max_vel = {2: MAX_VEL1, 3: MAX_VEL2}
         clipped, wrapped = set(), set()
         for _ in range(1000):
             a = int(rng.integers(3)) if rng.random() < 0.2 else (2 if x[3] >= 0 else 0)
@@ -339,9 +335,8 @@ class TestEpsGreedy:
         assert p.sum() == pytest.approx(1.0)
 
     def test_logged_probabilities_match_policy(self):
-        cfg = Windy2DConfig(horizon=60)
-        env = make_windy2d(cfg)
-        pol = make_eps_greedy(windy_eval_policy(cfg), 0.3)
+        env = make_windy2d(60)
+        pol = make_eps_greedy(windy_eval_policy(), 0.3)
         trajs, probs = generate_trajectories(env, pol, 4, seed=2)
         for traj, logged in zip(trajs, probs):
             for tr, pb in zip(traj.transitions, logged):
@@ -356,7 +351,7 @@ class TestEnvironmentDeterminism:
     @pytest.mark.parametrize("which", ["windy", "toy", "acrobot"])
     def test_repeat_steps_bitwise_equal(self, which):
         if which == "windy":
-            env = make_windy2d(Windy2DConfig(horizon=60))
+            env = make_windy2d(60)
             x = np.array([0.7, 3.1])
         elif which == "toy":
             env = make_planning_toy(10)

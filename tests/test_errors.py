@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import block_pair_scan, context_scans, estimate_lipschitz, state_error_closed_form
 from moesim import errors
 from moesim.core import Dataset, Metric, Transition
-from moesim.envs import Windy2DConfig, make_windy2d
+from moesim.envs import make_windy2d
 from moesim.envs.base import generate_trajectories
 from moesim.envs.windy import windy_behavior_policy, windy_no_wind_model
 from moesim.errors import (
@@ -240,7 +240,7 @@ class TestLipschitzEstimation:
             # a given l_t stands in for the inf ratio
             assert lips.with_given({"l_t": 1.5}) == LipschitzEstimates(1.5, 0.0, 2, inf_t=1)
             # the scans of a config that gives the bound keep the inf ratio
-            assert context_scans(ds, windy_no_wind_model(Windy2DConfig(horizon=9)), m)[0] == lips
+            assert context_scans(ds, windy_no_wind_model(), m)[0] == lips
             # and the local scan around those starts comes back unsupported
             near = ds.neighbor_rows(np.array([0.0, 0.0]), 1, 1.0, m)
             assert not np_error_estimate(ds, near, m, lips).supported
@@ -420,11 +420,10 @@ class TestChooseRadius:
         assert choose_radius(residuals_t, l_t) == expect
 
     def test_windy_value_recomputed_from_serialized_dataset(self):
-        cfg = Windy2DConfig(horizon=60)
-        env = make_windy2d(cfg)
-        trajs, _ = generate_trajectories(env, windy_behavior_policy(cfg), 6, seed=5)
+        env = make_windy2d(60)
+        trajs, _ = generate_trajectories(env, windy_behavior_policy(), 6, seed=5)
         ds = Dataset.from_trajectories(trajs, 4)
-        model = windy_no_wind_model(cfg)
+        model = windy_no_wind_model()
         m = Metric.euclidean(2)
         c = radius_of(ds, model, m)
 
@@ -511,10 +510,12 @@ class TestErrorEstimateType:
     def test_validation(self):
         with pytest.raises(ValueError):
             ErrorEstimate(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            ErrorEstimate(np.inf, 0.0, supported=True)
+        # a pair with any non-finite error is unsupported, and both errors are inf
+        for eps_t, eps_r in [(np.inf, 0.0), (0.0, np.nan), (-np.inf, 1.0)]:
+            assert ErrorEstimate(eps_t, eps_r) == ErrorEstimate.unsupported()
         est = ErrorEstimate.unsupported()
-        assert not est.supported and np.isinf(est.eps_t)
+        assert not est.supported and np.isinf(est.eps_t) and np.isinf(est.eps_r)
+        assert ErrorEstimate(0.0, 2.0).supported
 
     def test_bound_params_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moesim.experiments
 from moesim.cli import build_parser
@@ -187,11 +189,17 @@ class TestRunExperiment:
         }
         assert run_experiment(cfg).to_json() == ACROBOT_GOLDEN.read_text()
 
-    def test_rep_order_permutation_is_invisible(self):
-        cfg = tiny_config(n_repetitions=3)
-        forward = run_experiment(cfg)
-        permuted = run_experiment(cfg, rep_order=[2, 0, 1])
-        assert forward.to_json() == permuted.to_json()
+    @settings(max_examples=6, deadline=None)
+    @given(order=st.permutations(range(3)))
+    def test_repetitions_in_any_order_equal_the_report(self, order):
+        # repetitions run one after another in one process, in any order,
+        # give the report's records: none reads state another left behind
+        cfg = validate_config(tiny_config(n_repetitions=3))
+        records = sorted((run_repetition(cfg, r) for r in order), key=lambda rec: rec["rep"])
+        report = run_experiment(cfg)
+        assert json.dumps(records, sort_keys=True) == json.dumps(
+            report.per_repetition, sort_keys=True
+        )
 
     @pytest.mark.parametrize(
         "run",
@@ -512,6 +520,31 @@ class TestCLI:
         assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate"], ["evaluate", "--seed", "3"], ["evaluate", "--mcts-trace"],
+         ["evaluate", "--rollout-log"], ["error-maps"], ["error-maps", "--seed", "1"]],
+        ids=["evaluate", "evaluate_seed", "evaluate_mcts_trace", "evaluate_rollout_log",
+             "error_maps", "error_maps_seed"],
+    )
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, command):
+        # an override must not index the config before it is known to be an object
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        argv = [command[0], "--config", str(cfg_path), "--out", str(tmp_path), *command[1:]]
+        assert cli_main(argv) == 2
+        assert "config error: $: [1, 2] is not of type 'object'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("which", ["table1", "table2", "consistency"])
+    def test_negative_reproduce_seed_exits_2(self, tmp_path, capsys, which):
+        # consistency derives its configs' seeds from the master seed
+        assert cli_main(["reproduce", which, "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert "config error: $.seed: -1 is less than the minimum of 0" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_declared_model_seed_is_accepted(self):
         cfg = validate_config(tiny_config(model={"kind": "mlp", "seed": 3}))
         assert cfg["model"]["seed"] == 3
@@ -668,9 +701,9 @@ class TestCLI:
 
     def test_repetition_error_chains_the_cause(self, monkeypatch):
         self.diverging_truth_rollouts(monkeypatch)
-        cfg = tiny_config(model={"kind": "ridge"}, estimators=["moe"])
+        cfg = validate_config(tiny_config(model={"kind": "ridge"}, estimators=["moe"]))
         with pytest.raises(RepetitionError) as err:
-            run_experiment(cfg, rep_order=[1, 0])
+            run_repetition(cfg, 1)
         assert str(err.value) == "repetition 1, truth rollouts: diverged: non-finite true state"
         assert isinstance(err.value.__cause__, FloatingPointError)
 

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every function, method and class the package defines is used by the
-package, the runtime dependencies are exactly the third-party modules
-the package imports, and importing the package starts no thread.
+package, every exported name resolves, the runtime dependencies are
+exactly the third-party modules the package imports, and importing the
+package starts no thread.
 
 The first two checks skip `__init__.py` files: their imports are the
 package's re-exports, and a name only they mention is public API that
@@ -9,6 +10,7 @@ nothing inside runs.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -90,6 +92,22 @@ def test_detects_an_unreferenced_definition():
 def test_package_defines_nothing_only_tests_use():
     found = unreferenced_definitions([path.read_text() for path in MODULES])
     assert [name for name in found if name not in API_EDGE] == []
+
+
+def test_every_api_edge_name_is_defined():
+    # a definition deleted from the package leaves API_EDGE with it
+    defined = {
+        node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert sorted(set(API_EDGE) - defined) == []
+
+
+@pytest.mark.parametrize("module", ["moesim", "moesim.envs"])
+def test_every_export_resolves(module):
+    # a name deleted from the package leaves `__all__` with it
+    package = importlib.import_module(module)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
 def unread_class_attributes(sources: list[str]) -> list[str]:

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from helpers import (
     context_scans,
     gapped_contexts,
+    gapped_true_step,
     path_error_sequences,
     reference_mcts_select,
 )
 from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import make_planning_toy, planning_toy_policies, planning_toy_parametric_model
-from moesim.envs import Windy2DConfig, make_eps_greedy, make_windy2d
+from moesim.envs import make_eps_greedy, make_windy2d
 from moesim.envs.base import generate_trajectories
 from moesim.envs.planning_toy import BEHAVIOR_STARTS, EVAL_START
 from moesim.envs.windy import windy_eval_policy, windy_no_wind_model
@@ -369,20 +370,20 @@ class TestMctsOnPlanningToy:
             assert child["visits"] > 0
 
 
-def windy_parts(use_true_errors=False, eval_eps=None):
+def windy_parts(oracle=False, eval_eps=None):
     """A windy batch and (its dataset, a builder of fresh contexts over it,
-    the direct error estimate); `eval_eps` makes the evaluation policy
-    eps-greedy, so that planner rollouts draw stochastic actions."""
-    cfg = Windy2DConfig(horizon=60)
-    env = make_windy2d(cfg)
-    behavior = make_eps_greedy(windy_eval_policy(cfg), 0.3)
+    the direct error estimate); `oracle` scores the experts against the
+    true step, and `eval_eps` makes the evaluation policy eps-greedy, so
+    that planner rollouts draw stochastic actions."""
+    env = make_windy2d(60)
+    behavior = make_eps_greedy(windy_eval_policy(), 0.3)
     trajs, _ = generate_trajectories(env, behavior, 12, seed=3)
     ds = Dataset.from_trajectories(trajs, env.n_actions)
     m = Metric.euclidean(2)
-    model = windy_no_wind_model(cfg)
+    model = windy_no_wind_model()
     lips, residuals = context_scans(ds, model, m)
     radius = choose_radius(residuals[0], lips.l_t)
-    policy = windy_eval_policy(cfg)
+    policy = windy_eval_policy()
     if eval_eps is not None:
         policy = make_eps_greedy(policy, eval_eps)
 
@@ -390,13 +391,12 @@ def windy_parts(use_true_errors=False, eval_eps=None):
         return SelectionContext(
             model, NonparametricModel(ds, m, radius),
             BoundParams(lips.l_t, lips.l_r, 1.0), policy,
-            true_step=env.step, is_terminal=env.is_terminal,
-            use_true_errors=use_true_errors, global_lips=lips,
-            residuals=residuals,
+            true_step=env.step if oracle else None, is_terminal=env.is_terminal,
+            global_lips=lips, residuals=residuals,
         )
 
     def direct(kind, x, a):
-        if use_true_errors:
+        if oracle:
             true_next, true_r = env.step(x, a)
             pred_next, pred_r = build().model(kind).predict(x, a)
             return ErrorEstimate(m.distance(true_next, pred_next), abs(true_r - pred_r))
@@ -420,7 +420,6 @@ def planning_toy_context(horizon):
         model, NonparametricModel(ds, m, 1.0),
         bound=BoundParams(1.0, math.sqrt(2.0), 1.0), policy=eval_policy,
         global_lips=lips, residuals=residuals, true_step=env.step,
-        use_true_errors=True,
     )
 
 
@@ -627,8 +626,8 @@ class TestEstimateMemo:
     direct estimate, whatever was asked before it."""
 
     @staticmethod
-    def _windy(use_true_errors=False):
-        return windy_parts(use_true_errors)
+    def _windy(oracle=False):
+        return windy_parts(oracle)
 
     @staticmethod
     def _queries(ds, rng):
@@ -645,9 +644,9 @@ class TestEstimateMemo:
         order = rng.permutation(len(queries))
         return [queries[i] for i in order]
 
-    @pytest.mark.parametrize("use_true_errors", [False, True])
-    def test_memo_equals_fresh_context_and_direct_estimate(self, use_true_errors):
-        ds, build, direct = self._windy(use_true_errors)
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_memo_equals_fresh_context_and_direct_estimate(self, oracle):
+        ds, build, direct = self._windy(oracle)
         ctx = build()
         rng = np.random.default_rng(17)
         for query, x in self._queries(ds, rng):
@@ -743,15 +742,15 @@ class TestExpertSets:
 def test_every_estimate_is_supported_and_finite_or_unsupported_and_infinite(case, queries):
     # a query is a point scaled by 1 or pushed far from every logged start
     ctx, data_actions = case
-    for context in (ctx, ctx.oracle()):
+    for context in (ctx, ctx.oracle(gapped_true_step)):
         for point, scale in queries:
             x = np.array(point) * scale
             for kind, a in itertools.product((NONPARAMETRIC, PARAMETRIC), range(3)):
                 est = context.estimate(kind, x, a)
-                finite = math.isfinite(est.eps_t) and math.isfinite(est.eps_r)
-                assert est.supported == finite
                 if est.supported:
                     assert est.eps_t >= 0 and est.eps_r >= 0
+                else:
+                    assert est == ErrorEstimate.unsupported()
                 assert context.usable(kind, a) == (a in data_actions[kind])
                 if not context.usable(kind, a):
                     assert not est.supported

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import context_scans, gapped_contexts
 from moesim.core import Dataset, Metric, Policy, Trajectory
-from moesim.envs import Windy2DConfig, make_planning_toy, make_windy2d, planning_toy_policies
+from moesim.envs import make_planning_toy, make_windy2d, planning_toy_policies
 from moesim.envs.base import generate_trajectories
 from moesim.envs.planning_toy import BEHAVIOR_STARTS, EVAL_START
 from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
@@ -24,14 +24,13 @@ from moesim.simulator import (
 
 
 def build_windy_context(seed=7, n_traj=10):
-    cfg = Windy2DConfig(horizon=60)
-    env = make_windy2d(cfg)
-    behavior = windy_behavior_policy(cfg)
-    eval_policy = windy_eval_policy(cfg)
+    env = make_windy2d(60)
+    behavior = windy_behavior_policy()
+    eval_policy = windy_eval_policy()
     trajs, _ = generate_trajectories(env, behavior, n_traj, seed=seed)
     ds = Dataset.from_trajectories(trajs, env.n_actions)
     m = Metric.euclidean(2)
-    pmodel = windy_no_wind_model(cfg)
+    pmodel = windy_no_wind_model()
     lips, residuals = context_scans(ds, pmodel, m)
     radius = choose_radius(residuals[0], lips.l_t)
     ctx = SelectionContext(
@@ -244,9 +243,8 @@ class TestEvaluatePolicyTrue:
         assert vals[0] == vals[1] == vals[2]
 
     def test_negative_step_count_on_termination(self):
-        cfg = Windy2DConfig(horizon=60)
-        env = make_windy2d(cfg)
-        pol = windy_behavior_policy(cfg)
+        env = make_windy2d(60)
+        pol = windy_behavior_policy()
         x0 = env.sample_initial(np.random.default_rng(0))
         (traj,) = rollout_policy(env, pol, [x0], 60, seed=0, ids=[0])
         assert traj.terminated
