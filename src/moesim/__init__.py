@@ -24,8 +24,6 @@ from .errors import (
     global_lipschitz,
     np_error_estimate,
     p_error_estimate,
-    return_error_bound,
-    rollforward_state_error,
 )
 from .models import (
     NONPARAMETRIC,
@@ -38,7 +36,6 @@ from .models import (
     RidgePerActionModel,
 )
 from .selection import (
-    PlanNode,
     SelectionContext,
     greedy_select,
     mcts_select,
@@ -66,8 +63,6 @@ __all__ = [
     "global_lipschitz",
     "np_error_estimate",
     "p_error_estimate",
-    "return_error_bound",
-    "rollforward_state_error",
     "NONPARAMETRIC",
     "PARAMETRIC",
     "DynamicsModel",
@@ -76,7 +71,6 @@ __all__ = [
     "NonparametricModel",
     "NoSupportError",
     "RidgePerActionModel",
-    "PlanNode",
     "SelectionContext",
     "greedy_select",
     "mcts_select",

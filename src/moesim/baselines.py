@@ -83,9 +83,9 @@ class ModelValueFunctions:
 
     Stochastic policies are rolled along their argmax action (an
     approximation; control variates need not be exact to keep the doubly
-    robust estimators unbiased).  When the task has a known terminal
-    region, rollouts stop there: `terminal_many` tests a batch of states
-    (`Environment.terminal_many`).
+    robust estimators unbiased).  Rollouts stop in the task's terminal
+    region: `terminal_many` tests a batch of states
+    (`Environment.terminal_many`, all False for a task without one).
 
     `q` is an exact memo keyed on (float64 bytes of x, a, remaining).  The
     keys it is missing are rolled in lockstep: `q_many` rolls all of its
@@ -103,7 +103,7 @@ class ModelValueFunctions:
     policy: Policy
     horizon: int
     gamma: float
-    terminal_many: Callable[[np.ndarray], np.ndarray] | None = None
+    terminal_many: Callable[[np.ndarray], np.ndarray]
     _q_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _probs_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -166,8 +166,7 @@ class ModelValueFunctions:
         remaining = np.array([r for _, _, r in keys])
         totals = np.zeros(len(keys))
         live = np.flatnonzero(remaining > 0)
-        if self.terminal_many is not None:
-            live = live[~self.terminal_many(state[live])]
+        live = live[~self.terminal_many(state[live])]
         k = 0
         while len(live):
             state_next, r = self.model.predict_many(state[live], action[live])
@@ -178,10 +177,7 @@ class ModelValueFunctions:
             totals[live] += (self.gamma**k) * r
             state[live] = state_next
             k += 1
-            go_on = remaining[live] > k
-            if self.terminal_many is not None:
-                go_on &= ~self.terminal_many(state_next)
-            live = live[go_on]
+            live = live[(remaining[live] > k) & ~self.terminal_many(state_next)]
             if len(live):
                 action[live] = np.argmax(self.policy.probs_many(state[live]), axis=1)
         self._q_memo.update(zip(keys, totals.tolist()))

@@ -12,7 +12,6 @@ from .planning_toy import (
     planning_toy_step,
 )
 from .acrobot import (
-    AcrobotConfig,
     acrobot_heuristic_policy,
     acrobot_step,
     make_acrobot,
@@ -30,7 +29,6 @@ __all__ = [
     "planning_toy_parametric_model",
     "planning_toy_reward_model",
     "planning_toy_step",
-    "AcrobotConfig",
     "acrobot_heuristic_policy",
     "acrobot_step",
     "make_acrobot",

@@ -10,7 +10,6 @@ fourth-order Runge-Kutta with substeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, isfinite, pi, sin
 
 import numpy as np
@@ -25,24 +24,33 @@ DT = 0.2  # seconds per decision step
 MAX_VEL1 = 4.0 * pi
 MAX_VEL2 = 9.0 * pi
 INIT_NOISE = 0.1
+M1 = M2 = 1.0  # link masses
+L1 = 1.0  # length of the first link
+LC1 = LC2 = 0.5  # distance from each link's pivot to its centre of mass
+I1 = I2 = 1.0  # moments of inertia
+GRAVITY = 9.8
+N_SUBSTEPS = 4  # RK4 substeps per decision step
+GOAL_HEIGHT = 1.0  # tip height that ends an episode
+
+# _C_<x>_<k>: the k-th constant part of the equation for x, folded once.
+# Only a leftmost run of a product or sum is folded: folding constants
+# further right would reassociate floating-point operations.
+_C_D1_0 = M1 * LC1**2
+_C_D1_1 = L1**2 + LC2**2
+_C_D1_2 = 2 * L1 * LC2
+_C_D2_0 = LC2**2
+_C_D2_1 = L1 * LC2
+_C_PHI2_0 = M2 * LC2 * GRAVITY
+_C_PHI1_0 = -M2 * L1 * LC2
+_C_PHI1_1 = 2 * M2 * L1 * LC2
+_C_PHI1_2 = (M1 * LC1 + M2 * L1) * GRAVITY
+_C_A2_0 = M2 * L1 * LC2
+_C_A2_1 = M2 * LC2**2 + I2
+_H = DT / N_SUBSTEPS
+_HALF, _SIXTH = 0.5 * _H, _H / 6.0
 
 
-@dataclass(frozen=True)
-class AcrobotConfig:
-    horizon: int
-    m1: float = 1.0
-    m2: float = 1.0
-    l1: float = 1.0
-    lc1: float = 0.5
-    lc2: float = 0.5
-    i1: float = 1.0
-    i2: float = 1.0
-    gravity: float = 9.8
-    n_substeps: int = 4
-    goal_height: float = 1.0
-
-
-def acrobot_step(cfg: AcrobotConfig, x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
+def acrobot_step(x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
     """One decision step: RK4-integrate the equations of motion for dt with
     the chosen constant torque, wrap angles, clip velocities; reward -1.
 
@@ -56,55 +64,36 @@ def acrobot_step(cfg: AcrobotConfig, x: StateVec, a: ActionId) -> tuple[np.ndarr
     if not all(map(isfinite, start)):
         raise ValueError(f"acrobot state must be finite: {list(start)}")
     t1, t2, w1, w2 = start
-    m1, m2, l1, lc1, lc2, i1, i2, g = (
-        cfg.m1, cfg.m2, cfg.l1, cfg.lc1, cfg.lc2, cfg.i1, cfg.i2, cfg.gravity,
-    )
-    # c_<x>_<k>: the k-th constant part of the equation for x, folded once.
-    # Only a leftmost run of a product or sum is folded: folding constants
-    # further right would reassociate floating-point operations.
-    c_d1_0 = m1 * lc1**2
-    c_d1_1 = l1**2 + lc2**2
-    c_d1_2 = 2 * l1 * lc2
-    c_d2_0 = lc2**2
-    c_d2_1 = l1 * lc2
-    c_phi2_0 = m2 * lc2 * g
-    c_phi1_0 = -m2 * l1 * lc2
-    c_phi1_1 = 2 * m2 * l1 * lc2
-    c_phi1_2 = (m1 * lc1 + m2 * l1) * g
-    c_a2_0 = m2 * l1 * lc2
-    c_a2_1 = m2 * lc2**2 + i2
     torque = TORQUES[a]
 
     def accelerations(t1: float, t2: float, w1: float, w2: float) -> tuple[float, float]:
         cos2, sin2 = cos(t2), sin(t2)
-        d1 = c_d1_0 + m2 * (c_d1_1 + c_d1_2 * cos2) + i1 + i2
-        d2 = m2 * (c_d2_0 + c_d2_1 * cos2) + i2
-        phi2 = c_phi2_0 * cos(t1 + t2 - HALF_PI)
+        d1 = _C_D1_0 + M2 * (_C_D1_1 + _C_D1_2 * cos2) + I1 + I2
+        d2 = M2 * (_C_D2_0 + _C_D2_1 * cos2) + I2
+        phi2 = _C_PHI2_0 * cos(t1 + t2 - HALF_PI)
         phi1 = (
-            c_phi1_0 * w2**2 * sin2 - c_phi1_1 * w2 * w1 * sin2
-            + c_phi1_2 * cos(t1 - HALF_PI) + phi2
+            _C_PHI1_0 * w2**2 * sin2 - _C_PHI1_1 * w2 * w1 * sin2
+            + _C_PHI1_2 * cos(t1 - HALF_PI) + phi2
         )
         acc2 = (
-            torque + (d2 / d1) * phi1 - c_a2_0 * w1**2 * sin2 - phi2
-        ) / (c_a2_1 - d2**2 / d1)
+            torque + (d2 / d1) * phi1 - _C_A2_0 * w1**2 * sin2 - phi2
+        ) / (_C_A2_1 - d2**2 / d1)
         return -(d2 * acc2 + phi1) / d1, acc2
 
-    h = DT / cfg.n_substeps
-    half, sixth = 0.5 * h, h / 6.0
     try:
-        for _ in range(cfg.n_substeps):
+        for _ in range(N_SUBSTEPS):
             # classic RK4; stage k's derivative is (its velocities, its accelerations)
             a1_1, a2_1 = accelerations(t1, t2, w1, w2)
-            w1_2, w2_2 = w1 + half * a1_1, w2 + half * a2_1
-            a1_2, a2_2 = accelerations(t1 + half * w1, t2 + half * w2, w1_2, w2_2)
-            w1_3, w2_3 = w1 + half * a1_2, w2 + half * a2_2
-            a1_3, a2_3 = accelerations(t1 + half * w1_2, t2 + half * w2_2, w1_3, w2_3)
-            w1_4, w2_4 = w1 + h * a1_3, w2 + h * a2_3
-            a1_4, a2_4 = accelerations(t1 + h * w1_3, t2 + h * w2_3, w1_4, w2_4)
-            t1 = t1 + sixth * (w1 + 2 * w1_2 + 2 * w1_3 + w1_4)
-            t2 = t2 + sixth * (w2 + 2 * w2_2 + 2 * w2_3 + w2_4)
-            w1 = w1 + sixth * (a1_1 + 2 * a1_2 + 2 * a1_3 + a1_4)
-            w2 = w2 + sixth * (a2_1 + 2 * a2_2 + 2 * a2_3 + a2_4)
+            w1_2, w2_2 = w1 + _HALF * a1_1, w2 + _HALF * a2_1
+            a1_2, a2_2 = accelerations(t1 + _HALF * w1, t2 + _HALF * w2, w1_2, w2_2)
+            w1_3, w2_3 = w1 + _HALF * a1_2, w2 + _HALF * a2_2
+            a1_3, a2_3 = accelerations(t1 + _HALF * w1_2, t2 + _HALF * w2_2, w1_3, w2_3)
+            w1_4, w2_4 = w1 + _H * a1_3, w2 + _H * a2_3
+            a1_4, a2_4 = accelerations(t1 + _H * w1_3, t2 + _H * w2_3, w1_4, w2_4)
+            t1 = t1 + _SIXTH * (w1 + 2 * w1_2 + 2 * w1_3 + w1_4)
+            t2 = t2 + _SIXTH * (w2 + 2 * w2_2 + 2 * w2_3 + w2_4)
+            w1 = w1 + _SIXTH * (a1_1 + 2 * a1_2 + 2 * a1_3 + a1_4)
+            w2 = w2 + _SIXTH * (a2_1 + 2 * a2_2 + 2 * a2_3 + a2_4)
         if not all(map(isfinite, (t1, t2, w1, w2))):
             raise OverflowError  # an inf or NaN that no operation raised for
     except (OverflowError, ValueError) as exc:  # also `**` overflow, cos/sin of inf
@@ -130,15 +119,15 @@ def _sample_initial(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-INIT_NOISE, INIT_NOISE, size=4)
 
 
-def make_acrobot(cfg: AcrobotConfig) -> Environment:
+def make_acrobot(horizon: int) -> Environment:
     return Environment(
         dim=4,
         n_actions=3,
-        horizon=cfg.horizon,
-        step=lambda x, a: acrobot_step(cfg, x, a),
+        horizon=horizon,
+        step=acrobot_step,
         sample_initial=_sample_initial,
-        is_terminal=lambda x: tip_height(x) >= cfg.goal_height,
-        is_terminal_many=lambda X: tip_heights(X) >= cfg.goal_height,
+        is_terminal=lambda x: tip_height(x) >= GOAL_HEIGHT,
+        is_terminal_many=lambda X: tip_heights(X) >= GOAL_HEIGHT,
     )
 
 

@@ -75,7 +75,7 @@ def make_planning_toy(horizon: int) -> Environment:
         dim=2,
         n_actions=2,
         horizon=horizon,
-        step=lambda x, a: planning_toy_step(x, a),
+        step=planning_toy_step,
         sample_initial=lambda rng: EVAL_START.copy(),
         is_terminal=None,
     )

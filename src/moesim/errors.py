@@ -1,12 +1,12 @@
-"""Local model-error estimation and return-error bound arithmetic.
+"""Local model-error estimation.
 
 The nonparametric expert's one-step error is bounded by a local Lipschitz
 ratio times the distance to its nearest same-action neighbor.  The
 parametric expert's error is taken as the worst residual it makes on the
 transitions observed near the query.  Both estimates share one neighborhood
 radius, chosen where the nonparametric estimate crosses the global average
-parametric residual.  The per-step errors feed a discounted return-error
-bound that the planner minimizes.
+parametric residual.  The per-step errors feed the discounted return-error
+bound that the planner minimizes (`selection`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -106,10 +106,6 @@ class BoundParams:
             raise ValueError("Lipschitz constants must be nonnegative")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
-
-
-class InsufficientPairsError(RuntimeError):
-    """No transition pair with nonzero start distance was available."""
 
 
 _ROWS, _COLS = 128, 256  # pairs per tile of the pair scan; a tile's buffers stay in cache
@@ -253,8 +249,10 @@ def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
 
     Cross-action pairs are excluded: they would mix different dynamics.  A
     ratio that overflows comes back inf, with the first action whose ratio
-    overflowed in `inf_t` / `inf_r`.  Above _THREADED_PAIRS pairs the scan
-    runs on one thread per CPU, in a pool that is shut down before return.
+    overflowed in `inf_t` / `inf_r`.  A dataset with no same-action pair
+    of distinct starts gives ratios 0 over 0 pairs.  Above _THREADED_PAIRS
+    pairs the scan runs on one thread per CPU, in a pool that is shut down
+    before return.
     """
     actions = {}
     for a in range(ds.n_actions):
@@ -266,8 +264,6 @@ def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
     best_t = max((t for t, _, _ in found.values()), default=0.0)
     best_r = max((r for _, r, _ in found.values()), default=0.0)
     used = sum(u for _, _, u in found.values())
-    if used == 0:
-        raise InsufficientPairsError("dataset holds no usable same-action pair")
     inf_t = min((a for a, (t, _, _) in found.items() if math.isinf(t)), default=None)
     inf_r = min((a for a, (_, r, _) in found.items() if math.isinf(r)), default=None)
     return LipschitzEstimates(best_t, best_r, used, inf_t, inf_r)
@@ -364,38 +360,3 @@ def choose_radius(residuals_t: np.ndarray, l_t: float) -> float:
     if l_t == 0.0:
         return np.inf
     return float(finite.mean()) / l_t
-
-
-# ---------------------------------------------------------------------------
-# State-error recursion and the return-error bound
-# ---------------------------------------------------------------------------
-
-
-def rollforward_state_error(
-    delta_prev: float, p: BoundParams, eps_t: float
-) -> float:
-    """One step of the state-error recursion: delta' = l_t * delta + eps_t."""
-    if delta_prev < 0 or eps_t < 0:
-        raise ValueError("state errors must be nonnegative")
-    return p.l_t * delta_prev + eps_t
-
-
-def return_error_bound(
-    eps_t_seq: Sequence[float], eps_r_seq: Sequence[float], p: BoundParams
-) -> float:
-    """Upper bound on |true return - simulated return| over a horizon.
-
-    With delta(0) = 0 and delta(t) = l_t * delta(t-1) + eps_t[t-1], the
-    bound is sum_t gamma^t * (l_r * delta(t) + eps_r[t]).  The last
-    transition-error entry only matters through delta terms beyond the
-    horizon and therefore never affects the value.
-    """
-    if len(eps_t_seq) != len(eps_r_seq):
-        raise ValueError("error sequences must have equal length")
-    total = 0.0
-    delta = 0.0
-    for t, eps_r in enumerate(eps_r_seq):
-        if t > 0:
-            delta = rollforward_state_error(delta, p, eps_t_seq[t - 1])
-        total += (p.gamma**t) * (p.l_r * delta + eps_r)
-    return total

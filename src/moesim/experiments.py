@@ -28,7 +28,6 @@ from .baselines import VARIANTS as IS_ESTIMATORS
 from .baselines import ISInput, ModelValueFunctions, is_estimate
 from .core import Dataset, Metric, Policy, Trajectory
 from .envs import (
-    AcrobotConfig,
     acrobot_heuristic_policy,
     make_acrobot,
     make_eps_greedy,
@@ -42,7 +41,6 @@ from .envs.base import Environment, generate_trajectories
 from .envs.planning_toy import BEHAVIOR_STARTS, REWARD_VARIANTS
 from .envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
 from .errors import BoundParams, choose_radius, global_lipschitz, parametric_residuals
-from .errors import InsufficientPairsError, LipschitzEstimates
 from .models import (
     NONPARAMETRIC,
     PARAMETRIC,
@@ -288,7 +286,7 @@ def build_task(env_cfg: dict) -> Task:
             {v: (lambda v=v: planning_toy_parametric_model(v)) for v in REWARD_VARIANTS},
             behavior_starts=BEHAVIOR_STARTS,
         )
-    env = make_acrobot(AcrobotConfig(horizon=env_cfg["horizon"]))
+    env = make_acrobot(env_cfg["horizon"])
     heuristic = acrobot_heuristic_policy()
     return Task(env, heuristic, heuristic, None, height=tip_heights)
 
@@ -405,10 +403,7 @@ def build_context(cfg: dict, rep: int) -> tuple[Batch, SelectionContext]:
         parametric = fit_parametric(batch.dataset, cfg["model"])
     residuals = parametric_residuals(ds, parametric, metric)
     given = {k: v for k, v in settings("bound", cfg["bound"]).items() if v is not None}
-    try:
-        lips = global_lipschitz(ds, metric)
-    except InsufficientPairsError:
-        lips = LipschitzEstimates(0.0, 0.0, 0)
+    lips = global_lipschitz(ds, metric)
     # an overflowed ratio must be given, and the given value then also sets
     # the radius and the nonparametric fallback ratios
     lips = lips.with_given(given)
@@ -642,6 +637,9 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     cfg = validate_config(cfg)
     if grid["resolution"] < 1:
         raise ConfigError("resolution: the grid needs at least 1 point per axis")
+    for key in ("x_range", "y_range"):
+        if not all(map(math.isfinite, grid[key])):
+            raise ConfigError(f"{key}: {list(grid[key])} must be finite")
     if build_task(cfg["env"]).env.dim != 2:
         raise ConfigError("env.kind: error maps need a 2-D environment")
     batch, ctx = build_context(cfg, 0)

@@ -6,16 +6,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 from moesim.core import Dataset, Metric, Policy, Trajectory, Transition
-from moesim.envs.acrobot import DT, MAX_VEL1, MAX_VEL2, TORQUES
+from moesim.envs.acrobot import (
+    DT, GRAVITY, I1, I2, L1, LC1, LC2, M1, M2, MAX_VEL1, MAX_VEL2, N_SUBSTEPS, TORQUES,
+)
 from moesim.envs.base import Environment
 from moesim.errors import (
     BoundParams,
-    InsufficientPairsError,
     LipschitzEstimates,
     choose_radius,
     global_lipschitz,
     parametric_residuals,
-    return_error_bound,
 )
 from moesim.models import (
     NONPARAMETRIC,
@@ -112,14 +112,9 @@ def simulate_bound_instance(rng, horizon=5):
 def context_scans(ds, model, metric):
     """The two whole-batch scans a SelectionContext takes, computed the way
     `experiments.build_context` computes them for a config that gives both
-    bound constants: (global Lipschitz ratios, parametric residuals).  A
-    dataset without a usable pair gets ratios 0, and an overflowed ratio
-    stays inf."""
-    try:
-        lips = global_lipschitz(ds, metric)
-    except InsufficientPairsError:
-        lips = LipschitzEstimates(0.0, 0.0, 0)
-    return lips, parametric_residuals(ds, model, metric)
+    bound constants: (global Lipschitz ratios, parametric residuals).  An
+    overflowed ratio stays inf."""
+    return global_lipschitz(ds, metric), parametric_residuals(ds, model, metric)
 
 
 def rollout_with_probs(env, policy, x0, horizon, rng):
@@ -190,7 +185,7 @@ def estimate_lipschitz(pairs, metric):
     """Max ratio estimates over explicit transition pairs.
 
     Pairs whose start states coincide (zero distance) are skipped to avoid
-    division by zero; with nothing left it raises InsufficientPairsError.
+    division by zero; with nothing left the ratios are 0 over 0 pairs.
     """
     best_t = 0.0
     best_r = 0.0
@@ -202,9 +197,34 @@ def estimate_lipschitz(pairs, metric):
         used += 1
         best_t = max(best_t, metric.distance(ti.x_next, tj.x_next) / d)
         best_r = max(best_r, abs(ti.r - tj.r) / d)
-    if used == 0:
-        raise InsufficientPairsError("no usable pair with nonzero start distance")
     return LipschitzEstimates(best_t, best_r, used)
+
+
+def rollforward_state_error(delta_prev, p, eps_t):
+    """One step of the state-error recursion: delta' = l_t * delta + eps_t."""
+    if delta_prev < 0 or eps_t < 0:
+        raise ValueError("state errors must be nonnegative")
+    return p.l_t * delta_prev + eps_t
+
+
+def return_error_bound(eps_t_seq, eps_r_seq, p):
+    """Upper bound on |true return - simulated return| over a horizon, the
+    paper's bound and the reference of the planner's incremental one.
+
+    With delta(0) = 0 and delta(t) = l_t * delta(t-1) + eps_t[t-1], the
+    bound is sum_t gamma^t * (l_r * delta(t) + eps_r[t]).  The last
+    transition-error entry only matters through delta terms beyond the
+    horizon and therefore never affects the value.
+    """
+    if len(eps_t_seq) != len(eps_r_seq):
+        raise ValueError("error sequences must have equal length")
+    total = 0.0
+    delta = 0.0
+    for t, eps_r in enumerate(eps_r_seq):
+        if t > 0:
+            delta = rollforward_state_error(delta, p, eps_t_seq[t - 1])
+        total += (p.gamma**t) * (p.l_r * delta + eps_r)
+    return total
 
 
 def state_error_closed_form(eps_t_seq, p, t):
@@ -313,11 +333,8 @@ def gapped_contexts(draw, coordinate=st.floats(-10, 10) | st.floats(-1e-154, 1e-
     return ctx, {NONPARAMETRIC: logged_actions, PARAMETRIC: logged_actions - {unfit}}
 
 
-def _acrobot_derivatives(cfg, s, torque):
+def _acrobot_derivatives(s, torque, m1, m2, l1, lc1, lc2, i1, i2, g):
     theta1, theta2, w1, w2 = s
-    m1, m2, l1, lc1, lc2, i1, i2, g = (
-        cfg.m1, cfg.m2, cfg.l1, cfg.lc1, cfg.lc2, cfg.i1, cfg.i2, cfg.gravity,
-    )
     d1 = m1 * lc1**2 + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * np.cos(theta2)) + i1 + i2
     d2 = m2 * (lc2**2 + l1 * lc2 * np.cos(theta2)) + i2
     phi2 = m2 * lc2 * g * np.cos(theta1 + theta2 - np.pi / 2)
@@ -334,11 +351,11 @@ def _acrobot_derivatives(cfg, s, torque):
     return np.array([w1, w2, a1, a2])
 
 
-def _rk4_step(cfg, s, torque, h):
-    k1 = _acrobot_derivatives(cfg, s, torque)
-    k2 = _acrobot_derivatives(cfg, s + 0.5 * h * k1, torque)
-    k3 = _acrobot_derivatives(cfg, s + 0.5 * h * k2, torque)
-    k4 = _acrobot_derivatives(cfg, s + h * k3, torque)
+def _rk4_step(s, torque, h, physics):
+    k1 = _acrobot_derivatives(s, torque, *physics)
+    k2 = _acrobot_derivatives(s + 0.5 * h * k1, torque, *physics)
+    k3 = _acrobot_derivatives(s + 0.5 * h * k2, torque, *physics)
+    k4 = _acrobot_derivatives(s + h * k3, torque, *physics)
     return s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -346,15 +363,19 @@ def _wrap(angle):
     return float((angle + np.pi) % (2 * np.pi) - np.pi)
 
 
-def numpy_acrobot_step(cfg, x, a):
+def numpy_acrobot_step(
+    x, a, *, m1=M1, m2=M2, l1=L1, lc1=LC1, lc2=LC2, i1=I1, i2=I2, gravity=GRAVITY,
+    n_substeps=N_SUBSTEPS,
+):
     """The acrobot step on numpy float64 scalars and 4-vectors, written
-    straight from the equations of motion: the reference that
-    `acrobot_step` must match bit for bit."""
+    straight from the equations of motion: at the package's constants, the
+    reference that `acrobot_step` must match bit for bit."""
     s = np.asarray(x, dtype=np.float64).copy()
     torque = TORQUES[a]
-    h = DT / cfg.n_substeps
-    for _ in range(cfg.n_substeps):
-        s = _rk4_step(cfg, s, torque, h)
+    h = DT / n_substeps
+    physics = (m1, m2, l1, lc1, lc2, i1, i2, gravity)
+    for _ in range(n_substeps):
+        s = _rk4_step(s, torque, h, physics)
     s[0] = _wrap(s[0])
     s[1] = _wrap(s[1])
     s[2] = float(np.clip(s[2], -MAX_VEL1, MAX_VEL1))

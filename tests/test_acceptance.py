@@ -15,6 +15,7 @@ from helpers import (
     DeterministicMDP,
     flatten,
     mlp_loss,
+    rollforward_state_error,
     simulate_bound_instance,
     state_error_closed_form,
     unflatten_like,
@@ -23,7 +24,7 @@ from helpers import (
 from moesim.baselines import ISInput, is_estimate
 from moesim.core import Metric, trajectory_return
 from moesim.envs.base import generate_trajectories, make_eps_greedy
-from moesim.errors import BoundParams, rollforward_state_error
+from moesim.errors import BoundParams
 from moesim.experiments import run_repetition, validate_config
 from moesim.models import (
     NONPARAMETRIC,

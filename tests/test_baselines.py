@@ -13,7 +13,7 @@ from moesim.baselines import (
     is_estimate,
 )
 from moesim.core import Dataset, Metric, Policy, Trajectory, trajectory_return
-from moesim.envs import AcrobotConfig, acrobot_heuristic_policy, make_acrobot, make_eps_greedy
+from moesim.envs import acrobot_heuristic_policy, make_acrobot, make_eps_greedy
 from moesim.envs.base import generate_trajectories
 from moesim.models import FunctionModel, RidgePerActionModel
 
@@ -60,7 +60,7 @@ class TestOnPolicyReduction:
         env, base, behavior, trajs, probs = random_logged_batch(rng)
         inp = ISInput.build(trajs, probs, behavior, 1.0)
         zero = ModelValueFunctions(
-            FunctionModel(lambda x, a: x, lambda x, a: 0.0), behavior, 5, 1.0
+            FunctionModel(lambda x, a: x, lambda x, a: 0.0), behavior, 5, 1.0, env.terminal_many
         )
         mean_return = float(np.mean([trajectory_return(t, 1.0) for t in trajs]))
         assert is_estimate(inp, "DR", value_model=zero) == pytest.approx(mean_return, abs=1e-12)
@@ -181,7 +181,7 @@ class TestDoublyRobust:
         inp = ISInput.build(trajs, probs, eval_policy, 1.0)
         exact_env_model = FunctionModel(lambda x, a: env.step(x, a)[0],
                                         lambda x, a: env.step(x, a)[1])
-        vm = ModelValueFunctions(exact_env_model, eval_policy, 5, 1.0)
+        vm = ModelValueFunctions(exact_env_model, eval_policy, 5, 1.0, env.terminal_many)
         dr = is_estimate(inp, "DR", value_model=vm)
         wdr = is_estimate(inp, "WDR", value_model=vm)
         assert np.isfinite(dr) and np.isfinite(wdr)
@@ -197,7 +197,7 @@ class TestDoublyRobust:
         inp = ISInput.build(trajs, probs, pol, 1.0)
         exact_env_model = FunctionModel(lambda x, a: env.step(x, a)[0],
                                         lambda x, a: env.step(x, a)[1])
-        vm = ModelValueFunctions(exact_env_model, pol, horizon, 1.0)
+        vm = ModelValueFunctions(exact_env_model, pol, horizon, 1.0, env.terminal_many)
         full = is_estimate(inp, "DR", value_model=vm)
         sub = ISInput(inp.trajectories[:2], inp.behavior_probs[:2], inp.eval_probs[:2], 1.0)
         assert is_estimate(sub, "DR", value_model=vm) == pytest.approx(full, abs=1e-12)
@@ -209,7 +209,7 @@ class TestValueFunctionMemo:
 
     def test_acrobot_q_v_and_dr_equal_a_fresh_instance(self):
         horizon = 30
-        env = make_acrobot(AcrobotConfig(horizon=horizon))
+        env = make_acrobot(horizon)
         eval_policy = make_eps_greedy(acrobot_heuristic_policy(), 0.1)
         behavior = make_eps_greedy(acrobot_heuristic_policy(), 0.3)
         trajs, probs = generate_trajectories(env, behavior, 3, seed=2)

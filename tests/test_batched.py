@@ -17,7 +17,6 @@ from helpers import rollout_with_probs, serial_rollout, uniform_policy
 from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
 from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import (
-    AcrobotConfig,
     acrobot_heuristic_policy,
     make_acrobot,
     make_eps_greedy,
@@ -231,7 +230,7 @@ def test_probs_many_of_no_rows():
 @given(arrays(np.float64, st.tuples(st.integers(0, 20), st.just(4)),
               elements=st.floats(-10, 10)))
 def test_acrobot_terminal_test_batches_bit_for_bit(X):
-    env = make_acrobot(AcrobotConfig(horizon=300))
+    env = make_acrobot(300)
     assert bits(tip_heights(X)) == bits([tip_height(x) for x in X])
     assert env.is_terminal_many(X).tolist() == [env.is_terminal(x) for x in X]
 
@@ -250,7 +249,7 @@ GOAL_HEIGHTS = (-2.5, -1.6, -1.45, 1.0)
 
 @pytest.fixture(scope="module")
 def acrobot_batch():
-    env = make_acrobot(AcrobotConfig(horizon=HORIZON))
+    env = make_acrobot(HORIZON)
     behavior = make_eps_greedy(acrobot_heuristic_policy(), 0.3)
     trajs, probs = generate_trajectories(env, behavior, 4, seed=3)
     ds = Dataset.from_trajectories(trajs, env.n_actions)
@@ -260,10 +259,13 @@ def acrobot_batch():
 
 
 def acrobot_env(goal_height, batched_terminal=True):
-    """Acrobot at HORIZON; without `batched_terminal` its terminal test runs
-    one row at a time."""
-    env = make_acrobot(AcrobotConfig(horizon=HORIZON, goal_height=goal_height))
-    return env if batched_terminal else replace(env, is_terminal_many=None)
+    """Acrobot at HORIZON whose episodes end at tip height `goal_height`;
+    without `batched_terminal` its terminal test runs one row at a time."""
+    return replace(
+        make_acrobot(HORIZON),
+        is_terminal=lambda x: tip_height(x) >= goal_height,
+        is_terminal_many=(lambda X: tip_heights(X) >= goal_height) if batched_terminal else None,
+    )
 
 
 def value_functions(model, policy, goal_height, batched_terminal, gamma=0.97):
@@ -459,7 +461,7 @@ def rollout_cases(draw):
         base = draw(st.sampled_from([windy_eval_policy(), windy_behavior_policy()]))
         point = st.tuples(st.floats(-2, 14), st.floats(-2, 14))
     elif kind == "acrobot":
-        env = make_acrobot(AcrobotConfig(horizon=horizon))
+        env = make_acrobot(horizon)
         base = acrobot_heuristic_policy()
         point = st.tuples(*[st.floats(-4, 4)] * 2, *[st.floats(-20, 20)] * 2)
     else:
@@ -517,7 +519,7 @@ def test_one_lockstep_batch_ends_rollouts_at_every_point():
 
 
 def test_acrobot_overflow_in_a_lockstep_batch_names_the_state():
-    env = make_acrobot(AcrobotConfig(horizon=20))
+    env = make_acrobot(20)
     starts = [(0.1, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 400.0), (0.0, 0.0, 0.0, 0.0)]
     with pytest.raises(ValueError, match=re.escape(
         "acrobot step overflowed from state [0.0, 0.0, 0.0, 400.0]"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from helpers import context_scans, numpy_acrobot_step, uniform_policy
 from moesim.core import Dataset, Metric, Policy, trajectory_return
 from moesim.envs import (
-    AcrobotConfig,
     acrobot_heuristic_policy,
     acrobot_step,
     make_acrobot,
@@ -155,26 +154,20 @@ class TestPlanningToy:
         assert np.allclose(horiz.states[-1], [11.0, 0.0])
 
 
-def acrobot_cfg():
-    return AcrobotConfig(horizon=300)
-
-
 class TestAcrobot:
-    def test_gravity_free_equilibrium(self):
-        cfg = AcrobotConfig(horizon=300, gravity=0.0)
-        x, r = acrobot_step(cfg, np.zeros(4), 1)  # zero torque
+    def test_hanging_rest_state_stays_put(self):
+        x, r = acrobot_step(np.zeros(4), 1)  # zero torque
         assert np.allclose(x, np.zeros(4), atol=1e-12)
         assert r == -1.0
 
     def test_step_halving_convergence(self):
         # RK4: halving the substep shrinks the step error by about 2^4
-        cfg = acrobot_cfg()
         rng = np.random.default_rng(0)
         ratios = []
         for _ in range(5):
             x = rng.uniform(-0.5, 0.5, size=4)
             coarse, fine, finer = (
-                acrobot_step(replace(cfg, n_substeps=k), x, 2)[0] for k in (2, 4, 8)
+                numpy_acrobot_step(x, 2, n_substeps=k)[0] for k in (2, 4, 8)
             )
             e1 = np.linalg.norm(coarse - fine)
             e2 = np.linalg.norm(fine - finer)
@@ -186,7 +179,7 @@ class TestAcrobot:
         assert tip_height(np.zeros(4)) == pytest.approx(-2.0)
         upright = np.array([np.pi, 0.0, 0.0, 0.0])
         assert tip_height(upright) == pytest.approx(2.0)
-        env = make_acrobot(AcrobotConfig(horizon=300, goal_height=1.0))
+        env = make_acrobot(300)
         assert env.is_terminal(upright)
         assert not env.is_terminal(np.zeros(4))
         # a state whose tip sits just above the threshold is terminal
@@ -195,8 +188,7 @@ class TestAcrobot:
         assert env.is_terminal(just_above)
 
     def test_heuristic_policy_reaches_goal(self):
-        cfg = AcrobotConfig(goal_height=1.0, horizon=400)
-        env = make_acrobot(cfg)
+        env = make_acrobot(400)
         rng = np.random.default_rng(3)
         (traj,) = rollout_policy(
             env, acrobot_heuristic_policy(), [env.sample_initial(rng)], 400, seed=3, ids=[0]
@@ -224,16 +216,11 @@ class TestAcrobot:
             assert len(kept.initial_states) == len(ds.initial_states)
 
 
-ACROBOT = AcrobotConfig(horizon=300)
-# the default constants are powers of two or products of them, so a product
-# folded in another order keeps its bits; these do not
-UNEVEN = replace(ACROBOT, m1=1.3, m2=0.7, l1=1.2, lc1=0.45, lc2=0.55, i1=0.9, i2=1.2)
-ACROBOT_CONFIGS = [
-    replace(base, gravity=gravity, n_substeps=n)
-    for base in (ACROBOT, UNEVEN) for gravity in (ACROBOT.gravity, 0.0) for n in (2, 4, 8)
-]
-# k·π and its two neighbouring doubles: with gravity off, zero velocities and
-# zero torque a state stays put, so these reach the angle wrap exactly
+# k·π and its two neighbouring doubles: (angle, -angle) at zero velocities
+# and zero torque is an equilibrium (the first link hanging or upright, the
+# second hanging), where a step moves the velocities by 1e-14 at most and
+# leaves the angle bits as they would be without gravity, so these reach the
+# angle wrap exactly
 WRAP_POINTS = sorted(
     v for k in range(-5, 6) for v in (np.nextafter(k * np.pi, -np.inf), k * np.pi,
                                       np.nextafter(k * np.pi, np.inf))
@@ -247,17 +234,17 @@ def velocities(max_vel):
     return st.one_of(st.floats(-5 * max_vel, 5 * max_vel), st.sampled_from(edges))
 
 
-def assert_matches_the_numpy_oracle(cfg, x, a):
+def assert_matches_the_numpy_oracle(x, a):
     """Equal bits where the numpy step stays finite; where it overflows, a
     clear `ValueError` instead of its inf/NaN."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            want, want_r = numpy_acrobot_step(cfg, x, a)
+            want, want_r = numpy_acrobot_step(x, a)
     except FloatingPointError:
         with pytest.raises(ValueError, match="acrobot step overflowed from state "):
-            acrobot_step(cfg, x, a)
+            acrobot_step(x, a)
         return None
-    got, r = acrobot_step(cfg, x, a)
+    got, r = acrobot_step(x, a)
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert r == want_r == -1.0
@@ -269,26 +256,24 @@ class TestAcrobotKernel:
 
     @settings(max_examples=1000, deadline=None)
     @given(
-        cfg=st.sampled_from(ACROBOT_CONFIGS),
         t1=ANGLES, t2=ANGLES,
         w1=velocities(MAX_VEL1), w2=velocities(MAX_VEL2),
         a=st.integers(0, 2),
     )
     # states whose step changes bits when one squaring (of w2, w1 or d2) is
     # written x * x instead of x**2
-    @example(cfg=ACROBOT, t1=1.256, t2=1.339, w1=7.325, w2=-12.812, a=1)
-    @example(cfg=ACROBOT, t1=0.357, t2=-1.09, w1=11.585, w2=-6.387, a=1)
-    @example(cfg=ACROBOT, t1=-0.061, t2=1.215, w1=8.826, w2=-21.997, a=2)
+    @example(t1=1.256, t2=1.339, w1=7.325, w2=-12.812, a=1)
+    @example(t1=0.357, t2=-1.09, w1=11.585, w2=-6.387, a=1)
+    @example(t1=-0.061, t2=1.215, w1=8.826, w2=-21.997, a=2)
     # states whose step overflows
-    @example(cfg=ACROBOT, t1=0.0, t2=1.0, w1=0.0, w2=300.0, a=1)
-    @example(cfg=ACROBOT, t1=0.0, t2=1.0, w1=100.0, w2=0.0, a=1)
-    def test_equals_the_numpy_oracle_bit_for_bit(self, cfg, t1, t2, w1, w2, a):
-        assert_matches_the_numpy_oracle(cfg, np.array([t1, t2, w1, w2]), a)
+    @example(t1=0.0, t2=1.0, w1=0.0, w2=300.0, a=1)
+    @example(t1=0.0, t2=1.0, w1=100.0, w2=0.0, a=1)
+    def test_equals_the_numpy_oracle_bit_for_bit(self, t1, t2, w1, w2, a):
+        assert_matches_the_numpy_oracle(np.array([t1, t2, w1, w2]), a)
 
     @pytest.mark.parametrize("angle", WRAP_POINTS)
     def test_wraps_a_resting_state_like_the_oracle(self, angle):
-        cfg = replace(ACROBOT, gravity=0.0)
-        got = assert_matches_the_numpy_oracle(cfg, np.array([angle, -angle, 0.0, 0.0]), 1)
+        got = assert_matches_the_numpy_oracle(np.array([angle, -angle, 0.0, 0.0]), 1)
         assert np.all(np.abs(got[:2]) <= np.pi)  # rounding can land on +pi itself
 
     def test_equals_the_oracle_over_a_chained_trajectory(self):
@@ -300,7 +285,7 @@ class TestAcrobotKernel:
         clipped, wrapped = set(), set()
         for _ in range(1000):
             a = int(rng.integers(3)) if rng.random() < 0.2 else (2 if x[3] >= 0 else 0)
-            nxt = assert_matches_the_numpy_oracle(ACROBOT, x, a)
+            nxt = assert_matches_the_numpy_oracle(x, a)
             clipped |= {i for i in (2, 3) if abs(nxt[i]) == max_vel[i]}
             wrapped |= {i for i in (0, 1) if abs(nxt[i] - x[i]) > np.pi}
             x = nxt
@@ -312,7 +297,7 @@ class TestAcrobotKernel:
         x = np.zeros(4)
         x[i] = bad
         with pytest.raises(ValueError, match=r"^acrobot state must be finite: \["):
-            acrobot_step(ACROBOT, x, 1)
+            acrobot_step(x, 1)
 
 
 class TestEpsGreedy:
@@ -357,7 +342,7 @@ class TestEnvironmentDeterminism:
             env = make_planning_toy(10)
             x = np.array([2.0, 1.0])
         else:
-            env = make_acrobot(AcrobotConfig(horizon=300))
+            env = make_acrobot(300)
             x = np.array([0.1, -0.2, 0.05, 0.3])
         for a in range(env.n_actions):
             s1, r1 = env.step(x, a)

@@ -1,4 +1,4 @@
-"""Error estimation and return-error bound arithmetic."""
+"""Error estimation, and the return-error bound arithmetic of the test oracles."""
 
 import threading
 import warnings
@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_pair_scan, context_scans, estimate_lipschitz, state_error_closed_form
+from helpers import (
+    block_pair_scan,
+    context_scans,
+    estimate_lipschitz,
+    return_error_bound,
+    rollforward_state_error,
+    state_error_closed_form,
+)
 from moesim import errors
 from moesim.core import Dataset, Metric, Transition
 from moesim.envs import make_windy2d
@@ -17,7 +24,6 @@ from moesim.envs.windy import windy_behavior_policy, windy_no_wind_model
 from moesim.errors import (
     BoundParams,
     ErrorEstimate,
-    InsufficientPairsError,
     LipschitzEstimates,
     _pairwise_max_ratios,
     _Rows,
@@ -27,8 +33,6 @@ from moesim.errors import (
     np_error_estimate,
     p_error_estimate,
     parametric_residuals,
-    return_error_bound,
-    rollforward_state_error,
 )
 from moesim.models import FunctionModel, NonparametricModel
 
@@ -124,8 +128,10 @@ class TestLipschitzEstimation:
         c = tr([2.0], 0, 1.0, [6.0])
         est = estimate_lipschitz([(a, b), (a, c)], Metric.euclidean(1))
         assert est.n_pairs == 1
-        with pytest.raises(InsufficientPairsError):
-            estimate_lipschitz([(a, b)], Metric.euclidean(1))
+        # with no pair of distinct starts left, the ratios are 0 over 0 pairs
+        zero = LipschitzEstimates(0.0, 0.0, 0)
+        assert estimate_lipschitz([(a, b)], Metric.euclidean(1)) == zero
+        assert global_lipschitz(Dataset([a, b], [], 1, 1), Metric.euclidean(1)) == zero
 
     @settings(max_examples=80, deadline=None)
     @given(ratio_inputs())

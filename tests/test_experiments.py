@@ -91,6 +91,13 @@ class TestConfigValidation:
         assert (second["selector"], second["bound"]) == ({}, {})
         assert second["eval_policy"] == {"kind": "env_default"}
 
+    def test_every_readme_config_is_valid(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
+        assert blocks  # the "Configs" section shows at least one
+        for block in blocks:
+            validate_config(json.loads(block))
+
     def test_schema_reference_shares_no_table(self):
         first = moesim.experiments.schema_reference()
         first["defaults"]["selector"]["mcts_budget"] = 8
@@ -536,6 +543,23 @@ class TestCLI:
         assert "config error: $: [1, 2] is not of type 'object'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "Is a directory"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["directory", "undecodable"])
+    @pytest.mark.parametrize("command", ["evaluate", "error-maps"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command, content, message):
+        cfg_path = tmp_path / "cfg.json"
+        if content is None:
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_bytes(content)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg_path}: ") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("which", ["table1", "table2", "consistency"])
     def test_negative_reproduce_seed_exits_2(self, tmp_path, capsys, which):
         # consistency derives its configs' seeds from the master seed
@@ -558,6 +582,21 @@ class TestCLI:
             "--resolution", resolution,
         ])
         assert code == 2
+        assert not (tmp_path / "error_maps.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--x-min", "--x-max", "--y-min", "--y-max"])
+    def test_error_maps_non_finite_range_exits_2(self, tmp_path, capsys, flag, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(windy_table1_config(seed=1, n_repetitions=1)))
+        code = cli_main([
+            "error-maps", "--config", str(cfg_path), "--out", str(tmp_path),
+            f"{flag}={value}", "--resolution", "3",  # "-inf" alone would read as a flag
+        ])
+        assert code == 2
+        key = "x_range" if flag.startswith("--x") else "y_range"
+        assert re.search(rf"config error: {key}: \[.*{value}.*\] must be finite",
+                         capsys.readouterr().err)
         assert not (tmp_path / "error_maps.csv").exists()
 
     def test_reproduce_table2_rejects_jobs(self, tmp_path):

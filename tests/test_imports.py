@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module,
 every function, method and class the package defines is used by the
 package, every exported name resolves, the runtime dependencies are
-exactly the third-party modules the package imports, and importing the
-package starts no thread.
+exactly the third-party modules the package imports, importing the
+package starts no thread, and each environment kind is built from its
+horizon alone.
 
 The first two checks skip `__init__.py` files: their imports are the
 package's re-exports, and a name only they mention is public API that
@@ -11,6 +12,7 @@ nothing inside runs.
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -18,6 +20,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from moesim import envs
+from moesim.experiments import SECTIONS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "moesim"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
@@ -52,7 +57,6 @@ def test_no_unused_imports(path):
 # Public entry points that no module of the package calls, each kept for a
 # reader outside it.
 API_EDGE = {
-    "return_error_bound": "the paper's bound, and the planner test's reference",
     "nearest_index": "the nearest row of one neighbour scan; perfbench's tracer wraps it "
     "and the tests compare it with a per-action linear scan",
 }
@@ -108,6 +112,13 @@ def test_every_export_resolves(module):
     # a name deleted from the package leaves `__all__` with it
     package = importlib.import_module(module)
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
+@pytest.mark.parametrize("kind", sorted(SECTIONS["env"]))
+def test_each_environment_kind_is_made_from_its_horizon_alone(kind):
+    # a config object or knob that comes back to an environment fails here
+    make = getattr(envs, f"make_{kind}")
+    assert list(inspect.signature(make).parameters) == ["horizon"]
 
 
 def unread_class_attributes(sources: list[str]) -> list[str]:

@@ -15,6 +15,7 @@ from helpers import (
     gapped_true_step,
     path_error_sequences,
     reference_mcts_select,
+    return_error_bound,
 )
 from moesim.core import Dataset, Metric, Policy, Transition
 from moesim.envs import make_planning_toy, planning_toy_policies, planning_toy_parametric_model
@@ -28,7 +29,6 @@ from moesim.errors import (
     choose_radius,
     np_error_estimate,
     p_error_estimate,
-    return_error_bound,
 )
 from moesim.models import (
     NONPARAMETRIC,
