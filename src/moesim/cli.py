@@ -48,8 +48,20 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(f"--jobs: {jobs} parallel repetitions; give at least 1")
 
 
+def _check_out(out: str) -> Path:
+    """The `--out` directory, checked before any work: it, or else the
+    nearest of its parents that exists, must be a directory.  It is made
+    only when the results are written."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out: {existing} exists and is not a directory")
+    return path
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _check_jobs(args.jobs)
+    out = _check_out(args.out)
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -58,7 +70,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     if args.rollout_log:
         cfg["rollout_log"] = True
     report = run_experiment(cfg, jobs=args.jobs)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
     path.write_text(report.to_json())
@@ -96,6 +107,7 @@ def _cmd_schema(args: argparse.Namespace) -> None:
 
 
 def _cmd_error_maps(args: argparse.Namespace) -> None:
+    path = _check_out(args.out) / "error_maps.csv"
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -104,9 +116,6 @@ def _cmd_error_maps(args: argparse.Namespace) -> None:
         "y_range": [args.y_min, args.y_max],
         "resolution": args.resolution,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "error_maps.csv"
     rows = emit_error_maps(cfg, grid, path)
     correct = sum(1 for r in rows if r["correct"]) / len(rows)
     print(f"wrote {path} ({len(rows)} rows, correct-selection fraction {correct:.3f})")
@@ -115,6 +124,7 @@ def _cmd_error_maps(args: argparse.Namespace) -> None:
 def _cmd_reproduce(args: argparse.Namespace) -> None:
     seed = args.seed if args.seed is not None else 0
     _check_jobs(args.jobs)
+    out = _check_out(args.out)
     if args.which == "table2" and args.jobs != 1:
         raise ConfigError("--jobs: table2 runs its repetitions in one process")
     if args.which == "table1":
@@ -128,7 +138,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> None:
     else:
         payload = reproduce_consistency(seed=seed, jobs=args.jobs)
         print("median abs error by batch size:", payload["median_abs_error"])
-    path = write_report(payload, args.out, f"{args.which}.json")
+    path = write_report(payload, out, f"{args.which}.json")
     print(f"wrote {path}")
 
 

@@ -10,7 +10,7 @@ views for callers outside the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +36,9 @@ class Metric:
     Weights multiply the per-coordinate differences inside the square:
     dist(x, y) = sqrt(sum_i (w_i * (x_i - y_i))^2), so w_i is the
     multiplicative importance factor of dimension i.  All weights default
-    to 1 (plain Euclidean distance).
+    to 1 (plain Euclidean distance).  `distance` sums the squares with
+    `np.dot`, through BLAS, and `distances_to` in its own fixed order, so
+    the two can differ in the last bit for the same pair.
     """
 
     weights: np.ndarray
@@ -67,13 +69,25 @@ class Metric:
         return float(np.sqrt(np.dot(diff, diff)))
 
     def distances_to(self, points: np.ndarray, x: StateVec) -> np.ndarray:
-        """Vectorized distances from each row of `points` to `x`."""
+        """Vectorized distances from each row of `points` to `x`.
+
+        Works on the columns `points.T`, so each numpy pass runs over all
+        rows; it is fastest when `points.T` is contiguous, as for
+        `Dataset`'s per-action blocks.  The squares add in two lanes,
+        (d0² + d2² + ...) + (d1² + d3² + ...), the order in which
+        `np.einsum("ij,ij->i")` adds a contiguous row of 1 to 7 entries,
+        so the bits equal that row form's (see tests).
+        """
         if points.size == 0:
             return np.zeros(0)
         if points.shape[1] != self.dim or len(x) != self.dim:
             raise ValueError("dimension mismatch in batched distance")
-        diff = (points - np.asarray(x)) * self.weights
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        diff = (points.T - np.asarray(x)[:, None]) * self.weights[:, None]
+        diff *= diff
+        total = reduce(np.add, diff[0::2])
+        if self.dim > 1:
+            total = total + reduce(np.add, diff[1::2])
+        return np.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -230,6 +244,11 @@ class Dataset:
             tuple(_read_only(arr[rows]) for arr in (self.starts, self.nexts, self.rewards))
             for rows in self._rows
         ]
+        # each action's starts as one contiguous (dim, n_a) block, for the
+        # column passes of `Metric.distances_to`
+        self._start_columns = [
+            _read_only(np.ascontiguousarray(starts.T)) for starts, _, _ in self._by_action
+        ]
         return self
 
     @classmethod
@@ -293,7 +312,7 @@ class Dataset:
         rows = self._rows[a]
         if len(rows) == 0:
             return None
-        d = metric.distances_to(self._by_action[a][0], x)
+        d = metric.distances_to(self._start_columns[a].T, x)
         i = int(np.argmin(d))
         return Neighbors(int(rows[i]), float(d[i]), rows[d <= c])
 

@@ -1,27 +1,26 @@
 """Experiment orchestration: config-driven data generation, model fitting,
 estimator execution, aggregation, and error-map export.
 
-Configs are plain nested dicts (JSON on disk), validated against a schema
-so mistakes are reported with their field path.  Every repetition derives
-its own seeds from the master seed and its index, so repetitions are
-independent and can run in any order or in parallel with identical
-results.
+Configs are plain nested dicts (JSON on disk), validated against a JSON
+Schema by a small checker of this module, so mistakes are reported with
+their field path.  Every repetition derives its own seeds from the master
+seed and its index, so repetitions are independent and can run in any
+order or in parallel with identical results.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from numbers import Number
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from . import __version__
 from .baselines import VARIANTS as IS_ESTIMATORS
@@ -211,6 +210,92 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message carries the field path."""
 
 
+# JSON Schema's types, as jsonschema's Draft 7 checks them: a bool is
+# neither an integer nor a number, and an integral float is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+_BOUNDS = {  # keyword: (broken when, wording)
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
+
+
+def _equal(a, b) -> bool:
+    """jsonschema's equality, under which a bool equals only itself
+    (`True != 1`) and arrays and objects compare item by item."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    return a is b or a == b
+
+
+def _schema_errors(schema: dict, value, path: str = "$") -> list[tuple[str, str]]:
+    """(JSON path, message) of every rule of the JSON Schema `schema` that
+    `value` breaks, worded and ordered as jsonschema's
+    `Draft7Validator.iter_errors` reports them: the keywords in the
+    schema's order, depth first.  It knows only the keywords CONFIG_SCHEMA
+    uses, and raises on any other, so no rule is skipped silently."""
+    errors = []
+    for keyword, rule in schema.items():
+        if keyword == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[t](value) for t in types):
+                errors.append((path, f"{value!r} is not of type {', '.join(map(repr, types))}"))
+        elif keyword == "enum":
+            if not any(_equal(value, option) for option in rule):
+                errors.append((path, f"{value!r} is not one of {rule!r}"))
+        elif keyword in _BOUNDS:
+            broken, wording = _BOUNDS[keyword]
+            if _TYPES["number"](value) and broken(value, rule):
+                errors.append((path, f"{value!r} {wording} {rule!r}"))
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < rule:
+                wording = "should be non-empty" if rule == 1 else "is too short"
+                errors.append((path, f"{value!r} {wording}"))
+        elif keyword == "uniqueItems" and rule is True:
+            if isinstance(value, list) and any(
+                _equal(a, b) for i, a in enumerate(value) for b in value[:i]
+            ):
+                errors.append((path, f"{value!r} has non-unique elements"))
+        elif keyword == "items" and isinstance(rule, dict):
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    errors += _schema_errors(rule, item, f"{path}[{i}]")
+        elif keyword == "required":
+            if isinstance(value, dict):
+                errors += [(path, f"{key!r} is a required property")
+                           for key in rule if key not in value]
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for key, sub in rule.items():
+                    if key in value:
+                        errors += _schema_errors(sub, value[key], f"{path}.{key}")
+        elif keyword == "additionalProperties" and rule is False:
+            known = schema.get("properties", {})
+            extras = [k for k in value if k not in known] if isinstance(value, dict) else []
+            if extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                errors.append(
+                    (path, f"Additional properties are not allowed ({names} {verb} unexpected)")
+                )
+        else:
+            raise ValueError(f"config schema rule {keyword}: {rule!r} is not checked")
+    return errors
+
+
 def _non_finite(value, path: str = "$") -> list[tuple[str, str]]:
     """(JSON path, message) of every NaN or infinite number in a config
     value; Python's `json` reads `NaN` and `Infinity`, and the schema's
@@ -228,8 +313,7 @@ def validate_config(cfg: dict) -> dict:
     """Validate and return the config with the top-level defaults filled in.
     Every number must be finite.  A section must give the keys its kind
     requires, and no key its kind does not read."""
-    errors = [(e.json_path, e.message) for e in Draft7Validator(CONFIG_SCHEMA).iter_errors(cfg)]
-    errors = sorted(errors + _non_finite(cfg), key=lambda e: e[0])
+    errors = sorted(_schema_errors(CONFIG_SCHEMA, cfg) + _non_finite(cfg), key=lambda e: e[0])
     if errors:
         raise ConfigError("; ".join(f"{path}: {message}" for path, message in errors))
     merged = {**copy.deepcopy(_DEFAULTS), **cfg}
@@ -584,6 +668,8 @@ def run_experiment(cfg: dict, jobs: int = 1) -> ExperimentReport:
     cfg = validate_config(cfg)
     reps = range(cfg["n_repetitions"])
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         cfg_json = json.dumps(cfg)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_worker, [(cfg_json, r) for r in reps]))
@@ -633,7 +719,8 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
     """For every grid point and action on a 2-D domain: true and estimated
     one-step errors of both experts, the greedy selection, and whether it
     matched the truly-better expert.  Actions neither expert can simulate
-    are left out.  Writes the CSV and returns the rows."""
+    are left out.  Writes the CSV, making its directory, and returns the
+    rows; a rejected config or grid writes nothing."""
     cfg = validate_config(cfg)
     if grid["resolution"] < 1:
         raise ConfigError("resolution: the grid needs at least 1 point per axis")
@@ -656,7 +743,11 @@ def emit_error_maps(cfg: dict, grid: dict, out_path: str | Path) -> list[dict]:
             for a in range(env.n_actions):
                 if ctx.available_models(a):
                     rows.append(_map_row(ctx, oracle, x, a))
-    with Path(out_path).open("w", newline="") as fh:
+    import csv
+
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with out_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MAP_HEADER.split(","))
         for row in rows:

@@ -421,3 +421,20 @@ def reference_mcts_select(ctx, x, a, budget, rng, remaining, trace=None):
     if trace is not None:
         trace.append(_trace_record(root, run, chosen))
     return chosen if chosen is not None else ctx.greedy(root.state, root.key, a)
+
+
+def jsonschema_errors(schema, value):
+    """(JSON path, message) of each error jsonschema's Draft 7 validator
+    finds, in its order: the oracle of `experiments._schema_errors`, which
+    replaced it in `validate_config`."""
+    from jsonschema import Draft7Validator
+
+    return [(e.json_path, e.message) for e in Draft7Validator(schema).iter_errors(value)]
+
+
+def einsum_distances(metric, points, x):
+    """`Metric.distances_to` in its row-major form, one einsum over the
+    weighted differences of contiguous rows (einsum's summation order
+    depends on the layout): the oracle of the column-lane sum."""
+    diff = (np.ascontiguousarray(points) - np.asarray(x)) * metric.weights
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))

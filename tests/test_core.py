@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import neighbors_within, uniform_policy
+from helpers import einsum_distances, neighbors_within, uniform_policy
 from moesim.core import (
     Dataset,
     Metric,
@@ -46,9 +46,10 @@ def make_transition(x, a, r, y, traj_id=0, t=0):
 def linear_scan(ds, x, a, metric):
     """Reference per-action scan: (distance, traj_id, t, row) of every row
     with action `a`, in ascending order, so ties go to the smallest
-    (traj_id, t)."""
+    (traj_id, t).  The distances are the row form of `distances_to`."""
+    d = einsum_distances(metric, ds.starts, x).tolist()
     return sorted(
-        (metric.distance(x, tr.x), tr.traj_id, tr.t, row)
+        (d[row], tr.traj_id, tr.t, row)
         for row, tr in enumerate(ds.transitions)
         if tr.a == a
     )
@@ -121,6 +122,18 @@ class TestMetric:
         for i in range(40):
             # vectorized path may differ from the scalar dot by one ulp
             assert batched[i] == pytest.approx(m.distance(pts[i], x), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 300), st.integers(0, 2**32 - 1), st.booleans())
+    def test_distances_to_keeps_the_bits_of_the_row_form(self, dim, n, seed, columns):
+        # on a dataset's contiguous (dim, n) block or on plain rows alike
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-8, 8, size=dim)
+        m = Metric(10.0 ** rng.uniform(-3, 3, size=dim))
+        pts = rng.normal(size=(n, dim)) * scale
+        x = rng.normal(size=dim) * scale
+        points = np.ascontiguousarray(pts.T).T if columns else pts
+        assert m.distances_to(points, x).tobytes() == einsum_distances(m, pts, x).tobytes()
 
 
 class TestStatesAndTransitions:
@@ -204,24 +217,41 @@ class TestTrajectoryReturn:
             trajectory_return(traj, 1.5)
 
 
+# 2-D points on a small integer grid under power-of-two weights: every
+# distance is exact, so equal distances are true ties
+GRID = (st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=2, max_size=2))
+
+
+@st.composite
+def pooled_points(draw):
+    """4-D float points, acrobot's dimension, where the lane order of
+    `distances_to` matters, drawn from a small pool so that duplicate
+    starts occur, or fresh; and float weights."""
+    coordinate = st.floats(-20, 20, allow_subnormal=False)
+    pool = draw(st.lists(st.lists(coordinate, min_size=4, max_size=4), min_size=1, max_size=6))
+    point = st.sampled_from(pool) | st.lists(coordinate, min_size=4, max_size=4)
+    return point, st.lists(st.floats(0.1, 8.0), min_size=4, max_size=4)
+
+
 @st.composite
 def indexed_dataset(draw):
-    """A dataset on a small integer grid (so ties and duplicate starts are
+    """A dataset of grid or pooled points (so ties and duplicate starts are
     common) whose rows arrive in a shuffled (traj_id, t) order, with a
-    weighted metric."""
+    weighted metric, and the strategy of its points."""
+    point, weights = draw(st.just(GRID) | pooled_points())
     n = draw(st.integers(0, 40))
-    cells = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
     keys = draw(st.permutations(
         draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)),
                       min_size=n, max_size=n, unique=True))
     ))
     transitions = [
-        Transition(np.array(draw(cells), float), draw(st.integers(0, 2)), -1.0,
-                   np.array(draw(cells), float), traj_id=i, t=t)
+        Transition(np.array(draw(point), float), draw(st.integers(0, 2)), -1.0,
+                   np.array(draw(point), float), traj_id=i, t=t)
         for i, t in keys
     ]
-    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=2, max_size=2))
-    return Dataset(transitions, [np.zeros(2)], 2, 3), Metric(np.array(weights))
+    w = np.array(draw(weights))
+    return Dataset(transitions, [np.zeros(len(w))], len(w), 3), Metric(w), point
 
 
 def random_dataset(rng, n, dim=2, n_actions=3):
@@ -278,13 +308,12 @@ class TestNeighborQueries:
     @settings(max_examples=150, deadline=None)
     @given(indexed_dataset(), st.data())
     def test_index_equals_a_per_action_linear_scan(self, case, data):
-        # integer coordinates and power-of-two weights keep every distance
-        # exact, so equal distances are true ties
-        ds, m = case
-        x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2)), float)
+        ds, m, point = case
+        x = np.array(data.draw(point), float)
         for a in range(ds.n_actions):
             scan = linear_scan(ds, x, a, m)
-            c = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5, 1e9]))
+            # a radius equal to a row's distance keeps that row
+            c = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.5, 1e9, *(s[0] for s in scan)]))
             near = ds.neighbor_rows(x, a, c, m)
             assert ds.nearest_index(x, a, m) == (scan[0][3] if scan else None)
             if not scan:

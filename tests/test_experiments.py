@@ -599,6 +599,40 @@ class TestCLI:
                          capsys.readouterr().err)
         assert not (tmp_path / "error_maps.csv").exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate", "--config", "{cfg}"], ["error-maps", "--config", "{cfg}"],
+         ["reproduce", "table2"]],
+        ids=["evaluate", "error_maps", "reproduce"],
+    )
+    def test_out_that_is_a_file_exits_2_before_any_work(
+        self, tmp_path, capsys, command, below
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(windy_table1_config(seed=1, n_repetitions=1)))
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if below else taken
+        argv = [arg.format(cfg=cfg_path) for arg in command] + ["--out", str(out)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --out: {taken} exists and is not a directory\n"
+        assert captured.out == ""  # no repetition ran, no table was printed
+        assert taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("cfg, flags", [
+        ({"name": "x"}, []),
+        (windy_table1_config(seed=1, n_repetitions=1), ["--resolution", "0"]),
+        (tiny_config(env={"kind": "acrobot"}, model={"kind": "ridge"}), []),
+    ], ids=["schema", "resolution", "not_2d"])
+    def test_rejected_error_maps_config_makes_no_directory(self, tmp_path, cfg, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "maps" / "deep"
+        assert cli_main(["error-maps", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_reproduce_table2_rejects_jobs(self, tmp_path):
         code = cli_main(["reproduce", "table2", "--jobs", "2", "--out", str(tmp_path)])
         assert code == 2

@@ -2,8 +2,8 @@
 every function, method and class the package defines is used by the
 package, every exported name resolves, the runtime dependencies are
 exactly the third-party modules the package imports, importing the
-package starts no thread, and each environment kind is built from its
-horizon alone.
+package starts no thread and loads no module that only some commands
+use, and each environment kind is built from its horizon alone.
 
 The first two checks skip `__init__.py` files: their imports are the
 package's re-exports, and a name only they mention is public API that
@@ -206,3 +206,19 @@ def test_importing_the_package_starts_no_thread():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("module", ["moesim.experiments", "moesim.cli"])
+def test_importing_loads_no_module_that_only_some_commands_use(module):
+    # jsonschema is only the tests' oracle of the config checker; the
+    # process pool loads for `--jobs` above 1, csv for error maps
+    code = (
+        f"import sys, {module}\n"
+        "print([m for m in ('jsonschema', 'concurrent.futures.process', 'multiprocessing',"
+        " 'csv') if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.strip() == "[]"
