@@ -7,16 +7,18 @@ transitions observed near the query.  Both estimates share one neighborhood
 radius, chosen where the nonparametric estimate crosses the global average
 parametric residual.  The per-step errors feed the discounted return-error
 bound that the planner minimizes (`selection`).
+
+The global ratios come from an exact scan over every same-action pair, in
+the calling thread.  It skips only the tiles of pairs whose ratios a fitted
+affine-map bound, with rounding allowances, puts below the running max
+(`_sorted_bounds`), so it returns the bits of a full sweep.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -111,7 +113,6 @@ class BoundParams:
 _ROWS, _COLS = 128, 256  # pairs per tile of the pair scan; a tile's buffers stay in cache
 _LOWER = np.tri(_ROWS, dtype=bool)  # the j <= i pairs of a tile on the diagonal
 _PLAIN = 1e150  # below this, no squared difference of weighted coordinates overflows
-_THREADED_PAIRS = 1 << 22  # a global scan of more pairs runs on a thread pool
 
 
 class _Rows(NamedTuple):
@@ -142,106 +143,199 @@ class _Rows(NamedTuple):
         return self.P.shape[1]
 
 
+def _scan_tile(
+    rows: _Rows, i0: int, lo: int, hi: int, buf: np.ndarray,
+    found: tuple[float, float, int],
+) -> tuple[float, float, int]:
+    """`found` (max squared transition ratio, max reward ratio, usable
+    pairs) updated with the pairs of rows i0 to i0 + _ROWS against columns
+    lo to hi (lo >= i0), _COLS columns at a time, in `buf` (squared
+    differences of each row of P, then the ratios).
+
+    The tile on the diagonal (j0 == i0) gives its j <= i pairs an infinite
+    squared start distance, so their ratios are 0 and they are not counted.
+    When the tile's max squared ratio is finite and its rows are plain, no
+    two starts coincide and no distance overflowed: every other pair is
+    usable.  Otherwise coincident starts also get an infinite distance, and
+    the pairs with a finite one are counted; a ratio of two infinite squares
+    is not a pair and is skipped.  Starts so close that their squared
+    distance is subnormal can overflow a ratio to inf; `_scan_action` runs
+    this without floating-point warnings."""
+    P, R = rows.P, rows.R
+    dim = len(P) // 2
+    i1 = min(i0 + _ROWS, rows.n)
+    h = i1 - i0
+    best_t, best_r, used = found
+    for j0 in range(lo, hi, _COLS):
+        m = min(j0 + _COLS, hi) - j0
+        # contiguous views, so that each pass is one loop over the tile
+        sq = buf[: 2 * dim * h * m].reshape(2 * dim, h, m)
+        tmp = buf[2 * dim * h * m : (2 * dim + 1) * h * m].reshape(h, m)
+        np.subtract(P[:, i0:i1, None], P[:, None, j0 : j0 + m], out=sq)
+        np.multiply(sq, sq, out=sq)
+        dx2, dy2 = sq[0], sq[dim]
+        for k in range(1, dim):
+            dx2 += sq[k]
+            dy2 += sq[dim + k]
+        masked = 0
+        if j0 == i0:
+            np.copyto(dx2[:, :h], np.inf, where=_LOWER[:h, :h])
+            masked = h * (h + 1) // 2
+        top = np.divide(dy2, dx2, out=tmp).max()
+        if rows.plain and top < np.inf:
+            used += h * m - masked
+        else:
+            dx2[dx2 == 0.0] = np.inf
+            used += int(np.count_nonzero(dx2 != np.inf))
+            top = np.fmax.reduce(np.divide(dy2, dx2, out=tmp), axis=None, initial=0.0)
+        best_t = max(best_t, float(top))
+        if rows.rewards_vary:
+            np.subtract(R[i0:i1, None], R[None, j0 : j0 + m], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.divide(tmp, np.sqrt(dx2, out=dx2), out=tmp)
+            best_r = max(best_r, float(np.fmax.reduce(tmp, axis=None, initial=0.0)))
+    return best_t, best_r, used
+
+
+def _sorted_bounds(rows: _Rows) -> tuple[_Rows, np.ndarray | None]:
+    """One action's rows sorted for the pruned scan, and an upper bound on
+    the computed squared ratio (`_scan_tile`'s fl(dy2 / dx2)) of every pair
+    between row tile t and the column block of _COLS rows that starts at
+    row _ROWS * c, as bound[t, c]; -inf where c is not an off-diagonal
+    block of tile t.  (rows, None) when the rows are not plain, their
+    rewards vary, or every pair lies in a diagonal tile.
+
+    Let Y = X M + c be the least-squares affine fit of the weighted next
+    states on the weighted starts, and G = Y - X M - c its residuals, exact
+    for the float M and c; then dY = dX M + dG for every pair, so
+    |dY| / |dX| <= |dX M| / |dX| + 2 max|G| / |dX|.  With w, V an
+    eigendecomposition of fl(M M^T), L = max w, D = L - w and
+    E = M M^T - L I + V diag(D) V^T (an identity for any floats V, D, L),
+    |dX M|^2 = L |dX|^2 - sum_k D_k (dX . v_k)^2 + dX E dX^T
+             <= (L + |E|) |dX|^2 - sum_k D_k gap_k^2,
+    where gap_k bounds |dX . v_k| below over the pairs from the intervals of
+    the rows' projections on v_k.  With span >= |dX| >= delta, over the
+    pairs, the ratio is at most
+        sqrt(L + |E| - sum_k D_k gap_k^2 / span^2) + 2 max|G| / delta.
+    The rows are sorted by their projection on the eigenvector of the
+    smallest eigenvalue, so along it the gap grows with the distance
+    between tile and block.
+
+    Every float step that feeds the bound gets an allowance.  Higham's
+    gamma_k = k u / (1 - k u), with u = 2**-53, bounds the relative error
+    of k rounded steps; Gamma = gamma_{4 dim + 32} covers each chain of at
+    most 2 dim + 20 steps below, and tiny = 4 dim**2 eta (eta the smallest
+    subnormal) the products that underflow.  A pair is bounded only when
+    delta**2 >= dim * 2**-1019: then its computed squared start distance is
+    at least (1 - gamma_{dim+2}) |dX|**2 - dim * eta / 2 > 0, so the pair
+    is usable, and its computed squared ratio is at most
+    (1 + Gamma) (bound)**2 + u."""
+    n = rows.n
+    if not rows.plain or rows.rewards_vary or n <= _COLS:
+        return rows, None
+    dim = len(rows.P) // 2
+    u = np.finfo(np.float64).epsneg  # the unit roundoff, 2**-53
+    k = 4 * dim + 32
+    big = 1 + k * u / (1 - k * u)  # 1 + Gamma, Higham's gamma_k
+    tiny = 4 * dim**2 * np.finfo(np.float64).smallest_subnormal
+    X, Y = rows.P[:dim], rows.P[dim:]
+    fit = np.linalg.lstsq(np.vstack([X, np.ones(n)]).T, Y.T, rcond=None)[0]
+    M, shift = fit[:dim], fit[dim]
+    w, V = np.linalg.eigh(M @ M.T)  # ascending: V[:, 0] shrinks most
+    if not (np.isfinite(fit).all() and np.isfinite(w).all() and np.isfinite(V).all()):
+        return rows, None
+    wmax = w[-1]
+    D = wmax - w
+    # |E|_2 <= dim max|E_ij|, each entry off by at most gamma_{dim+3} of the
+    # same sum of |terms|
+    E = M @ M.T - wmax * np.eye(dim) + (V * D) @ V.T
+    F = np.abs(M) @ np.abs(M).T + abs(wmax) * np.eye(dim) + (np.abs(V) * D) @ np.abs(V).T
+    eps = dim * (np.abs(E) + (big - 1) * (F + np.abs(E))).max() * big + tiny
+    # max_i |G_i|_2 <= max_i |G_i|_1; the float residual is off by at most
+    # gamma_{dim+3} (|G| + |X| |M| + |c|), and |X_i| <= xmax coordinatewise
+    G = Y - M.T @ X
+    G -= shift[:, None]
+    xmax = np.abs(X).max(axis=1)
+    g = (
+        np.abs(G).sum(axis=0).max() * big
+        + (big - 1) * (np.abs(shift).sum() + (xmax @ np.abs(M)).sum())
+    ) * big + tiny
+    # projections on each v_k, off by at most e_k; sort by the first
+    p = V.T @ X
+    e = (big - 1) * (xmax @ np.abs(V)) + tiny
+    order = np.argsort(p[0], kind="stable")
+    rows = _Rows(rows.P[:, order], rows.R[order], rows.plain, rows.rewards_vary)
+    p = p[:, order]
+    # per chunk of _ROWS rows, then per block of _COLS rows from each chunk:
+    # intervals of the projections and of the start coordinates
+    Z = np.vstack([p, rows.P[:dim]])
+    chunks = np.arange(0, n, _ROWS)
+    lo, hi = np.minimum.reduceat(Z, chunks, axis=1), np.maximum.reduceat(Z, chunks, axis=1)
+    blo, bhi = lo.copy(), hi.copy()
+    for s in range(1, _COLS // _ROWS):
+        np.minimum(blo[:, :-s], lo[:, s:], out=blo[:, :-s])
+        np.maximum(bhi[:, :-s], hi[:, s:], out=bhi[:, :-s])
+    # axis 1: row tile t; axis 2: the block starting at chunk c
+    far = np.maximum(blo[:, None, :] - hi[:, :, None], lo[:, :, None] - bhi[:, None, :])
+    wide = np.maximum(
+        bhi[dim:, None, :] - lo[dim:, :, None], hi[dim:, :, None] - blo[dim:, None, :]
+    )
+    gap = np.maximum(far[:dim] - 4 * e[:, None, None], 0.0) * (1 - 4 * u)
+    peak = wide.max(axis=0)
+    span = peak * np.sqrt(((wide / peak) ** 2).sum(axis=0)) * big
+    sub = np.tensordot(D, (gap / span) ** 2, axes=1)
+    q = np.maximum(wmax + eps - sub + (big - 1) * (abs(wmax) + eps + sub), 0.0)
+    delta = (gap / (np.abs(V).sum(axis=0) * big)[:, None, None]).max(axis=0) * (1 - 4 * u)
+    bound = (np.sqrt(q) + 2 * g / delta) ** 2 * big + u
+    bound[~(delta * delta >= dim * 2.0**-1019)] = np.inf
+    t, c = np.indices(bound.shape)
+    off = c - t
+    bound[(off <= 0) | (off % (_COLS // _ROWS) != 0)] = -np.inf
+    return rows, bound
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _scan_tiles(
-    tiles: Iterator[tuple[int, _Rows, int]], shape: tuple[int, int, int]
-) -> dict[int, tuple[float, float, int]]:
-    """Max ratios and usable pair counts, per key, over the row tiles
-    (key, rows, i0) drawn from `tiles`: rows i0 to i0 + _ROWS against every
-    column j >= i0, _COLS columns at a time, in one buffer of `shape`
-    (squared differences of each row of P, then the ratios) allocated once.
+def _scan_action(rows: _Rows, buf: np.ndarray) -> tuple[float, float, int]:
+    """(max transition ratio, max reward ratio, usable pairs) over the pairs
+    i < j of one action's rows.
 
-    The tile on the diagonal gives its j <= i pairs an infinite squared
-    start distance, so their ratios are 0 and they are not counted.  When
-    the tile's max squared ratio is finite and its rows are plain, no two
-    starts coincide and no distance overflowed: every other pair is usable.
-    Otherwise coincident starts also get an infinite distance, and the
-    pairs with a finite one are counted; a ratio of two infinite squares is
-    not a pair and is skipped.  Starts so close that their squared distance
-    is subnormal can overflow a ratio to inf, without a warning."""
-    buf = np.empty(math.prod(shape))
-    found: dict[int, tuple[float, float, int]] = {}
-    for key, rows, i0 in tiles:
-        P, R = rows.P, rows.R
-        dim = len(P) // 2
-        best_t, best_r, used = found.get(key, (0.0, 0.0, 0))
-        i1 = min(i0 + _ROWS, rows.n)
-        h = i1 - i0
-        for j0 in range(i0, rows.n, _COLS):
-            j1 = min(j0 + _COLS, rows.n)
-            m = j1 - j0
-            # contiguous views, so that each pass is one loop over the tile
-            sq = buf[: 2 * dim * h * m].reshape(2 * dim, h, m)
-            tmp = buf[2 * dim * h * m : (2 * dim + 1) * h * m].reshape(h, m)
-            np.subtract(P[:, i0:i1, None], P[:, None, j0:j1], out=sq)
-            np.multiply(sq, sq, out=sq)
-            dx2, dy2 = sq[0], sq[dim]
-            for k in range(1, dim):
-                dx2 += sq[k]
-                dy2 += sq[dim + k]
-            masked = 0
-            if j0 == i0:
-                np.copyto(dx2[:, :h], np.inf, where=_LOWER[:h, :h])
-                masked = h * (h + 1) // 2
-            top = np.divide(dy2, dx2, out=tmp).max()
-            if rows.plain and top < np.inf:
-                used += h * m - masked
-            else:
-                dx2[dx2 == 0.0] = np.inf
-                used += int(np.count_nonzero(dx2 != np.inf))
-                top = np.fmax.reduce(np.divide(dy2, dx2, out=tmp), axis=None, initial=0.0)
-            best_t = max(best_t, math.sqrt(top))
-            if rows.rewards_vary:
-                np.subtract(R[i0:i1, None], R[None, j0:j1], out=tmp)
-                np.abs(tmp, out=tmp)
-                np.divide(tmp, np.sqrt(dx2, out=dx2), out=tmp)
-                best_r = max(best_r, float(np.fmax.reduce(tmp, axis=None, initial=0.0)))
-        found[key] = (best_t, best_r, used)
-    return found
+    First each row tile against its diagonal block, which seeds the running
+    max; then each row tile against its later blocks, up to the last one
+    whose bound (`_sorted_bounds`) reaches the running max.  The pairs past
+    that end have computed ratios below the max and distinct starts, so
+    they cannot change the max and count as usable.  Without bounds each
+    tile runs to the last column.  A float max and an integer count are the
+    same in any order, and `sqrt` is monotone."""
+    rows, bound = _sorted_bounds(rows)
+    n = rows.n
+    found = (0.0, 0.0, 0)
+    for i0 in range(0, n, _ROWS):
+        found = _scan_tile(rows, i0, i0, min(i0 + _COLS, n), buf, found)
+    for t, i0 in enumerate(range(0, n - _COLS, _ROWS)):  # the tiles with later blocks
+        end = n
+        if bound is not None:
+            need = np.flatnonzero(~(bound[t] < found[0]))
+            end = min(n, _ROWS * need[-1] + _COLS) if len(need) else i0 + _COLS
+            found = (found[0], found[1], found[2] + _ROWS * (n - end))
+        found = _scan_tile(rows, i0, i0 + _COLS, end, buf, found)
+    return math.sqrt(found[0]), found[1], found[2]
 
 
-def _scan(
-    actions: dict[int, _Rows], workers: int = 1
-) -> dict[int, tuple[float, float, int]]:
+def _scan(actions: dict[int, _Rows]) -> dict[int, tuple[float, float, int]]:
     """(max transition ratio, max reward ratio, usable pairs) per key of
-    `actions`, over all its pairs i < j.  With more than one worker, the
-    worker threads draw the row tiles, longest first, from one queue; numpy
-    releases the GIL inside each tile's passes.  Max and count are exact in
-    any order, so the result does not depend on the number of workers."""
+    `actions`, over all its pairs i < j, in one buffer allocated once."""
     n = max((rows.n for rows in actions.values()), default=0)
     depth = max((len(rows.P) for rows in actions.values()), default=0) + 1
-    shape = (depth, min(_ROWS, n), min(_COLS, n))
-    tiles = [(key, rows, i0) for key, rows in actions.items() for i0 in range(0, rows.n, _ROWS)]
-    workers = min(workers, len(tiles))
-    if workers <= 1:
-        return _scan_tiles(iter(tiles), shape)
-    tiles.sort(key=lambda tile: tile[2] - tile[1].n)
-    todo: queue.SimpleQueue = queue.SimpleQueue()
-    for tile in tiles + [None] * workers:
-        todo.put(tile)
-    with ThreadPoolExecutor(workers) as pool:
-        parts = list(pool.map(lambda _: _scan_tiles(iter(todo.get, None), shape), range(workers)))
-    found: dict[int, tuple[float, float, int]] = {}
-    for part in parts:
-        for key, (t, r, u) in part.items():
-            best_t, best_r, used = found.get(key, (0.0, 0.0, 0))
-            found[key] = (max(best_t, t), max(best_r, r), used + u)
-    return found
+    buf = np.empty(depth * min(_ROWS, n) * min(_COLS, n))
+    return {key: _scan_action(rows, buf) for key, rows in actions.items()}
 
 
 def _pairwise_max_ratios(
     X: np.ndarray, Y: np.ndarray, R: np.ndarray, metric: Metric
 ) -> tuple[float, float, int]:
     """Exact max ratios over all pairs i < j with distinct starts, for one
-    action's stacked arrays, in this thread (see _scan_tiles)."""
+    action's stacked arrays (see _scan_action)."""
     return _scan({0: _Rows.of(X, Y, R, metric)})[0]
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
@@ -250,17 +344,16 @@ def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
     Cross-action pairs are excluded: they would mix different dynamics.  A
     ratio that overflows comes back inf, with the first action whose ratio
     overflowed in `inf_t` / `inf_r`.  A dataset with no same-action pair
-    of distinct starts gives ratios 0 over 0 pairs.  Above _THREADED_PAIRS
-    pairs the scan runs on one thread per CPU, in a pool that is shut down
-    before return.
+    of distinct starts gives ratios 0 over 0 pairs.  The scan is exact,
+    and skips only the tiles whose pairs a fitted affine-map bound places
+    below the running max (`_sorted_bounds`); it runs in the calling thread.
     """
     actions = {}
     for a in range(ds.n_actions):
         X, Y, R = ds.action_arrays(a)
         if len(R) >= 2:
             actions[a] = _Rows.of(X, Y, R, metric)
-    pairs = sum(rows.n * (rows.n - 1) // 2 for rows in actions.values())
-    found = _scan(actions, _cpus() if pairs > _THREADED_PAIRS else 1)
+    found = _scan(actions)
     best_t = max((t for t, _, _ in found.values()), default=0.0)
     best_r = max((r for _, r, _ in found.values()), default=0.0)
     used = sum(u for _, _, u in found.values())

@@ -170,10 +170,21 @@ def simulate_value(
 
 def trajectory_error(sim: Trajectory, truth: Trajectory, metric: Metric) -> float:
     """Summed state distance between a simulated and a reference trajectory
-    from the same start, truncated to the shorter state sequence."""
+    from the same start, truncated to the shorter state sequence.
+
+    Each distance is `Metric.distance`'s weighted difference and dot
+    product, and the distances are summed in step order, so the sum has
+    the bits of a loop over `Metric.distance`."""
     if not np.array_equal(sim.states[0], truth.states[0]):
         raise ValueError("trajectories must start from the same initial state")
-    return float(sum(metric.distance(x, y) for x, y in zip(sim.states, truth.states)))
+    if sim.states.shape[1] != metric.dim or truth.states.shape[1] != metric.dim:
+        raise ValueError(
+            f"dimension mismatch: metric is {metric.dim}-D, points are "
+            f"{sim.states.shape[1]}-D and {truth.states.shape[1]}-D"
+        )
+    k = min(len(sim.states), len(truth.states))
+    diff = (sim.states[:k] - truth.states[:k]) * metric.weights
+    return float(sum(np.sqrt(np.vecdot(diff, diff)).tolist()))
 
 
 def rollout_policy(

@@ -105,6 +105,64 @@ def ratio_inputs(draw, scales=(1.0, 1.0, 1.0, 1e151), subnormal=False):
     return X, Y, R, Metric(np.array(weights))
 
 
+@st.composite
+def affine_inputs(draw):
+    """One action's rows under a near-affine map, for the pruned scan.
+
+    Drawn in weighted coordinates, then divided by the metric weights: in
+    one to three dimensions, next states X M + c under a random M and c,
+    with residual noise.  Either 257 to 1,200 starts fill a box, so that
+    some column blocks lie off the diagonal tiles, under an M near the
+    identity (like windy's map) or far from it; or 1,200 to 2,000 starts
+    lie in three blobs along the direction a near-identity M stretches
+    most, 8 wide along the direction it shrinks most, and the middle blob's
+    next states are lifted along the image of that direction.  No affine
+    map absorbs that lift.  The largest ratio is then that of a pair
+    between blobs whose starts lie far apart along the shrinking direction,
+    so in the sorted order: a far pair above every ratio the diagonal tiles
+    see, which only the residual term of the bound keeps in the sweep.  In
+    the box, sometimes coincident starts, a start a subnormal distance
+    from another, varying rewards, starts scaled by 1e160, outside the
+    plain range, or starts and next states scaled by 1e-160."""
+    dim = draw(st.integers(1, 3))
+    blobs = dim > 1 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim)))
+    if blobs:
+        n = draw(st.integers(1200, 2000))
+        M = np.eye(dim) + draw(st.sampled_from([0.03, 0.1])) * rng.normal(size=(dim, dim))
+        lam, V = np.linalg.eigh(M @ M.T)  # V[:, 0] shrinks most, V[:, -1] stretches most
+        blob = rng.integers(3, size=n)
+        X = np.outer(8.0 * (blob - 1) + rng.uniform(-1, 1, size=n), V[:, -1])
+        X += rng.uniform(-4, 4, size=(n, dim - 1)) @ V[:, :-1].T
+        noise = draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+    else:
+        n = draw(st.integers(257, 1200))
+        M = np.eye(dim) + draw(st.sampled_from([0.03, 0.3, 1.0])) * rng.normal(size=(dim, dim))
+        X = rng.uniform(-10, 10, size=(n, dim))
+        noise = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]))
+        for _ in range(draw(st.integers(0, 3))):
+            src, dst = rng.integers(n, size=2)
+            step = draw(st.sampled_from([0.0, 1e-9, 1e-160, 5e-324]))
+            if 0.0 < step < 1e-100:  # a start at the origin and one a subnormal distance from it
+                X[src] = 0.0
+            X[dst] = X[src]
+            X[dst, 0] += step
+    Y = X @ M + rng.normal(size=dim) + noise * rng.normal(size=(n, dim))
+    if blobs:
+        # a lift L makes the cross-blob ratio peak at a separation of
+        # L sqrt(lam_0) / (lam_-1 - lam_0) along V[:, 0]: `reach` units
+        reach = draw(st.sampled_from([5.0, 7.0]))
+        up = V[:, 0] @ M
+        Y[blob == 1] += up * (reach * (lam[-1] - lam[0]) / np.sqrt(lam[0]) / np.linalg.norm(up))
+        return X / weights, Y / weights, np.full(n, -1.0), Metric(weights)
+    R = rng.normal(size=n) if draw(st.booleans()) and draw(st.booleans()) else np.full(n, -1.0)
+    scale = draw(st.sampled_from([1.0, 1.0, 1e160, 1e-160]))
+    if scale < 1.0:  # squared differences deep in the subnormal range
+        Y *= scale
+    return X / weights * scale, Y / weights, R, Metric(weights)
+
+
 class TestLipschitzEstimation:
     def test_doubling_map_is_exact(self):
         # f(x) = 2x: every pair ratio is exactly 2
@@ -147,16 +205,14 @@ class TestLipschitzEstimation:
     @given(ratio_inputs(scales=(1.0, 1.0, 1e151, 1e160), subnormal=True), st.integers(1, 3),
            st.integers(0, 2**32 - 1))
     def test_tiled_scan_equals_the_block_scan(self, case, n_actions, seed):
-        # the rows split among up to three actions, scanned serially and by
-        # two workers: every max and count equals the old 64-row block
-        # scan's, bit for bit
+        # the rows split among up to three actions: every max and count
+        # equals the old 64-row block scan's, bit for bit
         X, Y, R, m = case
         A = np.random.default_rng(seed).integers(0, n_actions, size=len(X))
         want = {a: block_pair_scan(X[A == a], Y[A == a], R[A == a], m)
                 for a in range(n_actions) if np.count_nonzero(A == a) >= 2}
         actions = {a: _Rows.of(X[A == a], Y[A == a], R[A == a], m) for a in want}
         assert _scan(actions) == want
-        assert _scan(actions, workers=2) == want
         assert _pairwise_max_ratios(X, Y, R, m) == block_pair_scan(X, Y, R, m)
 
     def test_an_overflowing_next_state_difference_gives_inf(self):
@@ -221,7 +277,7 @@ class TestLipschitzEstimation:
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
 
-    def test_overflowing_ratio_names_the_action_without_a_warning(self, monkeypatch):
+    def test_overflowing_ratio_names_the_action_without_a_warning(self):
         # two action-1 starts 1e-160 apart with distinct next states: their
         # squared distance is subnormal and the squared ratio overflows
         ds = Dataset([
@@ -233,10 +289,6 @@ class TestLipschitzEstimation:
             warnings.simplefilter("error")
             lips = global_lipschitz(ds, m)
             assert lips == LipschitzEstimates(np.inf, 0.0, 2, inf_t=1)
-            with monkeypatch.context() as threaded:  # each action's tile on its own worker
-                threaded.setattr(errors, "_THREADED_PAIRS", 0)
-                threaded.setattr(errors, "_cpus", lambda: 2)
-                assert global_lipschitz(ds, m) == lips
             with pytest.raises(ValueError) as err:
                 lips.with_given({})
             assert str(err.value) == (
@@ -251,26 +303,64 @@ class TestLipschitzEstimation:
             near = ds.neighbor_rows(np.array([0.0, 0.0]), 1, 1.0, m)
             assert not np_error_estimate(ds, near, m, lips).supported
 
-    def test_a_scan_above_the_pair_threshold_leaves_no_thread_alive(self, monkeypatch):
-        # 2,900 rows of one action: 4,203,550 pairs, above the threshold;
-        # two workers scan them, and both are gone when the call returns,
-        # so no thread is alive when `--jobs` forks
+    def test_a_large_scan_starts_no_thread(self, monkeypatch):
+        # 2,900 rows of one action, 4,203,550 pairs: the scan runs in the
+        # calling thread, so no thread is alive when `--jobs` forks
         rng = np.random.default_rng(5)
         n = 2900
-        assert n * (n - 1) // 2 > errors._THREADED_PAIRS
         X = rng.uniform(-5, 5, size=(n, 2))
         ds = Dataset([tr(X[i], 0, -1.0, 2.0 * X[i], 0, i) for i in range(n)], [X[0]], 2, 1)
         m = Metric.euclidean(2)
-        monkeypatch.setattr(errors, "_cpus", lambda: 2)
-        threads = set()
-        scan_tiles = errors._scan_tiles
-        monkeypatch.setattr(errors, "_scan_tiles", lambda *a: threads.add(
-            threading.get_ident()) or scan_tiles(*a))
-        before = threading.active_count()
+
+        def no_thread(self):
+            raise AssertionError("global_lipschitz started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         got = global_lipschitz(ds, m)
-        assert threading.active_count() == before
-        assert len(threads) == 2 and threading.get_ident() not in threads
         assert got == LipschitzEstimates(*block_pair_scan(X, 2.0 * X, np.full(n, -1.0), m))
+
+    @settings(max_examples=50, deadline=None)
+    @given(affine_inputs(), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_pruned_scan_equals_the_block_scan(self, case, n_actions, seed):
+        # near-affine rows, split between one or two actions: each action's
+        # pruned scan, and the global estimates over both, equal the old
+        # 64-row block scan's, bit for bit
+        X, Y, R, m = case
+        A = np.random.default_rng(seed).integers(0, n_actions, size=len(X))
+        want = {a: block_pair_scan(X[A == a], Y[A == a], R[A == a], m)
+                for a in range(n_actions) if np.count_nonzero(A == a) >= 2}
+        assert {a: _pairwise_max_ratios(X[A == a], Y[A == a], R[A == a], m)
+                for a in want} == want
+        ds = Dataset([tr(X[i], int(A[i]), R[i], Y[i], 0, i) for i in range(len(X))],
+                     [X[0]], X.shape[1], n_actions)
+        assert global_lipschitz(ds, m) == LipschitzEstimates(
+            max((t for t, _, _ in want.values()), default=0.0),
+            max((r for _, r, _ in want.values()), default=0.0),
+            sum(u for _, _, u in want.values()),
+            min((a for a, (t, _, _) in want.items() if t == np.inf), default=None),
+            min((a for a, (_, r, _) in want.items() if r == np.inf), default=None),
+        )
+
+    def test_the_bound_skips_most_of_an_affine_action(self, monkeypatch):
+        # 6,000 rows under windy's map, one reward: the scan sweeps under a
+        # fifth of the pair area, so a prune that has switched off fails here
+        rng = np.random.default_rng(11)
+        n = 6000
+        X = rng.uniform([0.0, 0.0], [12.0, 14.0], size=(n, 2))
+        Y = X @ np.array([[1.0, 0.0], [-0.03, 1.0]]) + np.array([0.0, 1.0])
+        rows = _Rows.of(X, Y, np.full(n, -1.0), Metric.euclidean(2))
+        swept = []
+        scan_tile = errors._scan_tile
+
+        def counted(rows, i0, j0, j1, *rest):
+            swept.append((min(i0 + errors._ROWS, n) - i0) * max(j1 - j0, 0))
+            return scan_tile(rows, i0, j0, j1, *rest)
+
+        monkeypatch.setattr(errors, "_scan_tile", counted)
+        got = _scan({0: rows})[0]
+        area = sum((min(i0 + errors._ROWS, n) - i0) * (n - i0) for i0 in range(0, n, errors._ROWS))
+        assert sum(swept) <= 0.2 * area
+        assert got == block_pair_scan(X, Y, np.full(n, -1.0), Metric.euclidean(2))
 
 
 class TestNonparametricErrorEstimate:

@@ -192,6 +192,21 @@ class TestTrajectoryError:
         got = trajectory_error(short, long, Metric.euclidean(2))
         assert got == pytest.approx(3.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 40), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_equals_a_loop_over_metric_distance(self, dim, a, b, seed):
+        # bit for bit, on weighted metrics and coordinates over six decades
+        rng = np.random.default_rng(seed)
+        start = rng.normal(size=dim) * 10
+        sim, truth = (
+            Trajectory(np.vstack([start, rng.normal(size=(k, dim)) * 10 ** rng.uniform(-3, 3)]),
+                       [0] * k, [-1.0] * k)
+            for k in (a, b)
+        )
+        m = Metric(rng.uniform(0.25, 4.0, size=dim))
+        want = float(sum(m.distance(x, y) for x, y in zip(sim.states, truth.states)))
+        assert trajectory_error(sim, truth, m) == want
+
     def test_different_starts_rejected(self):
         a = self._chain([(0.0, 0.0), (1.0, 0.0)])
         b = self._chain([(0.5, 0.0), (1.5, 0.0)])
