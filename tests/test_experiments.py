@@ -12,32 +12,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moesim.experiments
+import moesim.selection
 from moesim.cli import build_parser
 from moesim.cli import main as cli_main
-from moesim.core import Dataset, Policy, Trajectory, Transition
+from moesim.core import Dataset, Metric, Neighbors, Policy, Trajectory, Transition
 from moesim.experiments import (
     ConfigError,
     RepetitionError,
     SECTIONS,
     build_context,
+    derive_seed,
     emit_error_maps,
     fit_parametric,
+    generate_batch,
     run_experiment,
     run_repetition,
     validate_config,
 )
-from moesim.errors import parametric_residuals
+from moesim.errors import global_lipschitz, np_error_estimate, parametric_residuals
 from moesim.models import NONPARAMETRIC, PARAMETRIC, MLPModel, RidgePerActionModel
 from moesim.reproduce import (
     planning_toy_config,
     reproduce_consistency,
     reproduce_table1,
+    windy_consistency_config,
     windy_table1_config,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_report.json"
 MCTS_GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_mcts_report.json"
 ACROBOT_GOLDEN = Path(__file__).parent / "golden" / "tiny_acrobot_report.json"
+BATCH250_GOLDEN = Path(__file__).parent / "golden" / "windy_batch250_rep0.json"
 
 
 def tiny_config(**overrides):
@@ -55,6 +60,54 @@ def tiny_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def batch250_config(master):
+    """The `reproduce consistency` config at 250 trajectories, seeded as
+    `reproduce_consistency` seeds that batch size."""
+    cfg = windy_consistency_config(seed=derive_seed(master, 250))
+    cfg["n_behavior_trajectories"] = 250
+    return validate_config(cfg)
+
+
+def batch250_document(monkeypatch):
+    """The text of `golden/windy_batch250_rep0.json`: the record of rep 0 at
+    master seed 0; the global ratios of rep 0's data at master seeds 0-7;
+    and the local scans of the first 20 nonparametric estimates of that
+    record, in `float.hex`.  A local scan's ratios are `np_error_estimate`'s
+    at a nearest distance of 1, and its pairs those of `global_lipschitz`
+    over the neighbourhood's rows alone, which must give the same ratios."""
+    calls = []
+    estimate = moesim.selection.np_error_estimate
+
+    def recorded(ds, near, metric, fallback):
+        if len(calls) < 20:
+            calls.append((ds, near, metric, fallback))
+        return estimate(ds, near, metric, fallback)
+
+    monkeypatch.setattr(moesim.selection, "np_error_estimate", recorded)
+    record = run_repetition(batch250_config(0), 0)
+    monkeypatch.undo()
+    local = []
+    for ds, near, metric, fallback in calls:
+        est = estimate(ds, near, metric, fallback)
+        ratios = estimate(ds, Neighbors(near.nearest, 1.0, near.rows), metric, fallback)
+        keep = np.zeros(len(ds), dtype=bool)
+        keep[near.rows] = True
+        alone = global_lipschitz(ds.select(keep), metric)
+        if alone.n_pairs:
+            assert (alone.l_t, alone.l_r) == (ratios.eps_t, ratios.eps_r)
+        local.append({
+            "rows": len(near.rows), "eps_t": est.eps_t.hex(), "eps_r": est.eps_r.hex(),
+            "l_t": ratios.eps_t.hex(), "l_r": ratios.eps_r.hex(), "n_pairs": alone.n_pairs,
+        })
+    scans = []
+    for master in range(8):
+        ds = generate_batch(batch250_config(master), 0).visible
+        lips = global_lipschitz(ds, Metric.euclidean(ds.dim))
+        scans.append({"l_t": lips.l_t.hex(), "l_r": lips.l_r.hex(), "n_pairs": lips.n_pairs})
+    doc = {"record": record, "global_lipschitz": scans, "np_error_estimate": local}
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 class TestConfigValidation:
@@ -195,6 +248,11 @@ class TestRunExperiment:
             "seed": 11,
         }
         assert run_experiment(cfg).to_json() == ACROBOT_GOLDEN.read_text()
+
+    def test_matches_windy_batch250_golden(self, monkeypatch):
+        # the only golden whose actions have thousands of rows, so the only
+        # one that runs the pruned global scan and local scans of 100+ rows
+        assert batch250_document(monkeypatch) == BATCH250_GOLDEN.read_text()
 
     @settings(max_examples=6, deadline=None)
     @given(order=st.permutations(range(3)))
