@@ -9,16 +9,19 @@ parametric residual.  The per-step errors feed the discounted return-error
 bound that the planner minimizes (`selection`).
 
 The global ratios come from an exact scan over every same-action pair, in
-the calling thread.  It skips only the tiles of pairs whose ratios a fitted
-affine-map bound, with rounding allowances, puts below the running max
-(`_sorted_bounds`), so it returns the bits of a full sweep.
+the calling thread.  Where a fitted affine-map bound, with rounding
+allowances, holds (`_sorted_bounds`), it sweeps only the pairs a few rows
+apart in the bound's sort order, and skips the rest once the bound puts
+their ratios below the running max; so it returns the bits of a full
+sweep.  Each local scan gathers its rows from columns weighted once per
+(dataset, metric), and a small one is a single pass over its pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -113,6 +116,8 @@ class BoundParams:
 _ROWS, _COLS = 128, 256  # pairs per tile of the pair scan; a tile's buffers stay in cache
 _LOWER = np.tri(_ROWS, dtype=bool)  # the j <= i pairs of a tile on the diagonal
 _PLAIN = 1e150  # below this, no squared difference of weighted coordinates overflows
+# the pairs i < j of _ROWS rows by j, so that those of the first n rows come first
+_J, _I = np.tril_indices(_ROWS, -1)
 
 
 class _Rows(NamedTuple):
@@ -143,52 +148,65 @@ class _Rows(NamedTuple):
         return self.P.shape[1]
 
 
+def _ratios(
+    sq: np.ndarray, tmp: np.ndarray, plain: bool, mask: np.ndarray | None,
+    best_t: float, used: int,
+) -> tuple[float, int, np.ndarray]:
+    """The pair arithmetic of the scan, for pairs whose coordinate
+    differences (the dim start dimensions, then the dim next-state ones)
+    lie along the first axis of `sq`: (max of `best_t` and their squared
+    transition ratios, `used` plus their usable pairs, their squared start
+    distances).
+
+    The squares add in dimension order.  The pairs where `mask` holds, over
+    the leading columns, get an infinite squared start distance, so their
+    ratios are 0 and they are not counted.  When the max squared ratio is
+    finite and the rows are plain, no two starts coincide and no distance
+    overflowed: every other pair is usable.  Otherwise coincident starts
+    also get an infinite distance, and the pairs with a finite one are
+    counted; a ratio of two infinite squares is not a pair and is skipped.
+    Starts so close that their squared distance is subnormal can overflow a
+    ratio to inf; the callers run this without floating-point warnings."""
+    dim = len(sq) // 2
+    np.multiply(sq, sq, out=sq)
+    dx2, dy2 = sq[0], sq[dim]
+    for k in range(1, dim):
+        dx2 += sq[k]
+        dy2 += sq[dim + k]
+    masked = 0
+    if mask is not None:
+        np.copyto(dx2[..., : mask.shape[-1]], np.inf, where=mask)
+        masked = int(np.count_nonzero(mask))
+    top = np.divide(dy2, dx2, out=tmp).max()
+    if plain and top < np.inf:
+        used += dx2.size - masked
+    else:
+        dx2[dx2 == 0.0] = np.inf
+        used += int(np.count_nonzero(dx2 != np.inf))
+        top = np.fmax.reduce(np.divide(dy2, dx2, out=tmp), axis=None, initial=0.0)
+    return max(best_t, float(top)), used, dx2
+
+
 def _scan_tile(
-    rows: _Rows, i0: int, lo: int, hi: int, buf: np.ndarray,
-    found: tuple[float, float, int],
+    rows: _Rows, i0: int, buf: np.ndarray, found: tuple[float, float, int]
 ) -> tuple[float, float, int]:
     """`found` (max squared transition ratio, max reward ratio, usable
-    pairs) updated with the pairs of rows i0 to i0 + _ROWS against columns
-    lo to hi (lo >= i0), _COLS columns at a time, in `buf` (squared
-    differences of each row of P, then the ratios).
-
-    The tile on the diagonal (j0 == i0) gives its j <= i pairs an infinite
-    squared start distance, so their ratios are 0 and they are not counted.
-    When the tile's max squared ratio is finite and its rows are plain, no
-    two starts coincide and no distance overflowed: every other pair is
-    usable.  Otherwise coincident starts also get an infinite distance, and
-    the pairs with a finite one are counted; a ratio of two infinite squares
-    is not a pair and is skipped.  Starts so close that their squared
-    distance is subnormal can overflow a ratio to inf; `_scan_action` runs
-    this without floating-point warnings."""
+    pairs) updated with the pairs i < j of rows i0 to i0 + _ROWS against
+    the columns from i0 on, _COLS at a time, in `buf` (squared differences
+    of each row of P, then the ratios).  The tile on the diagonal
+    (j0 == i0) masks its j <= i pairs (`_ratios`)."""
     P, R = rows.P, rows.R
-    dim = len(P) // 2
     i1 = min(i0 + _ROWS, rows.n)
     h = i1 - i0
     best_t, best_r, used = found
-    for j0 in range(lo, hi, _COLS):
-        m = min(j0 + _COLS, hi) - j0
+    for j0 in range(i0, rows.n, _COLS):
+        m = min(j0 + _COLS, rows.n) - j0
         # contiguous views, so that each pass is one loop over the tile
-        sq = buf[: 2 * dim * h * m].reshape(2 * dim, h, m)
-        tmp = buf[2 * dim * h * m : (2 * dim + 1) * h * m].reshape(h, m)
+        sq = buf[: len(P) * h * m].reshape(len(P), h, m)
+        tmp = buf[len(P) * h * m : (len(P) + 1) * h * m].reshape(h, m)
         np.subtract(P[:, i0:i1, None], P[:, None, j0 : j0 + m], out=sq)
-        np.multiply(sq, sq, out=sq)
-        dx2, dy2 = sq[0], sq[dim]
-        for k in range(1, dim):
-            dx2 += sq[k]
-            dy2 += sq[dim + k]
-        masked = 0
-        if j0 == i0:
-            np.copyto(dx2[:, :h], np.inf, where=_LOWER[:h, :h])
-            masked = h * (h + 1) // 2
-        top = np.divide(dy2, dx2, out=tmp).max()
-        if rows.plain and top < np.inf:
-            used += h * m - masked
-        else:
-            dx2[dx2 == 0.0] = np.inf
-            used += int(np.count_nonzero(dx2 != np.inf))
-            top = np.fmax.reduce(np.divide(dy2, dx2, out=tmp), axis=None, initial=0.0)
-        best_t = max(best_t, float(top))
+        mask = _LOWER[:h, :h] if j0 == i0 else None
+        best_t, used, dx2 = _ratios(sq, tmp, rows.plain, mask, best_t, used)
         if rows.rewards_vary:
             np.subtract(R[i0:i1, None], R[None, j0 : j0 + m], out=tmp)
             np.abs(tmp, out=tmp)
@@ -197,47 +215,65 @@ def _scan_tile(
     return best_t, best_r, used
 
 
-def _sorted_bounds(rows: _Rows) -> tuple[_Rows, np.ndarray | None]:
-    """One action's rows sorted for the pruned scan, and an upper bound on
-    the computed squared ratio (`_scan_tile`'s fl(dy2 / dx2)) of every pair
-    between row tile t and the column block of _COLS rows that starts at
-    row _ROWS * c, as bound[t, c]; -inf where c is not an off-diagonal
-    block of tile t.  (rows, None) when the rows are not plain, their
-    rewards vary, or every pair lies in a diagonal tile.
+def _scan_pairs(
+    rows: _Rows, a: np.ndarray, b: np.ndarray, buf: np.ndarray,
+    found: tuple[float, float, int],
+) -> tuple[float, float, int]:
+    """`found` updated with the pairs whose columns of P are a[:, t], the
+    earlier row, and b[:, t], in one pass in `buf`; it takes no reward
+    ratio, so the rows' rewards must not vary.  Each pair gets
+    `_scan_tile`'s bits: fl(a - b) = -fl(b - a), and the squares add in the
+    same order."""
+    m = a.shape[1]
+    sq = buf[: len(a) * m].reshape(len(a), m)
+    np.subtract(a, b, out=sq)
+    tmp = buf[len(a) * m : (len(a) + 1) * m]
+    best_t, used, _ = _ratios(sq, tmp, rows.plain, None, found[0], found[2])
+    return best_t, found[1], used
+
+
+def _sorted_bounds(rows: _Rows) -> tuple[_Rows, Callable[[int], float] | None]:
+    """One action's rows sorted for the banded scan, and `bound`, where
+    bound(k) bounds above the computed squared ratio (`_ratios`'
+    fl(dy2 / dx2)) of every pair (i, j) with j - i >= k in the sorted order,
+    and is inf when it cannot also vouch that the pair's starts are
+    distinct.  (rows, None) when the rows are not plain, their rewards vary,
+    or they fit in one block of _COLS.
 
     Let Y = X M + c be the least-squares affine fit of the weighted next
     states on the weighted starts, and G = Y - X M - c its residuals, exact
     for the float M and c; then dY = dX M + dG for every pair, so
     |dY| / |dX| <= |dX M| / |dX| + 2 max|G| / |dX|.  With w, V an
-    eigendecomposition of fl(M M^T), L = max w, D = L - w and
+    eigendecomposition of fl(M M^T), L = max w, D = L - w >= 0 and
     E = M M^T - L I + V diag(D) V^T (an identity for any floats V, D, L),
     |dX M|^2 = L |dX|^2 - sum_k D_k (dX . v_k)^2 + dX E dX^T
-             <= (L + |E|) |dX|^2 - sum_k D_k gap_k^2,
-    where gap_k bounds |dX . v_k| below over the pairs from the intervals of
-    the rows' projections on v_k.  With span >= |dX| >= delta, over the
-    pairs, the ratio is at most
-        sqrt(L + |E| - sum_k D_k gap_k^2 / span^2) + 2 max|G| / delta.
-    The rows are sorted by their projection on the eigenvector of the
-    smallest eigenvalue, so along it the gap grows with the distance
-    between tile and block.
+             <= (L + |E|) |dX|^2 - D_0 (dX . v_0)^2.
+    The rows are sorted by their projection p on v_0, the eigenvector of
+    the smallest eigenvalue, so for j - i >= k, p_j - p_i >= gap_k, the
+    smallest difference of projections k rows apart, which never decreases
+    with k.  With span >= |dX| >= delta = gap_k / |v_0|_1 over all pairs of
+    the action, the ratio is at most
+        sqrt(L + |E| - D_0 gap_k^2 / span^2) + 2 max|G| / delta.
 
     Every float step that feeds the bound gets an allowance.  Higham's
     gamma_k = k u / (1 - k u), with u = 2**-53, bounds the relative error
     of k rounded steps; Gamma = gamma_{4 dim + 32} covers each chain of at
     most 2 dim + 20 steps below, and tiny = 4 dim**2 eta (eta the smallest
-    subnormal) the products that underflow.  A pair is bounded only when
-    delta**2 >= dim * 2**-1019: then its computed squared start distance is
-    at least (1 - gamma_{dim+2}) |dX|**2 - dim * eta / 2 > 0, so the pair
-    is usable, and its computed squared ratio is at most
+    subnormal) the products that underflow.  A projection is off by at
+    most e_0, so a computed difference d of two bounds the true one below
+    by (d - 4 e_0) (1 - 4 u).  Pairs are bounded only when
+    delta**2 >= dim * 2**-1019: then a pair's computed squared start
+    distance is at least (1 - gamma_{dim+2}) |dX|**2 - dim * eta / 2 > 0,
+    so the pair is usable, and its computed squared ratio is at most
     (1 + Gamma) (bound)**2 + u."""
     n = rows.n
     if not rows.plain or rows.rewards_vary or n <= _COLS:
         return rows, None
     dim = len(rows.P) // 2
-    u = np.finfo(np.float64).epsneg  # the unit roundoff, 2**-53
+    u = float(np.finfo(np.float64).epsneg)  # the unit roundoff, 2**-53
     k = 4 * dim + 32
     big = 1 + k * u / (1 - k * u)  # 1 + Gamma, Higham's gamma_k
-    tiny = 4 * dim**2 * np.finfo(np.float64).smallest_subnormal
+    tiny = 4 * dim**2 * float(np.finfo(np.float64).smallest_subnormal)
     X, Y = rows.P[:dim], rows.P[dim:]
     fit = np.linalg.lstsq(np.vstack([X, np.ones(n)]).T, Y.T, rcond=None)[0]
     M, shift = fit[:dim], fit[dim]
@@ -260,82 +296,79 @@ def _sorted_bounds(rows: _Rows) -> tuple[_Rows, np.ndarray | None]:
         np.abs(G).sum(axis=0).max() * big
         + (big - 1) * (np.abs(shift).sum() + (xmax @ np.abs(M)).sum())
     ) * big + tiny
-    # projections on each v_k, off by at most e_k; sort by the first
-    p = V.T @ X
-    e = (big - 1) * (xmax @ np.abs(V)) + tiny
-    order = np.argsort(p[0], kind="stable")
+    # the start span, over every pair of the action
+    wide = X.max(axis=1) - X.min(axis=1)
+    peak = wide.max()
+    span = peak * np.sqrt(((wide / peak) ** 2).sum()) * big
+    # the projections on v_0, off by at most e0
+    p = V[:, 0] @ X
+    e0 = (big - 1) * (xmax @ np.abs(V[:, 0])) + tiny
+    order = np.argsort(p, kind="stable")
     rows = _Rows(rows.P[:, order], rows.R[order], rows.plain, rows.rewards_vary)
-    p = p[:, order]
-    # per chunk of _ROWS rows, then per block of _COLS rows from each chunk:
-    # intervals of the projections and of the start coordinates
-    Z = np.vstack([p, rows.P[:dim]])
-    chunks = np.arange(0, n, _ROWS)
-    lo, hi = np.minimum.reduceat(Z, chunks, axis=1), np.maximum.reduceat(Z, chunks, axis=1)
-    blo, bhi = lo.copy(), hi.copy()
-    for s in range(1, _COLS // _ROWS):
-        np.minimum(blo[:, :-s], lo[:, s:], out=blo[:, :-s])
-        np.maximum(bhi[:, :-s], hi[:, s:], out=bhi[:, :-s])
-    # axis 1: row tile t; axis 2: the block starting at chunk c
-    far = np.maximum(blo[:, None, :] - hi[:, :, None], lo[:, :, None] - bhi[:, None, :])
-    wide = np.maximum(
-        bhi[dim:, None, :] - lo[dim:, :, None], hi[dim:, :, None] - blo[dim:, None, :]
-    )
-    gap = np.maximum(far[:dim] - 4 * e[:, None, None], 0.0) * (1 - 4 * u)
-    peak = wide.max(axis=0)
-    span = peak * np.sqrt(((wide / peak) ** 2).sum(axis=0)) * big
-    sub = np.tensordot(D, (gap / span) ** 2, axes=1)
-    q = np.maximum(wmax + eps - sub + (big - 1) * (abs(wmax) + eps + sub), 0.0)
-    delta = (gap / (np.abs(V).sum(axis=0) * big)[:, None, None]).max(axis=0) * (1 - 4 * u)
-    bound = (np.sqrt(q) + 2 * g / delta) ** 2 * big + u
-    bound[~(delta * delta >= dim * 2.0**-1019)] = np.inf
-    t, c = np.indices(bound.shape)
-    off = c - t
-    bound[(off <= 0) | (off % (_COLS // _ROWS) != 0)] = -np.inf
+    p = p[order]
+    shrink, span, e0 = float(D[0]), float(span), float(e0)
+    norm = float(np.abs(V[:, 0]).sum() * big)
+    wtop, wabs, residual = float(wmax + eps), float(abs(wmax) + eps), float(2 * g)
+    guard = dim * 2.0**-1019
+
+    def bound(k: int) -> float:
+        gap = max(float((p[k:] - p[:-k]).min()) - 4 * e0, 0.0) * (1 - 4 * u)
+        delta = gap / norm * (1 - 4 * u)
+        if not delta * delta >= guard:
+            return math.inf
+        sub = shrink * (gap / span) ** 2
+        q = max(wtop - sub + (big - 1) * (wabs + sub), 0.0)
+        return (math.sqrt(q) + residual / delta) ** 2 * big + u
+
     return rows, bound
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _scan_action(rows: _Rows, buf: np.ndarray) -> tuple[float, float, int]:
     """(max transition ratio, max reward ratio, usable pairs) over the pairs
-    i < j of one action's rows.
+    i < j of one action's rows, without floating-point warnings from the
+    callers.
 
-    First each row tile against its diagonal block, which seeds the running
-    max; then each row tile against its later blocks, up to the last one
-    whose bound (`_sorted_bounds`) reaches the running max.  The pairs past
-    that end have computed ratios below the max and distinct starts, so
-    they cannot change the max and count as usable.  Without bounds each
-    tile runs to the last column.  A float max and an integer count are the
-    same in any order, and `sqrt` is monotone."""
+    With a bound (`_sorted_bounds`), first the diagonal k = 1 of the sorted
+    rows, the pairs (i, i + 1).  When the bound at k = _ROWS then lies below
+    the running max, the diagonals k = 2, 3, ... follow, up to the first k
+    whose bound does: the (n - k)(n - k + 1) / 2 pairs at offsets k and
+    above have computed ratios below the max and distinct starts, so they
+    cannot change the max and count as usable.  That sweep takes at most
+    _ROWS passes of under n pairs each, fewer pairs than the tiles' n / 2
+    per row.  Otherwise, and without a bound, each row tile meets its
+    diagonal block and every later block.  A float max and an integer
+    count are the same in any order, and `sqrt` is monotone."""
     rows, bound = _sorted_bounds(rows)
     n = rows.n
     found = (0.0, 0.0, 0)
+    if bound is not None:
+        found = _scan_pairs(rows, rows.P[:, :-1], rows.P[:, 1:], buf, found)
+        if bound(_ROWS) < found[0]:
+            k = 2
+            while not bound(k) < found[0]:
+                found = _scan_pairs(rows, rows.P[:, : n - k], rows.P[:, k:], buf, found)
+                k += 1
+            return math.sqrt(found[0]), found[1], found[2] + (n - k) * (n - k + 1) // 2
+        found = (0.0, 0.0, 0)
     for i0 in range(0, n, _ROWS):
-        found = _scan_tile(rows, i0, i0, min(i0 + _COLS, n), buf, found)
-    for t, i0 in enumerate(range(0, n - _COLS, _ROWS)):  # the tiles with later blocks
-        end = n
-        if bound is not None:
-            need = np.flatnonzero(~(bound[t] < found[0]))
-            end = min(n, _ROWS * need[-1] + _COLS) if len(need) else i0 + _COLS
-            found = (found[0], found[1], found[2] + _ROWS * (n - end))
-        found = _scan_tile(rows, i0, i0 + _COLS, end, buf, found)
+        found = _scan_tile(rows, i0, buf, found)
     return math.sqrt(found[0]), found[1], found[2]
 
 
+def _buffer(depth: int, n: int) -> np.ndarray:
+    """A scan buffer for rows of P `depth` deep, that fits a tile or a
+    diagonal of n rows."""
+    return np.empty((depth + 1) * max(min(_ROWS, n) * min(_COLS, n), n))
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _scan(actions: dict[int, _Rows]) -> dict[int, tuple[float, float, int]]:
     """(max transition ratio, max reward ratio, usable pairs) per key of
     `actions`, over all its pairs i < j, in one buffer allocated once."""
     n = max((rows.n for rows in actions.values()), default=0)
-    depth = max((len(rows.P) for rows in actions.values()), default=0) + 1
-    buf = np.empty(depth * min(_ROWS, n) * min(_COLS, n))
+    depth = max((len(rows.P) for rows in actions.values()), default=0)
+    buf = _buffer(depth, n)
     return {key: _scan_action(rows, buf) for key, rows in actions.items()}
-
-
-def _pairwise_max_ratios(
-    X: np.ndarray, Y: np.ndarray, R: np.ndarray, metric: Metric
-) -> tuple[float, float, int]:
-    """Exact max ratios over all pairs i < j with distinct starts, for one
-    action's stacked arrays (see _scan_action)."""
-    return _scan({0: _Rows.of(X, Y, R, metric)})[0]
 
 
 def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
@@ -345,8 +378,8 @@ def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
     ratio that overflows comes back inf, with the first action whose ratio
     overflowed in `inf_t` / `inf_r`.  A dataset with no same-action pair
     of distinct starts gives ratios 0 over 0 pairs.  The scan is exact,
-    and skips only the tiles whose pairs a fitted affine-map bound places
-    below the running max (`_sorted_bounds`); it runs in the calling thread.
+    and skips only the pairs that a fitted affine-map bound places below
+    the running max (`_sorted_bounds`); it runs in the calling thread.
     """
     actions = {}
     for a in range(ds.n_actions):
@@ -362,6 +395,31 @@ def global_lipschitz(ds: Dataset, metric: Metric) -> LipschitzEstimates:
     return LipschitzEstimates(best_t, best_r, used, inf_t, inf_r)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _local_scan(ds: Dataset, rows: np.ndarray, metric: Metric) -> tuple[float, float, int]:
+    """`_scan_action` over the dataset rows `rows`; up to _ROWS of them,
+    when their rewards do not vary, as one list of their pairs i < j.
+
+    The rows come from the weighted columns of all of `ds`'s rows, kept on
+    the dataset per metric with a buffer for the pairs of _ROWS rows.  A
+    neighbourhood of plain rows is plain, and a plain flag that is false
+    only takes the slower branch of `_ratios` to the same bits."""
+    cache = vars(ds).setdefault("_local_columns", {})
+    key = metric.weights.tobytes()
+    if key not in cache:
+        whole = _Rows.of(ds.starts, ds.nexts, ds.rewards, metric)
+        cache[key] = whole, np.empty((len(whole.P) + 1) * len(_I))
+    whole, buf = cache[key]
+    R = ds.rewards[rows]
+    local = _Rows(whole.P[:, rows], R, whole.plain, bool((R[1:] != R[0]).any()))
+    if len(rows) > _ROWS or local.rewards_vary:
+        return _scan_action(local, _buffer(len(local.P), local.n))
+    m = len(rows) * (len(rows) - 1) // 2
+    a, b = local.P.take(_I[:m], axis=1), local.P.take(_J[:m], axis=1)
+    best_t, _, used = _scan_pairs(local, a, b, buf, (0.0, 0.0, 0))
+    return math.sqrt(best_t), 0.0, used
+
+
 def np_error_estimate(
     ds: Dataset,
     near: Neighbors | None,
@@ -372,18 +430,17 @@ def np_error_estimate(
     radius c (`Dataset.neighbor_rows`).
 
     eps = (local Lipschitz ratio) * (distance to the nearest same-action
-    start).  The local ratios come from transition pairs starting within c
-    of x; with fewer than two such neighbors the global estimates in
-    `fallback` are used.
+    start).  The local ratios come from the exact scan of the transition
+    pairs starting within c of x, the same as the global scan's over those
+    rows; with fewer than two such neighbors, or when all their starts
+    coincide, the global estimates in `fallback` are used.  The weighted
+    columns the scans gather from are built once per (dataset, metric).
     """
     if near is None or len(near.rows) == 0:
         return ErrorEstimate.unsupported()
-    rows = near.rows
     lips = fallback
-    if len(rows) >= 2:
-        bt, br, n = _pairwise_max_ratios(
-            ds.starts[rows], ds.nexts[rows], ds.rewards[rows], metric
-        )
+    if len(near.rows) >= 2:
+        bt, br, n = _local_scan(ds, near.rows, metric)
         if n > 0:
             lips = LipschitzEstimates(bt, br, n)
     return ErrorEstimate(lips.l_t * near.distance, lips.l_r * near.distance)

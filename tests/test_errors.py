@@ -17,7 +17,7 @@ from helpers import (
     state_error_closed_form,
 )
 from moesim import errors
-from moesim.core import Dataset, Metric, Transition
+from moesim.core import Dataset, Metric, Neighbors, Transition
 from moesim.envs import make_windy2d
 from moesim.envs.base import generate_trajectories
 from moesim.envs.windy import windy_behavior_policy, windy_no_wind_model
@@ -25,7 +25,6 @@ from moesim.errors import (
     BoundParams,
     ErrorEstimate,
     LipschitzEstimates,
-    _pairwise_max_ratios,
     _Rows,
     _scan,
     choose_radius,
@@ -35,6 +34,12 @@ from moesim.errors import (
     parametric_residuals,
 )
 from moesim.models import FunctionModel, NonparametricModel
+
+
+def pair_scan(X, Y, R, metric):
+    """The global scan's (max ratios, usable pairs) over one action's
+    stacked arrays."""
+    return _scan({0: _Rows.of(X, Y, R, metric)})[0]
 
 
 def tr(x, a, r, y, tid=0, t=0):
@@ -119,13 +124,15 @@ def affine_inputs(draw):
     next states are lifted along the image of that direction.  No affine
     map absorbs that lift.  The largest ratio is then that of a pair
     between blobs whose starts lie far apart along the shrinking direction,
-    so in the sorted order: a far pair above every ratio the diagonal tiles
-    see, which only the residual term of the bound keeps in the sweep.  In
-    the box, sometimes coincident starts, a start a subnormal distance
-    from another, varying rewards, starts scaled by 1e160, outside the
-    plain range, or starts and next states scaled by 1e-160."""
+    so in the sorted order: a far pair above every ratio of the first
+    diagonals, which only the residual term of the bound keeps in the
+    sweep.  In the box, sometimes coincident starts, a start a subnormal
+    distance from another, three starts of equal projection whose outer two
+    coincide, varying rewards, starts scaled by 1e160, outside the plain
+    range, or starts and next states scaled by 1e-160."""
     dim = draw(st.integers(1, 3))
     blobs = dim > 1 and draw(st.booleans())
+    trio = None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim)))
     if blobs:
@@ -148,7 +155,18 @@ def affine_inputs(draw):
                 X[src] = 0.0
             X[dst] = X[src]
             X[dst, 0] += step
+        if dim > 1 and draw(st.booleans()):
+            # the middle start 1e-100 from the outer two, which coincide, in
+            # a coordinate they have at 0: a projection loses the 1e-100
+            # against the other coordinates, so the three project equally,
+            # the stable sort keeps them in order, and the coincident pair
+            # lies at offset 2
+            trio = np.sort(rng.choice(n, size=3, replace=False))
+            X[trio] = X[trio[0]]
+            X[trio, 0] = [0.0, 1e-100, 0.0]
     Y = X @ M + rng.normal(size=dim) + noise * rng.normal(size=(n, dim))
+    if trio is not None:
+        Y[trio] = Y[trio[0]]
     if blobs:
         # a lift L makes the cross-blob ratio peak at a separation of
         # L sqrt(lam_0) / (lam_-1 - lam_0) along V[:, 0]: `reach` units
@@ -195,7 +213,7 @@ class TestLipschitzEstimation:
     @given(ratio_inputs())
     def test_pair_scan_matches_brute_force(self, case):
         X, Y, R, m = case
-        bt, br, used = _pairwise_max_ratios(X, Y, R, m)
+        bt, br, used = pair_scan(X, Y, R, m)
         want_t, want_r, want_used = brute_force_ratios(X, Y, np.zeros(len(X)), R, m)
         assert used == want_used
         assert bt == pytest.approx(want_t, rel=1e-9)
@@ -213,7 +231,7 @@ class TestLipschitzEstimation:
                 for a in range(n_actions) if np.count_nonzero(A == a) >= 2}
         actions = {a: _Rows.of(X[A == a], Y[A == a], R[A == a], m) for a in want}
         assert _scan(actions) == want
-        assert _pairwise_max_ratios(X, Y, R, m) == block_pair_scan(X, Y, R, m)
+        assert pair_scan(X, Y, R, m) == block_pair_scan(X, Y, R, m)
 
     def test_an_overflowing_next_state_difference_gives_inf(self):
         # the squared next-state difference of rows 0 and 1 overflows, so
@@ -222,7 +240,7 @@ class TestLipschitzEstimation:
         # old block scan's NaN max dropped the whole block)
         X = np.array([[0.0], [1.0], [2.0]])
         Y = np.array([[-1e200], [1e200], [0.0]])
-        assert _pairwise_max_ratios(X, Y, np.zeros(3), Metric.euclidean(1)) == (np.inf, 0.0, 3)
+        assert pair_scan(X, Y, np.zeros(3), Metric.euclidean(1)) == (np.inf, 0.0, 3)
         with np.errstate(invalid="ignore"):
             assert block_pair_scan(X, Y, np.zeros(3), Metric.euclidean(1)) == (0.0, 0.0, 3)
 
@@ -329,7 +347,7 @@ class TestLipschitzEstimation:
         A = np.random.default_rng(seed).integers(0, n_actions, size=len(X))
         want = {a: block_pair_scan(X[A == a], Y[A == a], R[A == a], m)
                 for a in range(n_actions) if np.count_nonzero(A == a) >= 2}
-        assert {a: _pairwise_max_ratios(X[A == a], Y[A == a], R[A == a], m)
+        assert {a: pair_scan(X[A == a], Y[A == a], R[A == a], m)
                 for a in want} == want
         ds = Dataset([tr(X[i], int(A[i]), R[i], Y[i], 0, i) for i in range(len(X))],
                      [X[0]], X.shape[1], n_actions)
@@ -342,28 +360,55 @@ class TestLipschitzEstimation:
         )
 
     def test_the_bound_skips_most_of_an_affine_action(self, monkeypatch):
-        # 6,000 rows under windy's map, one reward: the scan sweeps under a
-        # fifth of the pair area, so a prune that has switched off fails here
+        # 6,000 rows under windy's map, one reward: the banded scan visits
+        # at most 2 % of the pairs, and sweeps no tile, so a prune that has
+        # switched off fails here
         rng = np.random.default_rng(11)
         n = 6000
         X = rng.uniform([0.0, 0.0], [12.0, 14.0], size=(n, 2))
         Y = X @ np.array([[1.0, 0.0], [-0.03, 1.0]]) + np.array([0.0, 1.0])
         rows = _Rows.of(X, Y, np.full(n, -1.0), Metric.euclidean(2))
-        swept = []
-        scan_tile = errors._scan_tile
+        visited = []
+        scan_pairs = errors._scan_pairs
 
-        def counted(rows, i0, j0, j1, *rest):
-            swept.append((min(i0 + errors._ROWS, n) - i0) * max(j1 - j0, 0))
-            return scan_tile(rows, i0, j0, j1, *rest)
+        def counted(rows, a, b, *rest):
+            visited.append(a.shape[1])
+            return scan_pairs(rows, a, b, *rest)
 
-        monkeypatch.setattr(errors, "_scan_tile", counted)
+        def no_tile(*args):
+            raise AssertionError("a fitted action swept a tile")
+
+        monkeypatch.setattr(errors, "_scan_pairs", counted)
+        monkeypatch.setattr(errors, "_scan_tile", no_tile)
         got = _scan({0: rows})[0]
-        area = sum((min(i0 + errors._ROWS, n) - i0) * (n - i0) for i0 in range(0, n, errors._ROWS))
-        assert sum(swept) <= 0.2 * area
+        assert 0 < sum(visited) <= 0.02 * n * (n - 1) / 2
         assert got == block_pair_scan(X, Y, np.full(n, -1.0), Metric.euclidean(2))
 
 
 class TestNonparametricErrorEstimate:
+    @settings(max_examples=80, deadline=None)
+    @given(ratio_inputs(subnormal=True), st.integers(0, 2**32 - 1), st.booleans())
+    def test_local_scan_equals_the_block_scan(self, case, seed, wide):
+        # a neighbourhood of 2 to 200 of a dataset's rows, in row order, in
+        # a dataset whose other action sometimes holds a start far outside
+        # the plain range: its ratios equal the block scan's over those
+        # rows, and with no usable pair the estimate takes the fallback's
+        X, Y, R, m = case
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.choice(len(X), size=rng.integers(2, min(len(X), 200) + 1),
+                                  replace=False))
+        transitions = [tr(X[i], 0, R[i], Y[i], 0, i) for i in range(len(X))]
+        if wide:
+            transitions.append(tr(np.full(len(m.weights), 1e200), 1, 0.0, X[0], 1, 0))
+        ds = Dataset(transitions, [X[0]], X.shape[1], 2)
+        fallback = LipschitzEstimates(0.5, 0.25, 1)
+        bt, br, used = block_pair_scan(X[rows], Y[rows], R[rows], m)
+        want = ErrorEstimate(bt, br) if used else ErrorEstimate(0.5, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np_error_estimate(ds, Neighbors(int(rows[0]), 1.0, rows), m, fallback)
+        assert got == want
+
     def _dataset(self):
         # 1-D doubling dynamics, reward = 3x: local ratios are exactly 2 and 3
         transitions = [tr([float(i)], 0, 3.0 * i, [2.0 * i], t=i) for i in range(8)]
