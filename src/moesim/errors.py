@@ -238,7 +238,7 @@ def _sorted_bounds(rows: _Rows) -> tuple[_Rows, Callable[[int], float] | None]:
     fl(dy2 / dx2)) of every pair (i, j) with j - i >= k in the sorted order,
     and is inf when it cannot also vouch that the pair's starts are
     distinct.  (rows, None) when the rows are not plain, their rewards vary,
-    or they fit in one block of _COLS.
+    or there are at most _COLS of them.
 
     Let Y = X M + c be the least-squares affine fit of the weighted next
     states on the weighted starts, and G = Y - X M - c its residuals, exact
@@ -325,8 +325,8 @@ def _sorted_bounds(rows: _Rows) -> tuple[_Rows, Callable[[int], float] | None]:
 
 def _scan_action(rows: _Rows, buf: np.ndarray) -> tuple[float, float, int]:
     """(max transition ratio, max reward ratio, usable pairs) over the pairs
-    i < j of one action's rows, without floating-point warnings from the
-    callers.
+    i < j of one action's rows; the callers run it without floating-point
+    warnings.
 
     With a bound (`_sorted_bounds`), first the diagonal k = 1 of the sorted
     rows, the pairs (i, i + 1).  When the bound at k = _ROWS then lies below
