@@ -3,8 +3,11 @@
 Subcommands:
   evaluate     run the full experiment described by a config file and
                write the report JSON
+  schema       print the config schema with its defaults
   error-maps   export the per-grid-point model-error comparison CSV
   reproduce    run one of the canned studies: table1 | table2 | consistency
+               (table2 is one fixed deterministic run and takes neither
+               --seed nor --jobs)
 
 Exit codes: 0 success, 2 config error, 1 runtime failure.
 """
@@ -125,14 +128,16 @@ def _cmd_reproduce(args: argparse.Namespace) -> None:
     seed = args.seed if args.seed is not None else 0
     _check_jobs(args.jobs)
     out = _check_out(args.out)
+    if args.which == "table2" and args.seed is not None:
+        raise ConfigError("--seed: table2 is deterministic and takes no seed")
     if args.which == "table2" and args.jobs != 1:
         raise ConfigError("--jobs: table2 runs its repetitions in one process")
     if args.which == "table1":
         payload = reproduce_table1(seed=seed, jobs=args.jobs)
         print(f"pattern fraction: {payload['pattern_fraction']:.2f}")
     elif args.which == "table2":
-        payload = reproduce_table2(seed=seed)
-        print(f"horizon: {payload['horizon']} (exact match: {payload['exact_match_horizon']})")
+        payload = reproduce_table2()
+        print(f"horizon: {payload['horizon']}")
         for variant, errs in payload["errors"].items():
             print(f"  {variant}: " + ", ".join(f"{k}={v:.4g}" for k, v in errs.items()))
     else:

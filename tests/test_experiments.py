@@ -43,6 +43,7 @@ GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_report.json"
 MCTS_GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_mcts_report.json"
 ACROBOT_GOLDEN = Path(__file__).parent / "golden" / "tiny_acrobot_report.json"
 BATCH250_GOLDEN = Path(__file__).parent / "golden" / "windy_batch250_rep0.json"
+TABLE2_GOLDEN = Path(__file__).parent / "golden" / "table2.json"
 
 
 def tiny_config(**overrides):
@@ -618,7 +619,7 @@ class TestCLI:
         assert err.startswith(f"config error: cannot read config {cfg_path}: ") and message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("which", ["table1", "table2", "consistency"])
+    @pytest.mark.parametrize("which", ["table1", "consistency"])
     def test_negative_reproduce_seed_exits_2(self, tmp_path, capsys, which):
         # consistency derives its configs' seeds from the master seed
         assert cli_main(["reproduce", which, "--seed", "-1", "--out", str(tmp_path)]) == 2
@@ -690,6 +691,25 @@ class TestCLI:
         out = tmp_path / "maps" / "deep"
         assert cli_main(["error-maps", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
         assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("seed", ["0", "3", "-1"])
+    def test_reproduce_table2_rejects_seed(self, tmp_path, capsys, seed):
+        # the study is deterministic: a seed would change nothing
+        assert cli_main(["reproduce", "table2", "--seed", seed, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --seed: table2 is deterministic and takes no seed\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reproduce_table2_matches_golden(self, tmp_path, capsys):
+        assert cli_main(["reproduce", "table2", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "table2.json").read_bytes() == TABLE2_GOLDEN.read_bytes()
+        assert capsys.readouterr().out == (
+            "horizon: 16\n"
+            "  accurate: p=39, np=39, moe_true=46.5, mcts_moe_true=18\n"
+            "  inaccurate: p=63.5, np=39, moe_true=58.5, mcts_moe_true=16.5\n"
+            f"wrote {tmp_path / 'table2.json'}\n"
+        )
 
     def test_reproduce_table2_rejects_jobs(self, tmp_path):
         code = cli_main(["reproduce", "table2", "--jobs", "2", "--out", str(tmp_path)])
