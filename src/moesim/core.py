@@ -162,6 +162,19 @@ class Trajectory:
         for name, arr in (("states", states), ("actions", actions), ("rewards", rewards)):
             object.__setattr__(self, name, _read_only(arr))
 
+    @classmethod
+    def view(
+        cls, states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, terminated: bool
+    ) -> "Trajectory":
+        """A trajectory over the given arrays as they are, unvalidated and
+        uncopied: the caller vouches for what `__post_init__` checks,
+        including that the arrays are read-only."""
+        traj = object.__new__(cls)
+        traj.__dict__.update(
+            states=states, actions=actions, rewards=rewards, terminated=terminated
+        )
+        return traj
+
     def __len__(self) -> int:
         return len(self.actions)
 
@@ -260,14 +273,18 @@ class Dataset:
         kept = [(i, traj) for i, traj in enumerate(trajectories) if len(traj)]
         if not kept:
             raise ValueError("cannot build a dataset from empty trajectories")
-        parts = [
-            (traj.states[:-1], traj.actions, traj.rewards, traj.states[1:],
-             np.full(len(traj), i), np.arange(len(traj)))
-            for i, traj in kept
+        lengths = np.array([len(traj) for _, traj in kept])
+        firsts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        columns = [
+            np.concatenate(col)
+            for col in zip(*(
+                (traj.states[:-1], traj.actions, traj.rewards, traj.states[1:])
+                for _, traj in kept
+            ))
         ]
+        columns += [np.repeat([i for i, _ in kept], lengths), np.arange(lengths.sum()) - firsts]
         return cls.__new__(cls)._fill(
-            [np.concatenate(col) for col in zip(*parts)],
-            [traj.states[0] for _, traj in kept], kept[0][1].states.shape[1], n_actions,
+            columns, [traj.states[0] for _, traj in kept], kept[0][1].states.shape[1], n_actions,
         )
 
     def select(self, keep: np.ndarray) -> "Dataset":

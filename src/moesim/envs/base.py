@@ -77,6 +77,12 @@ def rollouts(
     `choose_many`, one `step_many` and one terminal test over the rollouts
     still running, and no rollout reads another, so each one is the same
     as a rollout of its own.
+
+    The batch is validated once, as `Trajectory` validates one rollout: a
+    non-finite start, or a non-finite state or reward on a rollout's steps,
+    raises `Trajectory`'s ValueError for the first such rollout.  Each
+    trajectory and probability vector is then a view of the batch's
+    read-only arrays.
     """
     rngs = [np.random.default_rng([seed, i]) for i in ids]
     if starts is None:
@@ -105,11 +111,26 @@ def rollouts(
         done = env.terminal_many(states[live, t + 1])
         terminated[live[done]] = True
         live = live[~done]
+    finite = np.isfinite(states).all(axis=2)
+    stepped = np.arange(horizon) < lengths[:, None]
+    bad = ~(finite[:, :-1] & finite[:, 1:] & np.isfinite(rewards)) & stepped
+    unfinite = ~finite[:, 0] | bad.any(axis=1)
+    failed = unfinite | ((actions < 0) & stepped).any(axis=1)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if unfinite[k]:
+            raise ValueError(
+                f"non-finite state or reward at trajectory step {int(np.argmax(bad[k]))}"
+            )
+        raise ValueError("action ids must be nonnegative")
+    for arr in (states, actions, rewards, probs):
+        arr.flags.writeable = False
+    ends = lengths.tolist()
     trajectories = [
-        Trajectory(states[k, : m + 1], actions[k, :m], rewards[k, :m], bool(terminated[k]))
-        for k, m in enumerate(lengths.tolist())
+        Trajectory.view(states[k, : m + 1], actions[k, :m], rewards[k, :m], bool(terminated[k]))
+        for k, m in enumerate(ends)
     ]
-    return trajectories, [probs[k, :m].copy() for k, m in enumerate(lengths.tolist())]
+    return trajectories, [probs[k, :m] for k, m in enumerate(ends)]
 
 
 def generate_trajectories(

@@ -66,7 +66,7 @@ class Chain(NamedTuple):
 class StepMemo:
     """Exact memos of the planner's per-step work, for a context that
     provides `estimate`, `model`, `policy`, `is_terminal` and
-    `available_models`.
+    `available_models`, and may override `decided`.
 
     Inside one context every input of a simulated step is fixed except the
     uniform draw that picks the next action: the estimate, the expert's
@@ -113,6 +113,11 @@ class StepMemo:
             bool(term(next_state)) if term is not None else False,
             fixed if Policy.choose(probs, _LAST_U) == fixed else None,
         )
+
+    def decided(self, x: StateVec, a: ActionId) -> str | None:
+        """The greedy pick at (x, a) when a bound already decides it without
+        the nonparametric local estimate, else None; here, always None."""
+        return None
 
     def greedy(self, x: StateVec, key: bytes, a: ActionId) -> str:
         """`greedy_select` at (x, a), memoised on (key, a); an action no
@@ -170,6 +175,11 @@ class SelectionContext(StepMemo):
     (the nonparametric estimate's fallback) and the parametric model's
     per-transition residuals, and fixes for every action the tuple of
     experts fitted for it.
+
+    `global_lips` must be the global scan of the nonparametric expert's
+    own dataset and metric: its ratios are then at least every local
+    scan's, with the same bits, which lets `decided` settle most greedy
+    picks without a local scan.
 
     `estimate` is an exact memo keyed on (expert, float64 bytes of x,
     action): every input it reads is fixed for the context's lifetime, and
@@ -252,6 +262,25 @@ class SelectionContext(StepMemo):
             return np_error_estimate(npm.dataset, near, npm.metric, fallback=self._global_lips)
         return p_error_estimate(near, residuals=self._residuals)
 
+    def decided(self, x: StateVec, a: ActionId) -> str | None:
+        """NONPARAMETRIC when the global ratios already make the greedy
+        pick at (x, a), else None.  Outside oracle mode, with no overflowed
+        global ratio and some row within C, the nonparametric estimate is
+        (l_t d, l_r d) for local ratios at most the global ones, or the
+        global ones themselves (d the nearest distance).  A rounded product
+        with d >= 0 is monotone, so when global l_t d is below the
+        parametric eps_t and global l_r d is finite, that estimate is
+        supported and strictly smaller too."""
+        lips = self._global_lips
+        if self.true_step is not None or lips.inf_t is not None or lips.inf_r is not None:
+            return None
+        near = self.nonparametric.neighbors(x, a)
+        if near is None or not len(near.rows):
+            return None
+        d = near.distance
+        bounded = lips.l_t * d < self.estimate(PARAMETRIC, x, a).eps_t
+        return NONPARAMETRIC if bounded and math.isfinite(lips.l_r * d) else None
+
 
 def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:
     """Pick the expert with the smaller local transition-error estimate.
@@ -263,6 +292,11 @@ def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:
     unsupported (no same-action neighbor within the radius) the parametric
     expert wins by default: it is assumed to extrapolate more gracefully
     than copying a far-away transition.
+
+    The nonparametric estimate, the only one that needs a local Lipschitz
+    scan, is read only when `ctx.decided` leaves the pick open: a context
+    settles it from the neighbour scan, the parametric estimate and the
+    global ratios where they bound the answer.
     """
     avail = ctx.available_models(a)
     if not avail:
@@ -271,6 +305,9 @@ def greedy_select(ctx: SelectionContext, x: StateVec, a: ActionId) -> str:
         )
     if len(avail) == 1:
         return avail[0]
+    pick = ctx.decided(x, a)
+    if pick is not None:
+        return pick
     np_est = ctx.estimate(NONPARAMETRIC, x, a)
     if not np_est.supported:
         return PARAMETRIC

@@ -307,15 +307,25 @@ def gapped_contexts(draw, coordinate=st.floats(-10, 10) | st.floats(-1e-154, 1e-
     """A small 2-D SelectionContext over three actions with a uniform
     evaluation policy and a terminal region x[0] > 5.  The data has no row of one action, and the ridge
     expert is fitted without the rows of another, which the data has.
-    Coordinates near 0 give near-coincident starts, whose Lipschitz ratios
-    can overflow.  Returns the context and, per expert, the actions it has
-    data for."""
+    Coordinates near 0, and a row triplet, give near-coincident starts,
+    whose Lipschitz ratios can overflow.  An overflowed ratio stays inf, or
+    is replaced by a finite constant as a config's `bound` entries replace
+    it, with its action still recorded.  Returns the context and, per
+    expert, the actions it has data for."""
     missing, unfit, _ = draw(st.permutations(range(3)))
     point = st.lists(coordinate, min_size=2, max_size=2)
     logged = st.sampled_from([a for a in range(3) if a != missing])
     rows = draw(st.lists(st.tuples(point, logged, st.floats(-2, 2), point), min_size=1,
                          max_size=10))
     rows[0] = (rows[0][0], unfit, *rows[0][2:])
+    if draw(st.booleans()):
+        # the last row's start moved to x[0] = 0, then two more rows whose
+        # starts lie 1e-160 apart along x[0] and whose next states step away
+        # and back: their ratios overflow, and no affine map fits the three
+        x, a, r, y = rows[-1]
+        rows[-1] = ([0.0, x[1]], a, r, y)
+        rows.append(([1e-160, x[1]], a, r, [y[0] + 1.0, y[1]]))
+        rows.append(([2e-160, x[1]], a, r, y))
     ds = Dataset(
         [Transition(x, a, r, y, traj_id=i) for i, (x, a, r, y) in enumerate(rows)],
         draw(st.lists(point, min_size=1, max_size=3)), 2, 3,
@@ -324,6 +334,9 @@ def gapped_contexts(draw, coordinate=st.floats(-10, 10) | st.floats(-1e-154, 1e-
     ridge = RidgePerActionModel(2, 3, lam).fit(ds.select(ds.actions != unfit))
     metric = Metric.euclidean(2)
     lips, residuals = context_scans(ds, ridge, metric)
+    given = draw(st.sampled_from([None, 0.5, 2.0]))
+    if given is not None:
+        lips = lips.with_given({"l_t": given, "l_r": given})
     radius = draw(st.sampled_from([choose_radius(residuals[0], lips.l_t), 0.0, 1.0, np.inf]))
     ctx = SelectionContext(
         ridge, NonparametricModel(ds, metric, radius), BoundParams(1.0, 1.0, 1.0),
@@ -331,6 +344,34 @@ def gapped_contexts(draw, coordinate=st.floats(-10, 10) | st.floats(-1e-154, 1e-
     )
     logged_actions = set(ds.actions.tolist())
     return ctx, {NONPARAMETRIC: logged_actions, PARAMETRIC: logged_actions - {unfit}}
+
+
+def fresh_context(ctx):
+    """A SelectionContext over ctx's experts, scans and mode whose memos,
+    the nonparametric expert's neighbour scans too, start empty."""
+    npm = ctx.nonparametric
+    return SelectionContext(
+        ctx.parametric, NonparametricModel(npm.dataset, npm.metric, npm.radius), ctx.bound,
+        ctx.policy, ctx._global_lips, ctx._residuals, ctx.true_step, ctx.is_terminal,
+    )
+
+
+def reference_greedy_select(ctx, x, a):
+    """The greedy rule as it reads both local estimates at every pick: the
+    oracle of `greedy_select`, which skips the nonparametric one where the
+    global ratios decide."""
+    avail = ctx.available_models(a)
+    if not avail:
+        raise NoSupportError(
+            f"no data for action {a} and the parametric model is unfitted for it"
+        )
+    if len(avail) == 1:
+        return avail[0]
+    np_est = ctx.estimate(NONPARAMETRIC, x, a)
+    if not np_est.supported:
+        return PARAMETRIC
+    p_est = ctx.estimate(PARAMETRIC, x, a)
+    return NONPARAMETRIC if np_est.eps_t < p_est.eps_t else PARAMETRIC
 
 
 def _acrobot_derivatives(s, torque, m1, m2, l1, lc1, lc2, i1, i2, g):

@@ -4,6 +4,7 @@ tests, the lockstep true-environment rollouts, the parametric residuals,
 and the lockstep control variate rollouts of `ModelValueFunctions`.  Rows
 must match bit for bit."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from moesim.envs import (
     tip_height,
 )
 from moesim.envs.acrobot import tip_heights
-from moesim.envs.base import generate_trajectories, rollouts
+from moesim.envs.base import Environment, generate_trajectories, rollouts
 from moesim.envs.windy import (
     BEHAVIOR_BAND_X,
     BEHAVIOR_CLIMB_X,
@@ -525,6 +526,35 @@ def test_acrobot_overflow_in_a_lockstep_batch_names_the_state():
         "acrobot step overflowed from state [0.0, 0.0, 0.0, 400.0]"
     )):
         rollouts(env, acrobot_heuristic_policy(), 20, 1, [0, 1, 2], starts)
+
+
+@pytest.mark.parametrize("horizon, step", [(10, 6), (4, 2)])
+@pytest.mark.parametrize("bad", ["state", "reward"])
+def test_a_non_finite_step_names_the_first_failing_rollout(horizon, step, bad):
+    # each rollout counts up from its start, and the step from 6 returns a
+    # NaN state or reward: rollout 0 reaches it at step 6 within 10 steps,
+    # and otherwise rollout 1, from 4, is the first to, at step 2
+    def count(x, a):
+        nan = x[0] == 6.0
+        return x + (math.nan if nan and bad == "state" else 1.0), (
+            math.nan if nan and bad == "reward" else 0.0
+        )
+
+    env = Environment(1, 1, horizon, count, lambda rng: np.zeros(1))
+    policy = Policy.deterministic(lambda x: 0, 1)
+    starts = [np.array([v]) for v in (0.0, 4.0, 5.0, math.nan)]
+    with pytest.raises(ValueError) as err:
+        rollouts(env, policy, horizon, 0, range(len(starts)), starts)
+    assert str(err.value) == f"non-finite state or reward at trajectory step {step}"
+
+    def alone(k):
+        # the message of rollout k made by the serial oracle, or None
+        try:
+            rollout_with_probs(env, policy, starts[k], horizon, np.random.default_rng([0, k]))
+        except ValueError as exc:
+            return str(exc)
+
+    assert str(err.value) == next(filter(None, map(alone, range(len(starts)))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moesim.errors
 import moesim.experiments
-import moesim.selection
 from moesim.cli import build_parser
 from moesim.cli import main as cli_main
 from moesim.core import Dataset, Metric, Neighbors, Policy, Trajectory, Transition
@@ -74,25 +74,30 @@ def batch250_config(master):
 def batch250_document(monkeypatch):
     """The text of `golden/windy_batch250_rep0.json`: the record of rep 0 at
     master seed 0; the global ratios of rep 0's data at master seeds 0-7;
-    and the local scans of the first 20 nonparametric estimates of that
-    record, in `float.hex`.  A local scan's ratios are `np_error_estimate`'s
-    at a nearest distance of 1, and its pairs those of `global_lipschitz`
-    over the neighbourhood's rows alone, which must give the same ratios."""
+    and the first 20 neighbour scans of that record, with the
+    nonparametric estimate at each, in `float.hex`.  A scan's local ratios
+    are `np_error_estimate`'s at a nearest distance of 1, and its pairs
+    those of `global_lipschitz` over the neighbourhood's rows alone, which
+    must give the same ratios."""
     calls = []
-    estimate = moesim.selection.np_error_estimate
+    scan = Dataset.neighbor_rows
 
-    def recorded(ds, near, metric, fallback):
+    def recorded(ds, x, a, c, metric):
+        near = scan(ds, x, a, c, metric)
         if len(calls) < 20:
-            calls.append((ds, near, metric, fallback))
-        return estimate(ds, near, metric, fallback)
+            calls.append((ds, near, metric))
+        return near
 
-    monkeypatch.setattr(moesim.selection, "np_error_estimate", recorded)
+    monkeypatch.setattr(Dataset, "neighbor_rows", recorded)
     record = run_repetition(batch250_config(0), 0)
     monkeypatch.undo()
+    # every scan is of the context's dataset, whose global scan it falls back on
+    ds, _, metric = calls[0]
+    fallback = global_lipschitz(ds, metric)
     local = []
-    for ds, near, metric, fallback in calls:
-        est = estimate(ds, near, metric, fallback)
-        ratios = estimate(ds, Neighbors(near.nearest, 1.0, near.rows), metric, fallback)
+    for _, near, _ in calls:
+        est = np_error_estimate(ds, near, metric, fallback)
+        ratios = np_error_estimate(ds, Neighbors(near.nearest, 1.0, near.rows), metric, fallback)
         keep = np.zeros(len(ds), dtype=bool)
         keep[near.rows] = True
         alone = global_lipschitz(ds.select(keep), metric)
@@ -254,6 +259,17 @@ class TestRunExperiment:
         # the only golden whose actions have thousands of rows, so the only
         # one that runs the pruned global scan and local scans of 100+ rows
         assert batch250_document(monkeypatch) == BATCH250_GOLDEN.read_text()
+
+    def test_batch250_greedy_picks_take_few_local_scans(self, monkeypatch):
+        # the global ratios decide all but a few of rep 0's 276 greedy picks
+        # (`SelectionContext.decided`), so only those scan their neighbourhood
+        scans = []
+        local_scan = moesim.errors._local_scan
+        monkeypatch.setattr(
+            moesim.errors, "_local_scan", lambda *args: scans.append(1) or local_scan(*args)
+        )
+        run_repetition(batch250_config(0), 0)
+        assert 0 < len(scans) <= 5
 
     @settings(max_examples=6, deadline=None)
     @given(order=st.permutations(range(3)))

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     context_scans,
+    fresh_context,
     gapped_contexts,
     gapped_true_step,
     path_error_sequences,
+    reference_greedy_select,
     reference_mcts_select,
     return_error_bound,
 )
@@ -29,6 +31,7 @@ from moesim.errors import (
     choose_radius,
     np_error_estimate,
     p_error_estimate,
+    parametric_residuals,
 )
 from moesim.models import (
     NONPARAMETRIC,
@@ -754,3 +757,81 @@ def test_every_estimate_is_supported_and_finite_or_unsupported_and_infinite(case
                 assert context.usable(kind, a) == (a in data_actions[kind])
                 if not context.usable(kind, a):
                     assert not est.supported
+
+
+@functools.cache
+def _windy_context(seed, exact):
+    """A windy context from `build_context`.  `exact` makes the true step
+    the parametric expert: its residuals are 0, and so is the radius, and
+    at a logged start both estimates tie at 0."""
+    from moesim.experiments import build_context, validate_config
+    from moesim.reproduce import windy_consistency_config
+
+    cfg = windy_consistency_config(seed=seed)
+    cfg["n_behavior_trajectories"] = 40
+    batch, ctx = build_context(validate_config(cfg), 0)
+    if not exact:
+        return ctx
+    step = batch.task.env.step
+    model = FunctionModel(lambda x, a: step(x, a)[0], lambda x, a: step(x, a)[1])
+    npm, lips = ctx.nonparametric, ctx._global_lips
+    residuals = parametric_residuals(npm.dataset, model, npm.metric)
+    return SelectionContext(
+        model, NonparametricModel(npm.dataset, npm.metric, choose_radius(residuals[0], lips.l_t)),
+        ctx.bound, ctx.policy, lips, residuals, is_terminal=ctx.is_terminal,
+    )
+
+
+@st.composite
+def greedy_cases(draw):
+    """A context and (state, action) queries.  Either a gapped context
+    (overflowing ratios, radius 0 or inf, unfitted actions), a quarter of
+    them in oracle mode, queried first at each of its few logged (start,
+    action) pairs, or a windy context from `build_context`, maybe with the
+    true step as its parametric expert.  Then logged pairs, and logged
+    starts, next states (where simulated states land) and other points
+    with any action."""
+    if draw(st.booleans()):
+        ctx, _ = draw(gapped_contexts())
+        if draw(st.integers(0, 3)) == 0:
+            ctx = ctx.oracle(gapped_true_step)
+        other = st.lists(st.floats(-10, 10) | st.floats(-1e-154, 1e-154), min_size=2,
+                         max_size=2)
+        ds = ctx.nonparametric.dataset
+        queries = list(zip(ds.starts, ds.actions.tolist()))
+    else:
+        ctx = fresh_context(_windy_context(draw(st.sampled_from([0, 1])), draw(st.booleans())))
+        other = st.tuples(st.floats(-1, 13), st.floats(-1, 15))
+        ds = ctx.nonparametric.dataset
+        queries = []
+    row = st.integers(0, len(ds) - 1)
+    point = (
+        row.map(lambda i: ds.starts[i]) | row.map(lambda i: ds.nexts[i])
+        | other.map(lambda x: np.array(x, dtype=np.float64))
+    )
+    query = row.map(lambda i: (ds.starts[i], int(ds.actions[i]))) | st.tuples(
+        point, st.integers(0, ds.n_actions - 1)
+    )
+    return ctx, queries + draw(st.lists(query, min_size=1, max_size=12))
+
+
+def _greedy_or_error(select, ctx, x, a):
+    try:
+        return select(ctx, x, a)
+    except NoSupportError as exc:
+        return f"NoSupportError: {exc}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(case=greedy_cases())
+def test_greedy_select_equals_the_rule_that_reads_both_estimates(case):
+    # a pick the global ratios decide is the pick the local estimates make,
+    # and skipping the local scan leaves every later estimate as it was
+    ctx, queries = case
+    for x, a in queries:
+        want = _greedy_or_error(reference_greedy_select, fresh_context(ctx), x, a)
+        assert _greedy_or_error(greedy_select, ctx, x, a) == want
+    for x, a in queries:
+        for kind in (NONPARAMETRIC, PARAMETRIC):
+            assert ctx.estimate(kind, x, a) == fresh_context(ctx).estimate(kind, x, a)
