@@ -10,7 +10,9 @@ views for callers outside the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
+from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +31,75 @@ def as_state(x: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+@cache
+def _given_state():
+    """An `ISeedSequence` that hands its bit generator a given state, made
+    on first use so that importing the package does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return GivenState
+
+
+def generators(seed: int, ids: Sequence[int]) -> list:
+    """The generators `np.random.default_rng([seed, i])` for each i in ids,
+    with the same streams, seeded in one vectorised pass.
+
+    `SeedSequence([seed, i])` hashes the 32-bit words of the seed and of i
+    into a pool of four words and draws PCG64's four 64-bit state words
+    from it.  The hash constants do not depend on the data, so the mixing
+    runs once over all ids as uint32 columns.  Ids lie in [0, 2**32)."""
+    from numpy.random import PCG64, Generator
+
+    ids, seed = np.asarray(ids, dtype=object), int(seed)  # Python ints of any size
+    if seed < 0 or len(ids) and not (ids.min() >= 0 and ids.max() <= _MASK32):
+        raise ValueError("the seed must be nonnegative and the ids lie in [0, 2**32)")
+    words = [seed & _MASK32]  # numpy's _int_to_uint32_array, low word first
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    n = len(ids)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [ids.astype(np.uint32)]
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    hash_const = _INIT_B  # `generate_state(4, np.uint64)`: 8 words from the cycled pool
+    state = np.stack([hashmix(pool[k % 4], _MULT_B) for k in range(8)], axis=1)
+    given = _given_state()
+    rows = state.astype("<u4").view("<u8").astype(np.uint64)  # as numpy assembles them
+    return [Generator(PCG64(given(row))) for row in rows]
+
+
 @dataclass(frozen=True)
 class Metric:
     """Weighted Euclidean distance over the state space.
@@ -38,7 +109,9 @@ class Metric:
     multiplicative importance factor of dimension i.  All weights default
     to 1 (plain Euclidean distance).  `distance` sums the squares with
     `np.dot`, through BLAS, and `distances_to` in its own fixed order, so
-    the two can differ in the last bit for the same pair.
+    the two can differ in the last bit for the same pair.  With unit
+    weights `distances_to` skips the multiply, which leaves every
+    difference as it is.
     """
 
     weights: np.ndarray
@@ -50,6 +123,7 @@ class Metric:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("metric weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_unit", bool(np.all(w == 1.0)))
 
     @staticmethod
     def euclidean(dim: int) -> "Metric":
@@ -82,12 +156,14 @@ class Metric:
             return np.zeros(0)
         if points.shape[1] != self.dim or len(x) != self.dim:
             raise ValueError("dimension mismatch in batched distance")
-        diff = (points.T - np.asarray(x)[:, None]) * self.weights[:, None]
+        diff = points.T - np.asarray(x)[:, None]
+        if not self._unit:
+            diff *= self.weights[:, None]
         diff *= diff
         total = reduce(np.add, diff[0::2])
         if self.dim > 1:
             total = total + reduce(np.add, diff[1::2])
-        return np.sqrt(total)
+        return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)
@@ -243,9 +319,18 @@ class Dataset:
         """Store the rows, given as the `_COLUMNS` in order, and index each
         action's rows in (traj_id, t) order."""
         self.dim, self.n_actions = int(dim), int(n_actions)
-        self.initial_states = tuple(as_state(s) for s in initial_states)
-        if any(len(s) != self.dim for s in self.initial_states):
-            raise ValueError("initial state dimension differs from dataset dim")
+        states = tuple(initial_states)
+        try:
+            block = np.array(states, dtype=np.float64)
+        except ValueError:  # ragged
+            block = np.zeros(0)
+        if block.shape != (len(states), self.dim) or not np.isfinite(block).all():
+            # name the first bad state as `as_state` does, then the dimension
+            checked = [as_state(s) for s in states]
+            if any(len(s) != self.dim for s in checked):
+                raise ValueError("initial state dimension differs from dataset dim")
+            block = np.reshape(checked, (len(checked), self.dim))
+        self.initial_states = tuple(_read_only(block))
         for name, col in zip(_COLUMNS, columns):
             dtype = np.intp if name in ("actions", "traj_id", "t") else np.float64
             setattr(self, name, _read_only(np.asarray(col, dtype=dtype)))
@@ -358,6 +443,11 @@ class Policy:
     `probs_many_fn`, when given, maps a matrix of states (one per row) to
     the matrix of their probability vectors and must agree with `probs_fn`
     row by row; without it `probs_many` calls `probs` once per row.
+
+    A probability vector is valid when no entry is below 0 and its entries,
+    added left to right, are within 1e-9 of 1; NaN and ±inf fail.
+    `probs_many` adds a batch's columns in that order, which is numpy's
+    `sum(axis=1)` order for fewer than 8 actions.
     """
 
     n_actions: int
@@ -370,8 +460,10 @@ class Policy:
         p = np.asarray(self.probs_fn(x), dtype=np.float64)
         if p.shape != (self.n_actions,):
             raise ValueError("policy returned a wrongly-shaped probability vector")
-        # written so that NaN fails both comparisons
-        if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-9):
+        q = p.tolist()
+        # written so that NaN fails both comparisons: a NaN that `min`
+        # passes over makes the sum NaN
+        if not (min(q) >= 0.0 and abs(reduce(add, q) - 1.0) <= 1e-9):
             raise ValueError("policy probabilities must be nonnegative and sum to 1")
         return p
 
@@ -386,16 +478,14 @@ class Policy:
         P = np.asarray(self.probs_many_fn(X), dtype=np.float64)
         if P.shape != (len(X), self.n_actions):
             raise ValueError("policy returned a wrongly-shaped probability matrix")
+        off = reduce(add, P.T) - 1.0  # each row's total, columns added left to right
         # written so that NaN fails both comparisons
-        if not (
-            np.all(P.min(axis=1) >= 0.0)
-            and np.all(np.abs(P.sum(axis=1) - 1.0) <= 1e-9)
-        ):
+        if not (P.min() >= 0.0 and np.abs(off, out=off).max() <= 1e-9):
             raise ValueError("policy probabilities must be nonnegative and sum to 1")
         return P
 
     def sample(self, x: StateVec, rng: np.random.Generator) -> ActionId:
-        return self.choose(self.probs(x), rng.random())
+        return self.choose(self.probs(x).tolist(), rng.random())
 
     @staticmethod
     def choose(p: Sequence[float], u: float) -> ActionId:
@@ -413,11 +503,15 @@ class Policy:
     @staticmethod
     def choose_many(P: np.ndarray, U: np.ndarray) -> np.ndarray:
         """`choose` of each row of P at the matching entry of U.  The
-        running sums are `np.cumsum` along the action axis, which adds in
-        `choose`'s order, so each pick is the one `choose` makes."""
-        cum = np.cumsum(P, axis=1)
-        cum[:, -1] = np.inf  # the last action takes every u the others miss
-        return np.argmax(np.asarray(U)[:, None] < cum, axis=1)
+        running sums add whole columns in `choose`'s order, so each pick is
+        the one `choose` makes, whatever the rows hold."""
+        U = np.asarray(U)
+        last = P.shape[1] - 1
+        picks = np.full(len(U), last, dtype=np.intp)
+        sums = list(accumulate(P.T[:last]))
+        for a in reversed(range(last)):  # the lowest action that takes u wins
+            picks[U < sums[a]] = a
+        return picks
 
     @staticmethod
     def deterministic(

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import ActionId, Policy, StateVec, Trajectory
+from ..core import ActionId, Policy, StateVec, Trajectory, generators
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ def rollouts(
     in lockstep: the trajectories, and the probability of each sampled
     action.
 
-    Rollout k draws from the generator seeded by [seed, ids[k]]: its start
+    Rollout k draws from the generator seeded by [seed, ids[k]] (made in
+    one pass by `core.generators`, so ids lie in [0, 2**32)): its start
     state from `env.sample_initial` when `starts` is None (else it starts
     at starts[k]), then one uniform per step, from which the policy's
     action is chosen.  It runs for at most `horizon` steps and stops after
@@ -84,7 +85,7 @@ def rollouts(
     trajectory and probability vector is then a view of the batch's
     read-only arrays.
     """
-    rngs = [np.random.default_rng([seed, i]) for i in ids]
+    rngs = generators(seed, ids)
     if starts is None:
         starts = [env.sample_initial(rng) for rng in rngs]
     n = len(rngs)

@@ -591,10 +591,11 @@ def run_repetition(cfg: dict, rep: int) -> dict:
     requested_is = [name for name in cfg["estimators"] if name in IS_ESTIMATORS]
     if requested_is:
         with _stage(rep, "IS inputs"):
-            # reweight the first sim.horizon steps, the horizon v_true has
+            # reweight the first sim.horizon steps, the horizon v_true has:
+            # views of the logged prefixes, which `rollouts` validated
             logged = [
-                Trajectory(traj.states[: horizon + 1], traj.actions[:horizon],
-                           traj.rewards[:horizon], traj.terminated and len(traj) <= horizon)
+                Trajectory.view(traj.states[: horizon + 1], traj.actions[:horizon],
+                                traj.rewards[:horizon], traj.terminated and len(traj) <= horizon)
                 for traj in batch.trajectories
             ]
             is_input = ISInput.build(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Metric, Policy, StateVec, Trajectory, trajectory_return
+from .core import Metric, Policy, StateVec, Trajectory, generators, trajectory_return
 from .envs.base import rollouts
 from .models import NONPARAMETRIC, PARAMETRIC
 from .selection import SelectionContext, greedy_select, mcts_select
@@ -103,8 +103,7 @@ def simulate_value(
     unreached = 0
     trajectories: list[Trajectory] = []
     records: list[dict] = []
-    for n in range(cfg.n_rollouts):
-        rng = np.random.default_rng([cfg.seed, n])
+    for n, rng in enumerate(generators(cfg.seed, range(cfg.n_rollouts))):
         x = np.array(starts[int(rng.integers(len(starts)))], dtype=np.float64)
         ret = 0.0
         reached = False

@@ -1,6 +1,7 @@
 """Shared test oracles."""
 
 import math
+from functools import reduce
 
 import numpy as np
 from hypothesis import strategies as st
@@ -479,3 +480,35 @@ def einsum_distances(metric, points, x):
     depends on the layout): the oracle of the column-lane sum."""
     diff = (np.ascontiguousarray(points) - np.asarray(x)) * metric.weights
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def reference_generators(seed, ids):
+    """`core.generators` as one `np.random.default_rng([seed, i])` per id."""
+    return [np.random.default_rng([seed, i]) for i in ids]
+
+
+def reference_probs_valid(P):
+    """The validity test of a probability matrix by `min(axis=1)` and
+    `sum(axis=1)`, the oracle of `Policy.probs_many`'s column passes."""
+    # written so that NaN fails both comparisons
+    return bool(
+        np.all(P.min(axis=1) >= 0.0) and np.all(np.abs(P.sum(axis=1) - 1.0) <= 1e-9)
+    )
+
+
+def reference_choose_many(P, U):
+    """`Policy.choose_many` by `np.cumsum` along each row and `argmax` of
+    the first running sum above u."""
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = np.inf  # the last action takes every u the others miss
+    return np.argmax(np.asarray(U)[:, None] < cum, axis=1)
+
+
+def weighted_distances(metric, points, x):
+    """`Metric.distances_to` with the weights always multiplied in."""
+    diff = (points.T - np.asarray(x)[:, None]) * metric.weights[:, None]
+    diff *= diff
+    total = reduce(np.add, diff[0::2])
+    if metric.dim > 1:
+        total = total + reduce(np.add, diff[1::2])
+    return np.sqrt(total)

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import einsum_distances, neighbors_within, uniform_policy
+from helpers import (
+    einsum_distances,
+    neighbors_within,
+    reference_choose_many,
+    reference_generators,
+    reference_probs_valid,
+    uniform_policy,
+    weighted_distances,
+)
 from moesim.core import (
     Dataset,
     Metric,
@@ -13,6 +21,7 @@ from moesim.core import (
     Trajectory,
     Transition,
     as_state,
+    generators,
     trajectory_return,
 )
 
@@ -384,6 +393,30 @@ class TestNeighborQueries:
         with pytest.raises(ValueError):
             Dataset([make_transition([0.0], 0, 1.0, [1.0])], [np.zeros(2)], 2, 2)
 
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            ([[0.0, 0.0], [np.nan, 0.0], [0.0]], "state contains non-finite values"),
+            ([[0.0, 0.0], [[0.0, 0.0]]], r"state must be a 1-D vector, got shape \(1, 2\)"),
+            ([[0.0, 0.0], [0.0]], "initial state dimension differs from dataset dim"),
+            ([[0.0], [1.0]], "initial state dimension differs from dataset dim"),
+        ],
+        ids=["non-finite", "2-D", "ragged", "short"],
+    )
+    def test_initial_states_name_the_first_bad_state(self, starts, message):
+        tr = make_transition([0.0, 0.0], 0, -1.0, [1.0, 0.0])
+        with pytest.raises(ValueError, match=message):
+            Dataset([tr], starts, 2, 1)
+
+    def test_initial_states_are_read_only_copies(self):
+        start = np.array([1.0, 2.0])
+        tr = make_transition([0.0, 0.0], 0, -1.0, [1.0, 0.0])
+        ds = Dataset([tr], [start, [3.0, 4.0]], 2, 1)
+        start[0] = 9.0
+        assert [s.tolist() for s in ds.initial_states] == [[1.0, 2.0], [3.0, 4.0]]
+        assert not any(s.flags.writeable for s in ds.initial_states)
+        assert Dataset([tr], [], 2, 1).initial_states == ()
+
 
 class TestPolicy:
     def test_deterministic_one_hot(self):
@@ -453,3 +486,111 @@ class TestPolicy:
             pol.probs(np.zeros(1))
         with pytest.raises(ValueError):
             pol.sample(np.zeros(1), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Column-pass kernels against their references
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64)
+seeds = st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**130 - 1)
+rollout_ids = st.sampled_from((0, 2**32 - 1)) | st.integers(0, 2**32 - 1)
+
+
+class TestGenerators:
+    @settings(max_examples=200, deadline=None)
+    @given(seeds, st.lists(rollout_ids, max_size=6) | st.integers(0, 6).map(range))
+    def test_streams_equal_default_rng(self, seed, ids):
+        got = generators(seed, ids)
+        want = reference_generators(seed, ids)
+        assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in want]
+        assert [g.random() for g in got] == [g.random() for g in want]
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**64])
+    def test_an_id_outside_32_bits_raises(self, bad):
+        with pytest.raises(ValueError):
+            generators(3, [0, bad])
+
+
+ONE = 1.0 - 1e-9, 1.0, 1.0 + 1e-9
+
+
+@st.composite
+def probability_rows(draw):
+    """Rows of 1 to 7 actions: normalized weights, some entries replaced by
+    NaN, ±inf or negatives, and some rows shifted so that their left-to-right
+    sum lands on or one ulp beside 1 ± 1e-9."""
+    k = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+        p = w / w.sum() if w.sum() > 0 else np.eye(k)[0]
+        kind = draw(st.sampled_from(["valid", "special", "edge"]))
+        if kind == "special":
+            j = draw(st.integers(0, k - 1))
+            p[j] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -0.5, -0.0]))
+        elif kind == "edge":
+            target = draw(st.sampled_from(ONE))
+            target = float(np.nextafter(target, draw(st.sampled_from([0.0, target, 2.0]))))
+            p[-1] += target - sum(p.tolist())
+        rows.append(p)
+    return np.array(rows)
+
+
+@st.composite
+def choice_cases(draw):
+    """Rows that need not sum to 1 and may hold negative entries, NaN or
+    inf (not -inf, whose sum with inf warns), with each u a uniform draw or
+    a finite running sum of its row."""
+    k = draw(st.integers(1, 7))
+    entry = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 0.5, np.nan, np.inf])
+    P = np.array(draw(st.lists(
+        st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=6,
+    )))
+    U = []
+    for p in P:
+        sums = [c for c in np.cumsum(p).tolist() if np.isfinite(c)]
+        uniform = st.floats(0.0, 1.0, exclude_max=True)
+        U.append(draw(uniform | st.sampled_from(sums) if sums else uniform))
+    return P, np.array(U)
+
+
+class TestColumnPasses:
+    @settings(max_examples=300, deadline=None)
+    @given(probability_rows())
+    def test_probs_accepts_and_rejects_as_the_row_reductions(self, P):
+        def accepts(check, arg):
+            try:
+                check(arg)
+            except ValueError:
+                return False
+            return True
+
+        k = P.shape[1]
+        rows = iter(P)
+        policy = Policy(k, lambda x: next(rows), lambda X: P)
+        assert accepts(policy.probs_many, np.zeros((len(P), 1))) == reference_probs_valid(P)
+        for p in P:
+            assert accepts(policy.probs, np.zeros(1)) == reference_probs_valid(p[None])
+
+    @settings(max_examples=300, deadline=None)
+    @given(choice_cases())
+    def test_choose_many_picks_as_cumsum_and_argmax(self, case):
+        P, U = case
+        picks = Policy.choose_many(P, U)
+        assert picks.tolist() == reference_choose_many(P, U).tolist()
+        assert picks.tolist() == [Policy.choose(p.tolist(), u) for p, u in zip(P, U)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 60), st.integers(0, 2**32 - 1), st.booleans())
+    def test_distances_keep_the_bits_of_the_weighted_form(self, dim, n, seed, unit):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-8, 8, size=dim)
+        m = Metric.euclidean(dim) if unit else Metric(10.0 ** rng.uniform(-3, 3, size=dim))
+        pts = rng.normal(size=(n, dim)) * scale
+        x = rng.normal(size=dim) * scale
+        for points in (pts, np.ascontiguousarray(pts.T).T):
+            if n:
+                assert m.distances_to(points, x).tobytes() == (
+                    weighted_distances(m, points, x).tobytes()
+                )

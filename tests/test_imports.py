@@ -211,11 +211,12 @@ def test_importing_the_package_starts_no_thread():
 @pytest.mark.parametrize("module", ["moesim.experiments", "moesim.cli"])
 def test_importing_loads_no_module_that_only_some_commands_use(module):
     # jsonschema is only the tests' oracle of the config checker; the
-    # process pool loads for `--jobs` above 1, csv for error maps
+    # process pool loads for `--jobs` above 1, csv for error maps, and
+    # numpy.random (about 15 ms) with the first seeded rollout
     code = (
         f"import sys, {module}\n"
         "print([m for m in ('jsonschema', 'concurrent.futures.process', 'multiprocessing',"
-        " 'csv') if m in sys.modules])\n"
+        " 'csv', 'numpy.random') if m in sys.modules])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
