@@ -108,9 +108,9 @@ class Metric:
     dist(x, y) = sqrt(sum_i (w_i * (x_i - y_i))^2), so w_i is the
     multiplicative importance factor of dimension i.  All weights default
     to 1 (plain Euclidean distance).  `distance` sums the squares with
-    `np.dot`, through BLAS, and `distances_to` in its own fixed order, so
-    the two can differ in the last bit for the same pair.  With unit
-    weights `distances_to` skips the multiply, which leaves every
+    one `np.vecdot` per pair, through BLAS, and `distances_to` in its own
+    fixed order, so the two can differ in the last bit for the same pair.
+    With unit weights `distances_to` skips the multiply, which leaves every
     difference as it is.
     """
 
@@ -133,14 +133,19 @@ class Metric:
     def dim(self) -> int:
         return self.weights.shape[0]
 
-    def distance(self, x: StateVec, y: StateVec) -> float:
-        if len(x) != self.dim or len(y) != self.dim:
+    def distance(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        """The distance between two states, or between the matching rows of
+        two state matrices as an array.  Each distance is the weighted
+        difference and one `np.vecdot`, so a row gets the bits of its pair."""
+        x, y = np.asarray(x), np.asarray(y)
+        if x.shape != y.shape or x.shape[-1] != self.dim:
             raise ValueError(
                 f"dimension mismatch: metric is {self.dim}-D, "
-                f"points are {len(x)}-D and {len(y)}-D"
+                f"points are {x.shape[-1]}-D and {y.shape[-1]}-D"
             )
-        diff = (np.asarray(x) - np.asarray(y)) * self.weights
-        return float(np.sqrt(np.dot(diff, diff)))
+        diff = (x - y) * self.weights
+        d = np.sqrt(np.vecdot(diff, diff))
+        return float(d) if d.ndim == 0 else d
 
     def distances_to(self, points: np.ndarray, x: StateVec) -> np.ndarray:
         """Vectorized distances from each row of `points` to `x`.
@@ -228,13 +233,7 @@ class Trajectory:
                 f"a trajectory of {n} actions needs {n} rewards and {n + 1} states, "
                 f"got rewards of shape {rewards.shape} and states of shape {states.shape}"
             )
-        finite = np.isfinite(states).all(axis=1)
-        ok = finite[:-1] & finite[1:] & np.isfinite(rewards)
-        if not (finite[0] and ok.all()):
-            step = int(np.argmin(ok)) if n else 0
-            raise ValueError(f"non-finite state or reward at trajectory step {step}")
-        if n and actions.min() < 0:
-            raise ValueError("action ids must be nonnegative")
+        check_rollouts(states[None], actions[None], rewards[None], np.array([n]))
         for name, arr in (("states", states), ("actions", actions), ("rewards", rewards)):
             object.__setattr__(self, name, _read_only(arr))
 
@@ -262,6 +261,42 @@ class Trajectory:
             Transition._view(s[t], a, r, s[t + 1], 0, t)
             for t, (a, r) in enumerate(zip(self.actions.tolist(), self.rewards.tolist()))
         )
+
+
+def check_rollouts(
+    states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, lengths: np.ndarray
+) -> None:
+    """Validate a batch of rollouts as `Trajectory` validates one, raising
+    its ValueError for the first bad rollout.
+
+    Rollout k is `states[k, :m + 1]`, `actions[k, :m]` and
+    `rewards[k, :m]` for m = lengths[k]; entries past its length are
+    ignored.  A non-finite start, or a non-finite state or reward on one of
+    its steps, names the first such step; otherwise a negative action
+    fails."""
+    finite = np.isfinite(states).all(axis=2)
+    stepped = np.arange(actions.shape[1]) < lengths[:, None]
+    bad = ~(finite[:, :-1] & finite[:, 1:] & np.isfinite(rewards)) & stepped
+    unfinite = ~finite[:, 0] | bad.any(axis=1)
+    failed = unfinite | ((actions < 0) & stepped).any(axis=1)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if unfinite[k]:
+            step = int(np.argmax(bad[k])) if bad[k].any() else 0  # a bad start, no step
+            raise ValueError(f"non-finite state or reward at trajectory step {step}")
+        raise ValueError("action ids must be nonnegative")
+
+
+def step_rows(
+    step: Callable[[StateVec, ActionId], tuple[StateVec, float]], X: np.ndarray, A: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`step(x, a)` of each row of X with the action in A, one call per
+    row: the next states as rows, and the rewards."""
+    X = np.asarray(X, dtype=np.float64)
+    pairs = [step(x, a) for x, a in zip(X, np.asarray(A).tolist())]
+    if not pairs:
+        return np.zeros(X.shape), np.zeros(0)
+    return np.stack([y for y, _ in pairs]), np.array([r for _, r in pairs])
 
 
 def trajectory_return(traj: Trajectory, gamma: float) -> float:

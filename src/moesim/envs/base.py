@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import ActionId, Policy, StateVec, Trajectory, generators
+from ..core import ActionId, Policy, StateVec, Trajectory, check_rollouts, generators, step_rows
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class Environment:
         rows, and the rewards."""
         if self.step_many_fn is not None:
             return self.step_many_fn(X, A)
-        pairs = [self.step(x, a) for x, a in zip(X, np.asarray(A).tolist())]
-        if not pairs:
-            return np.zeros(np.shape(X)), np.zeros(0)
-        return np.stack([y for y, _ in pairs]), np.array([r for _, r in pairs])
+        return step_rows(self.step, X, A)
 
     def terminal_many(self, X: np.ndarray) -> np.ndarray:
         """`is_terminal` of each row of X; all False without a terminal
@@ -79,11 +76,11 @@ def rollouts(
     still running, and no rollout reads another, so each one is the same
     as a rollout of its own.
 
-    The batch is validated once, as `Trajectory` validates one rollout: a
-    non-finite start, or a non-finite state or reward on a rollout's steps,
-    raises `Trajectory`'s ValueError for the first such rollout.  Each
-    trajectory and probability vector is then a view of the batch's
-    read-only arrays.
+    The batch is validated once by `core.check_rollouts`, the check
+    `Trajectory` makes of one rollout: a non-finite start, or a non-finite
+    state or reward on a rollout's steps, raises `Trajectory`'s ValueError
+    for the first such rollout.  Each trajectory and probability vector is
+    then a view of the batch's read-only arrays.
     """
     rngs = generators(seed, ids)
     if starts is None:
@@ -112,18 +109,7 @@ def rollouts(
         done = env.terminal_many(states[live, t + 1])
         terminated[live[done]] = True
         live = live[~done]
-    finite = np.isfinite(states).all(axis=2)
-    stepped = np.arange(horizon) < lengths[:, None]
-    bad = ~(finite[:, :-1] & finite[:, 1:] & np.isfinite(rewards)) & stepped
-    unfinite = ~finite[:, 0] | bad.any(axis=1)
-    failed = unfinite | ((actions < 0) & stepped).any(axis=1)
-    if failed.any():
-        k = int(np.argmax(failed))
-        if unfinite[k]:
-            raise ValueError(
-                f"non-finite state or reward at trajectory step {int(np.argmax(bad[k]))}"
-            )
-        raise ValueError("action ids must be nonnegative")
+    check_rollouts(states, actions, rewards, lengths)
     for arr in (states, actions, rewards, probs):
         arr.flags.writeable = False
     ends = lengths.tolist()

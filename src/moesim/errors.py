@@ -453,22 +453,15 @@ def parametric_residuals(
     (state-prediction distances, absolute reward errors), aligned with the
     dataset's rows.  Unfitted actions get infinite residuals.
 
-    One `predict_many` over the fitted rows; each distance is
-    `Metric.distance`'s weighted difference and dot product, so a row gets
-    the same bits as it would alone."""
+    One `predict_many` over the fitted rows and one `Metric.distance` over
+    their matching rows, so a row gets the same bits as it would alone."""
     eps_t = np.full(len(ds), np.inf)
     eps_r = np.full(len(ds), np.inf)
     fitted = np.array([model.fitted(a) for a in range(ds.n_actions)], dtype=bool)
     rows = np.flatnonzero(fitted[ds.actions])
     if len(rows):
         predicted, rewards = model.predict_many(ds.starts[rows], ds.actions[rows])
-        if predicted.shape != (len(rows), metric.dim) or ds.dim != metric.dim:
-            raise ValueError(
-                f"dimension mismatch: metric is {metric.dim}-D, "
-                f"points are {predicted.shape[-1]}-D and {ds.dim}-D"
-            )
-        diff = (predicted - ds.nexts[rows]) * metric.weights
-        eps_t[rows] = np.sqrt(np.vecdot(diff, diff))
+        eps_t[rows] = metric.distance(predicted, ds.nexts[rows])
         eps_r[rows] = np.abs(rewards - ds.rewards[rows])
     return eps_t, eps_r
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ActionId, Dataset, Metric, Neighbors, StateVec
+from .core import ActionId, Dataset, Metric, Neighbors, StateVec, step_rows
 
 PARAMETRIC = "parametric"
 NONPARAMETRIC = "nonparametric"
@@ -37,11 +37,7 @@ class DynamicsModel:
     def predict_many(self, X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`predict` for each row of X with the action in A: the next states
         as rows, and the rewards.  This default calls `predict` per row."""
-        X = np.asarray(X, dtype=np.float64)
-        pairs = [self.predict(x, int(a)) for x, a in zip(X, A)]
-        if not pairs:
-            return np.zeros(X.shape), np.zeros(0)
-        return np.stack([y for y, _ in pairs]), np.array([r for _, r in pairs])
+        return step_rows(self.predict, X, A)
 
 
 class NonparametricModel(DynamicsModel):

@@ -332,17 +332,14 @@ class PlanNode:
     terminal: bool
     action: ActionId
     model_choice: str  # "parametric" | "nonparametric" | "root"
-    tau: int
-    delta: float
-    delta_g: float
+    tau: int = 0
+    delta: float = 0.0
+    delta_g: float = 0.0
     parent: "PlanNode | None" = None
     visits: int = 0
     total_value: float = 0.0
     best_value: float = -math.inf
     children: list["PlanNode"] = field(default_factory=list)
-
-    def mean_value(self) -> float:
-        return self.total_value / self.visits
 
 
 class _MctsRun:
@@ -371,9 +368,6 @@ class _MctsRun:
             terminal=bool(term(state)) if term is not None else False,
             action=a,
             model_choice="root",
-            tau=0,
-            delta=0.0,
-            delta_g=0.0,
         )
 
     def tree_policy(self, root: PlanNode) -> PlanNode:
@@ -448,7 +442,7 @@ class _MctsRun:
         best = None
         best_key: tuple[float, int, int] | None = None
         for i, child in enumerate(node.children):
-            score = child.mean_value() + c_e * math.sqrt(two_log_n / child.visits)
+            score = child.total_value / child.visits + c_e * math.sqrt(two_log_n / child.visits)
             key = (score, 1 if child.model_choice == NONPARAMETRIC else 0, -i)
             if best_key is None or key > best_key:
                 best, best_key = child, key
@@ -541,16 +535,11 @@ def mcts_select(
         candidates = [
             c for c in root.children if c.visits > 0 and c.best_value > -math.inf
         ]
-        chosen = None
-        if candidates:
-            chosen = max(
-                enumerate(candidates),
-                key=lambda ic: (
-                    ic[1].best_value,
-                    1 if ic[1].model_choice == NONPARAMETRIC else 0,
-                    -ic[0],
-                ),
-            )[1].model_choice
+        best = max(
+            candidates, key=lambda c: (c.best_value, c.model_choice == NONPARAMETRIC),
+            default=None,
+        )
+        chosen = None if best is None else best.model_choice
         memo = (run.n_draws, _trace_record(root, run, chosen))
         if not run.picked:
             ctx.decisions[key] = memo

@@ -90,7 +90,8 @@ def simulate_value(
     action no expert has data for raises `NoSupportError`.  A `ValueError`
     inside a simulated step (invalid policy probabilities, a bad oracle
     step) is raised again as a `ValueError` that names the rollout and the
-    step first.
+    step first; a rollout whose states or rewards go non-finite fails
+    `Trajectory`'s check, named with the rollout.
     """
     starts = list(
         initial_states if initial_states is not None
@@ -105,7 +106,6 @@ def simulate_value(
     records: list[dict] = []
     for n, rng in enumerate(generators(cfg.seed, range(cfg.n_rollouts))):
         x = np.array(starts[int(rng.integers(len(starts)))], dtype=np.float64)
-        ret = 0.0
         reached = False
         states, actions, rewards = [x], [], []
         rollout_usage = {PARAMETRIC: 0, NONPARAMETRIC: 0}
@@ -133,17 +133,21 @@ def simulate_value(
                 states.append(x_next)
                 actions.append(a)
                 rewards.append(r)
-                ret += (cfg.gamma**t) * r
                 x = x_next
                 if ctx.is_terminal is not None and ctx.is_terminal(x):
                     reached = True
                     break
         except ValueError as exc:
             raise ValueError(f"rollout {n}, step {t}: {exc}") from exc
+        try:
+            traj = Trajectory(states, actions, rewards, terminated=reached)
+        except ValueError as exc:
+            raise ValueError(f"rollout {n}: {exc}") from exc
+        ret = trajectory_return(traj, cfg.gamma)
         if ctx.is_terminal is not None and not reached:
             unreached += 1
         returns.append(ret)
-        trajectories.append(Trajectory(states, actions, rewards, terminated=reached))
+        trajectories.append(traj)
         usage[PARAMETRIC] += rollout_usage[PARAMETRIC]
         usage[NONPARAMETRIC] += rollout_usage[NONPARAMETRIC]
         records.append(
@@ -171,19 +175,12 @@ def trajectory_error(sim: Trajectory, truth: Trajectory, metric: Metric) -> floa
     """Summed state distance between a simulated and a reference trajectory
     from the same start, truncated to the shorter state sequence.
 
-    Each distance is `Metric.distance`'s weighted difference and dot
-    product, and the distances are summed in step order, so the sum has
-    the bits of a loop over `Metric.distance`."""
+    One `Metric.distance` over the matching rows, summed in step order, so
+    the sum has the bits of a loop over the pairs."""
     if not np.array_equal(sim.states[0], truth.states[0]):
         raise ValueError("trajectories must start from the same initial state")
-    if sim.states.shape[1] != metric.dim or truth.states.shape[1] != metric.dim:
-        raise ValueError(
-            f"dimension mismatch: metric is {metric.dim}-D, points are "
-            f"{sim.states.shape[1]}-D and {truth.states.shape[1]}-D"
-        )
     k = min(len(sim.states), len(truth.states))
-    diff = (sim.states[:k] - truth.states[:k]) * metric.weights
-    return float(sum(np.sqrt(np.vecdot(diff, diff)).tolist()))
+    return float(sum(metric.distance(sim.states[:k], truth.states[:k]).tolist()))
 
 
 def rollout_policy(

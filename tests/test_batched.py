@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import rollout_with_probs, serial_rollout, uniform_policy
 from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
-from moesim.core import Dataset, Metric, Policy, Transition
+from moesim.core import Dataset, Metric, Policy, Trajectory, Transition, check_rollouts
 from moesim.envs import (
     acrobot_heuristic_policy,
     make_acrobot,
@@ -441,6 +441,26 @@ def test_windy_step_many_equals_step(rows, seed):
     assert env.terminal_many(X).tolist() == [env.is_terminal(x) for x in X]
 
 
+@PROPERTY
+@given(
+    kind=st.sampled_from(["acrobot", "planning_toy"]),
+    n=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_row_step_many_equals_step(kind, n, seed):
+    # acrobot and the planning toy have no batched step: `step_many` makes
+    # one `step` call per row, and an empty batch keeps the state width
+    env = make_acrobot(20) if kind == "acrobot" else make_planning_toy(10)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, env.dim))
+    A = rng.integers(0, env.n_actions, size=n)
+    Y, R = env.step_many(X, A)
+    assert Y.shape == X.shape and R.shape == (n,)
+    for x, a, y, r in zip(X, A.tolist(), Y, R):
+        y1, r1 = env.step(x, a)
+        assert bits(y) == bits(y1) and bits(r) == bits(r1)
+
+
 # ---------------------------------------------------------------------------
 # Lockstep true-environment rollouts
 # ---------------------------------------------------------------------------
@@ -555,6 +575,82 @@ def test_a_non_finite_step_names_the_first_failing_rollout(horizon, step, bad):
             return str(exc)
 
     assert str(err.value) == next(filter(None, map(alone, range(len(starts)))))
+
+
+def first_fault(states, actions, rewards):
+    """The ValueError message `Trajectory` gives one rollout, found by a
+    walk over its steps, or None: a non-finite start or a non-finite state
+    or reward names the first such step, then a negative action fails."""
+    if not np.isfinite(states[0]).all():
+        return "non-finite state or reward at trajectory step 0"
+    for t, r in enumerate(rewards):
+        if not (np.isfinite(states[t + 1]).all() and math.isfinite(r)):
+            return f"non-finite state or reward at trajectory step {t}"
+    if any(a < 0 for a in actions):
+        return "action ids must be nonnegative"
+    return None
+
+
+@PROPERTY
+@given(
+    lengths=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    faults=st.lists(st.tuples(
+        st.integers(0, 3), st.sampled_from(["state", "reward", "action"]), st.integers(0, 5),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_rollout_check_names_what_a_walk_over_the_steps_names(lengths, faults, seed):
+    # rollouts with NaN, +-inf or a negative action at random steps, and
+    # NaN and -1 past their ends, which no check may read
+    n, horizon, dim = len(lengths), 5, 2
+    rng = np.random.default_rng(seed)
+    states = np.full((n, horizon + 1, dim), math.nan)
+    actions = np.full((n, horizon), -1, dtype=np.intp)
+    rewards = np.full((n, horizon), math.nan)
+    for k, m in enumerate(lengths):
+        states[k, : m + 1] = rng.normal(size=(m + 1, dim))
+        actions[k, :m] = rng.integers(0, 3, size=m)
+        rewards[k, :m] = rng.normal(size=m)
+    for k, where, t, value in faults:
+        if k < n:
+            m = lengths[k]
+            if where == "state":
+                states[k, t % (m + 1), t % dim] = value
+            elif m and where == "reward":
+                rewards[k, t % m] = value
+            elif m:
+                actions[k, t % m] = -1
+    want = [first_fault(states[k, : m + 1], actions[k, :m], rewards[k, :m])
+            for k, m in enumerate(lengths)]
+
+    def message(check, *args):
+        try:
+            check(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    for k, m in enumerate(lengths):  # one rollout alone
+        assert message(Trajectory, states[k, : m + 1], actions[k, :m], rewards[k, :m]) == want[k]
+    first = next(filter(None, want), None)
+    assert message(check_rollouts, states, actions, rewards, np.array(lengths)) == first
+
+    # the rollouts that take a step, stepped by `rollouts` under a policy
+    # that takes action 0: each state carries its rollout and step, and the
+    # rollout ends at its length
+    def step(x, a):
+        k, t = int(x[0]), int(x[1])
+        return np.concatenate([[k, t + 1], states[k, t + 1]]), rewards[k, t]
+
+    env = Environment(dim + 2, 1, horizon, step, lambda rng: None,
+                      is_terminal=lambda x: x[1] >= lengths[int(x[0])])
+    stepped = [k for k, m in enumerate(lengths) if m]
+    starts = [np.concatenate([[k, 0], states[k, 0]]) for k in stepped]
+    first = next(filter(None, (
+        first_fault(states[k, : lengths[k] + 1], [], rewards[k, : lengths[k]]) for k in stepped
+    )), None)
+    policy = Policy.deterministic(lambda x: 0, 1)
+    assert message(rollouts, env, policy, horizon, 0, range(len(starts)), starts) == first
 
 
 # ---------------------------------------------------------------------------

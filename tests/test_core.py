@@ -104,6 +104,10 @@ class TestMetric:
         m = Metric.euclidean(2)
         with pytest.raises(ValueError):
             m.distance(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="metric is 2-D, points are 3-D and 3-D$"):
+            m.distance(np.zeros((4, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="points are 2-D and 2-D$"):
+            m.distance(np.zeros((4, 2)), np.zeros((1, 2)))  # the rows must match too
 
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
@@ -143,6 +147,21 @@ class TestMetric:
         x = rng.normal(size=dim) * scale
         points = np.ascontiguousarray(pts.T).T if columns else pts
         assert m.distances_to(points, x).tobytes() == einsum_distances(m, pts, x).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_distance_of_matching_rows_equals_a_dot_per_pair(self, dim, n, seed):
+        # bit for bit, for a pair, for one row and for many, on weighted
+        # metrics and coordinates over sixteen decades
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-8, 8, size=dim)
+        m = Metric(10.0 ** rng.uniform(-3, 3, size=dim))
+        X, Y = rng.normal(size=(2, n, dim)) * scale
+        diffs = [(x - y) * m.weights for x, y in zip(X, Y)]
+        want = np.array([np.sqrt(np.dot(d, d)) for d in diffs])
+        assert np.array([m.distance(x, y) for x, y in zip(X, Y)]).tobytes() == want.tobytes()
+        assert m.distance(X, Y).tobytes() == want.tobytes()
+        assert m.distance(X[:1], Y[:1]).tobytes() == want[:1].tobytes()
 
 
 class TestStatesAndTransitions:

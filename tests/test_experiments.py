@@ -944,8 +944,8 @@ class TestCLI:
         with np.errstate(all="ignore"), pytest.raises(RepetitionError) as err:
             run_repetition(validate_config(cfg), 0)
         assert re.fullmatch(
-            f"repetition 0, estimator {estimator}: non-finite state or reward "
-            r"at trajectory step \d+",
+            f"repetition 0, estimator {estimator}: "
+            r"rollout \d+: non-finite state or reward at trajectory step \d+",
             str(err.value),
         )
 

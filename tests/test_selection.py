@@ -315,6 +315,33 @@ class TestMctsPlanning:
                 )
                 assert node.delta_g == pytest.approx(recomputed, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        error=st.tuples(st.sampled_from([0.0, 0.25, 1.0]), st.sampled_from([0.0, 0.5])),
+        l_t=st.sampled_from([0.0, 0.5, 1.3]),
+        remaining=st.integers(1, 5),
+        budget=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_root_children_that_tie_on_best_value_go_nonparametric(
+        self, error, l_t, remaining, budget, seed
+    ):
+        # both experts make the same errors everywhere, so every rollout has
+        # the same value; the greedy rule breaks its tie to parametric, so
+        # the parametric child is expanded first
+        ctx = StubContext(
+            {("*", 0, NONPARAMETRIC): error, ("*", 0, PARAMETRIC): error},
+            BoundParams(l_t, 0.5, 0.9),
+        )
+        trace = []
+        got = mcts_select(
+            ctx, np.zeros(1), 0, budget, np.random.default_rng(seed), remaining, trace=trace
+        )
+        children = trace[0]["children"]
+        assert [c["model"] for c in children] == [PARAMETRIC, NONPARAMETRIC]
+        assert children[0]["best_value"] == children[1]["best_value"] > -math.inf
+        assert got == NONPARAMETRIC
+
     def test_backup_tracks_max_and_counts(self):
         root = PlanNode(np.zeros(1), bytes(8), False, 0, "root", 0, 0.0, 0.0)
         child = PlanNode(np.zeros(1), bytes(8), False, 0, NONPARAMETRIC, 1, 0.0, 0.0,

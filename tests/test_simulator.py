@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import context_scans, gapped_contexts
-from moesim.core import Dataset, Metric, Policy, Trajectory
+from helpers import context_scans, gapped_contexts, uniform_policy
+from moesim.core import Dataset, Metric, Policy, Trajectory, Transition
 from moesim.envs import make_planning_toy, make_windy2d, planning_toy_policies
 from moesim.envs.base import generate_trajectories
 from moesim.envs.planning_toy import BEHAVIOR_STARTS, EVAL_START
 from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
 from moesim.errors import BoundParams, choose_radius
-from moesim.models import NONPARAMETRIC, PARAMETRIC, FunctionModel, NonparametricModel
+from moesim.models import (
+    NONPARAMETRIC,
+    PARAMETRIC,
+    FunctionModel,
+    NonparametricModel,
+    RidgePerActionModel,
+)
 from moesim.selection import SelectionContext
 from moesim.simulator import (
     SimConfig,
@@ -104,7 +110,6 @@ class TestSimulateValue:
         assert est.capped
         assert est.v_hat == -60.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(
         case=gapped_contexts(),
@@ -114,34 +119,66 @@ class TestSimulateValue:
     def test_single_expert_rollout_ends_at_the_first_action_it_has_no_data_for(
         self, case, kind, seed
     ):
+        # a ridge expert fitted on starts 1e-160 apart can step to inf: then
+        # the first such rollout fails at its first non-finite step
         ctx, data_actions = case
         cfg = SimConfig(4, 8, 0.9, mode=kind, seed=seed)
-        est = simulate_value(ctx, cfg)
         starts = ctx.nonparametric.dataset.initial_states
-        unreached = 0
-        for n, traj in enumerate(est.trajectories):
+        want = []
+        for n in range(cfg.n_rollouts):
             rng = np.random.default_rng([seed, n])
             x = np.array(starts[int(rng.integers(len(starts)))])
             states, actions, rewards, reached = [x], [], [], False
-            for _ in range(cfg.horizon):
-                a = Policy.choose(ctx.policy.probs(x), rng.random())
-                if a not in data_actions[kind]:
-                    break
-                x, r = ctx.model(kind).predict(x, a)
-                states.append(x)
-                actions.append(a)
-                rewards.append(r)
-                if ctx.is_terminal(x):
-                    reached = True
-                    break
-            unreached += not reached
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(cfg.horizon):
+                    a = Policy.choose(ctx.policy.probs(x), rng.random())
+                    if a not in data_actions[kind]:
+                        break
+                    x, r = ctx.model(kind).predict(x, a)
+                    states.append(x)
+                    actions.append(a)
+                    rewards.append(r)
+                    if ctx.is_terminal(x):
+                        reached = True
+                        break
+            bad = [t for t, r in enumerate(rewards)
+                   if not (np.isfinite(states[t + 1]).all() and np.isfinite(r))]
+            if bad:
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    ValueError
+                ) as err:
+                    simulate_value(ctx, cfg)
+                assert str(err.value) == (
+                    f"rollout {n}: non-finite state or reward at trajectory step {bad[0]}"
+                )
+                return
+            want.append((states, actions, rewards, reached))
+        est = simulate_value(ctx, cfg)
+        for n, (traj, (states, actions, rewards, reached)) in enumerate(
+            zip(est.trajectories, want)
+        ):
             assert np.array_equal(traj.states, np.array(states))
             assert traj.actions.tolist() == actions
             assert traj.rewards.tolist() == rewards
             assert traj.terminated == reached
             assert est.per_rollout_returns[n] == sum(0.9**t * r for t, r in enumerate(rewards))
             assert est.rollout_records[n]["model_usage"][kind] == len(actions)
-        assert est.n_unreached_goal == unreached
+        assert est.n_unreached_goal == sum(not reached for *_, reached in want)
+
+    def test_a_diverging_parametric_rollout_names_the_rollout_and_step(self):
+        # a ridge slope of 1e200 along x[0]: from the start x[0] = 1 the
+        # first step lands at 1e200 and the second overflows to inf
+        ds = Dataset([Transition([0.0, 0.0], 0, 0.0, [0.0, 0.0])], [[1.0, 0.0]], 2, 1)
+        ridge = RidgePerActionModel(2, 1, 1.0)
+        ridge.coefs[0] = np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        m = Metric.euclidean(2)
+        ctx = SelectionContext(
+            ridge, NonparametricModel(ds, m, 0.0), BoundParams(1.0, 1.0, 1.0),
+            uniform_policy(1), *context_scans(ds, ridge, m),
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as err:
+            simulate_value(ctx, SimConfig(2, 4, 0.9, mode=PARAMETRIC, seed=0))
+        assert str(err.value) == "rollout 0: non-finite state or reward at trajectory step 1"
 
     def test_usage_counts_sum_to_steps(self):
         env, ctx, _ = build_windy_context()
