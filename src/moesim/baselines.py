@@ -93,10 +93,12 @@ class ModelValueFunctions:
     `probs_many` call per step over the rows still alive, and `q` rolls a
     missing key as a one-row batch, so there is one rollout path.  No row
     reads another, so a value does not depend on the batch it was rolled
-    in.  `fill` hands `q_many` every key that the DR/WDR tables of a logged
-    batch read, and memoizes the policy's probabilities at the logged
-    states for `v`.  The model and policy are deterministic, so DR and WDR
-    share one set of rollouts.  One instance serves one repetition.
+    in.  A deterministic policy's next actions come from its `actions_fn`,
+    its argmax.  `fill` rolls every key that the DR/WDR tables of a logged
+    batch read, once per trajectory, and memoizes the policy's
+    probabilities at the logged states for `v`.  The model and policy are
+    deterministic, so DR and WDR share one set of rollouts.  One instance
+    serves one repetition.
     """
 
     model: DynamicsModel
@@ -106,6 +108,7 @@ class ModelValueFunctions:
     terminal_many: Callable[[np.ndarray], np.ndarray]
     _q_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _probs_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _filled: set = field(default_factory=set, init=False, compare=False, repr=False)
 
     def q(self, x: StateVec, a: int, remaining: int) -> float:
         """Discounted model return of taking `a` now, then following the
@@ -140,17 +143,23 @@ class ModelValueFunctions:
     def fill(self, trajectories: Sequence[Trajectory]) -> None:
         """Memoize every `q` that the DR/WDR tables of these logged
         trajectories read, in one lockstep pass: at each logged state, the
-        logged action and every action the policy takes there."""
+        logged action and every action the policy takes there.  A
+        trajectory filled before (WDR after DR) is skipped."""
         X, A, R = [], [], []
         for traj in trajectories:
-            starts = traj.states[:-1]
-            P = self.policy.probs_many(starts)
-            for t, (x, p, a) in enumerate(zip(starts, P, traj.actions.tolist())):
-                self._probs_memo[x.tobytes()] = p
-                for b in {a, *np.flatnonzero(p > 0).tolist()}:
-                    X.append(x)
-                    A.append(b)
-                    R.append(self.horizon - t)
+            if traj in self._filled:
+                continue
+            self._filled.add(traj)
+            xs = traj.states[:-1]
+            P = self.policy.probs_many(xs)
+            self._probs_memo.update(zip([x.tobytes() for x in xs], P))
+            steps, taken = np.nonzero(P > 0)
+            for t, b in {
+                *zip(range(len(xs)), traj.actions.tolist()), *zip(steps.tolist(), taken.tolist())
+            }:
+                X.append(xs[t])
+                A.append(b)
+                R.append(self.horizon - t)
         self.q_many(X, A, R)
 
     def _roll(self, starts: dict[tuple[bytes, int, int], np.ndarray]) -> None:
@@ -179,7 +188,11 @@ class ModelValueFunctions:
             k += 1
             live = live[(remaining[live] > k) & ~self.terminal_many(state_next)]
             if len(live):
-                action[live] = np.argmax(self.policy.probs_many(state[live]), axis=1)
+                action[live] = (
+                    np.argmax(self.policy.probs_many(state[live]), axis=1)
+                    if self.policy.actions_fn is None
+                    else self.policy.actions_fn(state[live])
+                )
         self._q_memo.update(zip(keys, totals.tolist()))
 
 

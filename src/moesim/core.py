@@ -479,6 +479,12 @@ class Policy:
     the matrix of their probability vectors and must agree with `probs_fn`
     row by row; without it `probs_many` calls `probs` once per row.
 
+    `actions_fn`, which `Policy.deterministic` sets, maps a matrix of states
+    to the action of each row, so that batched rollouts act on a
+    deterministic policy's actions directly, with no one-hot matrix to
+    build, check and sample.  A rollout of such a policy takes no decision
+    from its uniform draws.
+
     A probability vector is valid when no entry is below 0 and its entries,
     added left to right, are within 1e-9 of 1; NaN and ±inf fail.
     `probs_many` adds a batch's columns in that order, which is numpy's
@@ -490,6 +496,7 @@ class Policy:
     probs_many_fn: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False
     )
+    actions_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def probs(self, x: StateVec) -> np.ndarray:
         p = np.asarray(self.probs_fn(x), dtype=np.float64)
@@ -555,19 +562,40 @@ class Policy:
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "Policy":
         """One-hot policy of `fn`; `fn_many`, when given, is its batched
-        form (the action of each row of a state matrix)."""
+        form (the action of each row of a state matrix).  Its `actions_fn`
+        is `fn_many`, else `fn` once per row.  An action outside
+        0..n_actions-1 raises ValueError naming it, in `probs`, `probs_many`
+        and `actions_fn` alike, for the first row that has one."""
 
         def probs_fn(x: StateVec) -> np.ndarray:
             p = np.zeros(n_actions)
-            p[fn(x)] = 1.0
+            p[_checked_action(fn(x), n_actions)] = 1.0
             return p
 
+        def actions_fn(X: np.ndarray) -> np.ndarray:
+            if fn_many is None:
+                return np.array([_checked_action(fn(x), n_actions) for x in X], dtype=np.intp)
+            A = np.asarray(fn_many(X))
+            if A.shape != (len(X),):
+                raise ValueError("policy returned a wrongly-shaped action vector")
+            bad = (A < 0) | (A >= n_actions)
+            if bad.any():
+                _checked_action(A[np.argmax(bad)].item(), n_actions)
+            return A
+
         if fn_many is None:
-            return Policy(n_actions, probs_fn)
+            return Policy(n_actions, probs_fn, actions_fn=actions_fn)
 
         def probs_many_fn(X: np.ndarray) -> np.ndarray:
             P = np.zeros((len(X), n_actions))
-            P[np.arange(len(X)), fn_many(X)] = 1.0
+            P[np.arange(len(X)), actions_fn(X)] = 1.0
             return P
 
-        return Policy(n_actions, probs_fn, probs_many_fn)
+        return Policy(n_actions, probs_fn, probs_many_fn, actions_fn)
+
+
+def _checked_action(a: ActionId, n_actions: int) -> ActionId:
+    """`a`, when it is one of the actions 0..n_actions-1."""
+    if not 0 <= a < n_actions:
+        raise ValueError(f"policy action {a} is not one of the actions 0..{n_actions - 1}")
+    return a

@@ -60,9 +60,22 @@ def acrobot_step(x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
     `ValueError` on a non-finite state, and when the integration overflows
     (where numpy would return inf or NaN).
     """
-    start = tuple(map(float, x))
+    return np.array(_step(list(map(float, x)), a)), -1.0
+
+
+def acrobot_step_many(X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`acrobot_step` of each row of X with the action in A, with the same
+    bits and errors: the same Python-float integration over `X.tolist()`,
+    into one array."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = [_step(x, a) for x, a in zip(X.tolist(), np.asarray(A).tolist())]
+    return np.array(rows).reshape(X.shape), np.full(len(X), -1.0)
+
+
+def _step(start: list[float], a: ActionId) -> list[float]:
+    """The next state of `acrobot_step` from a state given as Python floats."""
     if not all(map(isfinite, start)):
-        raise ValueError(f"acrobot state must be finite: {list(start)}")
+        raise ValueError(f"acrobot state must be finite: {start}")
     t1, t2, w1, w2 = start
     torque = TORQUES[a]
 
@@ -97,13 +110,13 @@ def acrobot_step(x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
         if not all(map(isfinite, (t1, t2, w1, w2))):
             raise OverflowError  # an inf or NaN that no operation raised for
     except (OverflowError, ValueError) as exc:  # also `**` overflow, cos/sin of inf
-        raise ValueError(f"acrobot step overflowed from state {list(start)}") from exc
-    return np.array([
+        raise ValueError(f"acrobot step overflowed from state {start}") from exc
+    return [
         (t1 + pi) % TWO_PI - pi,
         (t2 + pi) % TWO_PI - pi,
         min(max(w1, -MAX_VEL1), MAX_VEL1),
         min(max(w2, -MAX_VEL2), MAX_VEL2),
-    ]), -1.0
+    ]
 
 
 def tip_height(x: StateVec) -> float:
@@ -128,6 +141,7 @@ def make_acrobot(horizon: int) -> Environment:
         sample_initial=_sample_initial,
         is_terminal=lambda x: tip_height(x) >= GOAL_HEIGHT,
         is_terminal_many=lambda X: tip_heights(X) >= GOAL_HEIGHT,
+        step_many_fn=acrobot_step_many,
     )
 
 

@@ -76,23 +76,30 @@ def rollouts(
     still running, and no rollout reads another, so each one is the same
     as a rollout of its own.
 
+    A deterministic policy (one with `actions_fn`) picks the same action
+    for every draw, so its rollouts draw nothing: each step takes its
+    actions from one `actions_fn` call, and each logged probability is
+    1.0.
+
     The batch is validated once by `core.check_rollouts`, the check
     `Trajectory` makes of one rollout: a non-finite start, or a non-finite
     state or reward on a rollout's steps, raises `Trajectory`'s ValueError
     for the first such rollout.  Each trajectory and probability vector is
     then a view of the batch's read-only arrays.
     """
+    act = policy.actions_fn
     rngs = generators(seed, ids)
     if starts is None:
         starts = [env.sample_initial(rng) for rng in rngs]
     n = len(rngs)
-    draws = np.array([rng.random(horizon) for rng in rngs]).reshape(n, horizon)
+    if act is None:
+        draws = np.array([rng.random(horizon) for rng in rngs]).reshape(n, horizon)
     states = np.empty((n, horizon + 1, env.dim))
     if n:
         states[:, 0] = np.array(starts, dtype=np.float64)
     actions = np.zeros((n, horizon), dtype=np.intp)
     rewards = np.zeros((n, horizon))
-    probs = np.zeros((n, horizon))
+    probs = np.zeros((n, horizon)) if act is None else np.ones((n, horizon))
     lengths = np.zeros(n, dtype=np.intp)
     terminated = np.zeros(n, dtype=bool)
     live = np.arange(n)
@@ -100,9 +107,12 @@ def rollouts(
         if not len(live):
             break
         X = states[live, t]
-        P = policy.probs_many(X)
-        A = Policy.choose_many(P, draws[live, t])
-        probs[live, t] = P[np.arange(len(live)), A]
+        if act is None:
+            P = policy.probs_many(X)
+            A = Policy.choose_many(P, draws[live, t])
+            probs[live, t] = P[np.arange(len(live)), A]
+        else:
+            A = act(X)
         states[live, t + 1], rewards[live, t] = env.step_many(X, A)
         actions[live, t] = A
         lengths[live] = t + 1

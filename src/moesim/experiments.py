@@ -554,6 +554,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
 
     budget = settings("selector", cfg["selector"])["mcts_budget"]
     record: dict = {"rep": rep, "v_true": v_true, "radius": radius, "estimates": {}}
+    truths: dict = {}  # the eps_traj true rollouts, which every estimator shares
     for name in cfg["estimators"]:
         if name in IS_ESTIMATORS:
             continue
@@ -580,7 +581,7 @@ def run_repetition(cfg: dict, rep: int) -> dict:
             if cfg["eps_traj"]:
                 entry["eps_traj"] = _mean_traj_error(
                     env, eval_policy, estimate.trajectories, metric, horizon,
-                    derive_seed(cfg["seed"], rep, 4),
+                    derive_seed(cfg["seed"], rep, 4), truths,
                 )
         if trace is not None:
             entry["mcts_trace"] = trace
@@ -615,15 +616,31 @@ def run_repetition(cfg: dict, rep: int) -> dict:
     return record
 
 
-def _mean_traj_error(env, policy, sim_trajectories, metric, horizon, seed) -> float:
+def _mean_traj_error(env, policy, sim_trajectories, metric, horizon, seed, truths) -> float:
     """Mean trajectory error of the nonempty simulated rollouts against
     true rollouts from their starts; simulated rollout i is replayed with
-    the generator seeded by [seed, i]."""
+    the generator seeded by [seed, i].
+
+    `truths` memoizes the replays for the other estimators of the
+    repetition, which share `seed`: keyed on the start's float64 bytes
+    alone for a deterministic policy, whose replay takes no draw, and on
+    (start, i) otherwise.  The missing ones are rolled in one batch."""
     ids = [i for i, sim in enumerate(sim_trajectories) if len(sim)]
-    truths = rollout_policy(
-        env, policy, [sim_trajectories[i].states[0] for i in ids], horizon, seed, ids
-    )
-    errs = [trajectory_error(sim_trajectories[i], truth, metric) for i, truth in zip(ids, truths)]
+    keys = [
+        (sim_trajectories[i].states[0].tobytes(), i if policy.actions_fn is None else None)
+        for i in ids
+    ]
+    missing: dict = {}
+    for key, i in zip(keys, ids):
+        if key not in truths:
+            missing.setdefault(key, i)
+    if missing:
+        rolled = rollout_policy(
+            env, policy, [sim_trajectories[i].states[0] for i in missing.values()], horizon,
+            seed, list(missing.values()),
+        )
+        truths.update(zip(missing, rolled))
+    errs = [trajectory_error(sim_trajectories[i], truths[key], metric) for i, key in zip(ids, keys)]
     return float(np.mean(errs)) if errs else 0.0
 
 

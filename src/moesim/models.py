@@ -138,29 +138,32 @@ class RidgePerActionModel(DynamicsModel):
         return z[:-1], float(z[-1])
 
     def predict_many(self, X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One affine map per action present in A; each row gets the same
-        bits as `predict` of that row."""
+        """`predict` of each row, with the same bits: one `_affine` pass with
+        each row's action's coefficients gathered per row.  An unfitted
+        action raises `NoSupportError`, naming the smallest such action."""
         X = np.asarray(X, dtype=np.float64)
-        A = np.asarray(A)
-        Z = np.empty((len(A), self.dim + 1))
-        for a in sorted(set(A.tolist())):
-            rows = A == a
-            Z[rows] = _affine(X[rows], self._coef(a))
+        present = sorted(set(np.asarray(A).tolist()))
+        if not present:
+            return np.zeros((0, self.dim)), np.zeros(0)
+        W = np.stack([self._coef(a) for a in present])
+        Z = _affine(X, W[np.searchsorted(present, A)])
         return Z[:, :-1], Z[:, -1]
 
 
 def _affine(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """[X, 1] @ W for one state X or a matrix of states (one per row),
-    summed over the input columns in ascending order with the intercept
-    last.  The order is spelled out because a matrix product accumulates
-    in an order that depends on the shapes, so a row's result would change
-    in its last digits between a single and a batched call."""
-    if X.shape[-1] != len(W) - 1:
-        raise ValueError(f"state has {X.shape[-1]} dims, the model {len(W) - 1}")
-    z = X[..., 0, None] * W[0]
-    for j in range(1, len(W) - 1):
-        z = z + X[..., j, None] * W[j]
-    return z + W[-1]
+    """[X, 1] @ W for one state X and its coefficients W, or for a matrix of
+    states (one per row) and one coefficient matrix per row, summed over
+    the input columns in ascending order with the intercept last.  The
+    order is spelled out because a matrix product accumulates in an order
+    that depends on the shapes, so a row's result would change in its last
+    digits between a single and a batched call."""
+    d = W.shape[-2] - 1
+    if X.shape[-1] != d:
+        raise ValueError(f"state has {X.shape[-1]} dims, the model {d}")
+    z = X[..., 0, None] * W[..., 0, :]
+    for j in range(1, d):
+        z = z + X[..., j, None] * W[..., j, :]
+    return z + W[..., d, :]
 
 
 def _ridge_solve(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:

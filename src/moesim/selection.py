@@ -547,13 +547,19 @@ def mcts_select(
         rng.random(memo[0])
     record = memo[1]
     if trace is not None:
-        trace.append({
-            **record,
-            "state": list(record["state"]),
-            "children": [dict(c) for c in record["children"]],
-        })
+        trace.append(trace_copy(record))
     chosen = record["chosen"]
     return chosen if chosen is not None else ctx.greedy(state, key[0], a)
+
+
+def trace_copy(record: dict) -> dict:
+    """A copy of a decision's trace record that shares no list or dict
+    with it."""
+    return {
+        **record,
+        "state": list(record["state"]),
+        "children": [dict(c) for c in record["children"]],
+    }
 
 
 def _trace_record(root: PlanNode, run: _MctsRun, chosen: str | None) -> dict:

@@ -9,6 +9,7 @@ parametric/nonparametric estimators).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from .core import Metric, Policy, StateVec, Trajectory, generators, trajectory_return
 from .envs.base import rollouts
 from .models import NONPARAMETRIC, PARAMETRIC
-from .selection import SelectionContext, greedy_select, mcts_select
+from .selection import SelectionContext, greedy_select, mcts_select, trace_copy
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,15 @@ def simulate_value(
     action no expert has data for raises `NoSupportError`.  A `ValueError`
     inside a simulated step (invalid policy probabilities, a bad oracle
     step) is raised again as a `ValueError` that names the rollout and the
-    step first; a rollout whose states or rewards go non-finite fails
-    `Trajectory`'s check, named with the rollout.
+    step first.  A rollout stops at its first non-finite predicted state or
+    reward, without a numpy warning, and fails `Trajectory`'s check, named
+    with the rollout.
+
+    The experts are deterministic, so under a deterministic policy (one
+    with `actions_fn`) a rollout depends only on its start: a rollout from
+    the start of an earlier one repeats that rollout's trajectory, return
+    and usage, and in "mcts" mode appends copies of its trace records, as
+    a memoised planning decision does.
     """
     starts = list(
         initial_states if initial_states is not None
@@ -104,12 +112,64 @@ def simulate_value(
     unreached = 0
     trajectories: list[Trajectory] = []
     records: list[dict] = []
+    trace = [] if mcts_trace is None else mcts_trace
+    # per start: the first rollout from it, and its slice of the trace
+    finished: dict[bytes, tuple[int, slice]] = {}
     for n, rng in enumerate(generators(cfg.seed, range(cfg.n_rollouts))):
         x = np.array(starts[int(rng.integers(len(starts)))], dtype=np.float64)
-        reached = False
-        states, actions, rewards = [x], [], []
-        rollout_usage = {PARAMETRIC: 0, NONPARAMETRIC: 0}
-        try:
+        first = finished.get(x.tobytes())
+        if first is None:
+            begin = len(trace)
+            traj, rollout_usage = _rollout(ctx, cfg, n, x, rng, mcts_trace)
+            ret = trajectory_return(traj, cfg.gamma)
+            if ctx.policy.actions_fn is not None:
+                finished[x.tobytes()] = (n, slice(begin, len(trace)))
+        else:
+            k, traced = first
+            traj, ret, rollout_usage = trajectories[k], returns[k], records[k]["model_usage"]
+            trace.extend(trace_copy(record) for record in trace[traced])
+        if ctx.is_terminal is not None and not traj.terminated:
+            unreached += 1
+        returns.append(ret)
+        trajectories.append(traj)
+        usage[PARAMETRIC] += rollout_usage[PARAMETRIC]
+        usage[NONPARAMETRIC] += rollout_usage[NONPARAMETRIC]
+        records.append(
+            {
+                "rollout": n,
+                "seed": [cfg.seed, n],
+                "return": ret,
+                "steps": len(traj),
+                "reached_goal": traj.terminated,
+                "model_usage": dict(rollout_usage),
+            }
+        )
+    v_hat = float(np.mean(returns))
+    return ValueEstimate(
+        v_hat=v_hat,
+        per_rollout_returns=returns,
+        n_unreached_goal=unreached,
+        model_usage=usage,
+        trajectories=trajectories,
+        rollout_records=records,
+    )
+
+
+def _rollout(
+    ctx: SelectionContext,
+    cfg: SimConfig,
+    n: int,
+    x: np.ndarray,
+    rng: np.random.Generator,
+    mcts_trace: list | None,
+) -> tuple[Trajectory, dict[str, int]]:
+    """Simulated rollout n of `simulate_value` from x: its trajectory and
+    its steps per expert."""
+    states, actions, rewards = [x], [], []
+    rollout_usage = {PARAMETRIC: 0, NONPARAMETRIC: 0}
+    reached = False
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
             for t in range(cfg.horizon):
                 a = ctx.policy.sample(x, rng)
                 kind = cfg.mode
@@ -133,42 +193,18 @@ def simulate_value(
                 states.append(x_next)
                 actions.append(a)
                 rewards.append(r)
+                if not (math.isfinite(r) and np.isfinite(x_next).all()):
+                    break  # `Trajectory` names this step
                 x = x_next
                 if ctx.is_terminal is not None and ctx.is_terminal(x):
                     reached = True
                     break
-        except ValueError as exc:
-            raise ValueError(f"rollout {n}, step {t}: {exc}") from exc
-        try:
-            traj = Trajectory(states, actions, rewards, terminated=reached)
-        except ValueError as exc:
-            raise ValueError(f"rollout {n}: {exc}") from exc
-        ret = trajectory_return(traj, cfg.gamma)
-        if ctx.is_terminal is not None and not reached:
-            unreached += 1
-        returns.append(ret)
-        trajectories.append(traj)
-        usage[PARAMETRIC] += rollout_usage[PARAMETRIC]
-        usage[NONPARAMETRIC] += rollout_usage[NONPARAMETRIC]
-        records.append(
-            {
-                "rollout": n,
-                "seed": [cfg.seed, n],
-                "return": ret,
-                "steps": len(actions),
-                "reached_goal": reached,
-                "model_usage": dict(rollout_usage),
-            }
-        )
-    v_hat = float(np.mean(returns))
-    return ValueEstimate(
-        v_hat=v_hat,
-        per_rollout_returns=returns,
-        n_unreached_goal=unreached,
-        model_usage=usage,
-        trajectories=trajectories,
-        rollout_records=records,
-    )
+    except ValueError as exc:
+        raise ValueError(f"rollout {n}, step {t}: {exc}") from exc
+    try:
+        return Trajectory(states, actions, rewards, terminated=reached), rollout_usage
+    except ValueError as exc:
+        raise ValueError(f"rollout {n}: {exc}") from exc
 
 
 def trajectory_error(sim: Trajectory, truth: Trajectory, metric: Metric) -> float:

@@ -59,6 +59,12 @@ def uniform_policy(n_actions: int) -> Policy:
     return Policy(n_actions, lambda x: p)
 
 
+def general_path(policy: Policy) -> Policy:
+    """The policy without its action function: the oracle of every path
+    that acts on a deterministic policy's actions directly."""
+    return Policy(policy.n_actions, policy.probs_fn, policy.probs_many_fn)
+
+
 def simulate_bound_instance(rng, horizon=5):
     """One random deterministic task plus an imperfect model; returns the
     actual return gap and the bound fed with the exact per-step errors.

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import rollout_with_probs, serial_rollout, uniform_policy
+from helpers import general_path, rollout_with_probs, serial_rollout, uniform_policy
 from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
 from moesim.core import Dataset, Metric, Policy, Trajectory, Transition, check_rollouts
 from moesim.envs import (
@@ -27,7 +27,7 @@ from moesim.envs import (
     planning_toy_policies,
     tip_height,
 )
-from moesim.envs.acrobot import tip_heights
+from moesim.envs.acrobot import acrobot_step, acrobot_step_many, tip_heights
 from moesim.envs.base import Environment, generate_trajectories, rollouts
 from moesim.envs.windy import (
     BEHAVIOR_BAND_X,
@@ -65,28 +65,43 @@ def assert_rows_match(model, X, A):
 
 
 @st.composite
-def ridge_batches(draw):
+def ridge_batches(draw, width=st.just(0)):
     """A ridge model with random coefficients (action 0 always fitted, the
-    others maybe not) and a batch of queries over all its actions."""
+    others maybe not) and a batch of queries over all its actions, with
+    `width` more state columns than the model has."""
     dim = draw(st.integers(1, 4))
-    n_actions = draw(st.integers(1, 3))
+    n_actions = draw(st.integers(1, 4))
     model = RidgePerActionModel(dim, n_actions, 0.0)
     for a in range(n_actions):
         if a == 0 or draw(st.booleans()):
             model.coefs[a] = draw(arrays(np.float64, (dim + 1, dim + 1), elements=finite))
     n = draw(st.integers(0, 12))
-    X = draw(arrays(np.float64, (n, dim), elements=finite))
+    X = draw(arrays(np.float64, (n, max(1, dim + draw(width))), elements=finite))
     A = draw(arrays(np.int64, n, elements=st.integers(0, n_actions - 1)))
     return model, X, A
 
 
+def error_of(call):
+    try:
+        call()
+    except (ValueError, NoSupportError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 @PROPERTY
-@given(ridge_batches())
+@given(ridge_batches(width=st.sampled_from([0, 0, -1, 1])))
 def test_ridge_predict_many_rows_equal_predict(case):
+    # rows of mixed actions: the error of the smallest unfitted action, else
+    # the dimension error, else each row's bits
     model, X, A = case
-    if not all(model.fitted(int(a)) for a in A):
-        with pytest.raises(NoSupportError):
-            model.predict_many(X, A)
+    if X.shape[1] != model.dim or not all(model.fitted(int(a)) for a in A):
+        if not len(A):
+            return
+        want = [error_of(lambda: model.predict(X[i], a)) for i, a in enumerate(A.tolist())]
+        unfitted = sorted(a for a in set(A.tolist()) if not model.fitted(a))
+        first = A.tolist().index(unfitted[0]) if unfitted else 0
+        assert error_of(lambda: model.predict_many(X, A)) == want[first]
         return
     assert_rows_match(model, X, A)
     for x, a in zip(X, A):
@@ -96,21 +111,23 @@ def test_ridge_predict_many_rows_equal_predict(case):
 
 
 def test_ridge_unfitted_action_raises_in_both_forms():
-    model = RidgePerActionModel(2, 3, 0.0)
+    # a batch names its smallest unfitted action
+    model = RidgePerActionModel(2, 4, 0.0)
     model.coefs[0] = np.ones((3, 3))
-    X = np.zeros((3, 2))
-    with pytest.raises(NoSupportError):
+    X = np.zeros((4, 2))
+    message = "parametric model was not fitted for action 2"
+    with pytest.raises(NoSupportError, match=message):
         model.predict(X[0], 2)
-    with pytest.raises(NoSupportError):
-        model.predict_many(X, np.array([0, 2, 0]))
+    with pytest.raises(NoSupportError, match=message):
+        model.predict_many(X, np.array([0, 3, 2, 0]))
 
 
 def test_ridge_rejects_wrong_state_dimension():
     model = RidgePerActionModel(2, 1, 0.0)
     model.coefs[0] = np.ones((3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("state has 3 dims, the model 2")):
         model.predict(np.zeros(3), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("state has 1 dims, the model 2")):
         model.predict_many(np.zeros((2, 1)), np.array([0, 0]))
 
 
@@ -363,6 +380,28 @@ def test_fill_memoizes_every_key_the_tables_read(acrobot_batch):
     assert Counting.calls == rolled
 
 
+def test_fill_skips_the_trajectories_it_has_filled(acrobot_batch):
+    # the deterministic policy's rollouts act through its action function,
+    # so each `probs_many` call is one of `fill`'s, one per trajectory
+    trajs, _, model, _ = acrobot_batch
+    base = acrobot_heuristic_policy()
+    seen = []
+
+    def probs_many(X):
+        seen.append(len(X))
+        return base.probs_many(X)
+
+    policy = Policy(3, base.probs_fn, probs_many, base.actions_fn)
+    vm = value_functions(model, policy, -1.45, True)
+    vm.fill(trajs[:2])
+    assert seen == [len(traj) for traj in trajs[:2]]
+    vm.fill(trajs)  # the first two are skipped
+    assert seen == [len(traj) for traj in trajs]
+    q_memo = dict(vm._q_memo)
+    vm.fill(trajs)
+    assert seen == [len(traj) for traj in trajs] and vm._q_memo == q_memo
+
+
 def test_is_input_eval_probs_equal_per_step_probs(acrobot_batch):
     trajs, probs, _, _ = acrobot_batch
     for policy in (acrobot_heuristic_policy(), make_eps_greedy(acrobot_heuristic_policy(), 0.2)):
@@ -448,8 +487,9 @@ def test_windy_step_many_equals_step(rows, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_per_row_step_many_equals_step(kind, n, seed):
-    # acrobot and the planning toy have no batched step: `step_many` makes
-    # one `step` call per row, and an empty batch keeps the state width
+    # the planning toy has no batched step: `step_many` makes one `step`
+    # call per row; acrobot's batched step runs the same integration per
+    # row; and an empty batch keeps the state width
     env = make_acrobot(20) if kind == "acrobot" else make_planning_toy(10)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, env.dim))
@@ -458,6 +498,38 @@ def test_per_row_step_many_equals_step(kind, n, seed):
     assert Y.shape == X.shape and R.shape == (n,)
     for x, a, y, r in zip(X, A.tolist(), Y, R):
         y1, r1 = env.step(x, a)
+        assert bits(y) == bits(y1) and bits(r) == bits(r1)
+
+
+@PROPERTY
+@given(
+    rows=st.lists(
+        st.tuples(*[st.floats(-4, 4)] * 2, *[st.floats(-20, 20)] * 2, st.integers(0, 2)),
+        max_size=8,
+    ),
+    faults=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 3),
+                  st.sampled_from([400.0, -500.0, math.inf, math.nan])),
+        max_size=2,
+    ),
+)
+def test_acrobot_step_many_equals_acrobot_step(rows, faults):
+    # each row's bits, or the error of the first row that fails (an
+    # overflow or a non-finite state), which names its state
+    X = np.array([r[:4] for r in rows]).reshape(len(rows), 4)
+    A = np.array([r[4] for r in rows], dtype=np.intp)
+    for row, col, value in faults:
+        if row < len(X):
+            X[row, col] = value
+    errors = [error_of(lambda: acrobot_step(x, a)) for x, a in zip(X, A.tolist())]
+    first = next(filter(None, errors), None)
+    if first is not None:
+        assert error_of(lambda: acrobot_step_many(X, A)) == first
+        return
+    Y, R = acrobot_step_many(X, A)
+    assert Y.shape == X.shape and R.shape == (len(X),)
+    for x, a, y, r in zip(X, A.tolist(), Y, R):
+        y1, r1 = acrobot_step(x, a)
         assert bits(y) == bits(y1) and bits(r) == bits(r1)
 
 
@@ -527,6 +599,61 @@ def test_lockstep_rollouts_equal_the_serial_oracle(case):
                 env, policy, starts[i % len(starts)], horizon, np.random.default_rng([seed, i])
             )
             assert_same_rollout(trajs[i], probs[i], *want)
+
+
+def outcome(call):
+    """What `call()` returns, as bytes where it holds arrays, or its error."""
+    try:
+        result = call()
+    except (ValueError, NoSupportError) as exc:
+        return type(exc), str(exc)
+    return result
+
+
+@st.composite
+def deterministic_rollout_cases(draw):
+    """An environment, one of its deterministic policies or a constant
+    action (maybe out of range), a horizon, a seed, rollout ids, and given
+    starts (some terminal, maybe one non-finite or, for acrobot, one that
+    overflows) or None for sampled ones."""
+    kind = draw(st.sampled_from(["windy", "acrobot", "toy"]))
+    horizon = draw(st.integers(1, 12 if kind == "acrobot" else 45))
+    if kind == "windy":
+        env, policies = make_windy2d(horizon), [windy_eval_policy(), windy_behavior_policy()]
+        point = st.tuples(st.floats(-2, 14), st.floats(-2, 14))
+    elif kind == "acrobot":
+        env, policies = make_acrobot(horizon), [acrobot_heuristic_policy()]
+        point = st.tuples(*[st.floats(-4, 4)] * 2, *[st.floats(-20, 20)] * 2)
+    else:
+        env, policies = make_planning_toy(horizon), list(planning_toy_policies())
+        point = st.tuples(st.floats(-3, 14), st.floats(-3, 3))
+    if kind in TERMINAL_START:
+        point = point | st.just(TERMINAL_START[kind])
+    a = draw(st.integers(-1, env.n_actions))
+    policies.append(Policy.deterministic(lambda x: a, env.n_actions))
+    policy = draw(st.sampled_from(policies))
+    n = draw(st.integers(0, 6))
+    ids = draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n))
+    starts = draw(st.none() | st.lists(point, min_size=n, max_size=n))
+    faults = [(math.nan,) * env.dim] + ([(0.0, 0.0, 0.0, 400.0)] if kind == "acrobot" else [])
+    if starts and draw(st.booleans()):
+        starts[draw(st.integers(0, n - 1))] = draw(st.sampled_from(faults))
+    return env, policy, horizon, draw(st.integers(0, 2**32 - 1)), ids, starts
+
+
+@settings(max_examples=150, deadline=None)
+@given(deterministic_rollout_cases())
+def test_deterministic_rollouts_equal_the_general_path(case):
+    env, policy, horizon, seed, ids, starts = case
+
+    def run(pol):
+        trajs, probs = rollouts(env, pol, horizon, seed, ids, starts)
+        return [
+            (bits(t.states), t.actions.tolist(), bits(t.rewards), bits(p), t.terminated)
+            for t, p in zip(trajs, probs)
+        ]
+
+    assert outcome(lambda: run(policy)) == outcome(lambda: run(general_path(policy)))
 
 
 def test_one_lockstep_batch_ends_rollouts_at_every_point():

@@ -443,6 +443,37 @@ class TestPolicy:
         assert pol.probs(np.array([2.0])).tolist() == [0.0, 1.0, 0.0]
         assert pol.probs(np.array([-2.0]))[0] == 1.0
 
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_an_out_of_range_action_is_rejected_naming_it(self, bad, batched):
+        # -1 used to index the last action's column and pass as a valid one-hot
+        def act(x):
+            return bad if x[0] > 0 else 1
+
+        def act_many(X):
+            return np.where(X[:, 0] > 0, bad, 1)
+
+        pol = Policy.deterministic(act, 3, act_many if batched else None)
+        message = f"policy action {bad} is not one of the actions 0..2"
+        X = np.array([[-1.0], [2.0], [-3.0]])
+        assert pol.probs(X[0]).tolist() == [0.0, 1.0, 0.0]
+        with pytest.raises(ValueError) as err:
+            pol.probs(X[1])
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            pol.probs_many(X)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            pol.actions_fn(X)
+        assert str(err.value) == message
+        assert pol.actions_fn(X[[0, 2]]).tolist() == [1, 1]
+
+    def test_a_wrongly_shaped_action_vector_is_rejected(self):
+        pol = Policy.deterministic(lambda x: 0, 2, lambda X: np.zeros((len(X), 2), dtype=int))
+        for call in (pol.actions_fn, pol.probs_many):
+            with pytest.raises(ValueError, match="wrongly-shaped action vector"):
+                call(np.zeros((3, 1)))
+
     def test_sampling_matches_distribution(self):
         pol = Policy(2, lambda x: np.array([0.25, 0.75]))
         rng = np.random.default_rng(0)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import general_path
+
 import moesim.errors
 import moesim.experiments
 from moesim.cli import build_parser
@@ -1070,3 +1072,36 @@ class TestDoublyRobustTripwire:
         estimates = run_repetition(cfg, 0)["estimates"]
         assert estimates["DR"]["v_hat"] == dr
         assert estimates["WDR"]["v_hat"] == wdr
+
+
+@pytest.mark.parametrize("config", [
+    windy_table1_config(seed=3, n_repetitions=1),
+    tiny_config(env={"kind": "acrobot", "horizon": 60}, model={"kind": "ridge"},
+                sim={"n_rollouts": 6, "horizon": 60, "gamma": 1.0},
+                estimators=["p", "moe", "mcts_moe", "DR", "WDR"], selector={"mcts_budget": 4},
+                mcts_trace=True, rollout_log=True, n_repetitions=1),
+])
+def test_eps_traj_replays_each_start_once_as_the_general_path_does(monkeypatch, config):
+    # the estimators of a repetition share one true rollout per start; the
+    # evaluation policy without its action function, whose replays could
+    # depend on their draws, shares one per (start, rollout) instead, and
+    # the records must not differ
+    cfg = validate_config(config)
+    rolled = []
+    replay = moesim.experiments.rollout_policy
+
+    def recorded(env, policy, starts, *args):
+        rolled.extend(np.asarray(x).tobytes() for x in starts)
+        return replay(env, policy, starts, *args)
+
+    monkeypatch.setattr(moesim.experiments, "rollout_policy", recorded)
+    record = run_repetition(cfg, 0)
+    assert len(rolled) == len(set(rolled)) > 0
+    direct = len(rolled)
+    build = moesim.experiments.build_eval_policy
+    monkeypatch.setattr(
+        moesim.experiments, "build_eval_policy", lambda c, task: general_path(build(c, task))
+    )
+    rolled.clear()
+    assert run_repetition(cfg, 0) == record
+    assert len(rolled) >= direct

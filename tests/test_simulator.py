@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import context_scans, gapped_contexts, uniform_policy
+from helpers import context_scans, gapped_contexts, general_path, uniform_policy
 from moesim.core import Dataset, Metric, Policy, Trajectory, Transition
-from moesim.envs import make_planning_toy, make_windy2d, planning_toy_policies
+from moesim.envs import (
+    acrobot_heuristic_policy,
+    make_acrobot,
+    make_eps_greedy,
+    make_planning_toy,
+    make_windy2d,
+    planning_toy_parametric_model,
+    planning_toy_policies,
+)
 from moesim.envs.base import generate_trajectories
 from moesim.envs.planning_toy import BEHAVIOR_STARTS, EVAL_START
 from moesim.envs.windy import windy_behavior_policy, windy_eval_policy, windy_no_wind_model
@@ -144,9 +152,7 @@ class TestSimulateValue:
             bad = [t for t, r in enumerate(rewards)
                    if not (np.isfinite(states[t + 1]).all() and np.isfinite(r))]
             if bad:
-                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                    ValueError
-                ) as err:
+                with pytest.raises(ValueError) as err:
                     simulate_value(ctx, cfg)
                 assert str(err.value) == (
                     f"rollout {n}: non-finite state or reward at trajectory step {bad[0]}"
@@ -168,17 +174,27 @@ class TestSimulateValue:
     def test_a_diverging_parametric_rollout_names_the_rollout_and_step(self):
         # a ridge slope of 1e200 along x[0]: from the start x[0] = 1 the
         # first step lands at 1e200 and the second overflows to inf
+        # it stops there, with no numpy warning (which the tests raise)
+        class Counting(RidgePerActionModel):
+            steps = []
+
+            def predict(self, x, a):
+                Counting.steps.append(x)
+                return super().predict(x, a)
+
         ds = Dataset([Transition([0.0, 0.0], 0, 0.0, [0.0, 0.0])], [[1.0, 0.0]], 2, 1)
-        ridge = RidgePerActionModel(2, 1, 1.0)
+        ridge = Counting(2, 1, 1.0)
         ridge.coefs[0] = np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         m = Metric.euclidean(2)
         ctx = SelectionContext(
             ridge, NonparametricModel(ds, m, 0.0), BoundParams(1.0, 1.0, 1.0),
             uniform_policy(1), *context_scans(ds, ridge, m),
         )
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as err:
+        Counting.steps.clear()
+        with pytest.raises(ValueError) as err:
             simulate_value(ctx, SimConfig(2, 4, 0.9, mode=PARAMETRIC, seed=0))
         assert str(err.value) == "rollout 0: non-finite state or reward at trajectory step 1"
+        assert [x.tolist() for x in Counting.steps] == [[1.0, 0.0], [1e200, 0.0]]
 
     def test_usage_counts_sum_to_steps(self):
         env, ctx, _ = build_windy_context()
@@ -202,6 +218,96 @@ class TestSimulateValue:
         assert est.v_hat == pytest.approx(
             np.mean(est.per_rollout_returns[::-1]), abs=1e-12
         )
+
+
+def with_policy(ctx, policy, true_step=None):
+    """A fresh context over `ctx`'s experts and scans with another policy,
+    in oracle mode against `true_step` when given."""
+    return SelectionContext(
+        ctx.parametric, ctx.nonparametric, ctx.bound, policy, ctx._global_lips,
+        ctx._residuals, true_step=true_step, is_terminal=ctx.is_terminal,
+    )
+
+
+def acrobot_ridge_context():
+    env = make_acrobot(30)
+    trajs, _ = generate_trajectories(
+        env, make_eps_greedy(acrobot_heuristic_policy(), 0.3), 4, seed=2
+    )
+    ds = Dataset.from_trajectories(trajs, env.n_actions)
+    m = Metric.euclidean(4)
+    ridge = RidgePerActionModel(4, 3, 1e-6).fit(ds)
+    lips, residuals = context_scans(ds, ridge, m)
+    ctx = SelectionContext(
+        ridge, NonparametricModel(ds, m, choose_radius(residuals[0], lips.l_t)),
+        BoundParams(lips.l_t, lips.l_r, 1.0), acrobot_heuristic_policy(), lips, residuals,
+        is_terminal=env.is_terminal,
+    )
+    return env, ctx
+
+
+def planning_toy_context():
+    env = make_planning_toy(16)
+    eval_policy, behavior = planning_toy_policies()
+    trajs, _ = generate_trajectories(env, behavior, 2, seed=0, starts=BEHAVIOR_STARTS)
+    ds = Dataset.from_trajectories(trajs, 2)
+    m = Metric.euclidean(2)
+    model = planning_toy_parametric_model("inaccurate")
+    lips, residuals = context_scans(ds, model, m)
+    ctx = SelectionContext(
+        model, NonparametricModel(ds, m, 1.0), BoundParams(1.0, 1.0, 1.0), eval_policy,
+        lips, residuals,
+    )
+    return env, ctx
+
+
+@pytest.fixture(scope="module")
+def deterministic_contexts():
+    return [build_windy_context()[:2], acrobot_ridge_context(), planning_toy_context()]
+
+
+def estimate_outcome(ctx, cfg, starts):
+    """Everything `simulate_value` returns, in bytes where it holds arrays,
+    with the MCTS trace, or the error it raises."""
+    trace = []
+    try:
+        est = simulate_value(ctx, cfg, initial_states=starts, mcts_trace=trace)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    trajectories = [
+        (t.states.tobytes(), t.actions.tolist(), t.rewards.tobytes(), t.terminated)
+        for t in est.trajectories
+    ]
+    return (
+        np.float64(est.v_hat).tobytes(), np.array(est.per_rollout_returns).tobytes(),
+        est.n_unreached_goal, est.model_usage, trajectories, est.rollout_records, trace,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.integers(0, 2),
+    mode=st.sampled_from(["greedy", "mcts", PARAMETRIC, NONPARAMETRIC]),
+    oracle=st.booleans(),
+    n_rollouts=st.integers(1, 8),
+    budget=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_rollouts_from_equal_starts_equal_the_general_path(
+    deterministic_contexts, which, mode, oracle, n_rollouts, budget, seed, data
+):
+    # a deterministic policy rolls each start once; the same policy without
+    # its action function rolls every rollout
+    env, ctx = deterministic_contexts[which]
+    initial = ctx.nonparametric.dataset.initial_states
+    picks = data.draw(st.lists(st.integers(0, len(initial) - 1), min_size=1, max_size=6))
+    starts = [initial[i] for i in picks]
+    true_step = env.step if oracle else None
+    cfg = SimConfig(n_rollouts, 30, 0.95, mode=mode, mcts_budget=budget, seed=seed)
+    got = estimate_outcome(with_policy(ctx, ctx.policy, true_step), cfg, starts)
+    want = estimate_outcome(with_policy(ctx, general_path(ctx.policy), true_step), cfg, starts)
+    assert got == want
 
 
 class TestTrajectoryError:

@@ -8,16 +8,21 @@ this one process.  The workload configs come from CHANGE's
 `perfbench/workloads.py` at its timed seed.  After one untimed repetition
 per side, each round times `run_repetition(cfg, 0)` once per side, and the
 sides take turns going first, so that drift in the host's speed falls on
-both.  It prints, per workload, both medians, the parent/change ratio of
-the medians (above 1: the change is faster), the rounds the change won and
-the parent's interquartile range as a share of its median.  It has no
-bounds and no gates.
+both.  It prints, per workload, the first 8 hex digits of the sha256 of
+each side's warm-up record (as sorted-key JSON), both medians, the
+parent/change ratio of the medians (above 1: the change is faster), the
+rounds the change won and the parent's interquartile range as a share of
+its median.  When the two records differ it prints "records differ" and
+exits with status 1 before timing anything, since the two sides then
+compute different things.  It has no bounds and no other gates.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
+import json
 import shutil
 import statistics
 import sys
@@ -33,6 +38,11 @@ def load_workloads(tree: Path):
     the tree's `src` goes on the path first."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     return importlib.import_module("workloads")
+
+
+def record_hash(record: dict) -> str:
+    """The first 8 hex digits of the sha256 of the record as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:8]
 
 
 def import_copy(tree: Path, name: str, tmp: Path):
@@ -63,12 +73,19 @@ def main(argv: list[str] | None = None) -> int:
             import_copy(args.parent.resolve(), "ab_parent_moesim", Path(tmp)),
             import_copy(args.change.resolve(), "ab_change_moesim", Path(tmp)),
         ]
-        print("workload        parent_s  change_s  parent/change  change_wins  parent_iqr")
+        print(
+            "workload        parent_rec  change_rec  parent_s  change_s  parent/change  "
+            "change_wins  parent_iqr"
+        )
         for name in names:
             config = workloads.WORKLOADS[name].config(workloads.TIMED_SEED)
             cfgs = [exp.validate_config(config) for exp in sides]
-            for exp, cfg in zip(sides, cfgs):
-                exp.run_repetition(cfg, 0)  # untimed warm-up
+            parent_rec, change_rec = (  # untimed warm-up
+                record_hash(exp.run_repetition(cfg, 0)) for exp, cfg in zip(sides, cfgs)
+            )
+            if parent_rec != change_rec:
+                print(f"{name:<15} {parent_rec:>10}  {change_rec:>10}  records differ")
+                return 1
             times: list[list[float]] = [[], []]
             for r in range(args.rounds):
                 for k in (0, 1) if r % 2 == 0 else (1, 0):
@@ -79,8 +96,9 @@ def main(argv: list[str] | None = None) -> int:
             wins = sum(c < p for p, c in zip(*times))
             q1, q3 = np.percentile(times[0], [25, 75])
             print(
-                f"{name:<15} {parent:8.4f}  {change:8.4f}  {parent / change:13.3f}  "
-                f"{f'{wins}/{args.rounds}':>11}  {(q3 - q1) / parent:10.1%}"
+                f"{name:<15} {parent_rec:>10}  {change_rec:>10}  {parent:8.4f}  {change:8.4f}  "
+                f"{parent / change:13.3f}  {f'{wins}/{args.rounds}':>11}  "
+                f"{(q3 - q1) / parent:10.1%}"
             )
     return 0
 
