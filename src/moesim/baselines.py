@@ -95,8 +95,8 @@ class ModelValueFunctions:
     reads another, so a value does not depend on the batch it was rolled
     in.  A deterministic policy's next actions come from its `actions_fn`,
     its argmax.  `fill` rolls every key that the DR/WDR tables of a logged
-    batch read, once per trajectory, and memoizes the policy's
-    probabilities at the logged states for `v`.  The model and policy are
+    batch read, once per trajectory, and memoizes the actions the policy
+    takes at the logged states, with their probabilities, for `v`.  The model and policy are
     deterministic, so DR and WDR share one set of rollouts.  One instance
     serves one repetition.
     """
@@ -107,7 +107,7 @@ class ModelValueFunctions:
     gamma: float
     terminal_many: Callable[[np.ndarray], np.ndarray]
     _q_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _probs_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _taken: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _filled: set = field(default_factory=set, init=False, compare=False, repr=False)
 
     def q(self, x: StateVec, a: int, remaining: int) -> float:
@@ -123,12 +123,11 @@ class ModelValueFunctions:
         if remaining <= 0:
             return 0.0
         x = np.asarray(x, dtype=np.float64)
-        probs = self._probs_memo.get(x.tobytes())
-        if probs is None:
-            probs = self._probs_memo[x.tobytes()] = self.policy.probs(x)
-        return float(
-            sum(p * self.q(x, a, remaining) for a, p in enumerate(probs) if p > 0)
-        )
+        taken = self._taken.get(x.tobytes())
+        if taken is None:
+            probs = self.policy.probs(x).tolist()
+            taken = self._taken[x.tobytes()] = [(a, p) for a, p in enumerate(probs) if p > 0]
+        return float(sum(p * self.q(x, a, remaining) for a, p in taken))
 
     def q_many(
         self, X: np.ndarray, A: Sequence[int], remaining: Sequence[int]
@@ -152,11 +151,12 @@ class ModelValueFunctions:
             self._filled.add(traj)
             xs = traj.states[:-1]
             P = self.policy.probs_many(xs)
-            self._probs_memo.update(zip([x.tobytes() for x in xs], P))
-            steps, taken = np.nonzero(P > 0)
-            for t, b in {
-                *zip(range(len(xs)), traj.actions.tolist()), *zip(steps.tolist(), taken.tolist())
-            }:
+            steps, actions = np.nonzero(P > 0)
+            taken: list[list[tuple[int, float]]] = [[] for _ in xs]
+            for t, b, p in zip(steps.tolist(), actions.tolist(), P[steps, actions].tolist()):
+                taken[t].append((b, p))
+            self._taken.update(zip([x.tobytes() for x in xs], taken))
+            for t, b in {*enumerate(traj.actions.tolist()), *zip(steps.tolist(), actions.tolist())}:
                 X.append(xs[t])
                 A.append(b)
                 R.append(self.horizon - t)

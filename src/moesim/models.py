@@ -142,11 +142,14 @@ class RidgePerActionModel(DynamicsModel):
         each row's action's coefficients gathered per row.  An unfitted
         action raises `NoSupportError`, naming the smallest such action."""
         X = np.asarray(X, dtype=np.float64)
-        present = sorted(set(np.asarray(A).tolist()))
-        if not present:
+        A = np.asarray(A, dtype=np.intp)
+        if not len(A):
             return np.zeros((0, self.dim)), np.zeros(0)
-        W = np.stack([self._coef(a) for a in present])
-        Z = _affine(X, W[np.searchsorted(present, A)])
+        unfitted = np.array([W is None for W in self.coefs])[A]
+        if unfitted.any():
+            self._coef(int(A[unfitted].min()))
+        blank = np.zeros((self.dim + 1, self.dim + 1))
+        Z = _affine(X, np.stack([blank if W is None else W for W in self.coefs])[A])
         return Z[:, :-1], Z[:, -1]
 
 
