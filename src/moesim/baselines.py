@@ -49,9 +49,15 @@ class ISInput:
         for traj, pb, pe in zip(self.trajectories, self.behavior_probs, self.eval_probs):
             if len(traj) != len(pb) or len(traj) != len(pe):
                 raise ValueError("per-step probabilities must align with steps")
-            if np.any(np.asarray(pb) <= 0.0):
+            pb, pe = np.asarray(pb), np.asarray(pe)
+            # each check is written so that NaN fails it
+            if not np.isfinite(pb).all():
+                raise ValueError("behavior_probs must be finite")
+            if not np.isfinite(pe).all():
+                raise ValueError("eval_probs must be finite")
+            if not (pb > 0.0).all():
                 raise CoverageError("coverage violation: logged action with pb == 0")
-            if np.any((np.asarray(pe) < 0.0) | (np.asarray(pe) > 1.0)):
+            if not ((pe >= 0.0) & (pe <= 1.0)).all():
                 raise ValueError("eval probabilities must lie in [0, 1]")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
@@ -166,34 +172,61 @@ class ModelValueFunctions:
         """Roll each (x bytes, a, remaining) key from its start state in
         lockstep and memoize the discounted returns.  A row stops after
         `remaining` steps or on reaching the terminal region; a non-finite
-        predicted state or reward raises ValueError."""
+        predicted state or reward raises ValueError.
+
+        The rows run sorted by remaining steps, longest first, so the rows
+        that run out leave as a slice off the end; only rows reaching the
+        terminal region are compacted out.  No row reads another, so the
+        order changes no value; an error of the model or the policy is
+        raised as the rows in key order raise it."""
         if not starts:
             return
         keys = list(starts)
-        state = np.array(list(starts.values()))
-        action = np.array([a for _, a, _ in keys])
         remaining = np.array([r for _, _, r in keys])
+        rows = np.argsort(-remaining, kind="stable")  # key index of each row
+        remaining = remaining[rows]
+        state = np.array(list(starts.values()))[rows]
+        action = np.array([a for _, a, _ in keys])[rows]
         totals = np.zeros(len(keys))
-        live = np.flatnonzero(remaining > 0)
-        live = live[~self.terminal_many(state[live])]
         k = 0
-        while len(live):
-            state_next, r = self.model.predict_many(state[live], action[live])
-            if not (np.isfinite(state_next).all() and np.isfinite(r).all()):
+        while True:
+            kept = slice(np.count_nonzero(remaining > k))  # the rows with steps left
+            ended = self.terminal_many(state[kept])
+            if ended.any():
+                kept = np.flatnonzero(~ended)
+            rows, remaining, state, action = rows[kept], remaining[kept], state[kept], action[kept]
+            if not len(rows):
+                break
+            if k:
+                action[:] = _in_key_order(rows, self._policy_actions, state)
+            state, r = _in_key_order(rows, self.model.predict_many, state, action)
+            if not (np.isfinite(state).all() and np.isfinite(r).all()):
                 raise ValueError(
                     f"model predicted a non-finite state or reward at rollout step {k}"
                 )
-            totals[live] += (self.gamma**k) * r
-            state[live] = state_next
+            totals[rows] += (self.gamma**k) * r
             k += 1
-            live = live[(remaining[live] > k) & ~self.terminal_many(state_next)]
-            if len(live):
-                action[live] = (
-                    np.argmax(self.policy.probs_many(state[live]), axis=1)
-                    if self.policy.actions_fn is None
-                    else self.policy.actions_fn(state[live])
-                )
         self._q_memo.update(zip(keys, totals.tolist()))
+
+    def _policy_actions(self, X: np.ndarray) -> np.ndarray:
+        """The policy's action at each row of X: a deterministic policy's
+        `actions_fn`, else the argmax of its probabilities."""
+        if self.policy.actions_fn is None:
+            return np.argmax(self.policy.probs_many(X), axis=1)
+        return self.policy.actions_fn(X)
+
+
+def _in_key_order(rows: np.ndarray, fn: Callable, *arrays: np.ndarray):
+    """`fn(*arrays)`, whose rows belong to the keys `rows`; when it raises,
+    `fn` of the rows put back in key order raises instead, so that an error
+    naming one row (the first unfitted action, the first invalid policy
+    action) names the row the key-ordered batch names."""
+    try:
+        return fn(*arrays)
+    except Exception:
+        order = np.argsort(rows)
+        fn(*(x[order] for x in arrays))
+        raise
 
 
 def _ratio_table(inp: ISInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,15 +281,12 @@ def is_estimate(
         return float(np.sum(full * returns) / denom) if denom > 0 else 0.0
 
     if variant in ("PDIS", "CWPDIS"):
+        nums = _column_sums(rho * rewards).tolist()
+        denoms = _column_sums(rho).tolist() if variant == "CWPDIS" else [float(n)] * t_max
         total = 0.0
-        for t in range(t_max):
-            num = rho[:, t] * rewards[:, t]
-            if variant == "PDIS":
-                total += (gamma**t) * float(np.mean(num))
-            else:
-                denom = float(np.sum(rho[:, t]))
-                if denom > 0:
-                    total += (gamma**t) * float(np.sum(num) / denom)
+        for t, (num, denom) in enumerate(zip(nums, denoms)):
+            if denom > 0:
+                total += (gamma**t) * (num / denom)
         return total
 
     if value_model is None:
@@ -272,25 +302,41 @@ def is_estimate(
             q_vals[i, t] = value_model.q(tr.x, tr.a, remaining)
             v_vals[i, t] = value_model.v(tr.x, remaining)
 
-    alive = np.arange(t_max) < lengths[:, None]
-    rho_prev = np.ones((n, t_max))
-    rho_prev[:, 1:] = rho[:, :-1]
-
+    # weights[:, t] is the cumulative ratio before step t, weights[:, t + 1]
+    # after it; WDR normalizes each column over all trajectories
+    weights = np.ones((n, t_max + 1))
+    weights[:, 1:] = rho
+    if variant == "WDR":
+        totals = _column_sums(weights)
+        weights = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
+    terms = weights[:, 1:] * (rewards - q_vals) + weights[:, :-1] * v_vals
     total = 0.0
-    for t in range(t_max):
-        live = alive[:, t]
-        correction = rewards[:, t] - q_vals[:, t]
+    for t, term in enumerate(_column_sums(terms, lengths).tolist()):
         if variant == "DR":
-            term = rho[live, t] * correction[live] + rho_prev[live, t] * v_vals[live, t]
-            total += (gamma**t) * float(np.sum(term)) / n
+            total += (gamma**t) * term / n
         else:  # WDR
-            w = _normalized(rho[:, t])
-            w_prev = _normalized(rho_prev[:, t])
-            term = w[live] * correction[live] + w_prev[live] * v_vals[live, t]
-            total += (gamma**t) * float(np.sum(term))
+            total += (gamma**t) * term
     return total
 
 
-def _normalized(weights: np.ndarray) -> np.ndarray:
-    total = float(np.sum(weights))
-    return weights / total if total > 0 else np.zeros_like(weights)
+def _column_sums(table: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    """The sum of each column of `table` over its live rows, in row order:
+    every row, or with `lengths` the rows whose length exceeds the column
+    index (0.0 where none does).
+
+    Each sum has the bits of `np.sum` of that column's live entries as one
+    1-D array: one `np.add.reduce` along the last axis of a contiguous
+    (columns x live rows) block per run of columns with the same live rows.
+    `np.sum(table, axis=0)` would add the rows in another order from 8 rows
+    on, where numpy's 1-D sum turns pairwise."""
+    if lengths is None:
+        return np.add.reduce(np.ascontiguousarray(table.T), axis=-1)
+    sums = np.zeros(table.shape[1])
+    start = 0
+    for end in np.unique(lengths).tolist():
+        if end > start:
+            # columns start..end-1 read the rows longer than end - 1
+            block = table[lengths >= end, start:end].T.copy()
+            sums[start:end] = np.add.reduce(block, axis=-1)
+            start = end
+    return sums

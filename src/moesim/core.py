@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from itertools import accumulate
-from operator import add
+from operator import add, index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -483,7 +483,9 @@ class Policy:
     to the action of each row, so that batched rollouts act on a
     deterministic policy's actions directly, with no one-hot matrix to
     build, check and sample.  A rollout of such a policy takes no decision
-    from its uniform draws.
+    from its uniform draws.  `action_fn`, which it sets too, is the rule
+    for one state: `sample` returns its action, after the one
+    `rng.random()` that `choose` would have used.
 
     A probability vector is valid when no entry is below 0 and its entries,
     added left to right, are within 1e-9 of 1; NaN and ±inf fail.
@@ -497,6 +499,7 @@ class Policy:
         default=None, repr=False
     )
     actions_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    action_fn: Callable[[StateVec], ActionId] | None = field(default=None, repr=False)
 
     def probs(self, x: StateVec) -> np.ndarray:
         p = np.asarray(self.probs_fn(x), dtype=np.float64)
@@ -527,6 +530,10 @@ class Policy:
         return P
 
     def sample(self, x: StateVec, rng: np.random.Generator) -> ActionId:
+        if self.action_fn is not None:
+            a = index(_checked_action(self.action_fn(x), self.n_actions))
+            rng.random()  # the draw that `choose` takes from a one-hot
+            return a
         return self.choose(self.probs(x).tolist(), rng.random())
 
     @staticmethod
@@ -562,10 +569,11 @@ class Policy:
         fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "Policy":
         """One-hot policy of `fn`; `fn_many`, when given, is its batched
-        form (the action of each row of a state matrix).  Its `actions_fn`
-        is `fn_many`, else `fn` once per row.  An action outside
-        0..n_actions-1 raises ValueError naming it, in `probs`, `probs_many`
-        and `actions_fn` alike, for the first row that has one."""
+        form (the action of each row of a state matrix).  Its `action_fn`
+        is `fn`, and its `actions_fn` is `fn_many`, else `fn` once per row.
+        An action outside 0..n_actions-1 raises ValueError naming it, in
+        `probs`, `probs_many`, `sample` and `actions_fn` alike, for the first
+        row that has one."""
 
         def probs_fn(x: StateVec) -> np.ndarray:
             p = np.zeros(n_actions)
@@ -584,14 +592,14 @@ class Policy:
             return A
 
         if fn_many is None:
-            return Policy(n_actions, probs_fn, actions_fn=actions_fn)
+            return Policy(n_actions, probs_fn, actions_fn=actions_fn, action_fn=fn)
 
         def probs_many_fn(X: np.ndarray) -> np.ndarray:
             P = np.zeros((len(X), n_actions))
             P[np.arange(len(X)), actions_fn(X)] = 1.0
             return P
 
-        return Policy(n_actions, probs_fn, probs_many_fn, actions_fn)
+        return Policy(n_actions, probs_fn, probs_many_fn, actions_fn, fn)
 
 
 def _checked_action(a: ActionId, n_actions: int) -> ActionId:

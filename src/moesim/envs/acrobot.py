@@ -48,6 +48,12 @@ _C_A2_0 = M2 * L1 * LC2
 _C_A2_1 = M2 * LC2**2 + I2
 _H = DT / N_SUBSTEPS
 _HALF, _SIXTH = 0.5 * _H, _H / 6.0
+# the constants of `_step`'s equations, in the order it unpacks them; M2,
+# _C_D1_2 and _C_PHI1_1 are 1.0, so their products are not written
+_CONSTANTS = (
+    _C_D1_0, _C_D1_1, I1, I2, _C_D2_0, _C_D2_1, _C_PHI2_0, _C_PHI1_0, _C_PHI1_2,
+    _C_A2_0, _C_A2_1, HALF_PI,
+)
 
 
 def acrobot_step(x: StateVec, a: ActionId) -> tuple[np.ndarray, float]:
@@ -73,40 +79,88 @@ def acrobot_step_many(X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _step(start: list[float], a: ActionId) -> list[float]:
-    """The next state of `acrobot_step` from a state given as Python floats."""
+    """The next state of `acrobot_step` from a state given as Python floats.
+
+    Straight-line code on local names: each RK4 stage evaluates the
+    equations of motion inline (cos2/sin2, d1, d2, phi2, phi1, then the two
+    accelerations).  The products by M2, _C_D1_2 and _C_PHI1_1 are left
+    out because each constant is exactly 1.0 and x * 1.0 is x for every
+    float; every other operation keeps its order.
+    """
     if not all(map(isfinite, start)):
         raise ValueError(f"acrobot state must be finite: {start}")
     t1, t2, w1, w2 = start
     torque = TORQUES[a]
-
-    def accelerations(t1: float, t2: float, w1: float, w2: float) -> tuple[float, float]:
-        cos2, sin2 = cos(t2), sin(t2)
-        d1 = _C_D1_0 + M2 * (_C_D1_1 + _C_D1_2 * cos2) + I1 + I2
-        d2 = M2 * (_C_D2_0 + _C_D2_1 * cos2) + I2
-        phi2 = _C_PHI2_0 * cos(t1 + t2 - HALF_PI)
-        phi1 = (
-            _C_PHI1_0 * w2**2 * sin2 - _C_PHI1_1 * w2 * w1 * sin2
-            + _C_PHI1_2 * cos(t1 - HALF_PI) + phi2
-        )
-        acc2 = (
-            torque + (d2 / d1) * phi1 - _C_A2_0 * w1**2 * sin2 - phi2
-        ) / (_C_A2_1 - d2**2 / d1)
-        return -(d2 * acc2 + phi1) / d1, acc2
-
+    (
+        c_d1_0, c_d1_1, i1, i2, c_d2_0, c_d2_1, c_phi2_0, c_phi1_0, c_phi1_2, c_a2_0, c_a2_1,
+        half_pi,
+    ) = _CONSTANTS
+    h, half, sixth, cos_, sin_ = _H, _HALF, _SIXTH, cos, sin
     try:
         for _ in range(N_SUBSTEPS):
-            # classic RK4; stage k's derivative is (its velocities, its accelerations)
-            a1_1, a2_1 = accelerations(t1, t2, w1, w2)
-            w1_2, w2_2 = w1 + _HALF * a1_1, w2 + _HALF * a2_1
-            a1_2, a2_2 = accelerations(t1 + _HALF * w1, t2 + _HALF * w2, w1_2, w2_2)
-            w1_3, w2_3 = w1 + _HALF * a1_2, w2 + _HALF * a2_2
-            a1_3, a2_3 = accelerations(t1 + _HALF * w1_2, t2 + _HALF * w2_2, w1_3, w2_3)
-            w1_4, w2_4 = w1 + _H * a1_3, w2 + _H * a2_3
-            a1_4, a2_4 = accelerations(t1 + _H * w1_3, t2 + _H * w2_3, w1_4, w2_4)
-            t1 = t1 + _SIXTH * (w1 + 2 * w1_2 + 2 * w1_3 + w1_4)
-            t2 = t2 + _SIXTH * (w2 + 2 * w2_2 + 2 * w2_3 + w2_4)
-            w1 = w1 + _SIXTH * (a1_1 + 2 * a1_2 + 2 * a1_3 + a1_4)
-            w2 = w2 + _SIXTH * (a2_1 + 2 * a2_2 + 2 * a2_3 + a2_4)
+            # classic RK4: stage k's derivative is (w1_k, w2_k, acc1_k, acc2_k), its
+            # accelerations taken at the stage's angles (t1, t2 in stage 1, else s1, s2)
+            cos2, sin2 = cos_(t2), sin_(t2)
+            d1 = c_d1_0 + (c_d1_1 + cos2) + i1 + i2
+            d2 = (c_d2_0 + c_d2_1 * cos2) + i2
+            phi2 = c_phi2_0 * cos_(t1 + t2 - half_pi)
+            phi1 = (
+                c_phi1_0 * w2**2 * sin2 - w2 * w1 * sin2 + c_phi1_2 * cos_(t1 - half_pi) + phi2
+            )
+            acc2_1 = (
+                torque + (d2 / d1) * phi1 - c_a2_0 * w1**2 * sin2 - phi2
+            ) / (c_a2_1 - d2**2 / d1)
+            acc1_1 = -(d2 * acc2_1 + phi1) / d1
+
+            w1_2, w2_2 = w1 + half * acc1_1, w2 + half * acc2_1
+            s1, s2 = t1 + half * w1, t2 + half * w2
+            cos2, sin2 = cos_(s2), sin_(s2)
+            d1 = c_d1_0 + (c_d1_1 + cos2) + i1 + i2
+            d2 = (c_d2_0 + c_d2_1 * cos2) + i2
+            phi2 = c_phi2_0 * cos_(s1 + s2 - half_pi)
+            phi1 = (
+                c_phi1_0 * w2_2**2 * sin2 - w2_2 * w1_2 * sin2
+                + c_phi1_2 * cos_(s1 - half_pi) + phi2
+            )
+            acc2_2 = (
+                torque + (d2 / d1) * phi1 - c_a2_0 * w1_2**2 * sin2 - phi2
+            ) / (c_a2_1 - d2**2 / d1)
+            acc1_2 = -(d2 * acc2_2 + phi1) / d1
+
+            w1_3, w2_3 = w1 + half * acc1_2, w2 + half * acc2_2
+            s1, s2 = t1 + half * w1_2, t2 + half * w2_2
+            cos2, sin2 = cos_(s2), sin_(s2)
+            d1 = c_d1_0 + (c_d1_1 + cos2) + i1 + i2
+            d2 = (c_d2_0 + c_d2_1 * cos2) + i2
+            phi2 = c_phi2_0 * cos_(s1 + s2 - half_pi)
+            phi1 = (
+                c_phi1_0 * w2_3**2 * sin2 - w2_3 * w1_3 * sin2
+                + c_phi1_2 * cos_(s1 - half_pi) + phi2
+            )
+            acc2_3 = (
+                torque + (d2 / d1) * phi1 - c_a2_0 * w1_3**2 * sin2 - phi2
+            ) / (c_a2_1 - d2**2 / d1)
+            acc1_3 = -(d2 * acc2_3 + phi1) / d1
+
+            w1_4, w2_4 = w1 + h * acc1_3, w2 + h * acc2_3
+            s1, s2 = t1 + h * w1_3, t2 + h * w2_3
+            cos2, sin2 = cos_(s2), sin_(s2)
+            d1 = c_d1_0 + (c_d1_1 + cos2) + i1 + i2
+            d2 = (c_d2_0 + c_d2_1 * cos2) + i2
+            phi2 = c_phi2_0 * cos_(s1 + s2 - half_pi)
+            phi1 = (
+                c_phi1_0 * w2_4**2 * sin2 - w2_4 * w1_4 * sin2
+                + c_phi1_2 * cos_(s1 - half_pi) + phi2
+            )
+            acc2_4 = (
+                torque + (d2 / d1) * phi1 - c_a2_0 * w1_4**2 * sin2 - phi2
+            ) / (c_a2_1 - d2**2 / d1)
+            acc1_4 = -(d2 * acc2_4 + phi1) / d1
+
+            t1 = t1 + sixth * (w1 + 2.0 * w1_2 + 2.0 * w1_3 + w1_4)
+            t2 = t2 + sixth * (w2 + 2.0 * w2_2 + 2.0 * w2_3 + w2_4)
+            w1 = w1 + sixth * (acc1_1 + 2.0 * acc1_2 + 2.0 * acc1_3 + acc1_4)
+            w2 = w2 + sixth * (acc2_1 + 2.0 * acc2_2 + 2.0 * acc2_3 + acc2_4)
         if not all(map(isfinite, (t1, t2, w1, w2))):
             raise OverflowError  # an inf or NaN that no operation raised for
     except (OverflowError, ValueError) as exc:  # also `**` overflow, cos/sin of inf

@@ -10,6 +10,7 @@ fixed analytic function supplied by an experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable
 
 import numpy as np
@@ -106,7 +107,11 @@ class FunctionModel(DynamicsModel):
 class RidgePerActionModel(DynamicsModel):
     """Independent ridge regressions of [x_next, r] on x, one set per action,
     with an unpenalized intercept.  Actions absent from the training data are
-    recorded as unfitted and raise on prediction."""
+    recorded as unfitted and raise on prediction.
+
+    `predict_many` reads the coefficients stacked into one array, which it
+    builds once per fit: again only after an entry of `coefs` is replaced
+    (an entry is replaced, never written into)."""
 
     def __init__(self, dim: int, n_actions: int, ridge_lambda: float):
         self.dim = dim
@@ -115,6 +120,9 @@ class RidgePerActionModel(DynamicsModel):
         # coefs[a]: (dim+1, dim+1) matrix, rows = [input dims; intercept],
         # cols = [next-state dims; reward]; None while unfitted.
         self.coefs: list[np.ndarray | None] = [None] * n_actions
+        # (the coefs entries it was built from, their stack with zeros for an
+        # unfitted action, which actions are unfitted)
+        self._stack: tuple[list, np.ndarray, np.ndarray] | None = None
 
     def fit(self, ds: Dataset) -> "RidgePerActionModel":
         for a in range(self.n_actions):
@@ -145,11 +153,21 @@ class RidgePerActionModel(DynamicsModel):
         A = np.asarray(A, dtype=np.intp)
         if not len(A):
             return np.zeros((0, self.dim)), np.zeros(0)
-        unfitted = np.array([W is None for W in self.coefs])[A]
+        stack = self._stack
+        if stack is None or len(stack[0]) != len(self.coefs) or not all(
+            map(is_, stack[0], self.coefs)
+        ):
+            blank = np.zeros((self.dim + 1, self.dim + 1))
+            stack = self._stack = (
+                list(self.coefs),
+                np.stack([blank if W is None else W for W in self.coefs]),
+                np.array([W is None for W in self.coefs]),
+            )
+        _, coefs, unfitted = stack
+        unfitted = unfitted[A]
         if unfitted.any():
             self._coef(int(A[unfitted].min()))
-        blank = np.zeros((self.dim + 1, self.dim + 1))
-        Z = _affine(X, np.stack([blank if W is None else W for W in self.coefs])[A])
+        Z = _affine(X, coefs[A])
         return Z[:, :-1], Z[:, -1]
 
 

@@ -518,3 +518,92 @@ def weighted_distances(metric, points, x):
     if metric.dim > 1:
         total = total + reduce(np.add, diff[1::2])
     return np.sqrt(total)
+
+
+def reference_roll(value_model, starts):
+    """`ModelValueFunctions._roll` as it rolled its rows in key order, the
+    oracle of the rows sorted by remaining steps: the discounted return of
+    each (x bytes, a, remaining) key in `starts`, as a dict, without
+    touching the memo.  Every row still running is stepped, tested and
+    scattered back by index at every step."""
+    if not starts:
+        return {}
+    keys = list(starts)
+    state = np.array(list(starts.values()))
+    action = np.array([a for _, a, _ in keys])
+    remaining = np.array([r for _, _, r in keys])
+    totals = np.zeros(len(keys))
+    live = np.flatnonzero(remaining > 0)
+    live = live[~value_model.terminal_many(state[live])]
+    policy = value_model.policy
+    k = 0
+    while len(live):
+        state_next, r = value_model.model.predict_many(state[live], action[live])
+        if not (np.isfinite(state_next).all() and np.isfinite(r).all()):
+            raise ValueError(f"model predicted a non-finite state or reward at rollout step {k}")
+        totals[live] += (value_model.gamma**k) * r
+        state[live] = state_next
+        k += 1
+        live = live[(remaining[live] > k) & ~value_model.terminal_many(state_next)]
+        if len(live):
+            action[live] = (
+                np.argmax(policy.probs_many(state[live]), axis=1)
+                if policy.actions_fn is None
+                else policy.actions_fn(state[live])
+            )
+    return dict(zip(keys, totals.tolist()))
+
+
+def reference_is_estimate(inp, variant, value_model=None):
+    """`baselines.is_estimate` as one loop over the table's columns, each
+    column summed by `np.sum` over its live rows: the oracle of the
+    whole-table arithmetic and its per-run column sums."""
+    from moesim.baselines import _ratio_table, is_estimate
+
+    if variant in ("IS", "WIS"):
+        return is_estimate(inp, variant)
+    gamma = inp.gamma
+    n = len(inp.trajectories)
+    rho, rewards, lengths = _ratio_table(inp)
+    t_max = rho.shape[1]
+    if variant in ("PDIS", "CWPDIS"):
+        total = 0.0
+        for t in range(t_max):
+            num = rho[:, t] * rewards[:, t]
+            if variant == "PDIS":
+                total += (gamma**t) * float(np.mean(num))
+            else:
+                denom = float(np.sum(rho[:, t]))
+                if denom > 0:
+                    total += (gamma**t) * float(np.sum(num) / denom)
+        return total
+
+    value_model.fill(inp.trajectories)
+    q_vals = np.zeros((n, t_max))
+    v_vals = np.zeros((n, t_max))
+    for i, traj in enumerate(inp.trajectories):
+        for t, tr in enumerate(traj.transitions):
+            remaining = value_model.horizon - t
+            q_vals[i, t] = value_model.q(tr.x, tr.a, remaining)
+            v_vals[i, t] = value_model.v(tr.x, remaining)
+
+    def normalized(weights):
+        total = float(np.sum(weights))
+        return weights / total if total > 0 else np.zeros_like(weights)
+
+    alive = np.arange(t_max) < lengths[:, None]
+    rho_prev = np.ones((n, t_max))
+    rho_prev[:, 1:] = rho[:, :-1]
+    total = 0.0
+    for t in range(t_max):
+        live = alive[:, t]
+        correction = rewards[:, t] - q_vals[:, t]
+        if variant == "DR":
+            term = rho[live, t] * correction[live] + rho_prev[live, t] * v_vals[live, t]
+            total += (gamma**t) * float(np.sum(term)) / n
+        else:
+            w = normalized(rho[:, t])
+            w_prev = normalized(rho_prev[:, t])
+            term = w[live] * correction[live] + w_prev[live] * v_vals[live, t]
+            total += (gamma**t) * float(np.sum(term))
+    return total

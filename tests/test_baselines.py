@@ -18,7 +18,7 @@ from moesim.envs.base import generate_trajectories
 from moesim.models import FunctionModel, RidgePerActionModel
 
 
-from helpers import DeterministicMDP
+from helpers import DeterministicMDP, reference_is_estimate
 
 
 def chain(states, rewards, actions=None):
@@ -249,5 +249,92 @@ class TestISInputValidation:
         with pytest.raises(ValueError):
             ISInput((), (), (), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["behavior_probs", "eval_probs"])
+    def test_a_non_finite_probability_is_rejected_naming_its_list(self, bad, name):
+        # NaN used to pass both checks: IS and PDIS gave nan, WIS a silent 0.0
+        traj = chain([0.0, 1.0, 2.0], [1.0, 1.0])
+        probs = {"behavior_probs": np.array([0.5, 0.5]), "eval_probs": np.array([1.0, 1.0])}
+        probs[name][1] = bad
+        with pytest.raises(ValueError) as err:
+            ISInput((traj,), (probs["behavior_probs"],), (probs["eval_probs"],), 1.0)
+        assert type(err.value) is ValueError and str(err.value) == f"{name} must be finite"
+
+    @pytest.mark.parametrize("pb", [0.0, -0.0, -0.5])
+    def test_a_behavior_probability_of_zero_or_below_is_a_coverage_error(self, pb):
+        traj = chain([0.0, 1.0, 2.0], [1.0, 1.0])
+        with pytest.raises(CoverageError, match="coverage violation"):
+            ISInput((traj,), (np.array([0.5, pb]),), (np.array([1.0, 1.0]),), 1.0)
+
     def test_variant_list_is_complete(self):
         assert set(VARIANTS) == {"IS", "WIS", "PDIS", "CWPDIS", "DR", "WDR"}
+
+
+# ---------------------------------------------------------------------------
+# The tables against the per-column loop
+# ---------------------------------------------------------------------------
+
+MAGNITUDES = st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])
+
+
+def _signed(draw):
+    return draw(MAGNITUDES) * draw(st.floats(-1.0, 1.0))
+
+
+@st.composite
+def logged_tables(draw):
+    """1-20 logged 1-D trajectories of unequal lengths, empty ones among
+    them, whose rewards span 16 orders of magnitude (8 or more rows reach
+    numpy's pairwise summation), with a step from which every evaluation
+    probability may be 0 (the ratio total of every later column is then
+    0), a discount below 1 or 1, and value functions of a stochastic or a
+    deterministic evaluation policy over 3 actions whose model rollouts
+    can end in the terminal region x > 2.5."""
+    n = draw(st.integers(1, 20))
+    lengths = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    dead = draw(st.none() | st.integers(0, 12))
+    trajectories, pbs, pes = [], [], []
+    for m in lengths:
+        states = draw(st.lists(st.floats(-3.0, 3.0), min_size=m + 1, max_size=m + 1))
+        actions = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        trajectories.append(Trajectory(np.array(states)[:, None], actions,
+                                       [_signed(draw) for _ in range(m)]))
+        pbs.append(np.array(draw(st.lists(st.sampled_from([0.1, 0.25, 1 / 3, 0.9, 1.0]),
+                                          min_size=m, max_size=m))))
+        pe = np.array(draw(st.lists(st.sampled_from([0.0, 0.2, 1 / 3, 0.5, 1.0]),
+                                    min_size=m, max_size=m)))
+        if dead is not None:
+            pe[dead:] = 0.0
+        pes.append(pe)
+    gamma = draw(st.sampled_from([1.0, 0.97]) | st.floats(0.1, 1.0))
+    inp = ISInput(tuple(trajectories), tuple(pbs), tuple(pes), gamma)
+    model = FunctionModel(
+        lambda x, a: 0.8 * x + 0.3 * a, lambda x, a: float(np.sin(3.0 * x[0])) + a,
+        lambda X, A: (0.8 * X + 0.3 * A[:, None], np.sin(3.0 * X[:, 0]) + A),
+    )
+    if draw(st.booleans()):
+        policy = Policy.deterministic(
+            lambda x: 2 if x[0] > 0 else 0, 3, lambda X: np.where(X[:, 0] > 0, 2, 0)
+        )
+    else:
+        policy = Policy(
+            3,
+            lambda x: np.array([0.2, 0.3, 0.5] if x[0] > 0 else [0.5, 0.2, 0.3]),
+            lambda X: np.where(X[:, :1] > 0, [0.2, 0.3, 0.5], [0.5, 0.2, 0.3]),
+        )
+    horizon = max(lengths) + draw(st.integers(0, 3))
+
+    def value_model():
+        return ModelValueFunctions(model, policy, horizon, gamma, lambda X: X[:, 0] > 2.5)
+
+    return inp, value_model
+
+
+@settings(max_examples=150, deadline=None)
+@given(logged_tables())
+def test_every_variant_equals_the_per_column_loop_bit_for_bit(case):
+    inp, value_model = case
+    for variant in VARIANTS:
+        got = is_estimate(inp, variant, value_model=value_model())
+        want = reference_is_estimate(inp, variant, value_model=value_model())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), variant

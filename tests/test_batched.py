@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import general_path, rollout_with_probs, serial_rollout, uniform_policy
+from helpers import (
+    general_path, reference_roll, rollout_with_probs, serial_rollout, uniform_policy,
+)
 from moesim.baselines import ISInput, ModelValueFunctions, is_estimate
 from moesim.core import Dataset, Metric, Policy, Trajectory, Transition, check_rollouts
 from moesim.envs import (
@@ -41,7 +43,9 @@ from moesim.envs.windy import (
 )
 from moesim.errors import parametric_residuals
 from moesim.experiments import build_eval_policy, build_task
-from moesim.models import FunctionModel, MLPModel, NoSupportError, RidgePerActionModel
+from moesim.models import (
+    DynamicsModel, FunctionModel, MLPModel, NoSupportError, RidgePerActionModel,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -129,6 +133,25 @@ def test_ridge_rejects_wrong_state_dimension():
         model.predict(np.zeros(3), 0)
     with pytest.raises(ValueError, match=re.escape("state has 1 dims, the model 2")):
         model.predict_many(np.zeros((2, 1)), np.array([0, 0]))
+
+
+def test_ridge_predict_many_reads_replaced_coefficients():
+    # the stacked coefficients follow an entry of `coefs` that is replaced
+    # after a batch was predicted, and a refit
+    ds = Dataset([Transition([0.0, 1.0], 0, 1.0, [1.0, 1.0]),
+                  Transition([1.0, 0.0], 1, 0.0, [0.0, 2.0])], [[0.0, 0.0]], 2, 3)
+    model = RidgePerActionModel(2, 3, 1.0).fit(ds)
+    X, A = np.array([[0.5, -1.0], [2.0, 3.0]]), np.array([0, 1])
+    assert_rows_match(model, X, A)
+    model.coefs[1] = model.coefs[1] * 2.0
+    assert_rows_match(model, X, A)
+    model.coefs[0] = None
+    with pytest.raises(NoSupportError, match="not fitted for action 0"):
+        model.predict_many(X, A)
+    model.fit(ds)
+    assert_rows_match(model, X, A)
+    with pytest.raises(NoSupportError, match="not fitted for action 2"):
+        model.predict_many(X, np.array([2, 0]))
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +423,79 @@ def test_fill_skips_the_trajectories_it_has_filled(acrobot_batch):
     q_memo = dict(vm._q_memo)
     vm.fill(trajs)
     assert seen == [len(traj) for traj in trajs] and vm._q_memo == q_memo
+
+
+class PerRowRidge(RidgePerActionModel):
+    """A ridge expert predicting one row at a time: a batch raises for its
+    first row of an unfitted action, naming that row's action."""
+
+    predict_many = DynamicsModel.predict_many
+
+
+@st.composite
+def roll_cases(draw):
+    """(value functions, keys to roll) over a 2-D task whose terminal region
+    is x[0] > 1: remaining -1..H, starts inside the region, rollouts that
+    enter it mid-way, an argmax (stochastic) or a deterministic policy (out
+    of range, -1 or 3, where |x[1]| > 6), unfitted actions, and a model
+    that is batched, one row at a time, or diverging (slopes up to 1e200,
+    so a rollout reaches inf within two steps)."""
+    kind = draw(st.sampled_from(["ridge", "per_row", "diverging"]))
+    model = (PerRowRidge if kind == "per_row" else RidgePerActionModel)(2, 3, 0.0)
+    scale = 1e200 if kind == "diverging" else 1.0
+    for a in range(3):
+        if draw(st.integers(0, 3)):
+            coefs = draw(st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9))
+            model.coefs[a] = np.array(coefs).reshape(3, 3) * scale
+    if draw(st.booleans()):
+        policy = Policy(
+            3,
+            lambda x: np.array([0.2, 0.3, 0.5] if x[0] > 0 else [0.5, 0.3, 0.2]),
+            lambda X: np.where(X[:, :1] > 0, [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]),
+        )
+    else:
+        def act(x):
+            return -1 if x[1] < -6 else 3 if x[1] > 6 else int(x[0] > 0)
+
+        policy = Policy.deterministic(act, 3, lambda X: np.array([act(x) for x in X]))
+    horizon = draw(st.integers(1, 10))
+    keys = draw(st.lists(
+        st.tuples(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+                  st.integers(0, 2), st.integers(-1, horizon)),
+        min_size=1, max_size=25,
+    ))
+    starts = {}
+    for x, a, r in keys:
+        x = np.array(x)
+        starts[(x.tobytes(), a, r)] = x
+
+    def value_model():
+        return ModelValueFunctions(model, policy, horizon, 0.9, lambda X: X[:, 0] > 1.0)
+
+    return value_model, starts
+
+
+@settings(max_examples=200, deadline=None)
+@given(roll_cases())
+def test_roll_equals_the_key_ordered_rows(case):
+    """The memo `_roll` writes, bit for bit, or the error it raises, equal
+    those of its rows rolled in key order."""
+    value_model, starts = case
+
+    def outcome(roll):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = roll()
+        except (ValueError, NoSupportError) as exc:
+            return type(exc), str(exc)
+        return {key: bits(v) for key, v in values.items()}
+
+    def rolled():
+        vm = value_model()
+        vm._roll(dict(starts))
+        return vm._q_memo
+
+    assert outcome(rolled) == outcome(lambda: reference_roll(value_model(), dict(starts)))
 
 
 def test_is_input_eval_probs_equal_per_step_probs(acrobot_batch):

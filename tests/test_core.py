@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     einsum_distances,
+    general_path,
     neighbors_within,
     reference_choose_many,
     reference_generators,
@@ -24,6 +25,8 @@ from moesim.core import (
     generators,
     trajectory_return,
 )
+from moesim.envs.acrobot import acrobot_heuristic_policy
+from moesim.envs.windy import windy_behavior_policy, windy_eval_policy
 
 
 def inverse_cdf(p, u):
@@ -467,6 +470,10 @@ class TestPolicy:
             pol.actions_fn(X)
         assert str(err.value) == message
         assert pol.actions_fn(X[[0, 2]]).tolist() == [1, 1]
+        with pytest.raises(ValueError) as err:
+            pol.sample(X[1], np.random.default_rng(0))
+        assert str(err.value) == message
+        assert pol.sample(X[0], np.random.default_rng(0)) == 1
 
     def test_a_wrongly_shaped_action_vector_is_rejected(self):
         pol = Policy.deterministic(lambda x: 0, 2, lambda X: np.zeros((len(X), 2), dtype=int))
@@ -514,6 +521,22 @@ class TestPolicy:
                 pol.probs(np.zeros(1)), ref.random()
             )
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("policy", [
+        windy_eval_policy(), windy_behavior_policy(), acrobot_heuristic_policy(),
+        Policy.deterministic(lambda x: int(x[0] > 0), 2),
+        Policy.deterministic(lambda x: np.int64(2 if x[1] > 0 else 0), 3),
+    ])
+    def test_deterministic_sample_is_the_rule_after_one_draw(self, policy):
+        # the rule's action, as a Python int, from the generator state that
+        # probs-then-choose of the general path leaves
+        states = np.random.default_rng(3).uniform(-12.0, 12.0, size=(200, 4))
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        oracle = general_path(policy)
+        for x in states:
+            a = policy.sample(x, rng)
+            assert type(a) is int and a == oracle.sample(x, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_invalid_distribution_rejected(self):
         bad = Policy(2, lambda x: np.array([0.7, 0.7]))

@@ -1,11 +1,13 @@
 """Paired A/B timing of one benchmark repetition in two moesim source trees.
 
-    python tools/ab_repetitions.py PARENT CHANGE [--workloads a,b] [--rounds N]
+    python tools/ab_repetitions.py PARENT CHANGE [--workloads a,b] [--rounds N] [--seed N]
 
 Each tree's `src/moesim` is copied under a temporary package name, which
 works because the package imports itself only relatively, so both run in
 this one process.  The workload configs come from CHANGE's
-`perfbench/workloads.py` at its timed seed.  After one untimed repetition
+`perfbench/workloads.py` at master seed `--seed`, by default its timed
+seed `TIMED_SEED`; another seed checks a claim on inputs that were not
+used while the change was written.  After one untimed repetition
 per side, each round times `run_repetition(cfg, 0)` once per side, and the
 sides take turns going first, so that drift in the host's speed falls on
 both.  It prints, per workload, the first 8 hex digits of the sha256 of
@@ -59,10 +61,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workloads", help="comma-separated names (default: all)")
     parser.add_argument("--rounds", type=int, default=40)
+    parser.add_argument("--seed", type=int, help="master seed (default: the timed seed)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     workloads = load_workloads(args.change.resolve())
+    seed = workloads.TIMED_SEED if args.seed is None else args.seed
     names = args.workloads.split(",") if args.workloads else list(workloads.WORKLOADS)
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
     if unknown:
@@ -78,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
             "change_wins  parent_iqr"
         )
         for name in names:
-            config = workloads.WORKLOADS[name].config(workloads.TIMED_SEED)
+            config = workloads.WORKLOADS[name].config(seed)
             cfgs = [exp.validate_config(config) for exp in sides]
             parent_rec, change_rec = (  # untimed warm-up
                 record_hash(exp.run_repetition(cfg, 0)) for exp, cfg in zip(sides, cfgs)
