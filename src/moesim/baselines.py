@@ -333,7 +333,7 @@ def _column_sums(table: np.ndarray, lengths: np.ndarray | None = None) -> np.nda
         return np.add.reduce(np.ascontiguousarray(table.T), axis=-1)
     sums = np.zeros(table.shape[1])
     start = 0
-    for end in np.unique(lengths).tolist():
+    for end in sorted(set(lengths.tolist())):
         if end > start:
             # columns start..end-1 read the rows longer than end - 1
             block = table[lengths >= end, start:end].T.copy()
