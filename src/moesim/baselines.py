@@ -330,7 +330,7 @@ def _column_sums(table: np.ndarray, lengths: np.ndarray | None = None) -> np.nda
     `np.sum(table, axis=0)` would add the rows in another order from 8 rows
     on, where numpy's 1-D sum turns pairwise."""
     if lengths is None:
-        return np.add.reduce(np.ascontiguousarray(table.T), axis=-1)
+        lengths = np.full(len(table), table.shape[1])
     sums = np.zeros(table.shape[1])
     start = 0
     for end in sorted(set(lengths.tolist())):

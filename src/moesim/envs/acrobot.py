@@ -37,19 +37,18 @@ GOAL_HEIGHT = 1.0  # tip height that ends an episode
 # further right would reassociate floating-point operations.
 _C_D1_0 = M1 * LC1**2
 _C_D1_1 = L1**2 + LC2**2
-_C_D1_2 = 2 * L1 * LC2
 _C_D2_0 = LC2**2
 _C_D2_1 = L1 * LC2
 _C_PHI2_0 = M2 * LC2 * GRAVITY
 _C_PHI1_0 = -M2 * L1 * LC2
-_C_PHI1_1 = 2 * M2 * L1 * LC2
 _C_PHI1_2 = (M1 * LC1 + M2 * L1) * GRAVITY
 _C_A2_0 = M2 * L1 * LC2
 _C_A2_1 = M2 * LC2**2 + I2
 _H = DT / N_SUBSTEPS
 _HALF, _SIXTH = 0.5 * _H, _H / 6.0
 # the constants of `_step`'s equations, in the order it unpacks them; M2,
-# _C_D1_2 and _C_PHI1_1 are 1.0, so their products are not written
+# 2 * L1 * LC2 (of d1) and 2 * M2 * L1 * LC2 (of phi1) are 1.0, so their
+# products are not written
 _CONSTANTS = (
     _C_D1_0, _C_D1_1, I1, I2, _C_D2_0, _C_D2_1, _C_PHI2_0, _C_PHI1_0, _C_PHI1_2,
     _C_A2_0, _C_A2_1, HALF_PI,
@@ -83,9 +82,10 @@ def _step(start: list[float], a: ActionId) -> list[float]:
 
     Straight-line code on local names: each RK4 stage evaluates the
     equations of motion inline (cos2/sin2, d1, d2, phi2, phi1, then the two
-    accelerations).  The products by M2, _C_D1_2 and _C_PHI1_1 are left
-    out because each constant is exactly 1.0 and x * 1.0 is x for every
-    float; every other operation keeps its order.
+    accelerations).  The products by M2, by 2 * L1 * LC2 in d1 and by
+    2 * M2 * L1 * LC2 in phi1 are left out because each constant is
+    exactly 1.0 and x * 1.0 is x for every float; every other operation
+    keeps its order.
     """
     if not all(map(isfinite, start)):
         raise ValueError(f"acrobot state must be finite: {start}")
