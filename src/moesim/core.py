@@ -107,11 +107,9 @@ class Metric:
     Weights multiply the per-coordinate differences inside the square:
     dist(x, y) = sqrt(sum_i (w_i * (x_i - y_i))^2), so w_i is the
     multiplicative importance factor of dimension i.  All weights default
-    to 1 (plain Euclidean distance).  `distance` sums the squares with
-    one `np.vecdot` per pair, through BLAS, and `distances_to` in its own
-    fixed order, so the two can differ in the last bit for the same pair.
-    With unit weights `distances_to` skips the multiply, which leaves every
-    difference as it is.
+    to 1 (plain Euclidean distance).  Every distance is `distance`'s one
+    fixed sum, with no BLAS, so a pair gets the same bits in any call shape
+    and on any CPU.
     """
 
     weights: np.ndarray
@@ -134,41 +132,32 @@ class Metric:
         return self.weights.shape[0]
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-        """The distance between two states, or between the matching rows of
-        two state matrices as an array.  Each distance is the weighted
-        difference and one `np.vecdot`, so a row gets the bits of its pair."""
-        x, y = np.asarray(x), np.asarray(y)
-        if x.shape != y.shape or x.shape[-1] != self.dim:
-            raise ValueError(
-                f"dimension mismatch: metric is {self.dim}-D, "
-                f"points are {x.shape[-1]}-D and {y.shape[-1]}-D"
-            )
-        diff = (x - y) * self.weights
-        d = np.sqrt(np.vecdot(diff, diff))
-        return float(d) if d.ndim == 0 else d
+        """The distance between two states; or, as an array, between the
+        matching rows of two state matrices, or from each row of the state
+        matrix `x` to the state `y`.
 
-    def distances_to(self, points: np.ndarray, x: StateVec) -> np.ndarray:
-        """Vectorized distances from each row of `points` to `x`.
-
-        Works on the columns `points.T`, so each numpy pass runs over all
-        rows; it is fastest when `points.T` is contiguous, as for
-        `Dataset`'s per-action blocks.  The squares add in two lanes,
-        (d0² + d2² + ...) + (d1² + d3² + ...), the order in which
-        `np.einsum("ij,ij->i")` adds a contiguous row of 1 to 7 entries,
-        so the bits equal that row form's (see tests).
-        """
-        if points.size == 0:
-            return np.zeros(0)
-        if points.shape[1] != self.dim or len(x) != self.dim:
-            raise ValueError("dimension mismatch in batched distance")
-        diff = points.T - np.asarray(x)[:, None]
+        The squares add in two lanes, (d0² + d2² + ...) + (d1² + d3² + ...),
+        the order in which `np.einsum("ij,ij->i")` adds a contiguous row of
+        1 to 7 entries (see tests).  The passes run over the columns of the
+        difference, so each is one loop over all rows, fastest when `x.T`
+        is contiguous, as for `Dataset`'s per-action blocks.  With unit
+        weights the multiply is skipped, which leaves every difference as
+        it is."""
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        if x.shape[-1:] != self.weights.shape or y.shape not in (x.shape, self.weights.shape):
+            raise ValueError(f"dimension mismatch: metric is {self.dim}-D, "
+                             f"points are {x.shape[-1]}-D and {y.shape[-1]}-D")
+        diff = x - y
         if not self._unit:
-            diff *= self.weights[:, None]
+            diff *= self.weights
+        diff = diff.T
         diff *= diff
         total = reduce(np.add, diff[0::2])
-        if self.dim > 1:
-            total = total + reduce(np.add, diff[1::2])
-        return np.sqrt(total, out=total)
+        if len(diff) > 1:
+            total += reduce(np.add, diff[1::2])
+        if total.ndim == 0:
+            return float(np.sqrt(total))
+        return np.sqrt(total, out=total).T  # the leading axes back in their order
 
 
 @dataclass(frozen=True)
@@ -378,7 +367,7 @@ class Dataset:
             for rows in self._rows
         ]
         # each action's starts as one contiguous (dim, n_a) block, for the
-        # column passes of `Metric.distances_to`
+        # column passes of `Metric.distance`
         self._start_columns = [
             _read_only(np.ascontiguousarray(starts.T)) for starts, _, _ in self._by_action
         ]
@@ -449,7 +438,7 @@ class Dataset:
         rows = self._rows[a]
         if len(rows) == 0:
             return None
-        d = metric.distances_to(self._start_columns[a].T, x)
+        d = metric.distance(self._start_columns[a].T, x)
         i = int(np.argmin(d))
         return Neighbors(int(rows[i]), float(d[i]), rows[d <= c])
 
@@ -570,10 +559,11 @@ class Policy:
     ) -> "Policy":
         """One-hot policy of `fn`; `fn_many`, when given, is its batched
         form (the action of each row of a state matrix).  Its `action_fn`
-        is `fn`, and its `actions_fn` is `fn_many`, else `fn` once per row.
-        An action outside 0..n_actions-1 raises ValueError naming it, in
-        `probs`, `probs_many`, `sample` and `actions_fn` alike, for the first
-        row that has one."""
+        is `fn`, its `actions_fn` is `fn_many`, else `fn` once per row, and
+        its `probs_many_fn` sets the one-hots of `actions_fn`.  An action
+        outside 0..n_actions-1 raises ValueError naming it, in `probs`,
+        `probs_many`, `sample` and `actions_fn` alike, for the first row
+        that has one."""
 
         def probs_fn(x: StateVec) -> np.ndarray:
             p = np.zeros(n_actions)
@@ -590,9 +580,6 @@ class Policy:
             if bad.any():
                 _checked_action(A[np.argmax(bad)].item(), n_actions)
             return A
-
-        if fn_many is None:
-            return Policy(n_actions, probs_fn, actions_fn=actions_fn, action_fn=fn)
 
         def probs_many_fn(X: np.ndarray) -> np.ndarray:
             P = np.zeros((len(X), n_actions))

@@ -309,14 +309,25 @@ def _non_finite(value, path: str = "$") -> list[tuple[str, str]]:
     return []
 
 
+def _integers(schema: dict, value):
+    """A valid config value with every number at an `"integer"` position of
+    `schema` as an int; the schema's `integer` admits integral floats."""
+    if isinstance(value, dict):
+        return {k: _integers(schema.get("properties", {}).get(k, {}), v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integers(schema.get("items", {}), v) for v in value]
+    return int(value) if schema.get("type") == "integer" else value
+
+
 def validate_config(cfg: dict) -> dict:
-    """Validate and return the config with the top-level defaults filled in.
-    Every number must be finite.  A section must give the keys its kind
-    requires, and no key its kind does not read."""
+    """Validate and return the config with the top-level defaults filled in
+    and its integer fields as ints.  Every number must be finite.  A
+    section must give the keys its kind requires, and no key its kind does
+    not read."""
     errors = sorted(_schema_errors(CONFIG_SCHEMA, cfg) + _non_finite(cfg), key=lambda e: e[0])
     if errors:
         raise ConfigError("; ".join(f"{path}: {message}" for path, message in errors))
-    merged = {**copy.deepcopy(_DEFAULTS), **cfg}
+    merged = {**copy.deepcopy(_DEFAULTS), **_integers(CONFIG_SCHEMA, cfg)}
     for section in _KINDED:
         kind = merged[section]["kind"]
         reads = SECTIONS[section][kind]

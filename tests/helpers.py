@@ -2,6 +2,7 @@
 
 import math
 from functools import reduce
+from operator import add
 
 import numpy as np
 from hypothesis import strategies as st
@@ -60,9 +61,10 @@ def uniform_policy(n_actions: int) -> Policy:
 
 
 def general_path(policy: Policy) -> Policy:
-    """The policy without its action function: the oracle of every path
-    that acts on a deterministic policy's actions directly."""
-    return Policy(policy.n_actions, policy.probs_fn, policy.probs_many_fn)
+    """The policy without its action functions, its batches stacked from
+    `probs_fn` rows: the oracle of every path that acts on a deterministic
+    policy's actions directly."""
+    return Policy(policy.n_actions, policy.probs_fn)
 
 
 def simulate_bound_instance(rng, horizon=5):
@@ -481,9 +483,10 @@ def jsonschema_errors(schema, value):
 
 
 def einsum_distances(metric, points, x):
-    """`Metric.distances_to` in its row-major form, one einsum over the
-    weighted differences of contiguous rows (einsum's summation order
-    depends on the layout): the oracle of the column-lane sum."""
+    """`Metric.distance` from each row of `points` to `x` in its row-major
+    form, one einsum over the weighted differences of contiguous rows
+    (einsum's summation order depends on the layout): the oracle of the
+    column-lane sum."""
     diff = (np.ascontiguousarray(points) - np.asarray(x)) * metric.weights
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
@@ -510,14 +513,15 @@ def reference_choose_many(P, U):
     return np.argmax(np.asarray(U)[:, None] < cum, axis=1)
 
 
-def weighted_distances(metric, points, x):
-    """`Metric.distances_to` with the weights always multiplied in."""
-    diff = (points.T - np.asarray(x)[:, None]) * metric.weights[:, None]
-    diff *= diff
-    total = reduce(np.add, diff[0::2])
-    if metric.dim > 1:
-        total = total + reduce(np.add, diff[1::2])
-    return np.sqrt(total)
+def two_lane_distance(weights, x, y):
+    """One weighted distance in Python floats, the weights always
+    multiplied in and the squares added in two lanes, (d0² + d2² + ...) +
+    (d1² + d3² + ...): the oracle of `Metric.distance`."""
+    sq = [d * d for d in (w * (a - b) for w, a, b in zip(weights, x, y))]
+    total = reduce(add, sq[0::2])
+    if len(sq) > 1:
+        total += reduce(add, sq[1::2])
+    return math.sqrt(total)
 
 
 def reference_roll(value_model, starts):

@@ -231,7 +231,7 @@ class TestCriterion08SelectionQuality:
         fallback_picks = 0
         n_far = 0
         for x in far_points:
-            assert metric.distances_to(all_starts, x).min() > radius
+            assert metric.distance(all_starts, x).min() > radius
             for a in range(env.n_actions):
                 n_far += 1
                 est = ctx.estimate(NONPARAMETRIC, x, a)

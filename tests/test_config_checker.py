@@ -3,8 +3,10 @@ the checker `validate_config` used before: same errors, same wording,
 same order, on mutations of the shipped configs."""
 
 import copy
+import functools
 import json
 import math
+import operator
 import re
 from pathlib import Path
 from unittest import mock
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 import moesim.experiments
 from helpers import jsonschema_errors
-from moesim.experiments import CONFIG_SCHEMA, ConfigError, _schema_errors, validate_config
+from moesim.experiments import (
+    CONFIG_SCHEMA, ConfigError, _schema_errors, run_experiment, validate_config,
+)
 from moesim.reproduce import planning_toy_config, windy_consistency_config, windy_table1_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -183,6 +187,41 @@ def test_messages_keep_the_jsonschema_wording(edit, message):
 
 def test_an_integral_float_is_an_integer():
     assert validate_config({**windy_table1_config(), "n_repetitions": 3.0})["n_repetitions"] == 3.0
+
+
+def integer_paths(schema, path=()):
+    """The key path of every `"integer"` field of `schema`."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from integer_paths(sub, path + (key,))
+
+
+# a small run that reads every integer field of the schema
+EVERY_INTEGER = {
+    "name": "every-integer",
+    "env": {"kind": "windy2d", "horizon": 8},
+    "behavior": {"kind": "eps_greedy", "eps": 0.5},
+    "eval_policy": {"kind": "constant_action", "action": 1},
+    "n_behavior_trajectories": 4,
+    "model": {"kind": "mlp", "hidden": 4, "layers": 2, "epochs": 3, "seed": 1},
+    "selector": {"mcts_budget": 4},
+    "sim": {"n_rollouts": 2, "horizon": 5, "gamma": 0.9},
+    "estimators": ["p", "np", "moe", "mcts_moe"],
+    "n_repetitions": 2,
+    "n_true_rollouts": 2,
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("path", list(integer_paths(CONFIG_SCHEMA)), ids=".".join)
+def test_an_integral_float_runs_as_its_int(path):
+    # the report, config included, is the int twin's
+    cfg = copy.deepcopy(EVERY_INTEGER)
+    *outer, key = path
+    section = functools.reduce(operator.getitem, outer, cfg)
+    section[key] = float(section[key])
+    assert run_experiment(cfg).to_json() == run_experiment(EVERY_INTEGER).to_json()
 
 
 def test_the_schema_uses_only_the_checked_keywords():

@@ -12,8 +12,8 @@ from helpers import (
     reference_choose_many,
     reference_generators,
     reference_probs_valid,
+    two_lane_distance,
     uniform_policy,
-    weighted_distances,
 )
 from moesim.core import (
     Dataset,
@@ -58,7 +58,7 @@ def make_transition(x, a, r, y, traj_id=0, t=0):
 def linear_scan(ds, x, a, metric):
     """Reference per-action scan: (distance, traj_id, t, row) of every row
     with action `a`, in ascending order, so ties go to the smallest
-    (traj_id, t).  The distances are the row form of `distances_to`."""
+    (traj_id, t).  The distances are the row form of `Metric.distance`."""
     d = einsum_distances(metric, ds.starts, x).tolist()
     return sorted(
         (d[row], tr.traj_id, tr.t, row)
@@ -134,14 +134,13 @@ class TestMetric:
         m = Metric(rng.uniform(0.5, 2.0, size=3))
         pts = rng.normal(size=(40, 3))
         x = rng.normal(size=3)
-        batched = m.distances_to(pts, x)
+        batched = m.distance(pts, x)
         for i in range(40):
-            # vectorized path may differ from the scalar dot by one ulp
-            assert batched[i] == pytest.approx(m.distance(pts[i], x), abs=1e-12)
+            assert batched[i] == m.distance(pts[i], x)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 7), st.integers(0, 300), st.integers(0, 2**32 - 1), st.booleans())
-    def test_distances_to_keeps_the_bits_of_the_row_form(self, dim, n, seed, columns):
+    def test_distance_keeps_the_bits_of_the_row_form(self, dim, n, seed, columns):
         # on a dataset's contiguous (dim, n) block or on plain rows alike
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.uniform(-8, 8, size=dim)
@@ -149,22 +148,34 @@ class TestMetric:
         pts = rng.normal(size=(n, dim)) * scale
         x = rng.normal(size=dim) * scale
         points = np.ascontiguousarray(pts.T).T if columns else pts
-        assert m.distances_to(points, x).tobytes() == einsum_distances(m, pts, x).tobytes()
+        assert m.distance(points, x).tobytes() == einsum_distances(m, pts, x).tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_distance_of_matching_rows_equals_a_dot_per_pair(self, dim, n, seed):
-        # bit for bit, for a pair, for one row and for many, on weighted
-        # metrics and coordinates over sixteen decades
+    @given(
+        st.integers(1, 4), st.integers(0, 40), st.integers(0, 2**32 - 1),
+        st.booleans(), st.booleans(),
+    )
+    def test_distance_is_the_two_lane_sum_in_every_shape(self, dim, n, seed, unit, fortran):
+        # bit for bit, for a pair, for matching rows and for rows against
+        # one state, on coordinates over sixteen decades
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.uniform(-8, 8, size=dim)
-        m = Metric(10.0 ** rng.uniform(-3, 3, size=dim))
+        m = Metric.euclidean(dim) if unit else Metric(10.0 ** rng.uniform(-3, 3, size=dim))
         X, Y = rng.normal(size=(2, n, dim)) * scale
-        diffs = [(x - y) * m.weights for x, y in zip(X, Y)]
-        want = np.array([np.sqrt(np.dot(d, d)) for d in diffs])
-        assert np.array([m.distance(x, y) for x, y in zip(X, Y)]).tobytes() == want.tobytes()
-        assert m.distance(X, Y).tobytes() == want.tobytes()
-        assert m.distance(X[:1], Y[:1]).tobytes() == want[:1].tobytes()
+        y = rng.normal(size=dim) * scale
+        if fortran:
+            X, Y = np.asfortranarray(X), np.asfortranarray(Y)
+        w = m.weights.tolist()
+        paired = np.array([two_lane_distance(w, a, b) for a, b in zip(X.tolist(), Y.tolist())])
+        to_y = np.array([two_lane_distance(w, a, y.tolist()) for a in X.tolist()])
+        assert m.distance(X, Y).tobytes() == paired.tobytes()
+        assert m.distance(X, y).tobytes() == to_y.tobytes()
+        assert [m.distance(a, b) for a, b in zip(X, Y)] == paired.tolist()
+        assert m.distance(X, Y).shape == m.distance(X, y).shape == (n,)
+        for x, z in [(X, np.zeros((n, dim + 1))), (X, np.zeros(dim + 1)),
+                     (np.zeros((n, dim + 1)), y), (y, np.zeros(dim + 1))]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                m.distance(x, z)
 
 
 class TestStatesAndTransitions:
@@ -257,7 +268,7 @@ GRID = (st.lists(st.integers(-3, 3), min_size=2, max_size=2),
 @st.composite
 def pooled_points(draw):
     """4-D float points, acrobot's dimension, where the lane order of
-    `distances_to` matters, drawn from a small pool so that duplicate
+    `Metric.distance` matters, drawn from a small pool so that duplicate
     starts occur, or fresh; and float weights."""
     coordinate = st.floats(-20, 20, allow_subnormal=False)
     pool = draw(st.lists(st.lists(coordinate, min_size=4, max_size=4), min_size=1, max_size=6))
@@ -403,7 +414,7 @@ class TestNeighborQueries:
             X, _, _ = ds.action_arrays(a)
             if len(X) < 5:
                 continue
-            d = np.sort(m.distances_to(X, x))
+            d = np.sort(m.distance(X, x))
             k = 5
             got = neighbors_within(ds, x, a, float(d[k - 1]), m)
             assert len(got) >= k
@@ -653,17 +664,3 @@ class TestColumnPasses:
         picks = Policy.choose_many(P, U)
         assert picks.tolist() == reference_choose_many(P, U).tolist()
         assert picks.tolist() == [Policy.choose(p.tolist(), u) for p, u in zip(P, U)]
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 60), st.integers(0, 2**32 - 1), st.booleans())
-    def test_distances_keep_the_bits_of_the_weighted_form(self, dim, n, seed, unit):
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** rng.uniform(-8, 8, size=dim)
-        m = Metric.euclidean(dim) if unit else Metric(10.0 ** rng.uniform(-3, 3, size=dim))
-        pts = rng.normal(size=(n, dim)) * scale
-        x = rng.normal(size=dim) * scale
-        for points in (pts, np.ascontiguousarray(pts.T).T):
-            if n:
-                assert m.distances_to(points, x).tobytes() == (
-                    weighted_distances(m, points, x).tobytes()
-                )

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,31 @@ MCTS_GOLDEN = Path(__file__).parent / "golden" / "tiny_windy_mcts_report.json"
 ACROBOT_GOLDEN = Path(__file__).parent / "golden" / "tiny_acrobot_report.json"
 BATCH250_GOLDEN = Path(__file__).parent / "golden" / "windy_batch250_rep0.json"
 TABLE2_GOLDEN = Path(__file__).parent / "golden" / "table2.json"
+
+# the hash of `Metric.distance` on fixed 4-D rows, pair by pair and as
+# matching rows, then of a 50-repetition table 1, whose eps_traj sums
+# distances along every rollout
+PORTABLE_RUN = """
+import hashlib, json
+import numpy as np
+from moesim.core import Metric
+from moesim.reproduce import reproduce_table1
+rng = np.random.default_rng(5)
+X, Y = rng.normal(size=(2, 500, 4)) * 10.0 ** rng.uniform(-4, 4, size=4)
+m = Metric(10.0 ** rng.uniform(-2, 2, size=4))
+d = np.append(m.distance(X, Y), [m.distance(x, y) for x, y in zip(X, Y)])
+print(hashlib.sha256(d.tobytes()).hexdigest())
+print(hashlib.sha256(json.dumps(reproduce_table1(n_repetitions=50)).encode()).hexdigest())
+"""
+
+
+def dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels per CPU
+    at run time, which `OPENBLAS_CORETYPE` then overrides."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
 
 
 def tiny_config(**overrides):
@@ -261,6 +289,25 @@ class TestRunExperiment:
         # the only golden whose actions have thousands of rows, so the only
         # one that runs the pruned global scan and local scans of 100+ rows
         assert batch250_document(monkeypatch) == BATCH250_GOLDEN.read_text()
+
+    @pytest.mark.skipif(
+        not dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS"
+    )
+    def test_distances_and_table1_do_not_depend_on_the_blas_kernel(self):
+        # the kernels of older x86 CPUs, forced one per process, give the
+        # default run's bytes: no distance goes through BLAS
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", PORTABLE_RUN], stdout=subprocess.PIPE, text=True,
+                env={**env, **({"OPENBLAS_CORETYPE": core} if core else {})},
+            )
+            for core in (None, "Haswell", "Sandybridge", "Prescott")
+        ]
+        outputs = [run.communicate()[0] for run in runs]
+        assert [run.returncode for run in runs] == [0] * 4
+        assert outputs[1:] == outputs[:1] * 3
 
     def test_batch250_greedy_picks_take_few_local_scans(self, monkeypatch):
         # the global ratios decide all but a few of rep 0's 276 greedy picks
