@@ -172,6 +172,7 @@ class TestMetric:
         assert m.distance(X, y).tobytes() == to_y.tobytes()
         assert [m.distance(a, b) for a, b in zip(X, Y)] == paired.tolist()
         assert m.distance(X, Y).shape == m.distance(X, y).shape == (n,)
+        assert m.distance(X[:0], Y[:0]).shape == m.distance(X[:0], y).shape == (0,)
         for x, z in [(X, np.zeros((n, dim + 1))), (X, np.zeros(dim + 1)),
                      (np.zeros((n, dim + 1)), y), (y, np.zeros(dim + 1))]:
             with pytest.raises(ValueError, match="dimension mismatch"):
